@@ -12,7 +12,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import __version__, kernels
+from . import __version__
 from .annulus import (HAKConfigError, hak_verify, rigidity_scan,
                       rotation_estimate, rotation_family, rotation_number)
 from .cantor import mixing_witness_symbolic, random_point
@@ -98,7 +98,9 @@ def cmd_hak_verify(args) -> int:
                 for c in report.checks])
     if report.passed:
         worst = min(c.margin for c in report.checks)
-        print(f"hak-verify: all conditions (1)-(8) pass; smallest margin {worst:.9g} -> {out}")
+        checked = ",".join(sorted({c.condition for c in report.checks}))
+        print(f"hak-verify: checked condition(s) ({checked}) pass; "
+              f"smallest margin {worst:.9g} -> {out}")
         return EXIT_OK
     failing = ",".join(report.failing_conditions())
     print(f"hak-verify: FAILED condition(s) ({failing}) -> {out}")
@@ -112,6 +114,8 @@ def cmd_suspend_entropy(args) -> int:
     window = cfg.get_int("cantor", "window", 32)
     seed = cfg.get_int("experiment", "seed", required=True)
     eps_list = cfg.get_floats("experiment", "eps", required=True)
+    if any(eps >= 1.0 for eps in eps_list):
+        raise ConfigError(f"experiment.eps must be below 1, got {eps_list}")
     n_list = cfg.get_ints("experiment", "n", required=True)
     budget = cfg.get_int("experiment", "budget", 20000)
     sys_ = SuspensionSystem(m, h, window)
@@ -173,9 +177,11 @@ def cmd_mixing_witness(args) -> int:
             radius = cfg.get_float("witness", f"{key}_radius", required=True)
             return (normalize(sys_, spec[0], spec[1], c), radius)
 
+        cloud = cfg.get_int("witness", "cloud", 64)
+        if cloud < 1:
+            raise ConfigError(f"witness.cloud must be at least 1, got {cloud}")
         found = weak_mixing_witness(sys_, ball("u"), ball("v"), horizon,
-                                    cloud_size=cfg.get_int("witness", "cloud", 64),
-                                    seed=seed)
+                                    cloud_size=cloud, seed=seed)
     else:
         raise ConfigError(f"witness.mode must be symbolic or suspension, got {mode!r}")
     _write_csv(out, ["mode", "horizon", "found", "l"],
@@ -374,8 +380,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.version:
-        print(f"pseudosusp {__version__} (config format {CONFIG_FORMAT}, "
-              f"kernel backend {kernels.backend_name()})")
+        print(f"pseudosusp {__version__} (config format {CONFIG_FORMAT})")
         return EXIT_OK
     if args.list_fixtures:
         for name, desc in list_fixtures():

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .annulus import LiftedAnnulusMap
 from .cantor import (CantorSystem, DigitStream, FullShift, GraphPath, Odometer,
                      Periodic, SFT, Substitution, SymbolSequence, alphabet_size,
@@ -43,8 +42,7 @@ class SuspensionSystem:
 
     All dynamics here is pure; the registry is append-only naming and the only
     mutable state.  Orbit iteration is per-point and safe to parallelize over
-    seeds; greedy set extraction runs one deterministic pass in sample order
-    (the order is part of the reproducibility contract)."""
+    seeds."""
 
     def __init__(self, H: LiftedAnnulusMap, h: CantorSystem, window: int = 32):
         self.H = H
@@ -242,10 +240,12 @@ def weak_mixing_witness(sys: SuspensionSystem, U: tuple[SuspensionPoint, float],
     (cu, ru), (cv, rv) = U, V
     if ru <= 0 or rv <= 0:
         raise ValueError("ball radii must be positive")
+    if cloud_size < 1:
+        raise ValueError(f"cloud size must be at least 1, got {cloud_size}")
     rng = random.Random(seed)
     D = depth_for(ru)
     cloud = []
-    for j in range(max(cloud_size, 64)):
+    for _ in range(cloud_size):
         dt = (rng.random() - 0.5) * ru / 2
         dr = (rng.random() - 0.5) * ru / 2
         c = _splice_point(sys.h, cu.c, D, rng, sys.window)
@@ -413,24 +413,29 @@ def _variation_windows(h: CantorSystem, base: SymbolSequence, D: int,
 
 
 def _bowen_count(sys: SuspensionSystem, scale: float, n: int, budget: int,
-                 seed: int, start: tuple[float, float] = (0.5, 0.0)) -> int:
-    """Greedy maximal Bowen-(scale)-separated count over a stratified sample
-    sharing one annulus point and one Cantor cylinder."""
+                 seed: int) -> int:
+    """Size of a maximal Bowen-(scale)-separated subset of a stratified sample
+    sharing the annulus orbit of (0.5, 0.0) and one Cantor cylinder.
+
+    The count is exact, not greedy.  Since every sample has the same annulus
+    orbit, the strip term of a pair under deck shift s is |s|, which in
+    floating point is at least 1 - 2^-53 for s = +-1.  So for scale < 1 only
+    s = 0 counts, and two samples are Bowen-close exactly when their s = 0
+    symbol windows agree at every time.  That is an equivalence relation:
+    any maximal separated subset holds one sample per class, and its size is
+    the number of distinct window rows."""
+    if not scale < 1.0:
+        raise ValueError(f"entropy scale {scale!r} must be below 1: at scale 1 "
+                         "the deck shifts +-1 come within reach")
     if scale < 2.0 ** (-(sys.window - 2)):
         raise CapacityError("scale below window resolution; increase W")
     D = min(depth_for(scale), sys.window)
-    t0, r0 = start
-    if not 0.0 <= r0 < 1.0:
-        raise ValueError("start angular coordinate must be normalized")
 
-    t_orbit = np.empty(n)
-    r_orbit = np.empty(n)
-    t_cur, r_cur = t0, r0
-    for i in range(n):
-        t_orbit[i] = t_cur
-        r_orbit[i] = r_cur
-        t_cur, r_cur = sys.H.apply(t_cur, r_cur)
-        t_cur, r_cur = float(t_cur), float(r_cur)
+    r_orbit = []
+    t, r = 0.5, 0.0
+    for _ in range(n):
+        r_orbit.append(r)
+        t, r = (float(x) for x in sys.H.apply(t, r))
     w = np.floor(r_orbit).astype(np.int64)
     if np.abs(w).max() > sys.window:
         raise CapacityError(
@@ -438,56 +443,42 @@ def _bowen_count(sys: SuspensionSystem, scale: float, n: int, budget: int,
             "increase W")
 
     base = random_point(sys.h, seed * 7 + 1, sys.window)
+    # the one-column margin past the windows is part of the seeded sample
+    # layout: narrowing lo..hi would draw a different sample
     lo = int(w.min()) - 1 - D
     hi = int(w.max()) + 1 + D
     win = _variation_windows(sys.h, base, D, budget, seed, lo, hi)
 
-    width = 2 * D + 1
-    eff = np.empty((budget, n, 3, width), dtype=np.int8)
     if isinstance(sys.h, Odometer):
-        # winding acts by addition, not translation: digits of value + w - s
-        bases = sys.h.bases
-        depth = len(bases)
-        col0 = 0 - lo
+        # winding acts by addition: the window at time i holds the first
+        # min(depth, D + 1) digits of value + w_i, i.e. value + w_i modulo
+        # the product of those bases
+        bases = sys.h.bases[:D + 1]
+        modulus = math.prod(bases)
         vals = np.zeros(budget, dtype=np.int64)
         place = 1
-        for idx in range(depth):
-            vals += win[:, col0 + idx].astype(np.int64) * place
-            place *= bases[idx]
-        for i in range(n):
-            for si, s in enumerate((-1, 0, 1)):
-                shifted = (vals + int(w[i]) - s) % place
-                block = np.zeros((budget, width), dtype=np.int8)
-                v = shifted.copy()
-                for idx in range(min(depth, D + 1)):
-                    block[:, idx + D] = (v % bases[idx]).astype(np.int8)
-                    v //= bases[idx]
-                eff[:, i, si, :] = block
+        for idx, b in enumerate(bases):
+            vals += win[:, idx - lo].astype(np.int64) * place
+            place *= b
+        rows = (vals[:, None] + w[None, :]) % modulus
     else:
-        for i in range(n):
-            for si, s in enumerate((-1, 0, 1)):
-                start_col = (int(w[i]) + s - D) - lo
-                eff[:, i, si, :] = win[:, start_col:start_col + width]
-
-    rnorm = r_orbit - w
-    tt = np.tile(t_orbit, (budget, 1))
-    rn = np.tile(rnorm, (budget, 1))
-    kept = kernels.greedy_bowen_select(tt, rn, eff, scale)
-    return int(kept.sum())
+        cols = (w[:, None] - D - lo) + np.arange(2 * D + 1)
+        rows = win[:, cols.ravel()]
+    return len(np.unique(rows, axis=0))
 
 
 def entropy_separated(sys: SuspensionSystem, eps: float, n: int, budget: int,
-                      seed: int, start: tuple[float, float] = (0.5, 0.0)) -> float:
+                      seed: int) -> float:
     """Lower entropy estimate: (1/n) log of a maximal Bowen-eps-separated
     subsample count."""
-    return math.log(max(1, _bowen_count(sys, eps, n, budget, seed, start))) / n
+    return math.log(max(1, _bowen_count(sys, eps, n, budget, seed))) / n
 
 
 def entropy_spanning(sys: SuspensionSystem, eps: float, n: int, budget: int,
-                     seed: int, start: tuple[float, float] = (0.5, 0.0)) -> float:
+                     seed: int) -> float:
     """Upper companion estimate at scale eps/2 (a spanning set at eps/2 is at
     least as large as any eps-separated set)."""
-    return math.log(max(1, _bowen_count(sys, eps / 2.0, n, budget, seed, start))) / n
+    return math.log(max(1, _bowen_count(sys, eps / 2.0, n, budget, seed))) / n
 
 
 @dataclass

@@ -27,10 +27,14 @@ def test_pattern_prints_kfold(capsys):
     assert run(["pattern", "--kfold", "4"]) == 3
 
 
-def test_hak_verify_exit_codes(tmp_path):
+def test_hak_verify_exit_codes(tmp_path, capsys):
     out = tmp_path / "hak.csv"
     assert run(["hak-verify", "-c", fixture_path("hak_toy.ini"),
                 "--out", str(out)]) == 0
+    # condition (4) is not evaluated, so the summary must not claim it
+    message = capsys.readouterr().out
+    assert "(1,2,3,5,6,7,8) pass" in message
+    assert "(4" not in message and "-(8)" not in message
     header = out.read_text().splitlines()[0]
     assert header == "condition,stage,value,bound,margin,passed"
     for mutant in ("hak_mut_band.ini", "hak_mut_alpha.ini", "hak_mut_support.ini"):
@@ -72,6 +76,13 @@ def test_suspend_entropy_schema_and_capacity(tmp_path):
                 "--out", str(tmp_path / "cap.csv")]) == 4
 
 
+def test_suspend_entropy_rejects_unit_scale(tmp_path, capsys):
+    assert run(["suspend-entropy", "-c", fixture_path("entropy_unit.ini"),
+                "--override", "experiment.eps=1",
+                "--out", str(tmp_path / "e.csv")]) == 3
+    assert "experiment.eps" in capsys.readouterr().err
+
+
 def test_suspend_orbit_schema(tmp_path):
     out = tmp_path / "o.csv"
     assert run(["suspend-orbit", "-c", fixture_path("orbit_demo.ini"),
@@ -100,6 +111,13 @@ def test_mixing_witness_modes(tmp_path):
     assert run(["mixing-witness", "-c", fixture_path("thue_morse.ini"),
                 "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1] == "symbolic,32,1,2"
+
+
+def test_mixing_witness_rejects_empty_cloud(tmp_path, capsys):
+    assert run(["mixing-witness", "-c", fixture_path("witness_fullshift.ini"),
+                "--override", "witness.cloud=0",
+                "--out", str(tmp_path / "w.csv")]) == 3
+    assert "witness.cloud" in capsys.readouterr().err
 
 
 def test_dense_orbit_cli(tmp_path):

@@ -4,19 +4,21 @@ dense-orbit and mixing searches, entropy brackets."""
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys as _sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RigidRotation, Twist,
                                 rotation_estimate)
 from pseudosusp.cantor import (DigitStream, FullShift, Odometer, Periodic,
-                               SymbolSequence, cantor_metric, random_point,
-                               shift_power)
-from pseudosusp.suspension import (CapacityError, SuspensionSystem,
-                                   dense_orbit_check, entropy_separated,
+                               SymbolSequence, cantor_metric, golden_mean_sft,
+                               random_point, shift_power, thue_morse)
+from pseudosusp import suspension
+from pseudosusp.suspension import (CapacityError, SuspensionSystem, _bowen_count,
+                                   _variation_windows, dense_orbit_check,
+                                   depth_for, entropy_separated,
                                    entropy_spanning, normalize,
                                    product_formula_report, quotient_distance,
                                    rigidity_suspension, step,
@@ -248,6 +250,24 @@ def test_weak_mixing_witness_odometer_negative():
     assert weak_mixing_witness(sys_, U, V, 40, seed=11) is None
 
 
+def test_weak_mixing_witness_seeds_the_given_cloud(monkeypatch):
+    sys_ = SuspensionSystem(rot(0.3819660112501051), Odometer((2, 2, 2)), 32)
+    c = random_point(sys_.h, 1, 32)
+    U = (sys_.point(0.5, 0.10, c), 0.05)
+    V = (sys_.point(0.5, 0.60, c), 0.05)
+    calls = []
+
+    def counting_step(s, p):
+        calls.append(p)
+        return step(s, p)
+
+    monkeypatch.setattr(suspension, "step", counting_step)
+    assert weak_mixing_witness(sys_, U, V, 10, cloud_size=8, seed=11) is None
+    assert 0 < len(calls) <= 8 * 10
+    with pytest.raises(ValueError, match="cloud"):
+        weak_mixing_witness(sys_, U, V, 10, cloud_size=0)
+
+
 def test_weak_mixing_witness_rejects_degenerate_radius():
     sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
     c = random_point(sys_.h, 3, 32)
@@ -331,20 +351,82 @@ def test_entropy_sft_and_substitution_paths():
     assert up_sub <= 0.25  # zero-entropy factor: low complexity growth
 
 
-def test_backend_fallback_matches_numba():
-    code = (
-        "from pseudosusp.annulus import LiftedAnnulusMap, RigidRotation\n"
-        "from pseudosusp.cantor import FullShift\n"
-        "from pseudosusp.suspension import SuspensionSystem, entropy_separated\n"
-        "from pseudosusp import kernels\n"
-        "s = SuspensionSystem(LiftedAnnulusMap((RigidRotation(0.5),)), FullShift(2), 32)\n"
-        "print(kernels.backend_name(), repr(entropy_separated(s, 1/16, 12, 3000, 42)))\n"
-    )
-    env = dict(os.environ)
-    env["PSEUDOSUSP_BACKEND"] = "numpy"
-    out = subprocess.run([_sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True).stdout.split()
-    assert out[0] == "numpy"
+def test_entropy_scale_must_be_below_one():
     sys_ = make_sys(0.5)
-    local = entropy_separated(sys_, 1 / 16, 12, 3000, 42)
-    assert float(out[1]) == local
+    with pytest.raises(ValueError, match="below 1"):
+        entropy_separated(sys_, 1.0, 4, 50, 42)
+
+
+def greedy_bowen_oracle(sys_, scale, n, budget, seed) -> int:
+    """The greedy Bowen scan the class count replaced: scan the sample in
+    order, keeping a point unless some kept point is close to it at every
+    time under some deck shift s in {-1, 0, 1}."""
+    D = min(depth_for(scale), sys_.window)
+    t_orbit, r_orbit = [], []
+    t, r = 0.5, 0.0
+    for _ in range(n):
+        t_orbit.append(t)
+        r_orbit.append(r)
+        t, r = (float(x) for x in sys_.H.apply(t, r))
+    r_orbit = np.array(r_orbit)
+    w = np.floor(r_orbit).astype(np.int64)
+    tt = np.tile(t_orbit, (budget, 1))
+    rn = np.tile(r_orbit - w, (budget, 1))
+    base = random_point(sys_.h, seed * 7 + 1, sys_.window)
+    lo, hi = int(w.min()) - 1 - D, int(w.max()) + 1 + D
+    win = _variation_windows(sys_.h, base, D, budget, seed, lo, hi)
+    width = 2 * D + 1
+    shifts = (-1, 0, 1)
+    eff = np.zeros((budget, n, 3, width), dtype=np.int8)
+    for i in range(n):
+        for si, s in enumerate(shifts):
+            if isinstance(sys_.h, Odometer):
+                # digits past hi are not in the window; they cannot change
+                # the low D + 1 digits of value + w - s compared below
+                bases = sys_.h.bases[:hi + 1]
+                place = math.prod(bases)
+                v = sum(win[:, idx - lo].astype(np.int64) * math.prod(bases[:idx])
+                        for idx in range(len(bases)))
+                v = (v + int(w[i]) - s) % place
+                for idx in range(min(len(bases), D + 1)):
+                    eff[:, i, si, idx + D] = v % bases[idx]
+                    v //= bases[idx]
+            else:
+                col = int(w[i]) + s - D - lo
+                eff[:, i, si] = win[:, col:col + width]
+
+    kept: list[int] = []
+    for j in range(budget):
+        ks = np.array(kept, dtype=np.int64)
+        close = np.ones(len(ks), dtype=bool)
+        for i in range(n):
+            close_i = np.zeros(len(ks), dtype=bool)
+            for si, s in enumerate(shifts):
+                strip = np.abs(tt[j, i] - tt[ks, i]) + np.abs(rn[j, i] - (rn[ks, i] + s))
+                agree = (eff[ks, i, si] == eff[j, i, 1]).all(axis=1)
+                close_i |= (strip < scale) & agree
+            close &= close_i
+        if not close.any():
+            kept.append(j)
+    return len(kept)
+
+
+ENTROPY_SYSTEMS = [
+    make_sys(0.0), make_sys(0.5), make_sys(1.0), make_sys(0.75, FullShift(3)),
+    make_sys(0.5, golden_mean_sft()), make_sys(0.5, thue_morse()),
+    make_sys(0.5, Odometer((2,) * 8)),
+    SuspensionSystem(LiftedAnnulusMap((RigidRotation(0.3),
+                                       Twist(Profile(((0.0, 0.11), (1.0, 0.4)))))),
+                     FullShift(2), 32),
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sys_=st.sampled_from(ENTROPY_SYSTEMS),
+       scale=st.one_of(st.sampled_from([1 / 2, 1 / 8, 1 / 16, 1 / 32]),
+                       st.floats(min_value=1 / 64, max_value=1.0, exclude_max=True)),
+       n=st.integers(1, 10), budget=st.integers(1, 200),
+       seed=st.integers(0, 1000))
+def test_bowen_class_count_matches_greedy_scan(sys_, scale, n, budget, seed):
+    assert _bowen_count(sys_, scale, n, budget, seed) == \
+        greedy_bowen_oracle(sys_, scale, n, budget, seed)
