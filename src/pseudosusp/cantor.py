@@ -153,9 +153,6 @@ class SymbolSequence:
         w = self.radius
         return tuple(self.extension.symbol(i) for i in range(-w, w + 1))
 
-    def window_array(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.extension.symbol(i) for i in range(lo, hi + 1)], dtype=np.int8)
-
     def validate(self) -> None:
         if any(not 0 <= s < self.alphabet_size for s in self.window):
             raise InvalidPointError("window symbol outside alphabet")

@@ -91,6 +91,10 @@ def cmd_hak_verify(args) -> int:
     grid = cfg.get_int("hak", "grid", 24)
     tail = cfg.get_float("hak", "tail", 0.0)
     horizon = cfg.get_int("hak", "horizon", None)
+    if grid < 2:
+        raise ConfigError(f"hak.grid must be at least 2, got {grid}")
+    if horizon is not None and horizon < 1:
+        raise ConfigError(f"hak.horizon must be at least 1, got {horizon}")
     report = hak_verify(stages, grid=grid, horizon=horizon, tail=tail)
     out = _out_path(args, cfg, "hak_verify.csv")
     _write_csv(out, ["condition", "stage", "value", "bound", "margin", "passed"],

@@ -139,7 +139,7 @@ def test_criterion_4_hak_toy_and_mutants(tmp_path):
         ok_mut &= code == 2
     elapsed = time.time() - t0
     report(4, ok_toy and ok_cover and ok_mut and elapsed <= 30,
-           f"toy passes (1)-(8) with positive margins; three mutants each fail "
+           f"toy passes (1,2,3,5,6,7,8) with positive margins; three mutants each fail "
            f"exactly their condition with exit 2 ({elapsed:.1f}s)")
 
 

@@ -8,16 +8,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pseudosusp.annulus import (GridSampled, HAKConfigError, HAKStage,
-                                LiftedAnnulusMap, Profile, RadialReparam,
-                                RigidRotation, Twist, UnsupportedConjugacyError,
+from pseudosusp.annulus import (CheckResult, DeckCover, GridSampled,
+                                HAKConfigError, HAKStage, LiftedAnnulusMap,
+                                Profile, RadialReparam, RigidRotation, Twist,
+                                UnsupportedConjugacyError, circle_distance,
                                 conjugacy_invariance_check, cover_lift,
                                 displacement_bound, equivariance_defect,
                                 hak_verify, identity_map, invert_map,
                                 rigidity_margins, rigidity_scan,
                                 rotation_estimate, rotation_family,
-                                rotation_number)
+                                rotation_number, truncated_maps, twist_speed)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import build_stages, load_config
 
@@ -161,12 +164,144 @@ def test_stage_config_errors():
                          s.rot, s.alpha, s.q) for s in stages]
     with pytest.raises(HAKConfigError):
         hak_verify(bad_band)
+    for kwargs in ({"horizon": 0}, {"horizon": -3}, {"grid": 0}, {"grid": 1}):
+        with pytest.raises(ValueError, match="at least"):
+            hak_verify(stages, **kwargs)
 
 
 def test_truncation_rigidity_within_gamma():
     # the near-period of each stage returns the deep band within gamma_n
     for n, disp, gamma in rigidity_margins(toy_stages(), grid=8, tail=0.025):
         assert disp < gamma
+
+
+def iterated_reference(stages, grid, horizon, tail):
+    """The verifier's conditions (6) and (8), computed by iterating the
+    truncations step by step: the reference the closed-form iterates are
+    compared against."""
+    hs = truncated_maps(stages)
+    h_full = hs[-1]
+    t_parts = [np.linspace(0.0, 1.0, grid)]
+    for s in stages:
+        t_parts.append(np.linspace(s.band[0], s.band[1], max(5, grid // 2)))
+        if s.support is not None:
+            t_parts.append(np.linspace(s.support[0], s.support[1], max(5, grid // 2)))
+    tfull = np.unique(np.concatenate(t_parts))
+    rfull = np.linspace(0.0, 1.0, grid, endpoint=False)
+    tt, rr = np.meshgrid(tfull, rfull, indexing="ij")
+    rows = []
+    for i in range(len(stages) - 1):
+        q_n = stages[i].q if horizon is None else min(stages[i].q, horizon)
+        ta, ra = tt.ravel(), rr.ravel()
+        tb, rb = tt.ravel(), rr.ravel()
+        worst = 0.0
+        for _ in range(q_n):
+            ta, ra = hs[i].apply(ta, ra)
+            tb, rb = hs[i + 1].apply(tb, rb)
+            worst = max(worst, float((np.abs(ta - tb) + circle_distance(ra, rb)).max()))
+        rows.append(("6", stages[i].n, worst, stages[i].eps))
+    eps_list = [s.eps for s in stages]
+    for i, s in enumerate(stages):
+        u, v = s.band
+        alpha = float(s.alpha)
+        starts = np.array([(j * float(s.rot)) % 1.0 for j in range(s.p)])
+        js = sorted({0, 1, s.p // 3, s.p // 2, s.p - 1} & set(range(s.p)))
+        pts = [(u + ft * (v - u), starts[j] + fr * alpha, j)
+               for j in js for ft in (0.0, 0.5, 1.0) for fr in (0.0, 0.5, 1.0)]
+        tc, rc, j_arr = (np.array(col) for col in zip(*pts))
+        q_n = s.q if horizon is None else min(s.q, horizon)
+        worst = 0.0
+        for step in range(1, q_n + 1):
+            tc, rc = h_full.apply(tc, rc)
+            rel = np.mod(np.mod(rc, 1.0) - starts[(j_arr + step) % s.p], 1.0)
+            dr = np.where(rel <= alpha, 0.0, np.minimum(rel - alpha, 1.0 - rel))
+            dt = np.maximum(0.0, np.maximum(u - tc, tc - v))
+            worst = max(worst, float((dt + dr).max()))
+        rows.append(("8", s.n, worst, sum(eps_list[i:]) + tail))
+    return rows
+
+
+def iterated_rigidity_margins(stages, grid, tail):
+    """`rigidity_margins` by p_n iterations of H_N on a band x circle grid."""
+    h_full = truncated_maps(stages)[-1]
+    u, v = stages[-1].band
+    t0, r0 = np.meshgrid(np.linspace(u, v, grid),
+                         np.linspace(0.0, 1.0, grid, endpoint=False), indexing="ij")
+    out = []
+    for i, s in enumerate(stages):
+        t, r = t0, r0
+        for _ in range(s.p):
+            t, r = h_full.apply(t, r)
+        disp = float(np.max(np.abs(t - t0) + circle_distance(r, r0)))
+        out.append((s.n, disp, sum(x.eps for x in stages[i:]) + tail))
+    return out
+
+
+def flipped(stages):
+    """The tower with the sign of every stage increment flipped."""
+    return [HAKStage(s.n, s.eps, s.band, -s.rot, s.alpha, s.q, s.chart, s.support)
+            for s in stages]
+
+
+@pytest.mark.parametrize("horizon", [None, 1, 257, 1000])
+@pytest.mark.parametrize("tower", ["hak_toy.ini", "hak_mut_band.ini", "hak_mut_alpha.ini",
+                                   "hak_mut_support.ini", "flipped hak_toy.ini"])
+def test_closed_form_iterates_match_iterated_reference(tower, horizon):
+    stages = build_stages(load_config(fixture_path(tower.split()[-1])))
+    if tower.startswith("flipped"):
+        stages = flipped(stages)
+        assert all(s.rot < 0 for s in stages)
+    rows = iterated_reference(stages, 24, horizon, 0.025)
+    got = [c for c in hak_verify(stages, grid=24, horizon=horizon, tail=0.025).checks
+           if c.condition in ("6", "8")]
+    assert [(c.condition, c.stage, c.bound) for c in got] == \
+        [(cond, n, bound) for cond, n, _, bound in rows]
+    for c, (_, _, value, bound) in zip(got, rows):
+        assert abs(c.value - value) <= 1e-9
+        assert c.passed == (bound - value > -CheckResult.SLACK)
+    if horizon is None:
+        got_margins = rigidity_margins(stages, grid=8, tail=0.025)
+        want_margins = iterated_rigidity_margins(stages, 8, 0.025)
+        assert [(n, g) for n, _, g in got_margins] == [(n, g) for n, _, g in want_margins]
+        for (_, disp, _), (_, disp_ref, _) in zip(got_margins, want_margins):
+            assert abs(disp - disp_ref) <= 1e-9
+
+
+profiles = st.builds(
+    lambda xs, ys: Profile(tuple(zip([0.0] + xs + [1.0], ys))),
+    st.lists(st.integers(1, 9999), max_size=4, unique=True).map(
+        lambda ks: [k / 10000 for k in sorted(ks)]),
+    st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+)
+twist_primitives = st.one_of(st.builds(RigidRotation, st.floats(-2.0, 2.0)),
+                             st.builds(Twist, profiles))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pipeline=st.lists(twist_primitives, max_size=5),
+       t=st.floats(0.0, 1.0), r=st.floats(-3.0, 3.0), i=st.integers(1, 50))
+def test_twist_speed_is_the_closed_form_iterate(pipeline, t, r, i):
+    m = LiftedAnnulusMap(tuple(pipeline))
+    speed = twist_speed(m)
+    assert speed(t) == pytest.approx(m.apply(t, 0.0)[1], abs=1e-12)
+    tc, rc = t, r
+    for _ in range(i):
+        tc, rc = m.apply(tc, rc)
+    assert tc == t
+    assert abs(rc - (r + i * speed(t))) <= 1e-9 * i
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(pipeline=st.lists(twist_primitives, max_size=4), at=st.integers(0, 4),
+       mover=st.sampled_from([
+           RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0)))),
+           GridSampled(2, ((0.0, 0.0),) * 3, ((0.1, 0.2),) * 3),
+           DeckCover(identity_map(), 2, 1),
+       ]))
+def test_twist_speed_refuses_primitives_that_move_t(pipeline, at, mover):
+    pipeline.insert(at, mover)
+    with pytest.raises(TypeError, match=type(mover).__name__):
+        twist_speed(LiftedAnnulusMap(tuple(pipeline)))
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,17 @@ def test_hak_verify_exit_codes(tmp_path, capsys):
                     "--out", str(tmp_path / mutant.replace(".ini", ".csv"))]) == 2
 
 
-def test_hak_config_error_exit(tmp_path):
+def test_hak_config_error_exit(tmp_path, capsys):
     assert run(["hak-verify", "-c", fixture_path("hak_toy.ini"),
                 "--override", "stage 2.q=577",
                 "--out", str(tmp_path / "x.csv")]) == 3
+    # a horizon below 1 checks no iterate; a grid below 2 samples no width
+    for override in ("hak.horizon=0", "hak.horizon=-3", "hak.grid=0", "hak.grid=1"):
+        capsys.readouterr()
+        assert run(["hak-verify", "-c", fixture_path("hak_toy.ini"),
+                    "--override", override,
+                    "--out", str(tmp_path / "x.csv")]) == 3
+        assert override.split("=")[0] in capsys.readouterr().err
 
 
 def test_horseshoe_exit_codes(tmp_path):
