@@ -332,6 +332,29 @@ class HorseshoeCertificate:
                 f"{self.nonempty}/{self.expected} intervals nonempty")
 
 
+def _pullback(gm: PLMap, slots: Sequence[tuple[FR, FR]], depth: int
+              ) -> dict[tuple[int, ...], list[tuple[FR, FR]]]:
+    """The points of slot w[0] whose gm-itinerary through the slots is w,
+    as merged pieces, for every word w of length depth + 1 where they exist.
+
+    The pieces of (s,) + v are gm⁻¹(pieces of v) ∩ slot s, so they depend on
+    v alone: each level is built from the previous one with one
+    gm.preimages call per piece of each suffix, k + k² + ... + k^depth calls
+    when every piece stays whole."""
+    level = {(s + 1,): [slot] for s, slot in enumerate(slots)}
+    for _ in range(depth):
+        nxt: dict[tuple[int, ...], list[tuple[FR, FR]]] = {}
+        for suffix, pieces in level.items():
+            pre = [p for piece in pieces for p in gm.preimages(piece)]
+            for sym, (slo, shi) in enumerate(slots, start=1):
+                clipped = [(max(lo, slo), min(hi, shi)) for lo, hi in pre]
+                clipped = [(lo, hi) for lo, hi in clipped if lo <= hi]
+                if clipped:
+                    nxt[(sym,) + suffix] = _merge_intervals(clipped)
+        level = nxt
+    return level
+
+
 def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
                       m_bound: int = 8) -> HorseshoeCertificate:
     """Itinerary certificate over the k symbol slots of the k-fold refinement.
@@ -375,22 +398,11 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
     passed = nonempty == expected
     bound = math.log(k) / stretch.exponent
 
-    intervals: dict[tuple[int, ...], tuple[FR, FR]] = {}
-    for word in sorted(frontier):
-        pieces = [slots[word[-1] - 1]]
-        for sym in reversed(word[:-1]):
-            pulled: list[tuple[FR, FR]] = []
-            for piece in pieces:
-                for pre in gm.preimages(piece):
-                    lo = max(pre[0], slots[sym - 1][0])
-                    hi = min(pre[1], slots[sym - 1][1])
-                    if lo <= hi:
-                        pulled.append((lo, hi))
-            pieces = _merge_intervals(pulled)
-            if not pieces:
-                break
-        if pieces:
-            intervals[word] = (pieces[0][0], pieces[-1][1])
+    # A word that pulls back also survives forward, so with no survivor
+    # there is nothing to pull back.
+    pulled = _pullback(gm, slots, depth) if frontier else {}
+    intervals = {word: (pulled[word][0][0], pulled[word][-1][1])
+                 for word in sorted(frontier) if word in pulled}
 
     return HorseshoeCertificate(
         k=k, depth=depth, exponent=stretch.exponent, orientation=stretch.orientation,

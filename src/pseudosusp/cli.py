@@ -20,7 +20,8 @@ from .chains import (ChainError, PatternError, StretchPreconditionError,
                      essential_seven_chain, horseshoe_extract, kfold,
                      refine_chain, render_chains)
 from .config import (ConfigError, RunConfig, build_cantor, build_interval_chain,
-                     build_map, build_plmap, build_stages, load_config)
+                     build_map, build_plmap, build_stages, load_config,
+                     parse_fractions)
 from .suspension import (CapacityError, SuspensionSystem, dense_orbit_check,
                          normalize, orbit, product_formula_report,
                          weak_mixing_witness)
@@ -251,6 +252,10 @@ def cmd_horseshoe(args) -> int:
     chain = build_interval_chain(cfg)
     k = args.k if args.k is not None else cfg.get_int("horseshoe", "k", required=True)
     depth = args.depth if args.depth is not None else cfg.get_int("horseshoe", "depth", 5)
+    if k % 2 == 0 or k < 3:
+        raise ConfigError(f"horseshoe.k must be an odd integer >= 3, got {k}")
+    if depth < 0:
+        raise ConfigError(f"horseshoe.depth must be at least 0, got {depth}")
     m_bound = cfg.get_int("horseshoe", "mbound", 8)
     cert = horseshoe_extract(g, chain, k, depth, m_bound)
     out = args.out or cfg.raw("horseshoe", "out", "horseshoe.csv")
@@ -266,19 +271,11 @@ def cmd_render(args) -> int:
     levels = []
     level_sections = sorted(s for s in cfg.parser.sections() if s.startswith("level"))
     if level_sections:
-        from .chains import ChainCover, Rect, FR
+        from .chains import ChainCover, Rect
         for name in level_sections:
             raw = cfg.raw(name, "links", required=True)
-            rects = []
-            for chunk in raw.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                parts = chunk.split(",")
-                if len(parts) != 4:
-                    raise ConfigError(f"{name}.links: need 'tlo,thi,alo,ahi' got {chunk!r}")
-                tlo, thi, alo, ahi = (FR(x) for x in parts)
-                rects.append(Rect((tlo, thi), (alo, ahi)))
+            rects = [Rect((tlo, thi), (alo, ahi)) for tlo, thi, alo, ahi
+                     in parse_fractions(raw, f"{name}.links", "tlo,thi,alo,ahi")]
             essential = (cfg.raw(name, "essential", "false") or "").lower() == "true"
             levels.append(ChainCover.build(rects, essential))
     elif cfg.parser.has_section("render"):

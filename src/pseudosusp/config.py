@@ -13,7 +13,7 @@ from .annulus import (HAKStage, LiftedAnnulusMap, Profile, RadialReparam,
                       RigidRotation, Twist, cover_lift)
 from .cantor import (CantorSystem, FullShift, Odometer, SFT, Substitution,
                      validate_system)
-from .chains import FR, IntervalChain, PLMap
+from .chains import IntervalChain, PLMap
 
 
 class ConfigError(ValueError):
@@ -89,20 +89,27 @@ def load_config(path: Optional[str], overrides: Optional[list[str]] = None) -> R
 # section builders
 # ---------------------------------------------------------------------------
 
-def _parse_breakpoints(raw: str, key: str) -> tuple[tuple[float, float], ...]:
-    pts = []
+def parse_fractions(raw: str, key: str, fields: str) -> list[tuple[Fraction, ...]]:
+    """';'-separated entries of exact fractions, each shaped like `fields`
+    (for example 'x,y').  Errors raise ConfigError naming `key`."""
+    width = len(fields.split(","))
+    entries = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{key}: breakpoint {chunk!r} is not 'x,y'")
+        if len(parts) != width:
+            raise ConfigError(f"{key}: entry {chunk!r} is not '{fields}'")
         try:
-            pts.append((float(Fraction(parts[0])), float(Fraction(parts[1]))))
+            entries.append(tuple(Fraction(part) for part in parts))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{key}: bad breakpoint {chunk!r}") from exc
-    return tuple(pts)
+            raise ConfigError(f"{key}: bad fraction in entry {chunk!r}") from exc
+    return entries
+
+
+def _parse_breakpoints(raw: str, key: str) -> tuple[tuple[float, float], ...]:
+    return tuple((float(x), float(y)) for x, y in parse_fractions(raw, key, "x,y"))
 
 
 def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
@@ -200,27 +207,15 @@ def build_stages(cfg: RunConfig) -> list[HAKStage]:
 
 
 def build_plmap(cfg: RunConfig, section: str = "plmap") -> PLMap:
-    raw = cfg.raw(section, "breakpoints", required=True)
-    pts = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        x, y = chunk.split(",")
-        pts.append((FR(x), FR(y)))
+    key = f"{section}.breakpoints"
+    pts = parse_fractions(cfg.raw(section, "breakpoints", required=True), key, "x,y")
     try:
         return PLMap(tuple(pts))
     except ValueError as exc:
-        raise ConfigError(f"{section}.breakpoints: {exc}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def build_interval_chain(cfg: RunConfig, section: str = "chain") -> IntervalChain:
-    raw = cfg.raw(section, "links", required=True)
-    links = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        lo, hi = chunk.split(",")
-        links.append((FR(lo), FR(hi)))
+    links = parse_fractions(cfg.raw(section, "links", required=True),
+                            f"{section}.links", "lo,hi")
     return IntervalChain(tuple(links))

@@ -3,15 +3,19 @@ values, transition-matrix oracles."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as FR
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudosusp.chains import (ChainCover, ChainError, IntervalChain,
                                PatternError, PLMap, Rect, RenderStyle,
-                               StretchPreconditionError, essential_seven_chain,
-                               full_branch_middle_map, horseshoe_extract,
+                               StretchPreconditionError, _merge_intervals,
+                               essential_seven_chain, full_branch_middle_map,
+                               horseshoe_extract,
                                identity_pattern, kfold, pattern_validate,
                                refine_chain, refine_interval_chain,
                                render_chains, stretch_check, tent_map,
@@ -82,6 +86,68 @@ def test_plmap_compose_exact():
     assert t2(FR(1, 4)) == FR(1)
     assert t2(FR(1, 2)) == FR(0)
     assert len(t2.breakpoints) == 5
+
+
+# Small rationals in [0,1]; maps have up to five pieces.
+unit_fractions = st.integers(1, 9).flatmap(
+    lambda q: st.builds(FR, st.integers(0, q), st.just(q)))
+
+
+@st.composite
+def plmaps(draw):
+    inner = draw(st.lists(unit_fractions.filter(lambda x: 0 < x < 1),
+                          max_size=4, unique=True))
+    xs = [FR(0)] + sorted(inner) + [FR(1)]
+    ys = draw(st.lists(unit_fractions, min_size=len(xs), max_size=len(xs)))
+    return PLMap(tuple(zip(xs, ys)))
+
+
+@st.composite
+def unit_intervals(draw):
+    a, b = draw(unit_fractions), draw(unit_fractions)
+    return min(a, b), max(a, b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=plmaps(), interval=unit_intervals(),
+       samples=st.lists(unit_fractions, max_size=8))
+def test_plmap_preimages_exact(g, interval, samples):
+    lo, hi = interval
+    pieces = g.preimages(interval)
+    assert pieces == sorted(pieces)
+    assert all(a <= b for a, b in pieces)
+    assert all(b < c for (_, b), (c, _) in zip(pieces, pieces[1:]))
+    tiny = FR(1, 10 ** 12)
+    points = set(samples) | {x for x, _ in g.breakpoints}
+    for a, b in pieces:
+        points |= {a, b, (a + b) / 2, max(a - tiny, FR(0)), min(b + tiny, FR(1))}
+    for x in points:
+        assert any(a <= x <= b for a, b in pieces) == (lo <= g(x) <= hi), x
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=plmaps(), interval=unit_intervals(),
+       samples=st.lists(unit_fractions, max_size=8))
+def test_plmap_image_exact(g, interval, samples):
+    lo, hi = interval
+    low, high = g.image(interval)
+    corners = [lo, hi] + [x for x, _ in g.breakpoints if lo <= x <= hi]
+    # attained at an endpoint or a breakpoint inside the interval ...
+    assert low in {g(x) for x in corners} and high in {g(x) for x in corners}
+    # ... and bounding g everywhere on it
+    for x in corners + [x for x in samples if lo <= x <= hi]:
+        assert low <= g(x) <= high
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=plmaps(), h=plmaps(), samples=st.lists(unit_fractions, max_size=8))
+def test_plmap_compose_after_exact(g, h, samples):
+    gh = g.compose_after(h)
+    knots = [x for x, _ in gh.breakpoints]
+    points = (set(samples) | set(knots) | {x for x, _ in h.breakpoints}
+              | {(a + b) / 2 for a, b in zip(knots, knots[1:])})
+    for x in points:
+        assert gh(x) == g(h(x)), x
 
 
 def test_transition_entropy_oracles():
@@ -215,6 +281,91 @@ def test_horseshoe_counts_are_full_powers():
     for depth in (0, 1, 2, 3):
         cert = horseshoe_extract(g, uniform_seven_chain(), 3, depth)
         assert cert.passed and cert.nonempty == 3 ** (depth + 1)
+
+
+def _mirror(g, chain):
+    """The conjugate of g and chain by x -> 1 - x."""
+    return (PLMap(tuple((1 - x, 1 - y) for x, y in reversed(g.breakpoints))),
+            IntervalChain(tuple((1 - hi, 1 - lo) for lo, hi in reversed(chain.links))))
+
+
+def _reference_pullback(gm, slots, word):
+    """Pieces of slot word[0] with gm-itinerary word, pulled back one word at
+    a time through all its symbols (the per-word loop the shared-suffix
+    pullback replaced)."""
+    pieces = [slots[word[-1] - 1]]
+    for sym in reversed(word[:-1]):
+        pulled = []
+        for piece in pieces:
+            for pre in gm.preimages(piece):
+                lo = max(pre[0], slots[sym - 1][0])
+                hi = min(pre[1], slots[sym - 1][1])
+                if lo <= hi:
+                    pulled.append((lo, hi))
+        pieces = _merge_intervals(pulled)
+        if not pieces:
+            break
+    return pieces
+
+
+def _reference_intervals(gm, slots, depth):
+    """Forward frontier, then the per-word pullback hull of each survivor."""
+    frontier = {(i + 1,): slot for i, slot in enumerate(slots)}
+    for _ in range(depth):
+        nxt = {}
+        for word, hull in frontier.items():
+            img = gm.image(hull)
+            for sym, (slo, shi) in enumerate(slots, start=1):
+                if max(img[0], slo) <= min(img[1], shi):
+                    nxt[word + (sym,)] = (max(img[0], slo), min(img[1], shi))
+        frontier = nxt
+    intervals = {}
+    for word in sorted(frontier):
+        pieces = _reference_pullback(gm, slots, word)
+        if pieces:
+            intervals[word] = (pieces[0][0], pieces[-1][1])
+    return intervals
+
+
+# (map, chain, k, every pullback piece stays whole).  Five laps under three
+# slots split the pullbacks into several pieces per suffix.
+_PULLBACK_CASES = {
+    "3-branch": (full_branch_middle_map(3), uniform_seven_chain(), 3, True),
+    "5-branch": (full_branch_middle_map(5), uniform_seven_chain(), 5, True),
+    "5 laps, 3 slots": (full_branch_middle_map(5), uniform_seven_chain(), 3, False),
+    "tent": (tent_map(), tent_seven_chain(), 3, False),
+}
+for _name in ("3-branch", "5-branch"):
+    _g, _chain, _k, _ = _PULLBACK_CASES[_name]
+    _PULLBACK_CASES[f"{_name} mirrored"] = (*_mirror(_g, _chain), _k, True)
+
+
+@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("case", sorted(_PULLBACK_CASES))
+def test_shared_pullback_matches_per_word_reference(case, depth, monkeypatch):
+    g, chain, k, whole = _PULLBACK_CASES[case]
+    calls = []
+    preimages = PLMap.preimages
+
+    def counted(self, interval):
+        calls.append(interval)
+        return preimages(self, interval)
+
+    monkeypatch.setattr(PLMap, "preimages", counted)
+    cert = horseshoe_extract(g, chain, k, depth)
+    n_calls = len(calls)
+    monkeypatch.undo()
+
+    gm = g.iterate(cert.exponent)
+    assert cert.intervals == _reference_intervals(gm, cert.slots, depth)
+    assert len(cert.intervals) == cert.nonempty
+    # at most one call per piece of each suffix of length 1..depth
+    suffix_pieces = sum(len(_reference_pullback(gm, cert.slots, word))
+                        for n in range(1, depth + 1)
+                        for word in itertools.product(range(1, k + 1), repeat=n))
+    assert n_calls <= suffix_pieces
+    if whole:
+        assert n_calls == suffix_pieces == sum(k ** n for n in range(1, depth + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_hak_config_error_exit(tmp_path, capsys):
         assert override.split("=")[0] in capsys.readouterr().err
 
 
-def test_horseshoe_exit_codes(tmp_path):
+def test_horseshoe_exit_codes(tmp_path, capsys):
     good = tmp_path / "h3.csv"
     assert run(["horseshoe", "--map", fixture_path("three_branch_horseshoe.ini"),
                 "--out", str(good)]) == 0
@@ -65,8 +65,20 @@ def test_horseshoe_exit_codes(tmp_path):
 
     assert run(["horseshoe", "--map", fixture_path("tent_horseshoe.ini"),
                 "--out", str(tmp_path / "tent.csv")]) == 2
-    assert run(["horseshoe", "--map", fixture_path("three_branch_horseshoe.ini"),
-                "--k", "4", "--out", str(tmp_path / "bad.csv")]) == 3
+    # each bad input exits 3 with a message naming the key it came from
+    for extra, key in (
+            (["--k", "4"], "horseshoe.k"),
+            (["--k", "1"], "horseshoe.k"),
+            (["--override", "horseshoe.k=6"], "horseshoe.k"),
+            (["--depth", "-1"], "horseshoe.depth"),
+            (["--override", "plmap.breakpoints=0,0; 1/0,1; 1,0"], "plmap.breakpoints"),
+            (["--override", "plmap.breakpoints=0,0; 1/2,1,3; 1,0"], "plmap.breakpoints"),
+            (["--override", "chain.links=0,1/0; 1/2,1"], "chain.links"),
+            (["--override", "chain.links=0,1/3,1/2; 1/2,1"], "chain.links")):
+        capsys.readouterr()
+        assert run(["horseshoe", "--map", fixture_path("three_branch_horseshoe.ini"),
+                    *extra, "--out", str(tmp_path / "bad.csv")]) == 3
+        assert key in capsys.readouterr().err
 
 
 def test_suspend_entropy_schema_and_capacity(tmp_path):
@@ -135,7 +147,7 @@ def test_dense_orbit_cli(tmp_path):
     assert row.startswith("1,")
 
 
-def test_render_cli(tmp_path):
+def test_render_cli(tmp_path, capsys):
     out = tmp_path / "c.svg"
     assert run(["render", "--levels", fixture_path("render_demo.ini"),
                 "--out", str(out)]) == 0
@@ -148,6 +160,13 @@ def test_render_cli(tmp_path):
     assert run(["render", "--levels", str(explicit),
                 "--out", str(tmp_path / "e.svg")]) == 0
     assert (tmp_path / "e.svg").read_text().count("<polygon") == 2
+
+    for links in ("0/1,1/1,0/1,1/0", "0/1,1/1,0/1"):
+        capsys.readouterr()
+        explicit.write_text(f"[level 0]\nlinks = {links}\n")
+        assert run(["render", "--levels", str(explicit),
+                    "--out", str(tmp_path / "bad.svg")]) == 3
+        assert "level 0.links" in capsys.readouterr().err
 
 
 def test_rotation_family_cli(tmp_path):
