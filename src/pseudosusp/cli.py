@@ -149,11 +149,11 @@ def cmd_suspend_orbit(args) -> int:
     c = random_point(h, seed, window)
     p0 = sys_.point(t, r, c)
     pts = orbit(sys_, p0, n)
+    component = sys_.component_index(p0.seed)
     out = _out_path(args, cfg, "suspend_orbit.csv")
     _write_csv(out, ["k", "t", "r", "w", "component"],
-               [[k, p.t, p.r, p.winding, sys_.component_index(p.seed)]
-                for k, p in enumerate(pts)])
-    print(f"suspend-orbit: {n} steps, final winding {pts[-1].winding} -> {out}")
+               [[k, t, r, w, component] for k, (t, r, w) in enumerate(pts)])
+    print(f"suspend-orbit: {n} steps, final winding {pts[-1][2]} -> {out}")
     return EXIT_OK
 
 
@@ -257,6 +257,8 @@ def cmd_horseshoe(args) -> int:
     if depth < 0:
         raise ConfigError(f"horseshoe.depth must be at least 0, got {depth}")
     m_bound = cfg.get_int("horseshoe", "mbound", 8)
+    if m_bound < 1:
+        raise ConfigError(f"horseshoe.mbound must be at least 1, got {m_bound}")
     cert = horseshoe_extract(g, chain, k, depth, m_bound)
     out = args.out or cfg.raw("horseshoe", "out", "horseshoe.csv")
     rows = [["-".join(map(str, word)), float(lo), float(hi)]

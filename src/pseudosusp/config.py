@@ -135,9 +135,11 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
             pipeline.append(RadialReparam(Profile(_parse_breakpoints(args, "map.map reparam"))))
         elif name == "cover":
             qp = args.split(",")
-            if len(qp) != 2:
-                raise ConfigError("map.map: cover needs 'q,p'")
-            cover = (int(qp[0]), int(qp[1]))
+            try:
+                q, p = (int(x) for x in qp)
+            except ValueError as exc:
+                raise ConfigError(f"map.map: cover needs integers 'q,p', got {args!r}") from exc
+            cover = (q, p)
         else:
             raise ConfigError(f"map.map: unknown primitive {name!r}")
     m = LiftedAnnulusMap(tuple(pipeline), label=raw)
@@ -153,10 +155,12 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
     elif kind == "sft":
         k = cfg.get_int("cantor", "k", required=True)
         raw = cfg.raw("cantor", "adjacency", required=True)
-        rows = []
-        for row in raw.split(";"):
-            rows.append(tuple(int(x) for x in row.split(",")))
-        sys_ = SFT(k, tuple(rows))
+        try:
+            rows = tuple(tuple(int(x) for x in row.split(",")) for row in raw.split(";"))
+        except ValueError as exc:
+            raise ConfigError(f"cantor.adjacency must be ';'-separated rows of "
+                              f"integers, got {raw!r}") from exc
+        sys_ = SFT(k, rows)
     elif kind == "substitution":
         raw = cfg.raw("cantor", "rules", required=True)
         rules: dict[int, tuple[int, ...]] = {}
@@ -164,8 +168,12 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
             part = part.strip()
             if not part:
                 continue
-            sym, word = part.split(":")
-            rules[int(sym)] = tuple(int(ch) for ch in word.strip())
+            try:
+                sym, word = part.split(":")
+                rules[int(sym)] = tuple(int(ch) for ch in word.strip())
+            except ValueError as exc:
+                raise ConfigError(f"cantor.rules: entry {part!r} is not "
+                                  f"'symbol:digits'") from exc
         sys_ = Substitution(tuple(rules[i] for i in sorted(rules)))
     elif kind == "odometer":
         bases = tuple(cfg.get_ints("cantor", "bases", required=True))

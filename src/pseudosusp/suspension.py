@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annulus import LiftedAnnulusMap
-from .cantor import (CantorSystem, DigitStream, FullShift, GraphPath, Odometer,
-                     Periodic, SFT, Substitution, SymbolSequence, alphabet_size,
-                     cantor_metric, entropy_exact, random_point, shift_power,
-                     _substitution_language)
+from .cantor import (CantorSystem, DigitStream, FullShift, GraphPath,
+                     InvalidPointError, Odometer, Periodic, SFT, Substitution,
+                     SymbolSequence, alphabet_size, cantor_metric, entropy_exact,
+                     random_point, shift_power, _all_words, _substitution_language)
 
 
 class CapacityError(RuntimeError):
@@ -41,8 +41,8 @@ class SuspensionSystem:
     names pseudo-components in reports.
 
     All dynamics here is pure; the registry is append-only naming and the only
-    mutable state.  Orbit iteration is per-point and safe to parallelize over
-    seeds."""
+    mutable state.  `orbit` follows one point; a `QuotientCloud` steps many
+    points at once as arrays."""
 
     def __init__(self, H: LiftedAnnulusMap, h: CantorSystem, window: int = 32):
         self.H = H
@@ -75,10 +75,19 @@ def step(sys: SuspensionSystem, p: SuspensionPoint) -> SuspensionPoint:
     return normalize(sys, float(t2), float(r2), p.c, p.seed, p.winding)
 
 
-def orbit(sys: SuspensionSystem, p: SuspensionPoint, n: int) -> list[SuspensionPoint]:
-    out = [p]
+def orbit(sys: SuspensionSystem, p: SuspensionPoint,
+          n: int) -> list[tuple[float, float, int]]:
+    """(t, r, winding) of p and its first n iterates under `step`.  The k-th
+    iterate's Cantor coordinate is h^(w_k - w_0)(p.c); it is not built."""
+    t, r, w = p.t, p.r, p.winding
+    out = [(t, r, w)]
     for _ in range(n):
-        out.append(step(sys, out[-1]))
+        t2, r2 = sys.H.apply(t, r)
+        t, r = float(t2), float(r2)
+        k = math.floor(r)
+        r -= k
+        w += k
+        out.append((t, r, w))
     return out
 
 
@@ -98,12 +107,8 @@ def quotient_distance(sys: SuspensionSystem, p: SuspensionPoint,
 def winding_rate(sys: SuspensionSystem, p0: SuspensionPoint,
                  n: int) -> list[tuple[int, float]]:
     """w_k/k along the orbit: an independent rotation-number estimate."""
-    out = []
-    p = p0
-    for k in range(1, n + 1):
-        p = step(sys, p)
-        out.append((k, (p.winding - p0.winding) / k))
-    return out
+    return [(k, (w - p0.winding) / k)
+            for k, (_, _, w) in enumerate(orbit(sys, p0, n)[1:], start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -122,28 +127,9 @@ def depth_for(eps: float) -> int:
 
 
 def _net_keys(h: CantorSystem, D: int) -> set[tuple[int, ...]]:
-    """All valid centered patterns on |i| <= D: an eps-net of the Cantor set."""
-    if isinstance(h, Odometer):
-        keys = [()]
-        for b in h.bases[:D + 1]:
-            keys = [k + (d,) for k in keys for d in range(b)]
-        return set(keys)
-    k = alphabet_size(h)
-    words = [()]
-    for _ in range(2 * D + 1):
-        words = [w + (s,) for w in words for s in range(k)]
-    if isinstance(h, SFT):
-        words = [w for w in words
-                 if all(h.adjacency[a][b] for a, b in zip(w, w[1:]))]
-    elif isinstance(h, Substitution):
-        lang = _substitution_language(h.rules, 6)
-        words = [w for w in words
-                 if any(_contains_word(big, w) for big in lang)]
-    return set(words)
-
-
-def _contains_word(big, w) -> bool:
-    return any(big[i:i + len(w)] == w for i in range(len(big) - len(w) + 1))
+    """All valid centered patterns on |i| <= D (odometer: the first D + 1
+    digits): an eps-net of the Cantor set."""
+    return set(_all_words(h, D + 1 if isinstance(h, Odometer) else 2 * D + 1))
 
 
 def _point_key(c: SymbolSequence, h: CantorSystem, D: int) -> tuple[int, ...]:
@@ -161,8 +147,6 @@ def dense_orbit_check(sys: SuspensionSystem, c: SymbolSequence,
     Returns the first witness triple or None."""
     D = depth_for(eps)
     net = _net_keys(sys.h, D)
-    if isinstance(sys.h, Odometer):
-        net = {key[:min(D + 1, len(sys.h.bases))] for key in net}
     t0, r0 = tr
     for k in range(1, k_max + 1):
         unseen = set(net)
@@ -232,6 +216,115 @@ def _splice_point(h: CantorSystem, base: SymbolSequence, D: int, rng: random.Ran
     raise TypeError(f"unknown system {h!r}")
 
 
+class QuotientCloud:
+    """Points (t, r, h^w(seed)) of the quotient held as arrays, stepped and
+    measured all at once with the same floating-point operations as `step`
+    and `quotient_distance` use point by point, so every coordinate and
+    every distance is bit-identical to theirs.
+
+    t and r are float64 and the winding w is int64.  The Cantor coordinate
+    of an odometer point is its digits, carried when w moves; for a shift,
+    SFT or substitution it is one table of the seeds' symbols over an index
+    range that grows when the windings need it, read at i + w.  An SFT table
+    is checked against the adjacency once per growth, in place of the
+    per-shift validation of `shift_power`."""
+
+    def __init__(self, sys: SuspensionSystem, points: list[SuspensionPoint]):
+        W = sys.window
+        self.sys = sys
+        self.alphabet = points[0].c.alphabet_size
+        self.t = np.array([p.t for p in points], dtype=np.float64)
+        self.r = np.array([p.r for p in points], dtype=np.float64)
+        self.w = np.array([p.winding for p in points], dtype=np.int64)
+        self.odometer = isinstance(sys.h, Odometer)
+        if self.odometer:
+            # positions past the digits or below 0 read 0 on every point
+            self.positions = np.arange(min(len(sys.h.bases), W + 1))
+            depth = self.positions
+            self.digits = np.array([[p.c.symbol_at(i) for i in self.positions]
+                                    for p in points], dtype=np.int64)
+        else:
+            # the metric's reading order 0, 1, -1, ..., W, -W
+            self.positions = np.array([0] + [s * m for m in range(1, W + 1)
+                                             for s in (1, -1)])
+            depth = (np.arange(2 * W + 1) + 1) // 2
+            self.seeds = [p.seed for p in points]
+            # an empty table over 0..-1, which the first cover fills
+            self.lo, self.hi = 0, -1
+            self.table = self._columns(0, 0)
+            self._cover()
+        self.scale = np.array([2.0 ** (-int(m)) for m in depth])
+
+    def _cover(self) -> None:
+        """Grow the symbol table to indices w - W .. w + W of every point;
+        each growth adds as many columns again as the table has, so the
+        growths stay few."""
+        W = self.sys.window
+        need_lo, need_hi = int(self.w.min()) - W, int(self.w.max()) + W
+        if self.lo <= need_lo and need_hi <= self.hi:
+            return
+        pad = self.hi - self.lo + 1
+        lo = self.lo if need_lo >= self.lo else need_lo - pad
+        hi = self.hi if need_hi <= self.hi else need_hi + pad
+        self.table = np.hstack([self._columns(lo, self.lo), self.table,
+                                self._columns(self.hi + 1, hi + 1)])
+        self.lo, self.hi = lo, hi
+        h = self.sys.h
+        if isinstance(h, SFT):
+            if ((self.table < 0) | (self.table >= h.k)).any():
+                raise InvalidPointError("window symbol outside alphabet")
+            left, right = self.table[:, :-1], self.table[:, 1:]
+            bad = ~np.array(h.adjacency, dtype=bool)[left, right]
+            if bad.any():
+                j, i = np.argwhere(bad)[0]
+                raise InvalidPointError(f"inadmissible pair ({left[j, i]},{right[j, i]}) "
+                                        "for SFT adjacency")
+
+    def _columns(self, lo: int, hi: int) -> np.ndarray:
+        return np.array([[c.symbol_at(i) for i in range(lo, hi)] for c in self.seeds],
+                        dtype=np.int64)
+
+    def step(self) -> None:
+        t, r = self.sys.H.apply(self.t, self.r)
+        k = np.floor(r)
+        self.t, self.r = t, r - k
+        k = k.astype(np.int64)
+        self.w += k
+        if self.odometer:
+            # mixed-radix addition; the carry past the last digit is dropped
+            for i, b in enumerate(self.sys.h.bases[:len(self.positions)]):
+                if not k.any():
+                    break
+                k, self.digits[:, i] = np.divmod(self.digits[:, i] + k, b)
+        else:
+            self._cover()
+
+    def target(self, q: SuspensionPoint):
+        """q with the symbols of h^-s(q.c), s = -1, 0, 1, at the positions
+        the metric reads, for `distances`."""
+        if q.c.alphabet_size != self.alphabet:
+            raise ValueError("points live over different alphabets")
+        rows = np.array([[shift_power(q.c, self.sys.h, -s).symbol_at(int(i))
+                          for i in self.positions] for s in (-1, 0, 1)])
+        return q.t, q.r, rows
+
+    def distances(self, target) -> np.ndarray:
+        """`quotient_distance` from every point to the target's point."""
+        qt, qr, rows = target
+        if self.odometer:
+            syms = self.digits
+        else:
+            cols = (self.w - self.lo)[:, None] + self.positions[None, :]
+            syms = np.take_along_axis(self.table, cols, axis=1)
+        best = np.full(len(self.t), math.inf)
+        for s, row in zip((-1, 0, 1), rows):
+            strip = np.abs(self.t - qt) + np.abs(self.r - (qr + s))
+            mismatch = syms != row
+            cd = np.where(mismatch.any(axis=1), self.scale[mismatch.argmax(axis=1)], 0.0)
+            best = np.minimum(best, np.maximum(strip, cd))
+        return best
+
+
 def weak_mixing_witness(sys: SuspensionSystem, U: tuple[SuspensionPoint, float],
                         V: tuple[SuspensionPoint, float], horizon: int,
                         cloud_size: int = 64, seed: int = 0):
@@ -254,12 +347,11 @@ def weak_mixing_witness(sys: SuspensionSystem, U: tuple[SuspensionPoint, float],
             cloud.append(p)
     if not cloud:
         raise ValueError("could not seed a cloud inside U")
-    current = list(cloud)
+    cloud = QuotientCloud(sys, cloud)
+    to_u, to_v = cloud.target(cu), cloud.target(cv)
     for l in range(1, horizon + 1):
-        current = [step(sys, p) for p in current]
-        hit_u = any(quotient_distance(sys, p, cu) < ru for p in current)
-        hit_v = any(quotient_distance(sys, p, cv) < rv for p in current)
-        if hit_u and hit_v:
+        cloud.step()
+        if (cloud.distances(to_u) < ru).any() and (cloud.distances(to_v) < rv).any():
             return l
     return None
 

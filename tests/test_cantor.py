@@ -7,13 +7,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudosusp.cantor import (DigitStream, FullShift, Odometer, Periodic,
                                ReducibleSFTWarning, SFT, Substitution,
                                SymbolSequence, cantor_metric, entropy_exact,
                                golden_mean_sft, mixing_witness_symbolic,
                                random_point, recurrence_profile, shift_backward,
-                               shift_forward, thue_morse, validate_system)
+                               shift_forward, thue_morse, validate_system,
+                               _odometer_add)
 
 ALL_SYSTEMS = [
     FullShift(2),
@@ -54,6 +57,17 @@ def test_odometer_add_examples():
     o22 = Odometer((2, 2))
     c = SymbolSequence(DigitStream((0, 0), (2, 2)), 2, 8)
     assert shift_backward(c, o22).extension.digits == (1, 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bases=st.lists(st.integers(2, 5), min_size=1, max_size=5), data=st.data(),
+       a=st.integers(-400, 400), b=st.integers(-400, 400))
+def test_odometer_add_is_an_action_of_the_integers(bases, data, a, b):
+    bases = tuple(bases)
+    digits = tuple(data.draw(st.integers(0, base - 1)) for base in bases)
+    assert _odometer_add(_odometer_add(digits, bases, a), bases, b) == \
+        _odometer_add(digits, bases, a + b)
+    assert _odometer_add(_odometer_add(digits, bases, a), bases, -a) == digits
 
 
 def test_backward_path_stays_admissible():

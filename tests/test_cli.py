@@ -71,6 +71,8 @@ def test_horseshoe_exit_codes(tmp_path, capsys):
             (["--k", "1"], "horseshoe.k"),
             (["--override", "horseshoe.k=6"], "horseshoe.k"),
             (["--depth", "-1"], "horseshoe.depth"),
+            (["--override", "horseshoe.mbound=0"], "horseshoe.mbound"),
+            (["--override", "horseshoe.mbound=-2"], "horseshoe.mbound"),
             (["--override", "plmap.breakpoints=0,0; 1/0,1; 1,0"], "plmap.breakpoints"),
             (["--override", "plmap.breakpoints=0,0; 1/2,1,3; 1,0"], "plmap.breakpoints"),
             (["--override", "chain.links=0,1/0; 1/2,1"], "chain.links"),
@@ -130,6 +132,22 @@ def test_mixing_witness_modes(tmp_path):
     assert run(["mixing-witness", "-c", fixture_path("thue_morse.ini"),
                 "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1] == "symbolic,32,1,2"
+
+
+def test_unparsable_cantor_and_map_values_name_their_key(tmp_path, capsys):
+    for fixture, override, key in (
+            ("golden_mean.ini", "cantor.adjacency=1,x;1,0", "cantor.adjacency"),
+            ("golden_mean.ini", "cantor.adjacency=1,1;;1,0", "cantor.adjacency"),
+            ("thue_morse.ini", "cantor.rules=0:01;1", "cantor.rules"),
+            ("thue_morse.ini", "cantor.rules=0:01;1:1x", "cantor.rules"),
+            ("orbit_demo.ini", "map.map=rotation:0.6|cover:2,x", "map.map"),
+            ("orbit_demo.ini", "map.map=rotation:0.6|cover:2", "map.map")):
+        capsys.readouterr()
+        command = "suspend-orbit" if fixture == "orbit_demo.ini" else "mixing-witness"
+        assert run([command, "-c", fixture_path(fixture), "--override", override,
+                    "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert key in err and "invalid literal" not in err and "unpack" not in err
 
 
 def test_mixing_witness_rejects_empty_cloud(tmp_path, capsys):

@@ -4,23 +4,24 @@ dense-orbit and mixing searches, entropy brackets."""
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RigidRotation, Twist,
                                 rotation_estimate)
-from pseudosusp.cantor import (DigitStream, FullShift, Odometer, Periodic,
-                               SymbolSequence, cantor_metric, golden_mean_sft,
-                               random_point, shift_power, thue_morse)
+from pseudosusp.cantor import (DigitStream, FullShift, GraphPath, InvalidPointError,
+                               Odometer, Periodic, SymbolSequence, cantor_metric,
+                               golden_mean_sft, random_point, shift_power, thue_morse)
 from pseudosusp import suspension
-from pseudosusp.suspension import (CapacityError, SuspensionSystem, _bowen_count,
-                                   _variation_windows, dense_orbit_check,
+from pseudosusp.suspension import (CapacityError, QuotientCloud, SuspensionSystem,
+                                   _bowen_count, _variation_windows, dense_orbit_check,
                                    depth_for, entropy_separated,
                                    entropy_spanning, normalize,
-                                   product_formula_report, quotient_distance,
+                                   orbit, product_formula_report, quotient_distance,
                                    rigidity_suspension, step,
                                    weak_mixing_witness, winding_rate)
 
@@ -31,6 +32,14 @@ def rot(beta):
 
 def make_sys(beta=0.5, h=None, window=32):
     return SuspensionSystem(rot(beta), h or FullShift(2), window)
+
+
+CLOUD_MAPS = [
+    rot(0.5),
+    rot((math.sqrt(5) - 1) / 2),
+    LiftedAnnulusMap((Twist(Profile(((0.0, 0.11), (0.5, 0.6), (1.0, 0.4)))),
+                      RigidRotation(0.3))),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +130,40 @@ def test_step_normalize_commutation():
         assert cantor_metric(before.c, after.c, 8) == 0.0
 
 
+QUOTIENT_SYSTEMS = [FullShift(2), golden_mean_sft(), Odometer((2, 3, 2))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(h=st.sampled_from(QUOTIENT_SYSTEMS), seed=st.integers(0, 10 ** 6),
+       t=st.floats(0.0, 1.0), r=st.floats(-3.0, 3.0), m=st.integers(-6, 6))
+def test_normalize_trades_deck_shift_for_power(h, seed, t, r, m):
+    # (t, r + m, h^-m c) is the same quotient point as (t, r, c); registered
+    # against c, its Cantor coordinate sits at winding -m
+    assume(math.floor(r + m) == math.floor(r) + m)  # r + m may round onto an integer
+    sys_ = SuspensionSystem(rot(0.5), h, 16)
+    c = random_point(h, seed, 16)
+    ref = normalize(sys_, t, r, c)
+    other = normalize(sys_, t, r + m, shift_power(c, h, -m), seed=c, winding=-m)
+    assert other.t == ref.t and other.winding == ref.winding
+    assert other.c.window == ref.c.window
+    assert other.r == pytest.approx(ref.r, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(h=st.sampled_from(QUOTIENT_SYSTEMS), m=st.integers(0, 2),
+       seed=st.integers(0, 10 ** 6), t=st.floats(0.0, 1.0), r=st.floats(-3.0, 3.0))
+def test_step_commutes_with_normalize(h, m, seed, t, r):
+    sys_ = SuspensionSystem(CLOUD_MAPS[m], h, 16)
+    c = random_point(h, seed, 16)
+    t2, r2 = (float(x) for x in sys_.H.apply(t, r))
+    assume(abs(r2 - round(r2)) > 1e-9)  # both orders round to the same floor
+    before = step(sys_, normalize(sys_, t, r, c))
+    after = normalize(sys_, t2, r2, c)
+    assert before.t == after.t and before.winding == after.winding
+    assert before.c.window == after.c.window
+    assert before.r == pytest.approx(after.r, abs=1e-9)
+
+
 def test_pseudo_component_conserved_and_fiber_preserved():
     sys_ = make_sys(0.53)
     c = random_point(sys_.h, 5, 32)
@@ -134,6 +177,16 @@ def test_pseudo_component_conserved_and_fiber_preserved():
         assert abs(nxt.t - t2) < 1e-9
         assert abs((nxt.r + nxt.winding - cur.winding) - r2) < 1e-9
         cur = nxt
+
+
+@pytest.mark.parametrize("m", CLOUD_MAPS + [rot(-0.37)], ids=["half", "golden", "twist", "back"])
+def test_orbit_equals_stepped_points(m):
+    sys_ = SuspensionSystem(m, golden_mean_sft(), 32)
+    p = sys_.point(0.3, 0.8, random_point(sys_.h, 5, 32))
+    points = [p]
+    for _ in range(60):
+        points.append(step(sys_, points[-1]))
+    assert orbit(sys_, p, 60) == [(q.t, q.r, q.winding) for q in points]
 
 
 def test_winding_rate_examples():
@@ -256,16 +309,119 @@ def test_weak_mixing_witness_seeds_the_given_cloud(monkeypatch):
     U = (sys_.point(0.5, 0.10, c), 0.05)
     V = (sys_.point(0.5, 0.60, c), 0.05)
     calls = []
+    splice = suspension._splice_point
 
-    def counting_step(s, p):
-        calls.append(p)
-        return step(s, p)
+    def counting_splice(*args):
+        calls.append(args)
+        return splice(*args)
 
-    monkeypatch.setattr(suspension, "step", counting_step)
+    # one candidate point is spliced per cloud slot
+    monkeypatch.setattr(suspension, "_splice_point", counting_splice)
     assert weak_mixing_witness(sys_, U, V, 10, cloud_size=8, seed=11) is None
-    assert 0 < len(calls) <= 8 * 10
+    assert len(calls) == 8
     with pytest.raises(ValueError, match="cloud"):
         weak_mixing_witness(sys_, U, V, 10, cloud_size=0)
+
+
+def per_point_witness(sys_, U, V, horizon, cloud_size=64, seed=0):
+    """The per-point loop the array cloud replaced: the same seeding, then
+    `step` and `quotient_distance` point by point."""
+    (cu, ru), (cv, rv) = U, V
+    rng = random.Random(seed)
+    D = depth_for(ru)
+    cloud = []
+    for _ in range(cloud_size):
+        dt = (rng.random() - 0.5) * ru / 2
+        dr = (rng.random() - 0.5) * ru / 2
+        c = suspension._splice_point(sys_.h, cu.c, D, rng, sys_.window)
+        p = normalize(sys_, min(1.0, max(0.0, cu.t + dt)), cu.r + dr, c)
+        if quotient_distance(sys_, p, cu) < ru:
+            cloud.append(p)
+    for l in range(1, horizon + 1):
+        cloud = [step(sys_, p) for p in cloud]
+        if (any(quotient_distance(sys_, p, cu) < ru for p in cloud)
+                and any(quotient_distance(sys_, p, cv) < rv for p in cloud)):
+            return l
+    return None
+
+
+CLOUD_SYSTEMS = [FullShift(2), FullShift(3), golden_mean_sft(), thue_morse(),
+                 Odometer((2, 2, 2)), Odometer((3, 2, 5, 2))]
+
+
+def test_weak_mixing_witness_matches_per_point_loop():
+    found = []
+    for h in CLOUD_SYSTEMS:
+        for m in CLOUD_MAPS:
+            sys_ = SuspensionSystem(m, h, 32)
+            for seed, (ru, rv) in enumerate([(0.3, 0.3), (0.1, 0.2), (0.05, 0.05)]):
+                U = (sys_.point(0.5, 0.1, random_point(h, seed + 3, 32)), ru)
+                V = (sys_.point(0.5, 0.35 + 0.2 * seed, random_point(h, seed + 9, 32)), rv)
+                l = weak_mixing_witness(sys_, U, V, 24, cloud_size=12, seed=seed)
+                assert l == per_point_witness(sys_, U, V, 24, cloud_size=12, seed=seed)
+                found.append(l)
+    assert None in found
+    assert any(l is not None and l > 1 for l in found)
+
+
+def assert_cloud_matches_points(sys_, points, targets, steps):
+    cloud = QuotientCloud(sys_, points)
+    prepared = [cloud.target(q) for q in targets]
+    for _ in range(steps):
+        cloud.step()
+        points = [step(sys_, p) for p in points]
+        assert cloud.t.tolist() == [p.t for p in points]
+        assert cloud.r.tolist() == [p.r for p in points]
+        assert cloud.w.tolist() == [p.winding for p in points]
+        for q, to_q in zip(targets, prepared):
+            assert cloud.distances(to_q).tolist() == \
+                [quotient_distance(sys_, p, q) for p in points]
+    return cloud
+
+
+def spliced_points(sys_, base, count, seed):
+    """Points near `base` in the strip whose Cantor coordinates agree with
+    base.c to various depths, so that every term of the metric is hit."""
+    rng = random.Random(seed)
+    out = []
+    for j in range(count):
+        c = suspension._splice_point(sys_.h, base.c, j % 5, rng, sys_.window)
+        out.append(normalize(sys_, min(1.0, max(0.0, base.t + rng.uniform(-0.1, 0.1))),
+                             base.r + rng.uniform(-0.6, 0.6), c))
+    return out
+
+
+@pytest.mark.parametrize("h", CLOUD_SYSTEMS, ids=["shift2", "shift3", "golden", "thue_morse",
+                                               "odometer222", "odometer3252"])
+@pytest.mark.parametrize("m", CLOUD_MAPS, ids=["half", "golden", "twist"])
+def test_cloud_steps_and_distances_equal_scalar(h, m):
+    for window in (32, 2):
+        sys_ = SuspensionSystem(m, h, window)
+        base = sys_.point(0.5, 0.1, random_point(h, 4, window))
+        other = sys_.point(0.45, 0.7, random_point(h, 5, window))
+        points = spliced_points(sys_, base, 20, 7) + spliced_points(sys_, other, 4, 8)
+        assert_cloud_matches_points(sys_, points, [base, other], 20)
+
+
+def test_cloud_sft_table_grows_and_stays_exact():
+    sys_ = SuspensionSystem(rot(1.0), golden_mean_sft(), 32)
+    base = sys_.point(0.5, 0.1, random_point(sys_.h, 4, 32))
+    points = spliced_points(sys_, base, 12, 3)
+    initial_hi = QuotientCloud(sys_, points).hi
+    cloud = assert_cloud_matches_points(sys_, points, [base], 80)
+    # windings reach 80, past the first table's right end at about w + 32
+    assert cloud.hi > initial_hi and cloud.w.max() + 32 > initial_hi
+
+
+def test_cloud_rejects_inadmissible_sft_point():
+    sft = golden_mean_sft()
+    sys_ = SuspensionSystem(rot(0.5), sft, 4)
+    # (1, 1) is forbidden in the golden-mean shift
+    bad = SymbolSequence(GraphPath(sft.adjacency, (0, 1, 0, 1, 1, 0, 1, 0, 0), -4), 2, 4)
+    with pytest.raises(InvalidPointError, match=r"inadmissible pair \(1,1\)"):
+        shift_power(bad, sft, 1)
+    with pytest.raises(InvalidPointError, match=r"inadmissible pair \(1,1\)"):
+        QuotientCloud(sys_, [sys_.point(0.5, 0.2, bad)])
 
 
 def test_weak_mixing_witness_rejects_degenerate_radius():
