@@ -11,7 +11,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -93,6 +93,7 @@ class DigitStream:
 Extension = Union[Periodic, GraphPath, DigitStream]
 
 
+@lru_cache(maxsize=None)
 def _successor_map(adjacency):
     out = []
     for row in adjacency:
@@ -103,6 +104,7 @@ def _successor_map(adjacency):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _predecessor_map(adjacency):
     k = len(adjacency)
     out = []
@@ -407,20 +409,21 @@ def recurrence_profile(sys: CantorSystem, c: SymbolSequence, L: int,
 
 
 def _all_words(sys: CantorSystem, L: int):
+    """Every legal length-L word in lexicographic order (odometer: every
+    prefix of the first L digits)."""
     if isinstance(sys, Odometer):
         prefixes = [()]
         for b in sys.bases[:L]:
             prefixes = [p + (d,) for p in prefixes for d in range(b)]
         return prefixes
+    if isinstance(sys, Substitution):
+        return sorted(_language_words(sys.rules, L))
     k = alphabet_size(sys)
     words = [()]
     for _ in range(L):
         words = [w + (s,) for w in words for s in range(k)]
     if isinstance(sys, SFT):
         words = [w for w in words if all(sys.adjacency[a][b] for a, b in zip(w, w[1:]))]
-    if isinstance(sys, Substitution):
-        lang = _substitution_language(sys.rules, 6)
-        words = [w for w in words if any(_find_sub(big, w) >= 0 for big in lang)]
     return words
 
 
@@ -522,11 +525,34 @@ def _substitution_language(rules, depth: int):
     return words
 
 
-def _find_sub(big, w) -> int:
-    for i in range(len(big) - len(w) + 1):
-        if big[i:i + len(w)] == w:
-            return i
-    return -1
+def _legal_pairs(rules) -> set[tuple[int, int]]:
+    """The legal two-letter words: those inside an image sigma(a), closed
+    under ab -> the pair straddling sigma(a)sigma(b)."""
+    pairs = {tuple(r[i:i + 2]) for r in rules for i in range(len(r) - 1)}
+    while True:
+        more = pairs | {(rules[a][-1], rules[b][0]) for a, b in pairs}
+        if more == pairs:
+            return pairs
+        pairs = more
+
+
+def _language_words(rules, L: int) -> set[tuple[int, ...]]:
+    """Every legal word of length L of a primitive substitution: the
+    length-L factors of sigma^m(ab) over the legal two-letter words ab, m
+    the least depth with |sigma^m(c)| >= L for every letter c.
+
+    Complete: a legal word u of length L is a factor of some sigma^M(c),
+    M >= m, which is the concatenation of the blocks sigma^m(x) over the
+    letters x of sigma^(M-m)(c).  Each block has length >= L, so u lies
+    inside two consecutive blocks sigma^m(x)sigma^m(y), and xy is legal."""
+    images = [(a,) for a in range(len(rules))]
+    while min(len(w) for w in images) < L:
+        images = [tuple(s for x in w for s in rules[x]) for w in images]
+    words = set()
+    for a, b in _legal_pairs(rules):
+        big = images[a] + images[b]
+        words.update(big[i:i + L] for i in range(len(big) - L + 1))
+    return words
 
 
 # canned systems used across fixtures and tests

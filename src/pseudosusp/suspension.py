@@ -19,8 +19,8 @@ import numpy as np
 from .annulus import LiftedAnnulusMap
 from .cantor import (CantorSystem, DigitStream, FullShift, GraphPath,
                      InvalidPointError, Odometer, Periodic, SFT, Substitution,
-                     SymbolSequence, alphabet_size, cantor_metric, entropy_exact,
-                     random_point, shift_power, _all_words, _substitution_language)
+                     SymbolSequence, cantor_metric, entropy_exact, random_point,
+                     shift_power, _all_words, _language_words, _substitution_language)
 
 
 class CapacityError(RuntimeError):
@@ -404,180 +404,134 @@ def rigidity_suspension(sys: SuspensionSystem, grid: int, horizon: int,
 # entropy brackets
 # ---------------------------------------------------------------------------
 
-def _stratified_digits(j: int, k: int, length: int) -> list[int]:
-    out = []
-    for _ in range(length):
-        out.append(j % k)
-        j //= k
-    return out
-
-
-def _variation_windows(h: CantorSystem, base: SymbolSequence, D: int,
-                       budget: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """int8 windows (rows = points) over absolute indices lo..hi: all match
-    `base` on |i| <= D, stratified then seeded beyond."""
-    width = hi - lo + 1
-    cols = np.arange(lo, hi + 1)
-    if isinstance(h, Odometer):
-        bases = h.bases
-        depth = len(bases)
-        shared = min(D + 1, depth)
-        place = 1
-        base_val = 0
-        for i in range(shared):
-            base_val += base.extension.digits[i] * place
-            place *= bases[i]
-        vals = np.full(budget, base_val, dtype=np.int64)
-        mult = place
-        jj = np.arange(budget, dtype=np.int64)
-        for i in range(shared, depth):
-            vals += (jj % bases[i]) * mult  # cyclic enumeration of completions
-            jj //= bases[i]
-            mult *= bases[i]
-        win = np.zeros((budget, width), dtype=np.int8)
-        v = vals.copy()
-        for i in range(depth):
-            col = i - lo
-            if 0 <= col < width:
-                win[:, col] = (v % bases[i]).astype(np.int8)
-            v //= bases[i]
-        return win
-
-    k = alphabet_size(h)
-    base_syms = np.array([base.symbol_at(i) for i in cols], dtype=np.int8)
-    win = np.tile(base_syms, (budget, 1))
-    rng = np.random.default_rng(seed)
-    right = [i for i in cols if i > D]
-    left = [i for i in cols if i < -D]
-    free_positions = right + left[::-1]
-    n_strat = min(len(free_positions), max(1, math.ceil(math.log(max(budget, 2), k))) + 4)
-
-    if isinstance(h, FullShift):
-        for rank, idx in enumerate(free_positions):
-            col = idx - lo
-            if rank < n_strat:
-                digits = np.array([_stratified_digits(j, k, rank + 1)[-1]
-                                   for j in range(budget)], dtype=np.int8)
-                win[:, col] = digits
-            else:
-                win[:, col] = rng.integers(0, k, budget).astype(np.int8)
-        return win
-
-    if isinstance(h, SFT):
-        succ = [[q for q, bit in enumerate(h.adjacency[p]) if bit] for p in range(k)]
-        pred = [[p for p in range(k) if h.adjacency[p][q]] for q in range(k)]
-        choice = rng.integers(0, 64, (budget, width))
-        for rank, idx in enumerate(sorted(right)):
-            col = idx - lo
-            prev = win[:, col - 1].astype(int)
-            if rank < n_strat:
-                pick = np.array([_stratified_digits(j, 4, rank + 1)[-1]
-                                 for j in range(budget)])
-            else:
-                pick = choice[:, col]
-            win[:, col] = np.array([succ[p][pk % len(succ[p])]
-                                    for p, pk in zip(prev, pick)], dtype=np.int8)
-        for idx in sorted(left, reverse=True):
-            col = idx - lo
-            nxt = win[:, col + 1].astype(int)
-            pick = choice[:, col]
-            win[:, col] = np.array([pred[q][pk % len(pred[q])]
-                                    for q, pk in zip(nxt, pick)], dtype=np.int8)
-        return win
-
-    if isinstance(h, Substitution):
-        core = tuple(int(x) for x in base_syms[(cols >= -D) & (cols <= D)])
-        lang = _substitution_language(h.rules, 7)
-        radius = max(-lo, hi)
-        hits = []
-        for big in lang:
-            for i in range(radius, len(big) - radius):
-                if tuple(big[i - D:i + D + 1]) == core:
-                    hits.append(big[i + lo:i + hi + 1])
-        if not hits:
-            hits = [tuple(int(x) for x in base_syms)]
-        uniq = sorted(set(hits))
-        for j in range(budget):
-            win[j, :] = np.array(uniq[j % len(uniq)], dtype=np.int8)
-        return win
-
-    raise TypeError(f"unknown system {h!r}")
-
-
-def _bowen_count(sys: SuspensionSystem, scale: float, n: int, budget: int,
-                 seed: int) -> int:
-    """Size of a maximal Bowen-(scale)-separated subset of a stratified sample
-    sharing the annulus orbit of (0.5, 0.0) and one Cantor cylinder.
-
-    The count is exact, not greedy.  Since every sample has the same annulus
-    orbit, the strip term of a pair under deck shift s is |s|, which in
-    floating point is at least 1 - 2^-53 for s = +-1.  So for scale < 1 only
-    s = 0 counts, and two samples are Bowen-close exactly when their s = 0
-    symbol windows agree at every time.  That is an equivalence relation:
-    any maximal separated subset holds one sample per class, and its size is
-    the number of distinct window rows."""
+def _seen_positions(sys: SuspensionSystem, scale: float, n: int) -> tuple[int, list[int]]:
+    """D and the sorted symbol positions S = union of [w_i - D, w_i + D] that
+    the Bowen windows read, w_i the windings of the annulus orbit of
+    (0.5, 0.0) over n steps."""
     if not scale < 1.0:
         raise ValueError(f"entropy scale {scale!r} must be below 1: at scale 1 "
                          "the deck shifts +-1 come within reach")
     if scale < 2.0 ** (-(sys.window - 2)):
         raise CapacityError("scale below window resolution; increase W")
     D = min(depth_for(scale), sys.window)
-
-    r_orbit = []
+    windings = []
     t, r = 0.5, 0.0
     for _ in range(n):
-        r_orbit.append(r)
+        windings.append(math.floor(r))
         t, r = (float(x) for x in sys.H.apply(t, r))
-    w = np.floor(r_orbit).astype(np.int64)
-    if np.abs(w).max() > sys.window:
-        raise CapacityError(
-            f"winding {int(np.abs(w).max())} exceeds window radius {sys.window}; "
-            "increase W")
+    widest = max(abs(w) for w in windings)
+    if widest > sys.window:
+        raise CapacityError(f"winding {widest} exceeds window radius {sys.window}; "
+                            "increase W")
+    return D, sorted({p for w in windings for p in range(w - D, w + D + 1)})
 
+
+def _reach(adjacency, steps: int) -> np.ndarray:
+    """0/1 matrix: (A^steps > 0), without the growth of A^steps."""
+    a = np.array(adjacency, dtype=bool).astype(np.int64)
+    out = np.identity(len(a), dtype=np.int64)
+    for _ in range(steps):
+        out = np.minimum(out @ a, 1)
+    return out
+
+
+def _fillings(adjacency, steps: list[int]) -> list[int]:
+    """Entry a: the admissible fillings of the seen positions past a core
+    edge holding symbol a, where `steps` are the distances between
+    consecutive seen positions going outward; a step g > 1 crosses unseen
+    positions and enters as (A^g > 0).  Exact integers."""
+    count = [1] * len(adjacency)
+    for g in reversed(steps):
+        count = [sum(c for c, bit in zip(count, row) if bit) for row in _reach(adjacency, g)]
+    return count
+
+
+def _cylinder_counts(sys: SuspensionSystem, scale: float, n: int) -> tuple[int, dict]:
+    """D, and the Bowen class count of every scale-cylinder, keyed by
+    `_cylinder_key` (what the count depends on).
+
+    Every point of the Bowen sample shares the annulus orbit of (0.5, 0.0),
+    so the strip term of a pair under deck shift s is |s|, at least
+    1 - 2^-53 for s = +-1 in floating point.  At a scale below 1 only s = 0
+    counts, and two points of one cylinder are Bowen-close exactly when they
+    agree on the seen positions S: the count is the number of admissible
+    fillings of the free positions, S minus the core [-D, D], f_R of them on
+    the right and f_L on the left.
+
+    - Full shift: k^(f_R + f_L), whatever the core.
+    - SFT: the row sum of A^(f_R) at the core's right symbol times the column
+      sum of A^(f_L) at its left symbol; a gap in S of g positions enters as
+      (A^g > 0).  Keyed by the core's end symbols.
+    - Odometer: 1.  An identity, not a sample: the windows compare the first
+      D + 1 digits of value + w_i, i.e. value + w_i modulo the product of
+      the first D + 1 bases, and every point of the cylinder has the same
+      value modulo that product.
+    - Substitution: the distinct restrictions to S of the language words on
+      the span of S whose core is the cylinder's.  Keyed by the core."""
+    D, seen = _seen_positions(sys, scale, n)
+    h = sys.h
+    if isinstance(h, Odometer):
+        return D, {(): 1}
+    right = [p for p in seen if p >= D]
+    left = [p for p in reversed(seen) if p <= -D]
+    if isinstance(h, FullShift):
+        return D, {(): h.k ** (len(right) + len(left) - 2)}
+    if isinstance(h, SFT):
+        rows = _fillings(h.adjacency, [b - a for a, b in zip(right, right[1:])])
+        transposed = tuple(zip(*h.adjacency))
+        cols = _fillings(transposed, [a - b for a, b in zip(left, left[1:])])
+        joined = _reach(h.adjacency, 2 * D)
+        return D, {(b, a): cols[b] * rows[a]
+                   for b in range(h.k) for a in range(h.k) if joined[b][a]}
+    if isinstance(h, Substitution):
+        lo = seen[0]
+        picks = [p - lo for p in seen]
+        restrictions: dict[tuple[int, ...], set] = {}
+        for word in _language_words(h.rules, seen[-1] - lo + 1):
+            core = word[-D - lo:D - lo + 1]
+            restrictions.setdefault(core, set()).add(tuple(word[i] for i in picks))
+        return D, {core: len(r) for core, r in restrictions.items()}
+    raise TypeError(f"unknown system {h!r}")
+
+
+def _cylinder_key(h: CantorSystem, c: SymbolSequence, D: int) -> tuple[int, ...]:
+    if isinstance(h, SFT):
+        return (c.symbol_at(-D), c.symbol_at(D))
+    if isinstance(h, Substitution):
+        return tuple(c.symbol_at(i) for i in range(-D, D + 1))
+    return ()
+
+
+def entropy_separated(sys: SuspensionSystem, eps: float, n: int, seed: int) -> float:
+    """Lower entropy estimate: (1/n) log of the Bowen class count at scale
+    eps on the cylinder of the seeded base point."""
+    D, counts = _cylinder_counts(sys, eps, n)
     base = random_point(sys.h, seed * 7 + 1, sys.window)
-    # the one-column margin past the windows is part of the seeded sample
-    # layout: narrowing lo..hi would draw a different sample
-    lo = int(w.min()) - 1 - D
-    hi = int(w.max()) + 1 + D
-    win = _variation_windows(sys.h, base, D, budget, seed, lo, hi)
-
-    if isinstance(sys.h, Odometer):
-        # winding acts by addition: the window at time i holds the first
-        # min(depth, D + 1) digits of value + w_i, i.e. value + w_i modulo
-        # the product of those bases
-        bases = sys.h.bases[:D + 1]
-        modulus = math.prod(bases)
-        vals = np.zeros(budget, dtype=np.int64)
-        place = 1
-        for idx, b in enumerate(bases):
-            vals += win[:, idx - lo].astype(np.int64) * place
-            place *= b
-        rows = (vals[:, None] + w[None, :]) % modulus
-    else:
-        cols = (w[:, None] - D - lo) + np.arange(2 * D + 1)
-        rows = win[:, cols.ravel()]
-    return len(np.unique(rows, axis=0))
+    return math.log(counts[_cylinder_key(sys.h, base, D)]) / n
 
 
-def entropy_separated(sys: SuspensionSystem, eps: float, n: int, budget: int,
-                      seed: int) -> float:
-    """Lower entropy estimate: (1/n) log of a maximal Bowen-eps-separated
-    subsample count."""
-    return math.log(max(1, _bowen_count(sys, eps, n, budget, seed))) / n
+def entropy_spanning(sys: SuspensionSystem, eps: float, n: int) -> float:
+    """Upper companion estimate: (1/n) log of the largest Bowen class count
+    of any cylinder at scale eps/2.  That is k^f for the full shift, the
+    largest row sum of A^f for an SFT whose windings are >= 0, 1 for the
+    odometer, and the largest count over language cores for a substitution.
 
-
-def entropy_spanning(sys: SuspensionSystem, eps: float, n: int, budget: int,
-                     seed: int) -> float:
-    """Upper companion estimate at scale eps/2 (a spanning set at eps/2 is at
-    least as large as any eps-separated set)."""
-    return math.log(max(1, _bowen_count(sys, eps / 2.0, n, budget, seed))) / n
+    lower <= upper holds for the full shift, an SFT and an odometer whenever
+    the windings start at 0 and move by at most 1 in one direction, as under
+    any rotation of speed in [-1, 1]: then f is the same at eps and eps/2,
+    the count depends only on the core's end symbols, and every symbol ends
+    some core, so the largest count bounds the base cylinder's.  It does not
+    hold in general for a substitution, whose count depends on the whole
+    core: Thue-Morse has eps-cylinders with more classes than any
+    eps/2-cylinder."""
+    _, counts = _cylinder_counts(sys, eps / 2.0, n)
+    return math.log(max(counts.values())) / n
 
 
 @dataclass
 class ProductFormulaRow:
     eps: float
     n: int
-    budget: int
     lower: float
     upper: float
     target: float
@@ -587,7 +541,7 @@ class ProductFormulaRow:
 
 def product_formula_report(sys: SuspensionSystem, alpha: float,
                            eps_list: list[float], n_list: list[int],
-                           budget: int, seed: int) -> list[ProductFormulaRow]:
+                           seed: int) -> list[ProductFormulaRow]:
     """Estimate table against the product target |alpha| * h_top(h)."""
     h_ent = entropy_exact(sys.h)
     target = abs(alpha) * h_ent
@@ -595,8 +549,8 @@ def product_formula_report(sys: SuspensionSystem, alpha: float,
     for eps in eps_list:
         for n in n_list:
             rows.append(ProductFormulaRow(
-                eps=eps, n=n, budget=budget,
-                lower=entropy_separated(sys, eps, n, budget, seed),
-                upper=entropy_spanning(sys, eps, n, budget, seed),
+                eps=eps, n=n,
+                lower=entropy_separated(sys, eps, n, seed),
+                upper=entropy_spanning(sys, eps, n),
                 target=target, alpha=alpha, h_entropy=h_ent))
     return rows

@@ -39,20 +39,20 @@ def rot(beta: float) -> LiftedAnnulusMap:
 def test_criterion_1_entropy_bracket():
     t0 = time.time()
     sys_half = SuspensionSystem(rot(0.5), FullShift(2), 32)
-    lower = entropy_separated(sys_half, 1 / 16, 12, 20000, 42)
-    upper = entropy_spanning(sys_half, 1 / 16, 12, 20000, 42)
+    lower = entropy_separated(sys_half, 1 / 16, 12, 42)
+    upper = entropy_spanning(sys_half, 1 / 16, 12)
     t_half = time.time() - t0
     ok_half = lower >= 0.20 and upper <= 0.55 and lower <= upper and t_half <= 60
 
     t0 = time.time()
     sys_zero = SuspensionSystem(rot(0.0), FullShift(2), 32)
-    upper_zero = entropy_spanning(sys_zero, 1 / 16, 12, 20000, 42)
+    upper_zero = entropy_spanning(sys_zero, 1 / 16, 12)
     t_zero = time.time() - t0
     ok_zero = upper_zero <= 0.05 and t_zero <= 60
 
     t0 = time.time()
     sys_odo = SuspensionSystem(rot(0.5), Odometer((2,) * 8), 32)
-    upper_odo = entropy_spanning(sys_odo, 1 / 16, 12, 20000, 42)
+    upper_odo = entropy_spanning(sys_odo, 1 / 16, 12)
     t_odo = time.time() - t0
     ok_odo = upper_odo <= 0.05 and t_odo <= 60
 
@@ -71,10 +71,10 @@ def test_criterion_1_entropy_bracket():
 def test_criterion_2_linearity_in_alpha():
     t0 = time.time()
     h = FullShift(2)
-    lo_half = entropy_separated(SuspensionSystem(rot(0.5), h, 32), 1 / 16, 12, 20000, 42)
-    lo_unit = entropy_separated(SuspensionSystem(rot(1.0), h, 32), 1 / 16, 12, 20000, 42)
-    up_half = entropy_spanning(SuspensionSystem(rot(0.5), h, 32), 1 / 16, 12, 20000, 42)
-    up_unit = entropy_spanning(SuspensionSystem(rot(1.0), h, 32), 1 / 16, 12, 20000, 42)
+    lo_half = entropy_separated(SuspensionSystem(rot(0.5), h, 32), 1 / 16, 12, 42)
+    lo_unit = entropy_separated(SuspensionSystem(rot(1.0), h, 32), 1 / 16, 12, 42)
+    up_half = entropy_spanning(SuspensionSystem(rot(0.5), h, 32), 1 / 16, 12)
+    up_unit = entropy_spanning(SuspensionSystem(rot(1.0), h, 32), 1 / 16, 12)
     elapsed = time.time() - t0
     r_lo = lo_unit / lo_half
     r_up = up_unit / up_half

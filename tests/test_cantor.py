@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudosusp.cantor import (DigitStream, FullShift, Odometer, Periodic,
+from pseudosusp import cantor
+from pseudosusp.cantor import (DigitStream, FullShift, GraphPath, InvalidPointError,
+                               Odometer, Periodic,
                                ReducibleSFTWarning, SFT, Substitution,
                                SymbolSequence, cantor_metric, entropy_exact,
                                golden_mean_sft, mixing_witness_symbolic,
@@ -76,6 +78,26 @@ def test_backward_path_stays_admissible():
     back = shift_backward(c, sft)
     w = back.window
     assert all(sft.adjacency[a][b] for a, b in zip(w, w[1:]))
+
+
+def test_sft_refill_maps_are_built_once_per_adjacency():
+    cantor._successor_map.cache_clear()
+    cantor._predecessor_map.cache_clear()
+    adjacencies = [golden_mean_sft().adjacency, ((0, 1), (1, 1)), ((1, 1), (1, 1))]
+    for adjacency in adjacencies:
+        path = GraphPath(adjacency, (0, 1, 0), -1)
+        window = [path.symbol(i) for i in range(-300, 301)]
+        assert all(adjacency[a][b] for a, b in zip(window, window[1:]))
+    assert cantor._successor_map.cache_info().misses == len(adjacencies)
+    assert cantor._predecessor_map.cache_info().misses == len(adjacencies)
+    # the far reads follow the lex-smallest walk: 1 -> 0 -> 0 ... on the golden mean
+    golden = GraphPath(golden_mean_sft().adjacency, (1,), 0)
+    assert [golden.symbol(i) for i in (1, 2, 50, -1, -50)] == [0, 0, 0, 0, 0]
+
+    no_successor = GraphPath(((0, 0), (1, 1)), (1,), 0)
+    for _ in range(2):
+        with pytest.raises(InvalidPointError, match="without successor"):
+            no_successor.symbol(5)
 
 
 def test_forward_backward_identity_many_points():

@@ -3,6 +3,8 @@ dense-orbit and mixing searches, entropy brackets."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 
@@ -14,11 +16,12 @@ from hypothesis import strategies as st
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RigidRotation, Twist,
                                 rotation_estimate)
 from pseudosusp.cantor import (DigitStream, FullShift, GraphPath, InvalidPointError,
-                               Odometer, Periodic, SymbolSequence, cantor_metric,
-                               golden_mean_sft, random_point, shift_power, thue_morse)
+                               Odometer, Periodic, SFT, Substitution, SymbolSequence,
+                               cantor_metric, golden_mean_sft, random_point, shift_power,
+                               thue_morse, _all_words, _language_words)
 from pseudosusp import suspension
 from pseudosusp.suspension import (CapacityError, QuotientCloud, SuspensionSystem,
-                                   _bowen_count, _variation_windows, dense_orbit_check,
+                                   dense_orbit_check,
                                    depth_for, entropy_separated,
                                    entropy_spanning, normalize,
                                    orbit, product_formula_report, quotient_distance,
@@ -459,64 +462,104 @@ def test_rigidity_fullshift_negative():
 
 def test_entropy_bracket_halfspeed():
     sys_ = make_sys(0.5)
-    lo = entropy_separated(sys_, 1 / 16, 12, 20000, 42)
-    up = entropy_spanning(sys_, 1 / 16, 12, 20000, 42)
+    lo = entropy_separated(sys_, 1 / 16, 12, 42)
+    up = entropy_spanning(sys_, 1 / 16, 12)
     assert 0.20 <= lo <= up <= 0.55
 
 
 def test_entropy_zero_cases():
     sys0 = make_sys(0.0)
-    assert entropy_spanning(sys0, 1 / 16, 12, 5000, 42) <= 0.05
+    assert entropy_spanning(sys0, 1 / 16, 12) <= 0.05
     syso = SuspensionSystem(rot(0.5), Odometer((2,) * 8), 32)
-    assert entropy_spanning(syso, 1 / 16, 12, 5000, 42) <= 0.05
+    assert entropy_spanning(syso, 1 / 16, 12) <= 0.05
 
 
 def test_entropy_monotone_in_eps_and_ordered():
     sys_ = make_sys(0.5)
-    lo_coarse = entropy_separated(sys_, 1 / 8, 12, 5000, 42)
-    lo_fine = entropy_separated(sys_, 1 / 16, 12, 5000, 42)
+    lo_coarse = entropy_separated(sys_, 1 / 8, 12, 42)
+    lo_fine = entropy_separated(sys_, 1 / 16, 12, 42)
     assert lo_coarse <= lo_fine + 1e-12
-    up = entropy_spanning(sys_, 1 / 16, 12, 5000, 42)
+    up = entropy_spanning(sys_, 1 / 16, 12)
     assert lo_fine <= up + 1e-12
 
 
 def test_entropy_capacity_error():
     sys_ = SuspensionSystem(rot(1.0), FullShift(2), window=8)
     with pytest.raises(CapacityError):
-        entropy_separated(sys_, 1 / 16, 12, 1000, 42)
+        entropy_separated(sys_, 1 / 16, 12, 42)
+    with pytest.raises(CapacityError):
+        entropy_spanning(sys_, 1 / 16, 12)
 
 
 def test_product_report_targets():
     sys4 = SuspensionSystem(rot(0.25), FullShift(4), 32)
-    rows = product_formula_report(sys4, 0.25, [1 / 16], [12], 5000, 42)
+    rows = product_formula_report(sys4, 0.25, [1 / 16], [12], 42)
     assert rows[0].target == pytest.approx(0.25 * math.log(4))
     assert rows[0].target == pytest.approx(0.5 * math.log(2))
 
 
 def test_entropy_sft_and_substitution_paths():
-    from pseudosusp.cantor import golden_mean_sft, thue_morse
     sys_sft = SuspensionSystem(rot(0.5), golden_mean_sft(), 32)
-    lo = entropy_separated(sys_sft, 1 / 16, 12, 4000, 42)
-    up = entropy_spanning(sys_sft, 1 / 16, 12, 4000, 42)
+    lo = entropy_separated(sys_sft, 1 / 16, 12, 42)
+    up = entropy_spanning(sys_sft, 1 / 16, 12)
     assert 0.0 <= lo <= up
     # golden-mean factor: product target is 0.5 * log(phi) ~ 0.2406
     assert up <= 0.45
 
     sys_sub = SuspensionSystem(rot(0.5), thue_morse(), 32)
-    up_sub = entropy_spanning(sys_sub, 1 / 16, 12, 2000, 42)
+    up_sub = entropy_spanning(sys_sub, 1 / 16, 12)
     assert up_sub <= 0.25  # zero-entropy factor: low complexity growth
 
 
 def test_entropy_scale_must_be_below_one():
     sys_ = make_sys(0.5)
     with pytest.raises(ValueError, match="below 1"):
-        entropy_separated(sys_, 1.0, 4, 50, 42)
+        entropy_separated(sys_, 1.0, 4, 42)
+    with pytest.raises(ValueError, match="below 1"):
+        entropy_spanning(sys_, 2.0, 4)
 
 
-def greedy_bowen_oracle(sys_, scale, n, budget, seed) -> int:
-    """The greedy Bowen scan the class count replaced: scan the sample in
-    order, keeping a point unless some kept point is close to it at every
-    time under some deck shift s in {-1, 0, 1}."""
+@functools.lru_cache(maxsize=None)
+def substitution_factors(rules, L: int) -> frozenset[tuple[int, ...]]:
+    """Length-L factors of sigma^d(a) over every letter a, d deep enough
+    that each image has 4096 letters or more."""
+    out = set()
+    for a in range(len(rules)):
+        w = (a,)
+        while len(w) < 4096:
+            w = tuple(s for x in w for s in rules[x])
+        out.update(w[i:i + L] for i in range(len(w) - L + 1))
+    return frozenset(out)
+
+
+def cylinder_fillings(h, core, D: int, lo: int, hi: int) -> np.ndarray:
+    """Every admissible word over positions lo..hi (rows) whose positions
+    -D..D hold `core`, by brute force over all k^(free) candidates.  For an
+    odometer: every digit list whose first D + 1 digits are `core`."""
+    if isinstance(h, Odometer):
+        tails = itertools.product(*(range(b) for b in h.bases[len(core):]))
+        return np.array([core + tail for tail in tails], dtype=np.int64)
+    k = len(h.rules) if isinstance(h, Substitution) else h.k
+    free = [i for i in range(lo, hi + 1) if abs(i) > D]
+    language = (substitution_factors(h.rules, hi - lo + 1)
+                if isinstance(h, Substitution) else None)
+    rows = []
+    for fill in itertools.product(range(k), repeat=len(free)):
+        word = dict(zip(free, fill))
+        word.update((i, core[i + D]) for i in range(-D, D + 1))
+        word = tuple(word[i] for i in range(lo, hi + 1))
+        if isinstance(h, SFT) and not all(h.adjacency[a][b] for a, b in zip(word, word[1:])):
+            continue
+        if language is not None and word not in language:
+            continue
+        rows.append(word)
+    return np.array(rows, dtype=np.int64)
+
+
+def greedy_bowen_oracle(sys_, scale, n, core) -> int:
+    """The greedy Bowen scan over every point of the cylinder with this
+    core: scan the fillings in order, keeping a point unless some kept point
+    is close to it at every time under some deck shift s in {-1, 0, 1}."""
     D = min(depth_for(scale), sys_.window)
     t_orbit, r_orbit = [], []
     t, r = 0.5, 0.0
@@ -526,33 +569,33 @@ def greedy_bowen_oracle(sys_, scale, n, budget, seed) -> int:
         t, r = (float(x) for x in sys_.H.apply(t, r))
     r_orbit = np.array(r_orbit)
     w = np.floor(r_orbit).astype(np.int64)
-    tt = np.tile(t_orbit, (budget, 1))
-    rn = np.tile(r_orbit - w, (budget, 1))
-    base = random_point(sys_.h, seed * 7 + 1, sys_.window)
-    lo, hi = int(w.min()) - 1 - D, int(w.max()) + 1 + D
-    win = _variation_windows(sys_.h, base, D, budget, seed, lo, hi)
+    lo, hi = int(w.min()) - D, int(w.max()) + D
+    win = cylinder_fillings(sys_.h, core, D, lo, hi)
+    if not isinstance(sys_.h, Odometer):
+        # the margin columns lo - 1 and hi + 1 are read only under the deck
+        # shifts +-1; fix them to 0
+        win = np.pad(win, ((0, 0), (1, 1)))
+    count = len(win)
+    tt = np.tile(t_orbit, (count, 1))
+    rn = np.tile(r_orbit - w, (count, 1))
     width = 2 * D + 1
     shifts = (-1, 0, 1)
-    eff = np.zeros((budget, n, 3, width), dtype=np.int8)
+    eff = np.zeros((count, n, 3, width), dtype=np.int64)
     for i in range(n):
         for si, s in enumerate(shifts):
             if isinstance(sys_.h, Odometer):
-                # digits past hi are not in the window; they cannot change
-                # the low D + 1 digits of value + w - s compared below
-                bases = sys_.h.bases[:hi + 1]
-                place = math.prod(bases)
-                v = sum(win[:, idx - lo].astype(np.int64) * math.prod(bases[:idx])
-                        for idx in range(len(bases)))
-                v = (v + int(w[i]) - s) % place
+                bases = sys_.h.bases
+                v = sum(win[:, idx] * math.prod(bases[:idx]) for idx in range(len(bases)))
+                v = (v + int(w[i]) - s) % math.prod(bases)
                 for idx in range(min(len(bases), D + 1)):
                     eff[:, i, si, idx + D] = v % bases[idx]
                     v //= bases[idx]
             else:
-                col = int(w[i]) + s - D - lo
+                col = int(w[i]) + s - D - (lo - 1)
                 eff[:, i, si] = win[:, col:col + width]
 
     kept: list[int] = []
-    for j in range(budget):
+    for j in range(count):
         ks = np.array(kept, dtype=np.int64)
         close = np.ones(len(ks), dtype=bool)
         for i in range(n):
@@ -567,9 +610,32 @@ def greedy_bowen_oracle(sys_, scale, n, budget, seed) -> int:
     return len(kept)
 
 
+def base_core(h, seed: int, D: int, W: int) -> tuple[int, ...]:
+    base = random_point(h, seed * 7 + 1, W)
+    if isinstance(h, Odometer):
+        return tuple(base.symbol_at(i) for i in range(min(D + 1, len(h.bases))))
+    return tuple(base.symbol_at(i) for i in range(-D, D + 1))
+
+
+def every_core(h, D: int) -> list[tuple[int, ...]]:
+    if isinstance(h, Odometer):
+        return list(itertools.product(*(range(b) for b in h.bases[:D + 1])))
+    k = len(h.rules) if isinstance(h, Substitution) else h.k
+    cores = list(itertools.product(range(k), repeat=2 * D + 1))
+    if isinstance(h, SFT):
+        return [c for c in cores if all(h.adjacency[a][b] for a, b in zip(c, c[1:]))]
+    if isinstance(h, Substitution):
+        language = substitution_factors(h.rules, 2 * D + 1)
+        return [c for c in cores if c in language]
+    return cores
+
+
+# row sums 3, 1, 2 and column sums 2, 2, 2: left and right fillings differ
+THREE_SFT = SFT(3, ((1, 1, 1), (1, 0, 0), (0, 1, 1)))
+
 ENTROPY_SYSTEMS = [
     make_sys(0.0), make_sys(0.5), make_sys(1.0), make_sys(0.75, FullShift(3)),
-    make_sys(0.5, golden_mean_sft()), make_sys(0.5, thue_morse()),
+    make_sys(0.5, golden_mean_sft()), make_sys(-0.5, THREE_SFT), make_sys(0.5, thue_morse()),
     make_sys(0.5, Odometer((2,) * 8)),
     SuspensionSystem(LiftedAnnulusMap((RigidRotation(0.3),
                                        Twist(Profile(((0.0, 0.11), (1.0, 0.4)))))),
@@ -581,8 +647,93 @@ ENTROPY_SYSTEMS = [
 @given(sys_=st.sampled_from(ENTROPY_SYSTEMS),
        scale=st.one_of(st.sampled_from([1 / 2, 1 / 8, 1 / 16, 1 / 32]),
                        st.floats(min_value=1 / 64, max_value=1.0, exclude_max=True)),
-       n=st.integers(1, 10), budget=st.integers(1, 200),
-       seed=st.integers(0, 1000))
-def test_bowen_class_count_matches_greedy_scan(sys_, scale, n, budget, seed):
-    assert _bowen_count(sys_, scale, n, budget, seed) == \
-        greedy_bowen_oracle(sys_, scale, n, budget, seed)
+       n=st.integers(1, 10), seed=st.integers(0, 1000))
+def test_bowen_class_count_matches_greedy_scan(sys_, scale, n, seed):
+    D = min(depth_for(scale), sys_.window)
+    count = greedy_bowen_oracle(sys_, scale, n, base_core(sys_.h, seed, D, sys_.window))
+    assert entropy_separated(sys_, scale, n, seed) == math.log(count) / n
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(sys_=st.sampled_from(ENTROPY_SYSTEMS),
+       scale=st.sampled_from([1 / 2, 1 / 4]), n=st.integers(1, 6))
+def test_spanning_count_is_largest_cylinder_count(sys_, scale, n):
+    """The upper estimate's count at eps is the largest greedy count over
+    every cylinder at scale eps/2."""
+    D = min(depth_for(scale / 2), sys_.window)
+    best = max(greedy_bowen_oracle(sys_, scale / 2, n, core)
+               for core in every_core(sys_.h, D))
+    assert entropy_spanning(sys_, scale, n) == math.log(best) / n
+
+
+@pytest.mark.parametrize("h", [golden_mean_sft(), THREE_SFT, thue_morse(), FullShift(2)])
+@pytest.mark.parametrize("speed", [3.5, -3.5])
+def test_counts_across_unseen_gaps(h, speed):
+    """Winding steps of 3 and 4 leave unseen positions between the windows
+    at D = 0 (scale 0.9) and D = 1 (scale 1/2 and 0.9/2); the oracle fills
+    them too, so a count that treats a gap as one step fails here."""
+    sys_ = make_sys(speed, h)
+    for n in (2, 3):
+        for scale in (1 / 2, 0.9):
+            D = depth_for(scale)
+            for seed in range(4):
+                count = greedy_bowen_oracle(sys_, scale, n, base_core(h, seed, D, 32))
+                assert entropy_separated(sys_, scale, n, seed) == math.log(count) / n
+        best = max(greedy_bowen_oracle(sys_, 0.45, n, core) for core in every_core(h, 1))
+        assert entropy_spanning(sys_, 0.9, n) == math.log(best) / n
+
+
+def golden_column_sums(f: int) -> list[int]:
+    a = np.identity(2, dtype=np.int64)
+    for _ in range(f):
+        a = a @ np.array(golden_mean_sft().adjacency)
+    return a.sum(axis=0).tolist()
+
+
+@pytest.mark.parametrize("speed", [0.5, 1.0, -0.5])
+def test_golden_mean_bracket_is_ordered_and_exact(speed):
+    """Seeds 0-11 at n 10, eps 1/16: lower <= upper, and upper is the
+    largest row sum of A^f (column sum when the windings run negative);
+    golden-mean A is symmetric, so rows and columns agree."""
+    sys_ = make_sys(speed, golden_mean_sft())
+    f = abs(math.floor(speed * 9))
+    upper = entropy_spanning(sys_, 1 / 16, 10)
+    assert upper == math.log(max(golden_column_sums(f))) / 10
+    lowers = {entropy_separated(sys_, 1 / 16, 10, seed) for seed in range(12)}
+    assert all(lo <= upper for lo in lowers)
+    assert lowers <= {math.log(c) / 10 for c in golden_column_sums(f)}
+    if speed == 1.0:
+        assert lowers == {math.log(89) / 10, math.log(55) / 10}
+
+
+BRACKET_SYSTEMS = [FullShift(2), FullShift(3), golden_mean_sft(), THREE_SFT,
+                   Odometer((2, 3, 2, 2))]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(h=st.sampled_from(BRACKET_SYSTEMS), speed=st.floats(-1.0, 1.0),
+       scale=st.floats(1 / 64, 1 / 2), n=st.integers(1, 24), seed=st.integers(0, 1000))
+def test_bracket_is_ordered_for_shifts_sfts_and_odometers(h, speed, scale, n, seed):
+    sys_ = make_sys(speed, h)
+    assert entropy_separated(sys_, scale, n, seed) <= entropy_spanning(sys_, scale, n)
+
+
+@pytest.mark.parametrize("rules", [((0, 1), (1, 0)), ((0, 1), (0,)), ((0, 0, 1), (1, 0))])
+def test_language_words_equal_deeper_factor_sets(rules):
+    for L in range(1, 65):
+        m, images = 0, [(a,) for a in range(len(rules))]
+        while min(len(w) for w in images) < L:
+            m += 1
+            images = [tuple(s for x in w for s in rules[x]) for w in images]
+        for _ in range(3):
+            images = [tuple(s for x in w for s in rules[x]) for w in images]
+        deeper = {w[i:i + L] for w in images for i in range(len(w) - L + 1)}
+        assert _language_words(rules, L) == deeper, L
+
+
+def test_all_words_of_a_substitution_are_its_language_in_order():
+    tm = thue_morse()
+    for L in (1, 5, 12, 40):
+        words = _all_words(tm, L)
+        assert words == sorted(substitution_factors(tm.rules, L))
+    assert len(_all_words(tm, 40)) == 124
