@@ -2,11 +2,13 @@
 
 Points are bi-infinite symbol sequences represented by a total extension rule
 plus a cached window; shifting is an O(1) re-anchoring of the rule.  All values
-are immutable; every operation returns a new object.
+are immutable; every operation returns a new object.  Each system class knows
+all of its own behaviour (see "systems" below).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
@@ -155,89 +157,412 @@ class SymbolSequence:
         w = self.radius
         return tuple(self.extension.symbol(i) for i in range(-w, w + 1))
 
-    def validate(self) -> None:
-        if any(not 0 <= s < self.alphabet_size for s in self.window):
-            raise InvalidPointError("window symbol outside alphabet")
-        if isinstance(self.extension, GraphPath):
-            adj = self.extension.adjacency
-            w = self.window
-            for a, b in zip(w, w[1:]):
-                if not adj[a][b]:
-                    raise InvalidPointError(f"inadmissible pair ({a},{b}) for SFT adjacency")
-        if isinstance(self.extension, DigitStream):
-            for d, b in zip(self.extension.digits, self.extension.bases):
-                if not 0 <= d < b:
-                    raise InvalidPointError(f"digit {d} outside base {b}")
+
+def cantor_metric(c1: SymbolSequence, c2: SymbolSequence, W: int) -> float:
+    """Cylinder metric 2^(-m), m = least |i| <= W with a mismatch; 0 if none."""
+    if c1.alphabet_size != c2.alphabet_size:
+        raise ValueError("points live over different alphabets")
+    e1, e2 = c1.extension, c2.extension
+    for m in range(W + 1):
+        if e1.symbol(m) != e2.symbol(m) or (m and e1.symbol(-m) != e2.symbol(-m)):
+            return 2.0 ** (-m)
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
 # systems
 # ---------------------------------------------------------------------------
+#
+# Each class below is the one place that knows how its system behaves (README
+# "Cantor systems"); `config.build_cantor` maps a kind name to its class.
+
+
+class _Shift:
+    """What the full shift, an SFT and a substitution share: a point is a
+    bi-infinite symbol sequence that h^w re-anchors, and a word is a block
+    of consecutive symbols."""
+
+    def power(self, c: SymbolSequence, w: int) -> SymbolSequence:
+        """h^w in one move: re-anchor the extension rule."""
+        if w == 0:
+            return c
+        return SymbolSequence(c.extension.shifted(w), c.alphabet_size, c.radius)
+
+    def check(self, rows: np.ndarray) -> None:
+        """Raise InvalidPointError unless every row of consecutive symbols is
+        admissible; here, unless every symbol lies in the alphabet."""
+        if ((rows < 0) | (rows >= self.k)).any():
+            raise InvalidPointError("window symbol outside alphabet")
+
+    def contains(self, word) -> bool:
+        return all(0 <= s < self.k for s in word)
+
+    def words(self, L: int) -> list[tuple[int, ...]]:
+        """Every legal length-L word in lexicographic order."""
+        return [w for w in itertools.product(range(self.k), repeat=L) if self.contains(w)]
+
+    def positions(self, D: int) -> range:
+        return range(-D, D + 1)
+
+    def core_key(self, c: SymbolSequence, D: int) -> tuple[int, ...]:
+        """What the Bowen class count of the cylinder of c depends on."""
+        return ()
+
+    def table(self, seeds: list[SymbolSequence], positions: np.ndarray) -> "_ShiftTable":
+        return _ShiftTable(self, seeds, positions)
+
 
 @dataclass(frozen=True)
-class FullShift:
+class FullShift(_Shift):
     k: int
     label: str = "full shift"
 
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError("full shift needs alphabet size >= 2")
+
+    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> SymbolSequence:
+        rng = random.Random(seed)
+        word = tuple(rng.randrange(self.k) for _ in range(2 * W + 1))
+        return SymbolSequence(Periodic(word, word, -W), self.k, W)
+
+    def splice(self, base: SymbolSequence, D: int, rng: random.Random,
+               W: int) -> SymbolSequence:
+        """A point agreeing with `base` on |i| <= D, varied beyond."""
+        word = tuple(base.symbol_at(i) if abs(i) <= D else rng.randrange(self.k)
+                     for i in range(-W, W + 1))
+        return SymbolSequence(Periodic(word, word, -W), self.k, W)
+
+    def entropy_exact(self) -> float:
+        return math.log(self.k)
+
+    def mixing_witness(self, u, v, horizon: int):
+        """Least n in 1..horizon with [u] meeting the n-step preimage of [v],
+        else None (n = 0 is the trivial self-intersection and is excluded)."""
+        u, v = _cylinder_words(self, u, v)
+        return next((n for n in range(1, horizon + 1) if _overlap_consistent(u, v, n)), None)
+
+    def class_counts(self, D: int, seen: list[int]) -> dict:
+        """The Bowen class count of every cylinder, keyed by `core_key`: the
+        admissible fillings of the seen positions outside the core [-D, D],
+        here k^(f_R + f_L) whatever the core."""
+        right, left = _outward(seen, D)
+        return {(): self.k ** (len(right) + len(left) - 2)}
+
 
 @dataclass(frozen=True)
-class SFT:
+class SFT(_Shift):
     k: int
     adjacency: tuple[tuple[int, ...], ...]
     label: str = "subshift of finite type"
 
+    def __post_init__(self):
+        k, adj = self.k, self.adjacency
+        if k < 2:
+            raise ValueError("SFT needs alphabet size >= 2")
+        if len(adj) != k or any(len(r) != k for r in adj):
+            raise ValueError("adjacency must be k x k")
+        if any(not any(row) for row in adj):
+            raise ValueError("adjacency has an all-zero row")
+        if any(not any(adj[p][q] for p in range(k)) for q in range(k)):
+            raise ValueError("adjacency has an all-zero column")
+
+    def power(self, c: SymbolSequence, w: int) -> SymbolSequence:
+        out = super().power(c, w)
+        if w:
+            self.check(np.array([out.window]))
+        return out
+
+    def check(self, rows: np.ndarray) -> None:
+        super().check(rows)
+        left, right = rows[:, :-1], rows[:, 1:]
+        bad = ~np.array(self.adjacency, dtype=bool)[left, right]
+        if bad.any():
+            j, i = np.argwhere(bad)[0]
+            raise InvalidPointError(f"inadmissible pair ({left[j, i]},{right[j, i]}) "
+                                    "for SFT adjacency")
+
+    def contains(self, word) -> bool:
+        return super().contains(word) and all(self.adjacency[a][b]
+                                              for a, b in zip(word, word[1:]))
+
+    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> SymbolSequence:
+        rng = random.Random(seed)
+        s = rng.randrange(self.k)
+        walk = [s]
+        for _ in range(2 * W):
+            succ = [q for q, bit in enumerate(self.adjacency[s]) if bit]
+            s = rng.choice(succ)
+            walk.append(s)
+        return SymbolSequence(GraphPath(self.adjacency, tuple(walk), -W), self.k, W)
+
+    def splice(self, base: SymbolSequence, D: int, rng: random.Random,
+               W: int) -> SymbolSequence:
+        """A point agreeing with `base` on |i| <= D, varied admissibly beyond."""
+        word = [base.symbol_at(i) for i in range(-W, W + 1)]
+        for pos in range(W + D + 1, 2 * W + 1):
+            succ = [q for q, bit in enumerate(self.adjacency[word[pos - 1]]) if bit]
+            word[pos] = succ[rng.randrange(len(succ))]
+        for pos in range(W - D - 1, -1, -1):
+            pred = [q for q in range(self.k) if self.adjacency[q][word[pos + 1]]]
+            word[pos] = pred[rng.randrange(len(pred))]
+        return SymbolSequence(GraphPath(self.adjacency, tuple(word), -W), self.k, W)
+
+    def entropy_exact(self) -> float:
+        if not _irreducible(self.adjacency):
+            warnings.warn("SFT adjacency is reducible; entropy of the full language returned",
+                          ReducibleSFTWarning, stacklevel=2)
+        return math.log(spectral_radius(np.array(self.adjacency)))
+
+    def mixing_witness(self, u, v, horizon: int):
+        u, v = _cylinder_words(self, u, v)
+        adj = [[bool(x) for x in row] for row in self.adjacency]
+        power = adj  # adj^(n - len(u) + 1) maintained incrementally
+        for n in range(1, horizon + 1):
+            if n < len(u):
+                merged = _merge(u, v, n)
+                if merged is not None and self.contains(merged):
+                    return n
+            else:
+                if n > len(u):
+                    power = _bool_mul(power, adj)
+                if power[u[-1]][v[0]]:
+                    return n
+        return None
+
+    def class_counts(self, D: int, seen: list[int]) -> dict:
+        """Keyed by the core's end symbols: the row sum of A^(f_R) at the
+        right one times the column sum of A^(f_L) at the left one; a gap in
+        the seen positions of g enters as (A^g > 0)."""
+        right, left = _outward(seen, D)
+        rows = _fillings(self.adjacency, [b - a for a, b in zip(right, right[1:])])
+        transposed = tuple(zip(*self.adjacency))
+        cols = _fillings(transposed, [a - b for a, b in zip(left, left[1:])])
+        joined = _reach(self.adjacency, 2 * D)
+        return {(b, a): cols[b] * rows[a]
+                for b in range(self.k) for a in range(self.k) if joined[b][a]}
+
+    def core_key(self, c: SymbolSequence, D: int) -> tuple[int, ...]:
+        return (c.symbol_at(-D), c.symbol_at(D))
+
 
 @dataclass(frozen=True)
-class Substitution:
+class Substitution(_Shift):
     rules: tuple[tuple[int, ...], ...]
     label: str = "substitution subshift"
+
+    def __post_init__(self):
+        k = len(self.rules)
+        if k < 2 or any(len(r) == 0 for r in self.rules):
+            raise ValueError("substitution needs >= 2 letters and nonempty rules")
+        if any(s >= k or s < 0 for r in self.rules for s in r):
+            raise ValueError("substitution rule symbol outside alphabet")
+        if not _primitive(self.rules, 2 * k):
+            raise ValueError("substitution is not primitive at desk scale")
+
+    @property
+    def k(self) -> int:
+        return len(self.rules)
+
+    def contains(self, word) -> bool:
+        return tuple(word) in _language_words(self.rules, len(word))
+
+    def words(self, L: int) -> list[tuple[int, ...]]:
+        return sorted(_language_words(self.rules, L))
+
+    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> SymbolSequence:
+        rng = random.Random(seed)
+        word = (rng.randrange(self.k),)
+        while len(word) < 4 * W + 3:
+            word = tuple(s for a in word for s in self.rules[a])
+        off = rng.randrange(len(word) - (2 * W + 1))
+        sl = word[off:off + 2 * W + 1]
+        return SymbolSequence(Periodic(sl, sl, -W), self.k, W)
+
+    def splice(self, base: SymbolSequence, D: int, rng: random.Random,
+               W: int) -> SymbolSequence:
+        """A language window agreeing with `base` on |i| <= D (on the whole
+        window when D > W), repeated periodically beyond; `base` itself if
+        no legal window holds its core."""
+        d = min(D, W)
+        core = tuple(base.symbol_at(i) for i in range(-d, d + 1))
+        hits = [w for w in self.words(2 * W + 1) if w[W - d:W + d + 1] == core]
+        if not hits:
+            return base
+        word = hits[rng.randrange(len(hits))]
+        return SymbolSequence(Periodic(word, word, -W), self.k, W)
+
+    def entropy_exact(self) -> float:
+        return 0.0
+
+    def mixing_witness(self, u, v, horizon: int):
+        """Exact: the legal words of length max(|u|, horizon + |v|) hold
+        every legal word with u at 0 and v at some n <= horizon, since every
+        legal word extends to the right."""
+        u, v = _cylinder_words(self, u, v)
+        hits = [n for word in _language_words(self.rules, max(len(u), horizon + len(v)))
+                if word[:len(u)] == u
+                for n in range(1, horizon + 1) if word[n:n + len(v)] == v]
+        return min(hits, default=None)
+
+    def class_counts(self, D: int, seen: list[int]) -> dict:
+        """Keyed by the core: the distinct restrictions to the seen positions
+        of the language words on their span whose core is the cylinder's."""
+        lo = seen[0]
+        picks = [p - lo for p in seen]
+        restrictions: dict[tuple[int, ...], set] = {}
+        for word in _language_words(self.rules, seen[-1] - lo + 1):
+            core = word[-D - lo:D - lo + 1]
+            restrictions.setdefault(core, set()).add(tuple(word[i] for i in picks))
+        return {core: len(r) for core, r in restrictions.items()}
+
+    def core_key(self, c: SymbolSequence, D: int) -> tuple[int, ...]:
+        return tuple(c.symbol_at(i) for i in range(-D, D + 1))
 
 
 @dataclass(frozen=True)
 class Odometer:
+    """Adding one in mixed radix: digit i has base bases[i], and the carry
+    past the last digit is dropped.  A word is a prefix of the digits."""
+
     bases: tuple[int, ...]
     label: str = "odometer"
+
+    def __post_init__(self):
+        if len(self.bases) < 1 or any(b < 2 for b in self.bases):
+            raise ValueError("odometer needs depth >= 1 and bases >= 2")
+
+    def power(self, c: SymbolSequence, w: int) -> SymbolSequence:
+        """h^w in one move: add w."""
+        if w == 0:
+            return c
+        digits = _odometer_add(c.extension.digits, self.bases, w)
+        return SymbolSequence(DigitStream(digits, self.bases), c.alphabet_size, c.radius)
+
+    def contains(self, word) -> bool:
+        return len(word) <= len(self.bases) and all(0 <= d < b
+                                                    for d, b in zip(word, self.bases))
+
+    def words(self, L: int) -> list[tuple[int, ...]]:
+        """Every prefix of the first L digits, in lexicographic order."""
+        return list(itertools.product(*(range(b) for b in self.bases[:L])))
+
+    def positions(self, D: int) -> range:
+        return range(min(D + 1, len(self.bases)))
+
+    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> SymbolSequence:
+        rng = random.Random(seed)
+        digits = tuple(rng.randrange(b) for b in self.bases)
+        return SymbolSequence(DigitStream(digits, self.bases), max(self.bases), W)
+
+    def splice(self, base: SymbolSequence, D: int, rng: random.Random,
+               W: int) -> SymbolSequence:
+        """A point sharing the first D + 1 digits of `base`, varied beyond."""
+        digits = list(base.extension.digits)
+        for i in range(min(D + 1, len(digits)), len(digits)):
+            digits[i] = rng.randrange(self.bases[i])
+        return SymbolSequence(DigitStream(tuple(digits), self.bases), base.alphabet_size, W)
+
+    def entropy_exact(self) -> float:
+        return 0.0
+
+    def mixing_witness(self, u, v, horizon: int):
+        u, v = _cylinder_words(self, u, v)
+        pu = math.prod(self.bases[:len(u)])
+        pv = math.prod(self.bases[:len(v)])
+        val_u = _digit_value(u, self.bases)
+        val_v = _digit_value(v, self.bases)
+        for n in range(1, horizon + 1):
+            if len(v) <= len(u):
+                ok = (val_u + n) % pv == val_v
+            else:
+                ok = (val_v - n) % pu == val_u
+            if ok:
+                return n
+        return None
+
+    def class_counts(self, D: int, seen: list[int]) -> dict:
+        """1, an identity rather than a sample: the windows compare the first
+        D + 1 digits of value + w_i, i.e. value + w_i modulo the product of
+        the first D + 1 bases, and every point of the cylinder has the same
+        value modulo that product."""
+        return {(): 1}
+
+    def core_key(self, c: SymbolSequence, D: int) -> tuple[int, ...]:
+        return ()
+
+    def table(self, seeds: list[SymbolSequence], positions: np.ndarray) -> "_DigitTable":
+        return _DigitTable(self.bases, seeds, positions)
 
 
 CantorSystem = Union[FullShift, SFT, Substitution, Odometer]
 
 
-def alphabet_size(sys: CantorSystem) -> int:
-    if isinstance(sys, FullShift):
-        return sys.k
-    if isinstance(sys, SFT):
-        return sys.k
-    if isinstance(sys, Substitution):
-        return len(sys.rules)
-    return max(sys.bases)
+class _ShiftTable:
+    """The symbols of h^w(seed) at fixed positions for many seeds of a
+    shift: one table of the seeds' symbols over an index range that grows
+    when the windings need it, read at i + w.  Each growth adds as many
+    columns again as the table has, so the growths stay few, and the system
+    checks the table once per growth."""
+
+    def __init__(self, system: _Shift, seeds: list[SymbolSequence], positions: np.ndarray):
+        self.system, self.seeds, self.positions = system, seeds, positions
+        # an empty table over 0..-1, which the first read fills
+        self.lo, self.hi = 0, -1
+        self.table = self._columns(0, 0)
+
+    def read(self, w: np.ndarray) -> np.ndarray:
+        need_lo = int(w.min()) + int(self.positions[0])
+        need_hi = int(w.max()) + int(self.positions[-1])
+        if need_lo < self.lo or self.hi < need_hi:
+            pad = self.hi - self.lo + 1
+            lo = self.lo if need_lo >= self.lo else need_lo - pad
+            hi = self.hi if need_hi <= self.hi else need_hi + pad
+            self.table = np.hstack([self._columns(lo, self.lo), self.table,
+                                    self._columns(self.hi + 1, hi + 1)])
+            self.lo, self.hi = lo, hi
+            self.system.check(self.table)
+        cols = (w - self.lo)[:, None] + self.positions[None, :]
+        return np.take_along_axis(self.table, cols, axis=1)
+
+    def _columns(self, lo: int, hi: int) -> np.ndarray:
+        return np.array([[c.symbol_at(i) for i in range(lo, hi)] for c in self.seeds],
+                        dtype=np.int64)
 
 
-def validate_system(sys: CantorSystem) -> None:
-    if isinstance(sys, FullShift):
-        if sys.k < 2:
-            raise ValueError("full shift needs alphabet size >= 2")
-    elif isinstance(sys, SFT):
-        if sys.k < 2:
-            raise ValueError("SFT needs alphabet size >= 2")
-        if len(sys.adjacency) != sys.k or any(len(r) != sys.k for r in sys.adjacency):
-            raise ValueError("adjacency must be k x k")
-        if any(not any(row) for row in sys.adjacency):
-            raise ValueError("adjacency has an all-zero row")
-        if any(not any(sys.adjacency[p][q] for p in range(sys.k)) for q in range(sys.k)):
-            raise ValueError("adjacency has an all-zero column")
-    elif isinstance(sys, Substitution):
-        k = len(sys.rules)
-        if k < 2 or any(len(r) == 0 for r in sys.rules):
-            raise ValueError("substitution needs >= 2 letters and nonempty rules")
-        if any(s >= k or s < 0 for r in sys.rules for s in r):
-            raise ValueError("substitution rule symbol outside alphabet")
-        if not _primitive(sys.rules, 2 * k):
-            raise ValueError("substitution is not primitive at desk scale")
-    elif isinstance(sys, Odometer):
-        if len(sys.bases) < 1 or any(b < 2 for b in sys.bases):
-            raise ValueError("odometer needs depth >= 1 and bases >= 2")
-    else:
-        raise TypeError(f"unknown system {sys!r}")
+class _DigitTable:
+    """The first digits of h^w(seed) for many odometer seeds: the seeds'
+    digits, carried by the change of w since the last read.  The carry past
+    the last digit read is dropped."""
+
+    def __init__(self, bases: tuple[int, ...], seeds: list[SymbolSequence],
+                 positions: np.ndarray):
+        self.bases = bases[:len(positions)]
+        self.digits = np.array([[c.symbol_at(int(i)) for i in positions] for c in seeds],
+                               dtype=np.int64)
+        self.w = np.zeros(len(seeds), dtype=np.int64)
+
+    def read(self, w: np.ndarray) -> np.ndarray:
+        k, self.w = w - self.w, w.copy()
+        for i, b in enumerate(self.bases):
+            if not k.any():
+                break
+            k, self.digits[:, i] = np.divmod(self.digits[:, i] + k, b)
+        return self.digits
+
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
+
+def _cylinder_words(sys: CantorSystem, u, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """u and v as tuples; ValueError naming the argument unless each is a
+    nonempty word of the system, so that its cylinder is not empty."""
+    u, v = tuple(u), tuple(v)
+    for name, word in (("u", u), ("v", v)):
+        if not word or not sys.contains(word):
+            raise ValueError(f"{name} must be a nonempty word of the {sys.label}, got {word}")
+    return u, v
 
 
 def _primitive(rules, max_power: int) -> bool:
@@ -254,62 +579,13 @@ def _primitive(rules, max_power: int) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
-def shift_forward(c: SymbolSequence, sys: CantorSystem) -> SymbolSequence:
-    """Apply the homeomorphism once (shift left; odometer: add one)."""
-    return shift_power(c, sys, 1)
-
-
-def shift_backward(c: SymbolSequence, sys: CantorSystem) -> SymbolSequence:
-    return shift_power(c, sys, -1)
-
-
-def shift_power(c: SymbolSequence, sys: CantorSystem, w: int) -> SymbolSequence:
-    """h^w in one move: re-anchor the rule (shifts) or add w (odometer)."""
-    if w == 0:
-        return c
-    if isinstance(sys, Odometer):
-        ext = c.extension
-        if not isinstance(ext, DigitStream):
-            raise InvalidPointError("odometer point must carry a digit stream")
-        digits = _odometer_add(ext.digits, ext.bases, w)
-        out = SymbolSequence(DigitStream(digits, ext.bases), c.alphabet_size, c.radius)
-    else:
-        out = SymbolSequence(c.extension.shifted(w), c.alphabet_size, c.radius)
-        if isinstance(sys, SFT):
-            out.validate()
-    return out
-
-
 def _odometer_add(digits: tuple[int, ...], bases: tuple[int, ...], w: int) -> tuple[int, ...]:
-    total = 1
-    for b in bases:
-        total *= b
-    value = 0
-    place = 1
-    for d, b in zip(digits, bases):
-        value += d * place
-        place *= b
-    value = (value + w) % total  # carry past depth is dropped
+    value = (_digit_value(digits, bases) + w) % math.prod(bases)  # carry past depth is dropped
     out = []
     for b in bases:
         out.append(value % b)
         value //= b
     return tuple(out)
-
-
-def cantor_metric(c1: SymbolSequence, c2: SymbolSequence, W: int) -> float:
-    """Cylinder metric 2^(-m), m = least |i| <= W with a mismatch; 0 if none."""
-    if c1.alphabet_size != c2.alphabet_size:
-        raise ValueError("points live over different alphabets")
-    e1, e2 = c1.extension, c2.extension
-    for m in range(W + 1):
-        if e1.symbol(m) != e2.symbol(m) or (m and e1.symbol(-m) != e2.symbol(-m)):
-            return 2.0 ** (-m)
-    return 0.0
 
 
 def spectral_radius(matrix: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000) -> float:
@@ -330,20 +606,6 @@ def spectral_radius(matrix: np.ndarray, tol: float = 1e-9, max_iter: int = 10_00
     return lam
 
 
-def entropy_exact(sys: CantorSystem) -> float:
-    """Exact topological entropy for the supported system kinds."""
-    if isinstance(sys, FullShift):
-        return math.log(sys.k)
-    if isinstance(sys, SFT):
-        if not _irreducible(sys.adjacency):
-            warnings.warn("SFT adjacency is reducible; entropy of the full language returned",
-                          ReducibleSFTWarning, stacklevel=2)
-        return math.log(spectral_radius(np.array(sys.adjacency)))
-    if isinstance(sys, (Substitution, Odometer)):
-        return 0.0
-    raise TypeError(f"unknown system {sys!r}")
-
-
 def _irreducible(adjacency) -> bool:
     k = len(adjacency)
     reach = [[1 if i == j or adjacency[i][j] else 0 for j in range(k)] for i in range(k)]
@@ -351,34 +613,6 @@ def _irreducible(adjacency) -> bool:
         reach = [[min(1, sum(reach[i][t] * reach[t][j] for t in range(k)))
                   for j in range(k)] for i in range(k)]
     return all(all(row) for row in reach)
-
-
-def random_point(sys: CantorSystem, seed: int, W: int = DEFAULT_RADIUS) -> SymbolSequence:
-    """Deterministic seeded point of the system, window radius W."""
-    rng = random.Random(seed)
-    if isinstance(sys, FullShift):
-        word = tuple(rng.randrange(sys.k) for _ in range(2 * W + 1))
-        return SymbolSequence(Periodic(word, word, -W), sys.k, W)
-    if isinstance(sys, SFT):
-        s = rng.randrange(sys.k)
-        walk = [s]
-        for _ in range(2 * W):
-            succ = [q for q, bit in enumerate(sys.adjacency[s]) if bit]
-            s = rng.choice(succ)
-            walk.append(s)
-        return SymbolSequence(GraphPath(sys.adjacency, tuple(walk), -W), sys.k, W)
-    if isinstance(sys, Substitution):
-        k = len(sys.rules)
-        word = (rng.randrange(k),)
-        while len(word) < 4 * W + 3:
-            word = tuple(s for a in word for s in sys.rules[a])
-        off = rng.randrange(len(word) - (2 * W + 1))
-        sl = word[off:off + 2 * W + 1]
-        return SymbolSequence(Periodic(sl, sl, -W), k, W)
-    if isinstance(sys, Odometer):
-        digits = tuple(rng.randrange(b) for b in sys.bases)
-        return SymbolSequence(DigitStream(digits, sys.bases), alphabet_size(sys), W)
-    raise TypeError(f"unknown system {sys!r}")
 
 
 def recurrence_profile(sys: CantorSystem, c: SymbolSequence, L: int,
@@ -396,9 +630,9 @@ def recurrence_profile(sys: CantorSystem, c: SymbolSequence, L: int,
             gaps[word] = max(gaps.get(word, 0.0), float(t - last[word]))
         last[word] = t
         counts[word] = counts.get(word, 0) + 1
-        cur = shift_backward(cur, sys)
+        cur = sys.power(cur, -1)
     out: dict[tuple[int, ...], float] = {}
-    for word in _all_words(sys, L):
+    for word in sys.words(L):
         if word not in counts:
             out[word] = math.inf
         elif counts[word] == 1:
@@ -406,80 +640,6 @@ def recurrence_profile(sys: CantorSystem, c: SymbolSequence, L: int,
         else:
             out[word] = gaps[word]
     return out
-
-
-def _all_words(sys: CantorSystem, L: int):
-    """Every legal length-L word in lexicographic order (odometer: every
-    prefix of the first L digits)."""
-    if isinstance(sys, Odometer):
-        prefixes = [()]
-        for b in sys.bases[:L]:
-            prefixes = [p + (d,) for p in prefixes for d in range(b)]
-        return prefixes
-    if isinstance(sys, Substitution):
-        return sorted(_language_words(sys.rules, L))
-    k = alphabet_size(sys)
-    words = [()]
-    for _ in range(L):
-        words = [w + (s,) for w in words for s in range(k)]
-    if isinstance(sys, SFT):
-        words = [w for w in words if all(sys.adjacency[a][b] for a, b in zip(w, w[1:]))]
-    return words
-
-
-def mixing_witness_symbolic(sys: CantorSystem, u: tuple[int, ...], v: tuple[int, ...],
-                            horizon: int):
-    """Least n in 1..horizon with [u] meeting the n-step preimage of [v],
-    else None (n = 0 is the trivial self-intersection and is excluded)."""
-    u, v = tuple(u), tuple(v)
-    if isinstance(sys, FullShift):
-        for n in range(1, horizon + 1):
-            if _overlap_consistent(u, v, n):
-                return n
-        return None
-    if isinstance(sys, SFT):
-        adj = [[bool(x) for x in row] for row in sys.adjacency]
-        power = adj  # adj^(n - len(u) + 1) maintained incrementally
-        for n in range(1, horizon + 1):
-            if n < len(u):
-                merged = _merge(u, v, n)
-                if merged is not None and all(sys.adjacency[a][b] for a, b in zip(merged, merged[1:])):
-                    return n
-            else:
-                if n > len(u):
-                    power = _bool_mul(power, adj)
-                if power[u[-1]][v[0]]:
-                    return n
-        return None
-    if isinstance(sys, Substitution):
-        best = None
-        for big in _substitution_language(sys.rules, 6):
-            pos_u = [i for i in range(len(big) - len(u) + 1) if big[i:i + len(u)] == u]
-            pos_v = [i for i in range(len(big) - len(v) + 1) if big[i:i + len(v)] == v]
-            for a in pos_u:
-                for b in pos_v:
-                    n = b - a
-                    if 1 <= n <= horizon and (best is None or n < best):
-                        best = n
-        return best
-    if isinstance(sys, Odometer):
-        pu = 1
-        for b in sys.bases[:len(u)]:
-            pu *= b
-        pv = 1
-        for b in sys.bases[:len(v)]:
-            pv *= b
-        val_u = _digit_value(u, sys.bases)
-        val_v = _digit_value(v, sys.bases)
-        for n in range(1, horizon + 1):
-            if len(v) <= len(u):
-                ok = (val_u + n) % pv == val_v
-            else:
-                ok = (val_v - n) % pu == val_u
-            if ok:
-                return n
-        return None
-    raise TypeError(f"unknown system {sys!r}")
 
 
 def _digit_value(digits, bases) -> int:
@@ -515,14 +675,29 @@ def _bool_mul(a, b):
     return [[any(a[i][t] and b[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
 
 
-def _substitution_language(rules, depth: int):
-    words = []
-    for a in range(len(rules)):
-        w = (a,)
-        for _ in range(depth):
-            w = tuple(s for x in w for s in rules[x])
-        words.append(w)
-    return words
+def _outward(seen: list[int], D: int) -> tuple[list[int], list[int]]:
+    """The seen positions from each edge of the core [-D, D] outward."""
+    return [p for p in seen if p >= D], [p for p in reversed(seen) if p <= -D]
+
+
+def _reach(adjacency, steps: int) -> np.ndarray:
+    """0/1 matrix: (A^steps > 0), without the growth of A^steps."""
+    a = np.array(adjacency, dtype=bool).astype(np.int64)
+    out = np.identity(len(a), dtype=np.int64)
+    for _ in range(steps):
+        out = np.minimum(out @ a, 1)
+    return out
+
+
+def _fillings(adjacency, steps: list[int]) -> list[int]:
+    """Entry a: the admissible fillings of the seen positions past a core
+    edge holding symbol a, where `steps` are the distances between
+    consecutive seen positions going outward; a step g > 1 crosses unseen
+    positions and enters as (A^g > 0).  Exact integers."""
+    count = [1] * len(adjacency)
+    for g in reversed(steps):
+        count = [sum(c for c, bit in zip(count, row) if bit) for row in _reach(adjacency, g)]
+    return count
 
 
 def _legal_pairs(rules) -> set[tuple[int, int]]:

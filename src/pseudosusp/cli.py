@@ -15,7 +15,6 @@ from pathlib import Path
 from . import __version__
 from .annulus import (HAKConfigError, hak_verify, rigidity_scan,
                       rotation_estimate, rotation_family, rotation_number)
-from .cantor import mixing_witness_symbolic, random_point
 from .chains import (ChainError, PatternError, StretchPreconditionError,
                      essential_seven_chain, horseshoe_extract, kfold,
                      refine_chain, render_chains)
@@ -53,6 +52,15 @@ def _out_path(args, cfg: RunConfig, default: str) -> str:
     if getattr(args, "out", None):
         return args.out
     return cfg.raw("experiment", "out", default)
+
+
+def _suspension(cfg: RunConfig) -> SuspensionSystem:
+    m = build_map(cfg)
+    h = build_cantor(cfg)
+    window = cfg.get_int("cantor", "window", 32)
+    if window < 1:
+        raise ConfigError(f"cantor.window must be at least 1, got {window}")
+    return SuspensionSystem(m, h, window)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +122,7 @@ def cmd_hak_verify(args) -> int:
 
 def cmd_suspend_entropy(args) -> int:
     cfg = load_config(args.config, args.override)
-    m = build_map(cfg)
-    h = build_cantor(cfg)
-    window = cfg.get_int("cantor", "window", 32)
+    sys_ = _suspension(cfg)
     seed = cfg.get_int("experiment", "seed", required=True)
     eps_list = cfg.get_floats("experiment", "eps", required=True)
     if any(eps >= 1.0 for eps in eps_list):
@@ -124,8 +130,7 @@ def cmd_suspend_entropy(args) -> int:
     n_list = cfg.get_ints("experiment", "n", required=True)
     # the counts are exact; experiment.budget is only echoed in its column
     budget = cfg.get_int("experiment", "budget", 20000)
-    sys_ = SuspensionSystem(m, h, window)
-    alpha = rotation_number(m)
+    alpha = rotation_number(sys_.H)
     rows = product_formula_report(sys_, alpha, eps_list, n_list, seed)
     out = _out_path(args, cfg, "suspend_entropy.csv")
     _write_csv(out, ["eps", "n", "budget", "lower", "upper", "target", "alpha", "h_entropy"],
@@ -139,15 +144,12 @@ def cmd_suspend_entropy(args) -> int:
 
 def cmd_suspend_orbit(args) -> int:
     cfg = load_config(args.config, args.override)
-    m = build_map(cfg)
-    h = build_cantor(cfg)
-    window = cfg.get_int("cantor", "window", 32)
+    sys_ = _suspension(cfg)
     seed = cfg.get_int("orbit", "seed", required=True)
     t = cfg.get_float("orbit", "t", 0.5)
     r = cfg.get_float("orbit", "r", 0.0)
     n = cfg.get_int("orbit", "n", 32)
-    sys_ = SuspensionSystem(m, h, window)
-    c = random_point(h, seed, window)
+    c = sys_.h.random_point(seed, sys_.window)
     p0 = sys_.point(t, r, c)
     pts = orbit(sys_, p0, n)
     component = sys_.component_index(p0.seed)
@@ -167,19 +169,19 @@ def cmd_mixing_witness(args) -> int:
         h = build_cantor(cfg)
         u = tuple(cfg.get_ints("witness", "u", required=True))
         v = tuple(cfg.get_ints("witness", "v", required=True))
-        found = mixing_witness_symbolic(h, u, v, horizon)
+        try:
+            found = h.mixing_witness(u, v, horizon)
+        except ValueError as exc:  # the message starts with the argument, u or v
+            raise ConfigError(f"witness.{exc}") from exc
     elif mode == "suspension":
-        m = build_map(cfg)
-        h = build_cantor(cfg)
-        window = cfg.get_int("cantor", "window", 32)
-        sys_ = SuspensionSystem(m, h, window)
+        sys_ = _suspension(cfg)
         seed = cfg.get_int("experiment", "seed", required=True)
 
         def ball(key):
             spec = cfg.get_floats("witness", key, required=True)
             if len(spec) != 3:
                 raise ConfigError(f"witness.{key} must be 't,r,seed'")
-            c = random_point(h, int(spec[2]), window)
+            c = sys_.h.random_point(int(spec[2]), sys_.window)
             radius = cfg.get_float("witness", f"{key}_radius", required=True)
             return (normalize(sys_, spec[0], spec[1], c), radius)
 
@@ -199,10 +201,7 @@ def cmd_mixing_witness(args) -> int:
 
 def cmd_dense_orbit(args) -> int:
     cfg = load_config(args.config, args.override)
-    m = build_map(cfg)
-    h = build_cantor(cfg)
-    window = cfg.get_int("cantor", "window", 32)
-    sys_ = SuspensionSystem(m, h, window)
+    sys_ = _suspension(cfg)
     seed = cfg.get_int("dense", "seed", required=True)
     eps = cfg.get_float("dense", "eps", required=True)
     k_max = cfg.get_int("dense", "k_max", 4)
@@ -210,7 +209,7 @@ def cmd_dense_orbit(args) -> int:
     p_max = cfg.get_int("dense", "p_max", 256)
     t = cfg.get_float("orbit", "t", 0.5)
     r = cfg.get_float("orbit", "r", 0.0)
-    c = random_point(h, seed, window)
+    c = sys_.h.random_point(seed, sys_.window)
     hit = dense_orbit_check(sys_, c, (t, r), eps, k_max, s_max, p_max)
     out = _out_path(args, cfg, "dense_orbit.csv")
     if hit is None:

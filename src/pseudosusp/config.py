@@ -11,8 +11,7 @@ from typing import Optional
 
 from .annulus import (HAKStage, LiftedAnnulusMap, Profile, RadialReparam,
                       RigidRotation, Twist, cover_lift)
-from .cantor import (CantorSystem, FullShift, Odometer, SFT, Substitution,
-                     validate_system)
+from .cantor import CantorSystem, FullShift, Odometer, SFT, Substitution
 from .chains import IntervalChain, PLMap
 
 
@@ -151,7 +150,7 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
 def build_cantor(cfg: RunConfig) -> CantorSystem:
     kind = (cfg.raw("cantor", "kind", required=True) or "").strip().lower()
     if kind == "fullshift":
-        sys_ = FullShift(cfg.get_int("cantor", "k", required=True))
+        system, args = FullShift, (cfg.get_int("cantor", "k", required=True),)
     elif kind == "sft":
         k = cfg.get_int("cantor", "k", required=True)
         raw = cfg.raw("cantor", "adjacency", required=True)
@@ -160,7 +159,7 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
         except ValueError as exc:
             raise ConfigError(f"cantor.adjacency must be ';'-separated rows of "
                               f"integers, got {raw!r}") from exc
-        sys_ = SFT(k, rows)
+        system, args = SFT, (k, rows)
     elif kind == "substitution":
         raw = cfg.raw("cantor", "rules", required=True)
         rules: dict[int, tuple[int, ...]] = {}
@@ -174,17 +173,15 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
             except ValueError as exc:
                 raise ConfigError(f"cantor.rules: entry {part!r} is not "
                                   f"'symbol:digits'") from exc
-        sys_ = Substitution(tuple(rules[i] for i in sorted(rules)))
+        system, args = Substitution, (tuple(rules[i] for i in sorted(rules)),)
     elif kind == "odometer":
-        bases = tuple(cfg.get_ints("cantor", "bases", required=True))
-        sys_ = Odometer(bases)
+        system, args = Odometer, (tuple(cfg.get_ints("cantor", "bases", required=True)),)
     else:
         raise ConfigError(f"cantor.kind: unknown kind {kind!r}")
     try:
-        validate_system(sys_)
+        return system(*args)
     except ValueError as exc:
         raise ConfigError(f"cantor section invalid: {exc}") from exc
-    return sys_
 
 
 def build_stages(cfg: RunConfig) -> list[HAKStage]:

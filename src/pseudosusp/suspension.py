@@ -17,10 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annulus import LiftedAnnulusMap
-from .cantor import (CantorSystem, DigitStream, FullShift, GraphPath,
-                     InvalidPointError, Odometer, Periodic, SFT, Substitution,
-                     SymbolSequence, cantor_metric, entropy_exact, random_point,
-                     shift_power, _all_words, _language_words, _substitution_language)
+from .cantor import CantorSystem, SymbolSequence, cantor_metric
 
 
 class CapacityError(RuntimeError):
@@ -66,7 +63,7 @@ def normalize(sys: SuspensionSystem, t: float, r: float, c: SymbolSequence,
     """Fundamental-domain representative: (t, r, c) -> (t, r - k, h^k(c)),
     k = floor(r); ties at integers resolve downward."""
     k = math.floor(r)
-    return SuspensionPoint(t, r - k, shift_power(c, sys.h, k),
+    return SuspensionPoint(t, r - k, sys.h.power(c, k),
                            c if seed is None else seed, winding + k)
 
 
@@ -99,7 +96,7 @@ def quotient_distance(sys: SuspensionSystem, p: SuspensionPoint,
         strip = abs(p.t - q.t) + abs(p.r - (q.r + s))
         if strip >= best:
             continue
-        cd = cantor_metric(p.c, shift_power(q.c, sys.h, -s), sys.window)
+        cd = cantor_metric(p.c, sys.h.power(q.c, -s), sys.window)
         best = min(best, max(strip, cd))
     return best
 
@@ -126,18 +123,6 @@ def depth_for(eps: float) -> int:
     return d
 
 
-def _net_keys(h: CantorSystem, D: int) -> set[tuple[int, ...]]:
-    """All valid centered patterns on |i| <= D (odometer: the first D + 1
-    digits): an eps-net of the Cantor set."""
-    return set(_all_words(h, D + 1 if isinstance(h, Odometer) else 2 * D + 1))
-
-
-def _point_key(c: SymbolSequence, h: CantorSystem, D: int) -> tuple[int, ...]:
-    if isinstance(h, Odometer):
-        return tuple(c.symbol_at(i) for i in range(min(D + 1, len(h.bases))))
-    return tuple(c.symbol_at(i) for i in range(-D, D + 1))
-
-
 def dense_orbit_check(sys: SuspensionSystem, c: SymbolSequence,
                       tr: tuple[float, float], eps: float,
                       k_max: int, s_max: int, p_max: int):
@@ -145,19 +130,20 @@ def dense_orbit_check(sys: SuspensionSystem, c: SymbolSequence,
     the backward k-orbit of c passes eps-close to every Cantor point within p
     steps, and the s-step annulus orbit advances by k per block within eps.
     Returns the first witness triple or None."""
-    D = depth_for(eps)
-    net = _net_keys(sys.h, D)
+    positions = sys.h.positions(depth_for(eps))
+    # every legal pattern at the positions read: an eps-net of the Cantor set
+    net = set(sys.h.words(len(positions)))
     t0, r0 = tr
     for k in range(1, k_max + 1):
         unseen = set(net)
         cur = c
         p_cover = None
         for i in range(p_max + 1):
-            unseen.discard(_point_key(cur, sys.h, D))
+            unseen.discard(tuple(cur.symbol_at(j) for j in positions))
             if not unseen:
                 p_cover = i
                 break
-            cur = shift_power(cur, sys.h, -k)
+            cur = sys.h.power(cur, -k)
         if p_cover is None:
             continue
         for s in range(1, s_max + 1):
@@ -178,44 +164,6 @@ def dense_orbit_check(sys: SuspensionSystem, c: SymbolSequence,
 # weak-mixing witness search
 # ---------------------------------------------------------------------------
 
-def _splice_point(h: CantorSystem, base: SymbolSequence, D: int, rng: random.Random,
-                  W: int) -> SymbolSequence:
-    """A point agreeing with `base` on |i| <= D, varied beyond (admissibly)."""
-    if isinstance(h, Odometer):
-        digits = list(base.extension.digits)
-        for i in range(min(D + 1, len(digits)), len(digits)):
-            digits[i] = rng.randrange(h.bases[i])
-        return SymbolSequence(DigitStream(tuple(digits), h.bases), base.alphabet_size, W)
-    if isinstance(h, FullShift):
-        word = [base.symbol_at(i) if abs(i) <= D else rng.randrange(h.k)
-                for i in range(-W, W + 1)]
-        word = tuple(word)
-        return SymbolSequence(Periodic(word, word, -W), h.k, W)
-    if isinstance(h, SFT):
-        word = [base.symbol_at(i) for i in range(-W, W + 1)]
-        for pos in range(W + D + 1, 2 * W + 1):
-            succ = [q for q, bit in enumerate(h.adjacency[word[pos - 1]]) if bit]
-            word[pos] = succ[rng.randrange(len(succ))]
-        for pos in range(W - D - 1, -1, -1):
-            pred = [q for q in range(h.k) if h.adjacency[q][word[pos + 1]]]
-            word[pos] = pred[rng.randrange(len(pred))]
-        return SymbolSequence(GraphPath(h.adjacency, tuple(word), -W), h.k, W)
-    if isinstance(h, Substitution):
-        # language windows sharing the base core; tails periodic approximants
-        core = tuple(base.symbol_at(i) for i in range(-D, D + 1))
-        lang = _substitution_language(h.rules, 7)
-        hits = []
-        for big in lang:
-            for i in range(W, len(big) - W):
-                if big[i - D:i + D + 1] == core:
-                    hits.append(big[i - W:i + W + 1])
-        if not hits:
-            return base
-        word = hits[rng.randrange(len(hits))]
-        return SymbolSequence(Periodic(word, word, -W), len(h.rules), W)
-    raise TypeError(f"unknown system {h!r}")
-
-
 class QuotientCloud:
     """Points (t, r, h^w(seed)) of the quotient held as arrays, stepped and
     measured all at once with the same floating-point operations as `step`
@@ -223,104 +171,44 @@ class QuotientCloud:
     every distance is bit-identical to theirs.
 
     t and r are float64 and the winding w is int64.  The Cantor coordinate
-    of an odometer point is its digits, carried when w moves; for a shift,
-    SFT or substitution it is one table of the seeds' symbols over an index
-    range that grows when the windings need it, read at i + w.  An SFT table
-    is checked against the adjacency once per growth, in place of the
-    per-shift validation of `shift_power`."""
+    is the system's `table` of the seeds, read at the positions the metric
+    reads: a symbol table for a shift, carried digits for the odometer."""
 
     def __init__(self, sys: SuspensionSystem, points: list[SuspensionPoint]):
-        W = sys.window
         self.sys = sys
         self.alphabet = points[0].c.alphabet_size
         self.t = np.array([p.t for p in points], dtype=np.float64)
         self.r = np.array([p.r for p in points], dtype=np.float64)
         self.w = np.array([p.winding for p in points], dtype=np.int64)
-        self.odometer = isinstance(sys.h, Odometer)
-        if self.odometer:
-            # positions past the digits or below 0 read 0 on every point
-            self.positions = np.arange(min(len(sys.h.bases), W + 1))
-            depth = self.positions
-            self.digits = np.array([[p.c.symbol_at(i) for i in self.positions]
-                                    for p in points], dtype=np.int64)
-        else:
-            # the metric's reading order 0, 1, -1, ..., W, -W
-            self.positions = np.array([0] + [s * m for m in range(1, W + 1)
-                                             for s in (1, -1)])
-            depth = (np.arange(2 * W + 1) + 1) // 2
-            self.seeds = [p.seed for p in points]
-            # an empty table over 0..-1, which the first cover fills
-            self.lo, self.hi = 0, -1
-            self.table = self._columns(0, 0)
-            self._cover()
-        self.scale = np.array([2.0 ** (-int(m)) for m in depth])
-
-    def _cover(self) -> None:
-        """Grow the symbol table to indices w - W .. w + W of every point;
-        each growth adds as many columns again as the table has, so the
-        growths stay few."""
-        W = self.sys.window
-        need_lo, need_hi = int(self.w.min()) - W, int(self.w.max()) + W
-        if self.lo <= need_lo and need_hi <= self.hi:
-            return
-        pad = self.hi - self.lo + 1
-        lo = self.lo if need_lo >= self.lo else need_lo - pad
-        hi = self.hi if need_hi <= self.hi else need_hi + pad
-        self.table = np.hstack([self._columns(lo, self.lo), self.table,
-                                self._columns(self.hi + 1, hi + 1)])
-        self.lo, self.hi = lo, hi
-        h = self.sys.h
-        if isinstance(h, SFT):
-            if ((self.table < 0) | (self.table >= h.k)).any():
-                raise InvalidPointError("window symbol outside alphabet")
-            left, right = self.table[:, :-1], self.table[:, 1:]
-            bad = ~np.array(h.adjacency, dtype=bool)[left, right]
-            if bad.any():
-                j, i = np.argwhere(bad)[0]
-                raise InvalidPointError(f"inadmissible pair ({left[j, i]},{right[j, i]}) "
-                                        "for SFT adjacency")
-
-    def _columns(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([[c.symbol_at(i) for i in range(lo, hi)] for c in self.seeds],
-                        dtype=np.int64)
+        self.positions = np.array(sys.h.positions(sys.window))
+        self.scale = np.array([2.0 ** (-abs(int(i))) for i in self.positions])
+        self.table = sys.h.table([p.seed for p in points], self.positions)
+        self.symbols = self.table.read(self.w)
 
     def step(self) -> None:
         t, r = self.sys.H.apply(self.t, self.r)
         k = np.floor(r)
         self.t, self.r = t, r - k
-        k = k.astype(np.int64)
-        self.w += k
-        if self.odometer:
-            # mixed-radix addition; the carry past the last digit is dropped
-            for i, b in enumerate(self.sys.h.bases[:len(self.positions)]):
-                if not k.any():
-                    break
-                k, self.digits[:, i] = np.divmod(self.digits[:, i] + k, b)
-        else:
-            self._cover()
+        self.w += k.astype(np.int64)
+        self.symbols = self.table.read(self.w)
 
     def target(self, q: SuspensionPoint):
         """q with the symbols of h^-s(q.c), s = -1, 0, 1, at the positions
         the metric reads, for `distances`."""
         if q.c.alphabet_size != self.alphabet:
             raise ValueError("points live over different alphabets")
-        rows = np.array([[shift_power(q.c, self.sys.h, -s).symbol_at(int(i))
+        rows = np.array([[self.sys.h.power(q.c, -s).symbol_at(int(i))
                           for i in self.positions] for s in (-1, 0, 1)])
         return q.t, q.r, rows
 
     def distances(self, target) -> np.ndarray:
-        """`quotient_distance` from every point to the target's point."""
+        """`quotient_distance` from every point to the target's point: the
+        cylinder term is the scale of the nearest mismatch, or 0."""
         qt, qr, rows = target
-        if self.odometer:
-            syms = self.digits
-        else:
-            cols = (self.w - self.lo)[:, None] + self.positions[None, :]
-            syms = np.take_along_axis(self.table, cols, axis=1)
         best = np.full(len(self.t), math.inf)
         for s, row in zip((-1, 0, 1), rows):
             strip = np.abs(self.t - qt) + np.abs(self.r - (qr + s))
-            mismatch = syms != row
-            cd = np.where(mismatch.any(axis=1), self.scale[mismatch.argmax(axis=1)], 0.0)
+            cd = np.where(self.symbols != row, self.scale, 0.0).max(axis=1)
             best = np.minimum(best, np.maximum(strip, cd))
         return best
 
@@ -341,7 +229,7 @@ def weak_mixing_witness(sys: SuspensionSystem, U: tuple[SuspensionPoint, float],
     for _ in range(cloud_size):
         dt = (rng.random() - 0.5) * ru / 2
         dr = (rng.random() - 0.5) * ru / 2
-        c = _splice_point(sys.h, cu.c, D, rng, sys.window)
+        c = sys.h.splice(cu.c, D, rng, sys.window)
         p = normalize(sys, min(1.0, max(0.0, cu.t + dt)), cu.r + dr, c)
         if quotient_distance(sys, p, cu) < ru:
             cloud.append(p)
@@ -364,7 +252,7 @@ def rigidity_suspension(sys: SuspensionSystem, grid: int, horizon: int,
                         eps: float, seed: int = 0) -> list[tuple[int, float]]:
     """All n <= horizon with sup quotient displacement < eps over a grid of
     start points sharing one seeded Cantor coordinate."""
-    c0 = random_point(sys.h, seed, sys.window)
+    c0 = sys.h.random_point(seed, sys.window)
     t0 = np.linspace(0.05, 0.95, grid)
     r0 = np.linspace(0.0, 1.0, grid, endpoint=False)
     tt, rr = np.meshgrid(t0, r0, indexing="ij")
@@ -377,8 +265,7 @@ def rigidity_suspension(sys: SuspensionSystem, grid: int, horizon: int,
         # shift-invariant, so cache per (w, s) pair
         key = (w, s)
         if key not in wdist:
-            wdist[key] = cantor_metric(shift_power(c0, sys.h, w),
-                                       shift_power(c0, sys.h, -s), sys.window)
+            wdist[key] = cantor_metric(sys.h.power(c0, w), sys.h.power(c0, -s), sys.window)
         return wdist[key]
 
     qualifying = []
@@ -426,88 +313,27 @@ def _seen_positions(sys: SuspensionSystem, scale: float, n: int) -> tuple[int, l
     return D, sorted({p for w in windings for p in range(w - D, w + D + 1)})
 
 
-def _reach(adjacency, steps: int) -> np.ndarray:
-    """0/1 matrix: (A^steps > 0), without the growth of A^steps."""
-    a = np.array(adjacency, dtype=bool).astype(np.int64)
-    out = np.identity(len(a), dtype=np.int64)
-    for _ in range(steps):
-        out = np.minimum(out @ a, 1)
-    return out
-
-
-def _fillings(adjacency, steps: list[int]) -> list[int]:
-    """Entry a: the admissible fillings of the seen positions past a core
-    edge holding symbol a, where `steps` are the distances between
-    consecutive seen positions going outward; a step g > 1 crosses unseen
-    positions and enters as (A^g > 0).  Exact integers."""
-    count = [1] * len(adjacency)
-    for g in reversed(steps):
-        count = [sum(c for c, bit in zip(count, row) if bit) for row in _reach(adjacency, g)]
-    return count
-
-
 def _cylinder_counts(sys: SuspensionSystem, scale: float, n: int) -> tuple[int, dict]:
-    """D, and the Bowen class count of every scale-cylinder, keyed by
-    `_cylinder_key` (what the count depends on).
+    """D, and the Bowen class count of every scale-cylinder, keyed by the
+    system's `core_key` (what the count depends on).
 
     Every point of the Bowen sample shares the annulus orbit of (0.5, 0.0),
     so the strip term of a pair under deck shift s is |s|, at least
     1 - 2^-53 for s = +-1 in floating point.  At a scale below 1 only s = 0
     counts, and two points of one cylinder are Bowen-close exactly when they
     agree on the seen positions S: the count is the number of admissible
-    fillings of the free positions, S minus the core [-D, D], f_R of them on
-    the right and f_L on the left.
-
-    - Full shift: k^(f_R + f_L), whatever the core.
-    - SFT: the row sum of A^(f_R) at the core's right symbol times the column
-      sum of A^(f_L) at its left symbol; a gap in S of g positions enters as
-      (A^g > 0).  Keyed by the core's end symbols.
-    - Odometer: 1.  An identity, not a sample: the windows compare the first
-      D + 1 digits of value + w_i, i.e. value + w_i modulo the product of
-      the first D + 1 bases, and every point of the cylinder has the same
-      value modulo that product.
-    - Substitution: the distinct restrictions to S of the language words on
-      the span of S whose core is the cylinder's.  Keyed by the core."""
+    fillings of the free positions, S minus the core [-D, D], which the
+    system's `class_counts` gives exactly."""
     D, seen = _seen_positions(sys, scale, n)
-    h = sys.h
-    if isinstance(h, Odometer):
-        return D, {(): 1}
-    right = [p for p in seen if p >= D]
-    left = [p for p in reversed(seen) if p <= -D]
-    if isinstance(h, FullShift):
-        return D, {(): h.k ** (len(right) + len(left) - 2)}
-    if isinstance(h, SFT):
-        rows = _fillings(h.adjacency, [b - a for a, b in zip(right, right[1:])])
-        transposed = tuple(zip(*h.adjacency))
-        cols = _fillings(transposed, [a - b for a, b in zip(left, left[1:])])
-        joined = _reach(h.adjacency, 2 * D)
-        return D, {(b, a): cols[b] * rows[a]
-                   for b in range(h.k) for a in range(h.k) if joined[b][a]}
-    if isinstance(h, Substitution):
-        lo = seen[0]
-        picks = [p - lo for p in seen]
-        restrictions: dict[tuple[int, ...], set] = {}
-        for word in _language_words(h.rules, seen[-1] - lo + 1):
-            core = word[-D - lo:D - lo + 1]
-            restrictions.setdefault(core, set()).add(tuple(word[i] for i in picks))
-        return D, {core: len(r) for core, r in restrictions.items()}
-    raise TypeError(f"unknown system {h!r}")
-
-
-def _cylinder_key(h: CantorSystem, c: SymbolSequence, D: int) -> tuple[int, ...]:
-    if isinstance(h, SFT):
-        return (c.symbol_at(-D), c.symbol_at(D))
-    if isinstance(h, Substitution):
-        return tuple(c.symbol_at(i) for i in range(-D, D + 1))
-    return ()
+    return D, sys.h.class_counts(D, seen)
 
 
 def entropy_separated(sys: SuspensionSystem, eps: float, n: int, seed: int) -> float:
     """Lower entropy estimate: (1/n) log of the Bowen class count at scale
     eps on the cylinder of the seeded base point."""
     D, counts = _cylinder_counts(sys, eps, n)
-    base = random_point(sys.h, seed * 7 + 1, sys.window)
-    return math.log(counts[_cylinder_key(sys.h, base, D)]) / n
+    base = sys.h.random_point(seed * 7 + 1, sys.window)
+    return math.log(counts[sys.h.core_key(base, D)]) / n
 
 
 def entropy_spanning(sys: SuspensionSystem, eps: float, n: int) -> float:
@@ -543,7 +369,7 @@ def product_formula_report(sys: SuspensionSystem, alpha: float,
                            eps_list: list[float], n_list: list[int],
                            seed: int) -> list[ProductFormulaRow]:
     """Estimate table against the product target |alpha| * h_top(h)."""
-    h_ent = entropy_exact(sys.h)
+    h_ent = sys.h.entropy_exact()
     target = abs(alpha) * h_ent
     rows = []
     for eps in eps_list:

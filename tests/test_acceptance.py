@@ -11,7 +11,7 @@ from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam,
                                 RigidRotation, Twist,
                                 conjugacy_invariance_check, hak_verify,
                                 rotation_estimate, rotation_family)
-from pseudosusp.cantor import FullShift, Odometer, random_point
+from pseudosusp.cantor import FullShift, Odometer
 from pseudosusp.chains import (full_branch_middle_map, horseshoe_extract, kfold,
                                pattern_validate, tent_map, tent_seven_chain,
                                transition_entropy, uniform_seven_chain)
@@ -20,7 +20,7 @@ from pseudosusp.config import build_stages, load_config
 from pseudosusp.suspension import (SuspensionSystem, entropy_separated,
                                    entropy_spanning, normalize, step,
                                    winding_rate)
-from pseudosusp.cantor import cantor_metric, shift_power
+from pseudosusp.cantor import cantor_metric
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -101,7 +101,7 @@ def test_criterion_3_rotation_convergence():
     composite = LiftedAnnulusMap((RigidRotation(0.3),
                                   Twist(Profile(((0.0, 0.11), (1.0, 0.4))))))
     sys_ = SuspensionSystem(composite, FullShift(2), 32)
-    c = random_point(sys_.h, 7, 32)
+    c = sys_.h.random_point(7, 32)
     rates = winding_rate(sys_, sys_.point(0.0, 0.0, c), 10_000)
     ests = rotation_estimate(composite, 0.0, 0.0, 10_000)
     worst_gap = max(abs(rate - est) * k
@@ -152,13 +152,13 @@ def test_criterion_5_quotient_algebra():
     sys_ = SuspensionSystem(rot(0.6), FullShift(2), 32)
     rng = random.Random(77)
     ok = True
-    seed_pts = [random_point(sys_.h, s, 32) for s in range(40)]
+    seed_pts = [sys_.h.random_point(s, 32) for s in range(40)]
     for i in range(1000):
         c = seed_pts[i % 40]
         t, r = rng.random(), rng.uniform(-2.5, 2.5)
         ref = normalize(sys_, t, r, c)
         m = (i % 7) - 3
-        other = normalize(sys_, t, r + m, shift_power(c, sys_.h, -m))
+        other = normalize(sys_, t, r + m, sys_.h.power(c, -m))
         ok &= other.t == ref.t and abs(other.r - ref.r) < 1e-9
         ok &= cantor_metric(other.c, ref.c, 8) == 0.0
 

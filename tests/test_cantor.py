@@ -14,12 +14,12 @@ from pseudosusp import cantor
 from pseudosusp.cantor import (DigitStream, FullShift, GraphPath, InvalidPointError,
                                Odometer, Periodic,
                                ReducibleSFTWarning, SFT, Substitution,
-                               SymbolSequence, cantor_metric, entropy_exact,
-                               golden_mean_sft, mixing_witness_symbolic,
-                               random_point, recurrence_profile, shift_backward,
-                               shift_forward, thue_morse, validate_system,
-                               _odometer_add)
+                               SymbolSequence, cantor_metric,
+                               golden_mean_sft, recurrence_profile, thue_morse,
+                               _language_words, _odometer_add)
 
+# `test_system_contract` runs over this list: a new system class is tested
+# by adding it here
 ALL_SYSTEMS = [
     FullShift(2),
     FullShift(4),
@@ -43,22 +43,22 @@ def test_fullshift_moves_marker_left():
     word = (0,) * 8 + (1,) + (0,) * 8
     c = SymbolSequence(Periodic(word, word, -8), 2, 8)
     assert c.symbol_at(0) == 1
-    c2 = shift_forward(c, FullShift(2))
+    c2 = FullShift(2).power(c, 1)
     assert c2.symbol_at(-1) == 1 and c2.symbol_at(0) == 0
 
 
 def test_odometer_add_examples():
     o = Odometer((2, 2, 2))
     c = SymbolSequence(DigitStream((1, 1, 1), (2, 2, 2)), 2, 8)
-    assert shift_forward(c, o).extension.digits == (0, 0, 0)
+    assert o.power(c, 1).extension.digits == (0, 0, 0)
 
     o23 = Odometer((2, 3))
     c = SymbolSequence(DigitStream((1, 2), (2, 3)), 3, 8)
-    assert shift_forward(c, o23).extension.digits == (0, 0)
+    assert o23.power(c, 1).extension.digits == (0, 0)
 
     o22 = Odometer((2, 2))
     c = SymbolSequence(DigitStream((0, 0), (2, 2)), 2, 8)
-    assert shift_backward(c, o22).extension.digits == (1, 1)
+    assert o22.power(c, -1).extension.digits == (1, 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -74,8 +74,8 @@ def test_odometer_add_is_an_action_of_the_integers(bases, data, a, b):
 
 def test_backward_path_stays_admissible():
     sft = golden_mean_sft()
-    c = random_point(sft, 3, 8)
-    back = shift_backward(c, sft)
+    c = sft.random_point(3, 8)
+    back = sft.power(c, -1)
     w = back.window
     assert all(sft.adjacency[a][b] for a, b in zip(w, w[1:]))
 
@@ -103,8 +103,8 @@ def test_sft_refill_maps_are_built_once_per_adjacency():
 def test_forward_backward_identity_many_points():
     for sys_ in ALL_SYSTEMS:
         for seed in range(0, 1000, 6):
-            c = random_point(sys_, seed, 8)
-            back = shift_backward(shift_forward(c, sys_), sys_)
+            c = sys_.random_point(seed, 8)
+            back = sys_.power(sys_.power(c, 1), -1)
             for i in range(-7, 8):
                 assert back.symbol_at(i) == c.symbol_at(i)
 
@@ -135,7 +135,7 @@ def test_metric_examples():
 
 
 def test_metric_is_ultrametric_on_samples():
-    pts = [random_point(FullShift(2), s, 8) for s in range(30)]
+    pts = [FullShift(2).random_point(s, 8) for s in range(30)]
     for i in range(0, 30, 3):
         for j in range(1, 30, 4):
             for k in range(2, 30, 5):
@@ -152,16 +152,16 @@ def test_metric_is_ultrametric_on_samples():
 # ---------------------------------------------------------------------------
 
 def test_entropy_exact_values():
-    assert entropy_exact(FullShift(2)) == math.log(2)
-    assert entropy_exact(FullShift(4)) == math.log(4)
-    assert entropy_exact(Odometer((2, 3, 2))) == 0.0
-    assert entropy_exact(thue_morse()) == 0.0
+    assert FullShift(2).entropy_exact() == math.log(2)
+    assert FullShift(4).entropy_exact() == math.log(4)
+    assert Odometer((2, 3, 2)).entropy_exact() == 0.0
+    assert thue_morse().entropy_exact() == 0.0
 
 
 def test_golden_mean_entropy_against_root_oracle():
     # oracle: the growth rate solves x^2 = x + 1
     phi = (1 + math.sqrt(5)) / 2
-    val = entropy_exact(golden_mean_sft())
+    val = golden_mean_sft().entropy_exact()
     assert val == pytest.approx(math.log(phi), abs=1e-9)
     assert val == pytest.approx(0.481212, abs=1e-6)
 
@@ -182,13 +182,13 @@ def count_words(adjacency, n):
 def test_sft_entropy_matches_word_growth(sys_):
     n = 14
     growth = math.log(count_words(sys_.adjacency, n)) / n
-    assert abs(entropy_exact(sys_) - growth) < 0.02
+    assert abs(sys_.entropy_exact() - growth) < 0.02
 
 
 def test_reducible_sft_warns_but_returns():
     reducible = SFT(2, ((1, 0), (0, 1)))
     with pytest.warns(ReducibleSFTWarning):
-        val = entropy_exact(reducible)
+        val = reducible.entropy_exact()
     assert val == pytest.approx(0.0, abs=1e-9)
 
 
@@ -198,18 +198,18 @@ def test_reducible_sft_warns_but_returns():
 
 def test_random_point_deterministic_and_valid():
     for sys_ in ALL_SYSTEMS:
-        a = random_point(sys_, 99, 8)
-        b = random_point(sys_, 99, 8)
+        a = sys_.random_point(99, 8)
+        b = sys_.random_point(99, 8)
         assert a.window == b.window
-        a.validate()
-    fs = random_point(FullShift(2), 1, 8)
+        assert sys_.contains(tuple(a.symbol_at(i) for i in sys_.positions(8)))
+    fs = FullShift(2).random_point(1, 8)
     assert len(fs.window) == 17
 
 
 def test_sft_random_point_admissible():
     sft = golden_mean_sft()
     for seed in range(20):
-        w = random_point(sft, seed, 8).window
+        w = sft.random_point(seed, 8).window
         assert all(sft.adjacency[a][b] for a, b in zip(w, w[1:]))
 
 
@@ -222,7 +222,7 @@ def test_odometer_orbit_period_is_product_of_bases():
                               max(bases), 8)
         c = zero
         for step in range(1, total + 1):
-            c = shift_forward(c, sys_)
+            c = sys_.power(c, 1)
             if c.extension.digits == zero.extension.digits:
                 assert step == total
                 break
@@ -259,12 +259,16 @@ def test_recurrence_constant_sequence():
 
 
 def test_mixing_witness_fullshift():
-    assert mixing_witness_symbolic(FullShift(2), (0,), (1,), 8) == 1
+    assert FullShift(2).mixing_witness((0,), (1,), 8) == 1
+    # an empty cylinder has no witness: u and v must be nonempty words
+    for u, v in (((5,), (0,)), ((0,), (2,)), ((), (0,)), ((0,), ())):
+        with pytest.raises(ValueError, match="nonempty word"):
+            FullShift(2).mixing_witness(u, v, 8)
 
 
 def test_mixing_witness_golden_mean_with_power_oracle():
     sft = golden_mean_sft()
-    got = mixing_witness_symbolic(sft, (1,), (1,), 16)
+    got = sft.mixing_witness((1,), (1,), 16)
     # oracle: first n >= 1 with A^n[1][1] > 0
     a = np.array(sft.adjacency)
     p = a.copy()
@@ -275,11 +279,13 @@ def test_mixing_witness_golden_mean_with_power_oracle():
             break
         p = p @ a
     assert got == expect == 2
+    with pytest.raises(ValueError, match="u must be"):
+        sft.mixing_witness((1, 1), (1,), 16)
 
 
 def test_mixing_witness_thue_morse_with_enumeration_oracle():
     tm = thue_morse()
-    got = mixing_witness_symbolic(tm, (0, 0), (1, 1), 32)
+    got = tm.mixing_witness((0, 0), (1, 1), 32)
     # oracle: independent language enumeration to substitution depth 6
     words = []
     for a in range(2):
@@ -296,22 +302,78 @@ def test_mixing_witness_thue_morse_with_enumeration_oracle():
                         best = j - i if best is None else min(best, j - i)
     assert got == best
     assert got is not None and got <= 32
+    for u, v in (((5, 5), (1, 1)), ((0, 0, 0), (1,)), ((0,), (1, 1, 1))):
+        with pytest.raises(ValueError, match="nonempty word"):
+            tm.mixing_witness(u, v, 32)
 
 
 def test_odometer_witness_prefix_arithmetic():
     sys_ = Odometer((2, 2))
     # [00] meets the n-step preimage of [10] first at n = 1
-    assert mixing_witness_symbolic(sys_, (0, 0), (1, 0), 8) == 1
+    assert sys_.mixing_witness((0, 0), (1, 0), 8) == 1
     # and of [01] first at n = 2
-    assert mixing_witness_symbolic(sys_, (0, 0), (0, 1), 8) == 2
+    assert sys_.mixing_witness((0, 0), (0, 1), 8) == 2
+    for u in ((3,), (0, 0, 0), ()):
+        with pytest.raises(ValueError, match="u must be"):
+            Odometer((2, 2)).mixing_witness(u, (0,), 8)
+    with pytest.raises(ValueError, match="u must be"):
+        Odometer((2, 2, 2)).mixing_witness((3,), (0,), 8)
 
 
-def test_validate_system_rejects_bad_configs():
+def test_constructors_reject_bad_configs():
     with pytest.raises(ValueError):
-        validate_system(FullShift(1))
+        FullShift(1)
     with pytest.raises(ValueError):
-        validate_system(SFT(2, ((0, 0), (1, 1))))
+        SFT(2, ((0, 0), (1, 1)))
     with pytest.raises(ValueError):
-        validate_system(Odometer((1, 2)))
+        Odometer((1, 2))
     with pytest.raises(ValueError):
-        validate_system(Substitution(((0,), (1,))))  # not primitive
+        Substitution(((0,), (1,)))  # not primitive
+
+
+# ---------------------------------------------------------------------------
+# the contract every system class keeps
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("h", ALL_SYSTEMS, ids=repr)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), a=st.integers(-40, 40), b=st.integers(-40, 40),
+       W=st.integers(2, 10), D=st.integers(0, 2), L=st.integers(0, 5))
+def test_system_contract(h, seed, a, b, W, D, L):
+    c = h.random_point(seed, W)
+    # h^a . h^b = h^(a+b) and h^-w . h^w = id, on the window
+    assert h.power(h.power(c, b), a).window == h.power(c, a + b).window
+    assert h.power(h.power(c, a), -a).window == c.window
+
+    # the pattern at the positions the metric reads to depth D is a word of
+    # the system, for the seeded point moved anywhere within its window
+    positions = h.positions(D)
+    words = set(h.words(len(positions)))
+    for j in range(D - W, W - D + 1):
+        assert tuple(h.power(c, j).symbol_at(i) for i in positions) in words
+
+    # the words are legal, and each extends to a longer one
+    shorter = h.words(L)
+    assert all(h.contains(w) for w in shorter)
+    assert set(shorter) <= {w[:L] for w in h.words(L + 1)}
+
+
+class Pick:
+    """Stands in for the rng of one draw, which returns index i."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def randrange(self, n):
+        return self.i
+
+
+def test_thue_morse_splice_draws_every_legal_window():
+    tm, W = thue_morse(), 32
+    language = _language_words(tm.rules, 2 * W + 1)
+    for seed, D in ((1, 0), (2, 3), (5, 6), (8, 9)):
+        base = tm.random_point(seed, W)
+        core = base.window[W - D:W + D + 1]
+        legal = {w for w in language if w[W - D:W + D + 1] == core}
+        drawn = {tm.splice(base, D, Pick(i), W).window for i in range(len(legal))}
+        assert drawn == legal

@@ -124,7 +124,7 @@ def test_missing_config_and_keys(tmp_path):
     assert run(["rotation", "-c", str(nomap)]) == 3
 
 
-def test_mixing_witness_modes(tmp_path):
+def test_mixing_witness_modes(tmp_path, capsys):
     out = tmp_path / "w.csv"
     assert run(["mixing-witness", "-c", fixture_path("golden_mean.ini"),
                 "--out", str(out)]) == 0
@@ -132,6 +132,21 @@ def test_mixing_witness_modes(tmp_path):
     assert run(["mixing-witness", "-c", fixture_path("thue_morse.ini"),
                 "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1] == "symbolic,32,1,2"
+    # an empty cylinder is a config error, not a search without a witness
+    symbolic = ["--override", "witness.mode=symbolic"]
+    for fixture, overrides, key in (
+            ("thue_morse.ini", ["witness.u=5,5"], "witness.u"),
+            ("thue_morse.ini", ["witness.v=1,1,1"], "witness.v"),
+            ("golden_mean.ini", ["witness.u=1,1"], "witness.u"),
+            ("golden_mean.ini", ["witness.u="], "witness.u"),
+            ("witness_fullshift.ini", ["witness.u=5", "witness.v=0"], "witness.u"),
+            ("odometer_222.ini", ["witness.u=3", "witness.v=0"], "witness.u")):
+        capsys.readouterr()
+        argv = ["mixing-witness", "-c", fixture_path(fixture), *symbolic]
+        for override in overrides:
+            argv += ["--override", override]
+        assert run(argv + ["--out", str(out)]) == 3
+        assert key in capsys.readouterr().err
 
 
 def test_unparsable_cantor_and_map_values_name_their_key(tmp_path, capsys):
@@ -151,18 +166,25 @@ def test_unparsable_cantor_and_map_values_name_their_key(tmp_path, capsys):
 
 
 def test_mixing_witness_rejects_empty_cloud(tmp_path, capsys):
-    assert run(["mixing-witness", "-c", fixture_path("witness_fullshift.ini"),
-                "--override", "witness.cloud=0",
-                "--out", str(tmp_path / "w.csv")]) == 3
-    assert "witness.cloud" in capsys.readouterr().err
+    for override in ("witness.cloud=0", "cantor.window=0"):
+        capsys.readouterr()
+        assert run(["mixing-witness", "-c", fixture_path("witness_fullshift.ini"),
+                    "--override", override,
+                    "--out", str(tmp_path / "w.csv")]) == 3
+        assert override.split("=")[0] in capsys.readouterr().err
 
 
-def test_dense_orbit_cli(tmp_path):
+def test_dense_orbit_cli(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert run(["dense-orbit", "-c", fixture_path("dense_demo.ini"),
                 "--out", str(out)]) == 0
     row = out.read_text().splitlines()[1]
     assert row.startswith("1,")
+    for window in ("-1", "0"):
+        capsys.readouterr()
+        assert run(["dense-orbit", "-c", fixture_path("dense_demo.ini"),
+                    "--override", f"cantor.window={window}", "--out", str(out)]) == 3
+        assert "cantor.window" in capsys.readouterr().err
 
 
 def test_render_cli(tmp_path, capsys):

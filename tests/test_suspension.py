@@ -17,9 +17,7 @@ from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RigidRotation, Twist,
                                 rotation_estimate)
 from pseudosusp.cantor import (DigitStream, FullShift, GraphPath, InvalidPointError,
                                Odometer, Periodic, SFT, Substitution, SymbolSequence,
-                               cantor_metric, golden_mean_sft, random_point, shift_power,
-                               thue_morse, _all_words, _language_words)
-from pseudosusp import suspension
+                               cantor_metric, golden_mean_sft, thue_morse, _language_words)
 from pseudosusp.suspension import (CapacityError, QuotientCloud, SuspensionSystem,
                                    dense_orbit_check,
                                    depth_for, entropy_separated,
@@ -51,7 +49,7 @@ CLOUD_MAPS = [
 
 def test_normalize_examples():
     sys_ = make_sys()
-    c = random_point(sys_.h, 4, 32)
+    c = sys_.h.random_point(4, 32)
     p = normalize(sys_, 0.3, 2.7, c)
     assert (p.t, p.winding) == (0.3, 2)
     assert p.r == pytest.approx(0.7)
@@ -66,7 +64,7 @@ def test_normalize_examples():
 
 def test_step_example_and_identity():
     sys6 = make_sys(0.6)
-    c = random_point(sys6.h, 4, 32)
+    c = sys6.h.random_point(4, 32)
     p = sys6.point(0.2, 0.9, c)
     q = step(sys6, p)
     assert q.t == 0.2 and q.r == pytest.approx(0.5) and q.winding == 1
@@ -84,7 +82,7 @@ def test_winding_closed_form():
     # so the floor comparison is float-safe
     alpha, r0 = 0.37, 0.215
     sys_ = make_sys(alpha)
-    p = sys_.point(0.5, r0, random_point(sys_.h, 9, 32))
+    p = sys_.point(0.5, r0, sys_.h.random_point(9, 32))
     for k in range(1, 200):
         p = step(sys_, p)
         assert p.winding == math.floor(k * alpha + r0)
@@ -92,28 +90,28 @@ def test_winding_closed_form():
 
 def test_quotient_distance_examples():
     sys_ = make_sys()
-    c = random_point(sys_.h, 12, 32)
+    c = sys_.h.random_point(12, 32)
     p = sys_.point(0.5, 0.2, c)
     assert quotient_distance(sys_, p, p) == 0.0
 
     # representatives related by the gluing relation are at distance zero
     # (up to the float rounding of r + 1)
-    q_shifted = normalize(sys_, 0.5, 1.2, shift_power(c, sys_.h, -1))
+    q_shifted = normalize(sys_, 0.5, 1.2, sys_.h.power(c, -1))
     assert quotient_distance(sys_, p, q_shifted) == pytest.approx(0.0, abs=1e-12)
 
     a = normalize(sys_, 0.5, 0.99, c)
-    b = normalize(sys_, 0.5, 0.01, shift_power(c, sys_.h, 1))
+    b = normalize(sys_, 0.5, 0.01, sys_.h.power(c, 1))
     assert quotient_distance(sys_, a, b) == pytest.approx(0.02)
 
 
 def test_quotient_well_definedness_sweep():
     sys_ = make_sys()
     for seed in range(0, 1000, 7):
-        c = random_point(sys_.h, seed, 32)
+        c = sys_.h.random_point(seed, 32)
         t, r = (seed % 17) / 17.0, (seed % 13) / 13.0
         ref = normalize(sys_, t, r, c)
         for m in range(-3, 4):
-            other = normalize(sys_, t, r + m, shift_power(c, sys_.h, -m))
+            other = normalize(sys_, t, r + m, sys_.h.power(c, -m))
             assert other.t == ref.t
             assert other.r == pytest.approx(ref.r, abs=1e-12)
             assert cantor_metric(other.c, ref.c, 8) == 0.0
@@ -122,7 +120,7 @@ def test_quotient_well_definedness_sweep():
 def test_step_normalize_commutation():
     sys_ = make_sys(0.6)
     for seed in range(0, 200, 3):
-        c = random_point(sys_.h, seed, 32)
+        c = sys_.h.random_point(seed, 32)
         t, r = (seed % 11) / 11.0, (seed % 19) / 6.0 - 1.5
         before = step(sys_, normalize(sys_, t, r, c))
         t2, r2 = sys_.H.apply(t, r)
@@ -144,9 +142,9 @@ def test_normalize_trades_deck_shift_for_power(h, seed, t, r, m):
     # against c, its Cantor coordinate sits at winding -m
     assume(math.floor(r + m) == math.floor(r) + m)  # r + m may round onto an integer
     sys_ = SuspensionSystem(rot(0.5), h, 16)
-    c = random_point(h, seed, 16)
+    c = h.random_point(seed, 16)
     ref = normalize(sys_, t, r, c)
-    other = normalize(sys_, t, r + m, shift_power(c, h, -m), seed=c, winding=-m)
+    other = normalize(sys_, t, r + m, h.power(c, -m), seed=c, winding=-m)
     assert other.t == ref.t and other.winding == ref.winding
     assert other.c.window == ref.c.window
     assert other.r == pytest.approx(ref.r, abs=1e-12)
@@ -157,7 +155,7 @@ def test_normalize_trades_deck_shift_for_power(h, seed, t, r, m):
        seed=st.integers(0, 10 ** 6), t=st.floats(0.0, 1.0), r=st.floats(-3.0, 3.0))
 def test_step_commutes_with_normalize(h, m, seed, t, r):
     sys_ = SuspensionSystem(CLOUD_MAPS[m], h, 16)
-    c = random_point(h, seed, 16)
+    c = h.random_point(seed, 16)
     t2, r2 = (float(x) for x in sys_.H.apply(t, r))
     assume(abs(r2 - round(r2)) > 1e-9)  # both orders round to the same floor
     before = step(sys_, normalize(sys_, t, r, c))
@@ -169,7 +167,7 @@ def test_step_commutes_with_normalize(h, m, seed, t, r):
 
 def test_pseudo_component_conserved_and_fiber_preserved():
     sys_ = make_sys(0.53)
-    c = random_point(sys_.h, 5, 32)
+    c = sys_.h.random_point(5, 32)
     p = sys_.point(0.3, 0.8, c)
     seed_obj = p.seed
     cur = p
@@ -185,7 +183,7 @@ def test_pseudo_component_conserved_and_fiber_preserved():
 @pytest.mark.parametrize("m", CLOUD_MAPS + [rot(-0.37)], ids=["half", "golden", "twist", "back"])
 def test_orbit_equals_stepped_points(m):
     sys_ = SuspensionSystem(m, golden_mean_sft(), 32)
-    p = sys_.point(0.3, 0.8, random_point(sys_.h, 5, 32))
+    p = sys_.point(0.3, 0.8, sys_.h.random_point(5, 32))
     points = [p]
     for _ in range(60):
         points.append(step(sys_, points[-1]))
@@ -194,7 +192,7 @@ def test_orbit_equals_stepped_points(m):
 
 def test_winding_rate_examples():
     sys_ = make_sys(0.5)
-    c = random_point(sys_.h, 2, 32)
+    c = sys_.h.random_point(2, 32)
     rates = winding_rate(sys_, sys_.point(0.5, 0.0, c), 10)
     assert rates[-1] == (10, 0.5)
 
@@ -208,7 +206,7 @@ def test_winding_rate_agrees_with_rotation_estimate():
     m = LiftedAnnulusMap((RigidRotation(0.3),
                           Twist(Profile(((0.0, 0.11), (1.0, 0.4))))))
     sys_ = SuspensionSystem(m, FullShift(2), 32)
-    c = random_point(sys_.h, 3, 32)
+    c = sys_.h.random_point(3, 32)
     rates = winding_rate(sys_, sys_.point(0.0, 0.0, c), 500)
     ests = rotation_estimate(m, 0.0, 0.0, 500)
     for (k, rate), (_, est) in zip(rates, ests):
@@ -272,7 +270,7 @@ def test_dense_orbit_odometer_coprime():
 
 def test_dense_orbit_negative_control():
     sys_ = SuspensionSystem(rot(math.sqrt(2) / 2), FullShift(2), 32)
-    c = random_point(sys_.h, 8, 32)
+    c = sys_.h.random_point(8, 32)
     assert dense_orbit_check(sys_, c, (0.5, 0.0), 0.05, 2, 3, 60) is None
 
 
@@ -282,8 +280,8 @@ def test_dense_orbit_negative_control():
 
 def test_weak_mixing_witness_found_for_mixing_shift():
     sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
-    cu = random_point(sys_.h, 3, 32)
-    cv = random_point(sys_.h, 9, 32)
+    cu = sys_.h.random_point(3, 32)
+    cv = sys_.h.random_point(9, 32)
     U = (sys_.point(0.5, 0.10, cu), 0.3)
     V = (sys_.point(0.5, 0.35, cv), 0.3)
     l = weak_mixing_witness(sys_, U, V, 64, seed=11)
@@ -292,7 +290,7 @@ def test_weak_mixing_witness_found_for_mixing_shift():
 
 def test_weak_mixing_witness_self_ball():
     sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
-    cu = random_point(sys_.h, 3, 32)
+    cu = sys_.h.random_point(3, 32)
     U = (sys_.point(0.5, 0.10, cu), 0.3)
     l = weak_mixing_witness(sys_, U, U, 16, seed=7)
     assert l == 2
@@ -300,7 +298,7 @@ def test_weak_mixing_witness_self_ball():
 
 def test_weak_mixing_witness_odometer_negative():
     sys_ = SuspensionSystem(rot(0.3819660112501051), Odometer((2, 2, 2)), 32)
-    c = random_point(sys_.h, 1, 32)
+    c = sys_.h.random_point(1, 32)
     U = (sys_.point(0.5, 0.10, c), 0.05)
     V = (sys_.point(0.5, 0.60, c), 0.05)
     assert weak_mixing_witness(sys_, U, V, 40, seed=11) is None
@@ -308,18 +306,18 @@ def test_weak_mixing_witness_odometer_negative():
 
 def test_weak_mixing_witness_seeds_the_given_cloud(monkeypatch):
     sys_ = SuspensionSystem(rot(0.3819660112501051), Odometer((2, 2, 2)), 32)
-    c = random_point(sys_.h, 1, 32)
+    c = sys_.h.random_point(1, 32)
     U = (sys_.point(0.5, 0.10, c), 0.05)
     V = (sys_.point(0.5, 0.60, c), 0.05)
     calls = []
-    splice = suspension._splice_point
+    splice = Odometer.splice
 
     def counting_splice(*args):
         calls.append(args)
         return splice(*args)
 
     # one candidate point is spliced per cloud slot
-    monkeypatch.setattr(suspension, "_splice_point", counting_splice)
+    monkeypatch.setattr(Odometer, "splice", counting_splice)
     assert weak_mixing_witness(sys_, U, V, 10, cloud_size=8, seed=11) is None
     assert len(calls) == 8
     with pytest.raises(ValueError, match="cloud"):
@@ -336,7 +334,7 @@ def per_point_witness(sys_, U, V, horizon, cloud_size=64, seed=0):
     for _ in range(cloud_size):
         dt = (rng.random() - 0.5) * ru / 2
         dr = (rng.random() - 0.5) * ru / 2
-        c = suspension._splice_point(sys_.h, cu.c, D, rng, sys_.window)
+        c = sys_.h.splice(cu.c, D, rng, sys_.window)
         p = normalize(sys_, min(1.0, max(0.0, cu.t + dt)), cu.r + dr, c)
         if quotient_distance(sys_, p, cu) < ru:
             cloud.append(p)
@@ -358,8 +356,8 @@ def test_weak_mixing_witness_matches_per_point_loop():
         for m in CLOUD_MAPS:
             sys_ = SuspensionSystem(m, h, 32)
             for seed, (ru, rv) in enumerate([(0.3, 0.3), (0.1, 0.2), (0.05, 0.05)]):
-                U = (sys_.point(0.5, 0.1, random_point(h, seed + 3, 32)), ru)
-                V = (sys_.point(0.5, 0.35 + 0.2 * seed, random_point(h, seed + 9, 32)), rv)
+                U = (sys_.point(0.5, 0.1, h.random_point(seed + 3, 32)), ru)
+                V = (sys_.point(0.5, 0.35 + 0.2 * seed, h.random_point(seed + 9, 32)), rv)
                 l = weak_mixing_witness(sys_, U, V, 24, cloud_size=12, seed=seed)
                 assert l == per_point_witness(sys_, U, V, 24, cloud_size=12, seed=seed)
                 found.append(l)
@@ -388,7 +386,7 @@ def spliced_points(sys_, base, count, seed):
     rng = random.Random(seed)
     out = []
     for j in range(count):
-        c = suspension._splice_point(sys_.h, base.c, j % 5, rng, sys_.window)
+        c = sys_.h.splice(base.c, j % 5, rng, sys_.window)
         out.append(normalize(sys_, min(1.0, max(0.0, base.t + rng.uniform(-0.1, 0.1))),
                              base.r + rng.uniform(-0.6, 0.6), c))
     return out
@@ -400,20 +398,20 @@ def spliced_points(sys_, base, count, seed):
 def test_cloud_steps_and_distances_equal_scalar(h, m):
     for window in (32, 2):
         sys_ = SuspensionSystem(m, h, window)
-        base = sys_.point(0.5, 0.1, random_point(h, 4, window))
-        other = sys_.point(0.45, 0.7, random_point(h, 5, window))
+        base = sys_.point(0.5, 0.1, h.random_point(4, window))
+        other = sys_.point(0.45, 0.7, h.random_point(5, window))
         points = spliced_points(sys_, base, 20, 7) + spliced_points(sys_, other, 4, 8)
         assert_cloud_matches_points(sys_, points, [base, other], 20)
 
 
 def test_cloud_sft_table_grows_and_stays_exact():
     sys_ = SuspensionSystem(rot(1.0), golden_mean_sft(), 32)
-    base = sys_.point(0.5, 0.1, random_point(sys_.h, 4, 32))
+    base = sys_.point(0.5, 0.1, sys_.h.random_point(4, 32))
     points = spliced_points(sys_, base, 12, 3)
-    initial_hi = QuotientCloud(sys_, points).hi
+    initial_hi = QuotientCloud(sys_, points).table.hi
     cloud = assert_cloud_matches_points(sys_, points, [base], 80)
     # windings reach 80, past the first table's right end at about w + 32
-    assert cloud.hi > initial_hi and cloud.w.max() + 32 > initial_hi
+    assert cloud.table.hi > initial_hi and cloud.w.max() + 32 > initial_hi
 
 
 def test_cloud_rejects_inadmissible_sft_point():
@@ -422,14 +420,14 @@ def test_cloud_rejects_inadmissible_sft_point():
     # (1, 1) is forbidden in the golden-mean shift
     bad = SymbolSequence(GraphPath(sft.adjacency, (0, 1, 0, 1, 1, 0, 1, 0, 0), -4), 2, 4)
     with pytest.raises(InvalidPointError, match=r"inadmissible pair \(1,1\)"):
-        shift_power(bad, sft, 1)
+        sft.power(bad, 1)
     with pytest.raises(InvalidPointError, match=r"inadmissible pair \(1,1\)"):
         QuotientCloud(sys_, [sys_.point(0.5, 0.2, bad)])
 
 
 def test_weak_mixing_witness_rejects_degenerate_radius():
     sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
-    c = random_point(sys_.h, 3, 32)
+    c = sys_.h.random_point(3, 32)
     with pytest.raises(ValueError):
         weak_mixing_witness(sys_, (sys_.point(0.5, 0.1, c), 0.0),
                             (sys_.point(0.5, 0.2, c), 0.1), 8)
@@ -611,7 +609,7 @@ def greedy_bowen_oracle(sys_, scale, n, core) -> int:
 
 
 def base_core(h, seed: int, D: int, W: int) -> tuple[int, ...]:
-    base = random_point(h, seed * 7 + 1, W)
+    base = h.random_point(seed * 7 + 1, W)
     if isinstance(h, Odometer):
         return tuple(base.symbol_at(i) for i in range(min(D + 1, len(h.bases))))
     return tuple(base.symbol_at(i) for i in range(-D, D + 1))
@@ -734,6 +732,6 @@ def test_language_words_equal_deeper_factor_sets(rules):
 def test_all_words_of_a_substitution_are_its_language_in_order():
     tm = thue_morse()
     for L in (1, 5, 12, 40):
-        words = _all_words(tm, L)
+        words = tm.words(L)
         assert words == sorted(substitution_factors(tm.rules, L))
-    assert len(_all_words(tm, 40)) == 124
+    assert len(tm.words(40)) == 124
