@@ -8,6 +8,7 @@ all of its own behaviour (see "systems" below).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -396,14 +397,20 @@ class Substitution(_Shift):
         return 0.0
 
     def mixing_witness(self, u, v, horizon: int):
-        """Exact: the legal words of length max(|u|, horizon + |v|) hold
-        every legal word with u at 0 and v at some n <= horizon, since every
-        legal word extends to the right."""
+        """Exact, in time linear in the horizon: a legal word with u at 0 and
+        v at n <= horizon has length at most max(|u|, horizon + |v|), so it
+        is a factor of one of the `_blocks` for that length, and every factor
+        of a block is legal.  So n is the least gap from an occurrence of u
+        to a later occurrence of v inside one block."""
         u, v = _cylinder_words(self, u, v)
-        hits = [n for word in _language_words(self.rules, max(len(u), horizon + len(v)))
-                if word[:len(u)] == u
-                for n in range(1, horizon + 1) if word[n:n + len(v)] == v]
-        return min(hits, default=None)
+        gaps = []
+        for block in _blocks(self.rules, max(len(u), horizon + len(v))):
+            at_v = _occurrences(block, v)
+            for p in _occurrences(block, u):
+                i = bisect.bisect_right(at_v, p)
+                if i < len(at_v) and at_v[i] - p <= horizon:
+                    gaps.append(at_v[i] - p)
+        return min(gaps, default=None)
 
     def class_counts(self, D: int, seen: list[int]) -> dict:
         """Keyed by the core: the distinct restrictions to the seen positions
@@ -711,23 +718,33 @@ def _legal_pairs(rules) -> set[tuple[int, int]]:
         pairs = more
 
 
-def _language_words(rules, L: int) -> set[tuple[int, ...]]:
-    """Every legal word of length L of a primitive substitution: the
-    length-L factors of sigma^m(ab) over the legal two-letter words ab, m
-    the least depth with |sigma^m(c)| >= L for every letter c.
+def _blocks(rules, L: int) -> list[tuple[int, ...]]:
+    """sigma^m(ab) over the legal two-letter words ab, m the least depth
+    with |sigma^m(c)| >= L for every letter c: every legal word of length
+    at most L is a factor of one of them, and each of their factors is legal.
 
-    Complete: a legal word u of length L is a factor of some sigma^M(c),
-    M >= m, which is the concatenation of the blocks sigma^m(x) over the
-    letters x of sigma^(M-m)(c).  Each block has length >= L, so u lies
-    inside two consecutive blocks sigma^m(x)sigma^m(y), and xy is legal."""
+    Complete: a legal word u of length <= L is a factor of some
+    sigma^M(c), M >= m, which is the concatenation of the images
+    sigma^m(x) over the letters x of sigma^(M-m)(c).  Each image has length
+    >= L, so u lies inside two consecutive images sigma^m(x)sigma^m(y), and
+    xy is legal."""
     images = [(a,) for a in range(len(rules))]
     while min(len(w) for w in images) < L:
         images = [tuple(s for x in w for s in rules[x]) for w in images]
-    words = set()
-    for a, b in _legal_pairs(rules):
-        big = images[a] + images[b]
-        words.update(big[i:i + L] for i in range(len(big) - L + 1))
-    return words
+    return [images[a] + images[b] for a, b in sorted(_legal_pairs(rules))]
+
+
+def _language_words(rules, L: int) -> set[tuple[int, ...]]:
+    """Every legal word of length L of a primitive substitution: the
+    length-L factors of the `_blocks`."""
+    return {block[i:i + L] for block in _blocks(rules, L)
+            for i in range(len(block) - L + 1)}
+
+
+def _occurrences(block: tuple[int, ...], word: tuple[int, ...]) -> list[int]:
+    """The start positions of `word` in `block`, in increasing order."""
+    return [i for i in range(len(block) - len(word) + 1)
+            if block[i:i + len(word)] == word]
 
 
 # canned systems used across fixtures and tests

@@ -154,28 +154,6 @@ class PLMap:
                 pieces.append((a, b))
         return _merge_intervals(pieces)
 
-    def compose_after(self, inner: "PLMap") -> "PLMap":
-        """The map self ∘ inner, with exact breakpoint refinement."""
-        xs = {x for x, _ in inner.breakpoints}
-        outer_knots = [x for x, _ in self.breakpoints]
-        bp = inner.breakpoints
-        for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
-            if y0 == y1:
-                continue
-            for knot in outer_knots:
-                if min(y0, y1) < knot < max(y0, y1):
-                    xs.add(x0 + (knot - y0) * (x1 - x0) / (y1 - y0))
-        knots = sorted(xs)
-        return PLMap(tuple((x, self(inner(x))) for x in knots))
-
-    def iterate(self, m: int) -> "PLMap":
-        if m < 1:
-            raise ValueError("iterate exponent must be >= 1")
-        out = self
-        for _ in range(m - 1):
-            out = self.compose_after(out)
-        return out
-
     def lap_pieces(self) -> list[tuple[tuple[FR, FR], tuple[FR, FR]]]:
         """(domain, image) per linear piece between consecutive breakpoints."""
         bp = self.breakpoints
@@ -295,15 +273,13 @@ def stretch_check(g: PLMap, chain: IntervalChain, m_bound: int = 8) -> StretchRe
     if len(chain.links) != 7:
         raise ChainError("stretch test is defined on 7-link chains")
     u1, u3, u5, u7 = (chain.links[i] for i in (0, 2, 4, 6))
-    gm = g
+    i3, i5 = u3, u5
     for m in range(1, m_bound + 1):
-        i3, i5 = gm.image(u3), gm.image(u5)
+        i3, i5 = g.image(i3), g.image(i5)  # g^m(I) = g(g^(m-1)(I)), g continuous
         if _contains(u1, i3) and _contains(u7, i5):
             return StretchResult(True, m, "standard")
         if _contains(u7, i3) and _contains(u1, i5):
             return StretchResult(True, m, "swapped")
-        if m < m_bound:
-            gm = g.compose_after(gm)
     return StretchResult(False, 0, "none")
 
 
@@ -332,20 +308,23 @@ class HorseshoeCertificate:
                 f"{self.nonempty}/{self.expected} intervals nonempty")
 
 
-def _pullback(gm: PLMap, slots: Sequence[tuple[FR, FR]], depth: int
+def _pullback(g: PLMap, m: int, slots: Sequence[tuple[FR, FR]], depth: int
               ) -> dict[tuple[int, ...], list[tuple[FR, FR]]]:
-    """The points of slot w[0] whose gm-itinerary through the slots is w,
+    """The points of slot w[0] whose g^m-itinerary through the slots is w,
     as merged pieces, for every word w of length depth + 1 where they exist.
 
-    The pieces of (s,) + v are gm⁻¹(pieces of v) ∩ slot s, so they depend on
-    v alone: each level is built from the previous one with one
-    gm.preimages call per piece of each suffix, k + k² + ... + k^depth calls
-    when every piece stays whole."""
+    The pieces of (s,) + v are g^-m(pieces of v) ∩ slot s, so they depend on
+    v alone: each level is built from the previous one.  g^-m is m chained
+    g.preimages steps over the merged piece list, one call per piece per
+    step; with m = 1 and every piece whole that is k + k² + ... + k^depth
+    calls."""
     level = {(s + 1,): [slot] for s, slot in enumerate(slots)}
     for _ in range(depth):
         nxt: dict[tuple[int, ...], list[tuple[FR, FR]]] = {}
         for suffix, pieces in level.items():
-            pre = [p for piece in pieces for p in gm.preimages(piece)]
+            pre = pieces
+            for _ in range(m):
+                pre = [p for piece in _merge_intervals(pre) for p in g.preimages(piece)]
             for sym, (slo, shi) in enumerate(slots, start=1):
                 clipped = [(max(lo, slo), min(hi, shi)) for lo, hi in pre]
                 clipped = [(lo, hi) for lo, hi in clipped if lo <= hi]
@@ -375,7 +354,7 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
     for i in range(k - 1):
         if slots[i][1] >= slots[i + 1][0]:
             raise ChainError("symbol slots are not pairwise disjoint")
-    gm = g.iterate(stretch.exponent)
+    m = stretch.exponent
 
     frontier: dict[tuple[int, ...], tuple[FR, FR]] = {
         (i + 1,): slots[i] for i in range(k)}
@@ -383,7 +362,9 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
     for _ in range(depth):
         nxt: dict[tuple[int, ...], tuple[FR, FR]] = {}
         for word in sorted(frontier):
-            img = gm.image(frontier[word])
+            img = frontier[word]
+            for _ in range(m):
+                img = g.image(img)
             for sym in range(1, k + 1):
                 slo = max(img[0], slots[sym - 1][0])
                 shi = min(img[1], slots[sym - 1][1])
@@ -396,16 +377,16 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
     nonempty = len(frontier)
     expected = k ** (depth + 1)
     passed = nonempty == expected
-    bound = math.log(k) / stretch.exponent
+    bound = math.log(k) / m
 
     # A word that pulls back also survives forward, so with no survivor
     # there is nothing to pull back.
-    pulled = _pullback(gm, slots, depth) if frontier else {}
+    pulled = _pullback(g, m, slots, depth) if frontier else {}
     intervals = {word: (pulled[word][0][0], pulled[word][-1][1])
                  for word in sorted(frontier) if word in pulled}
 
     return HorseshoeCertificate(
-        k=k, depth=depth, exponent=stretch.exponent, orientation=stretch.orientation,
+        k=k, depth=depth, exponent=m, orientation=stretch.orientation,
         passed=passed, nonempty=nonempty, expected=expected,
         failing_word=None if passed else failing, entropy_bound=bound,
         slots=slots, intervals=intervals)

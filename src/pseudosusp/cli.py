@@ -71,6 +71,8 @@ def cmd_rotation(args) -> int:
     cfg = load_config(args.config, args.override)
     m = build_map(cfg)
     n = cfg.get_int("experiment", "n", 1024)
+    if n < 1:
+        raise ConfigError(f"experiment.n must be at least 1, got {n}")
     t = cfg.get_float("orbit", "t", 0.5)
     r = cfg.get_float("orbit", "r", 0.0)
     rows = rotation_estimate(m, t, r, n)
@@ -87,6 +89,15 @@ def cmd_rigidity(args) -> int:
     horizon = cfg.get_int("experiment", "horizon", required=True)
     eps = cfg.get_float("experiment", "eps", required=True)
     band = cfg.get_floats("experiment", "band", [0.0, 1.0])
+    if grid < 1:
+        raise ConfigError(f"experiment.grid must be at least 1, got {grid}")
+    if horizon < 1:
+        raise ConfigError(f"experiment.horizon must be at least 1, got {horizon}")
+    if eps <= 0:
+        raise ConfigError(f"experiment.eps must be positive, got {eps}")
+    if len(band) != 2 or not 0.0 <= band[0] <= band[1] <= 1.0:
+        raise ConfigError(f"experiment.band must be 'lo,hi' with 0 <= lo <= hi <= 1, "
+                          f"got {band}")
     rows = rigidity_scan(m, grid, horizon, eps, (band[0], band[1]))
     out = _out_path(args, cfg, "rigidity.csv")
     _write_csv(out, ["n", "sup_displacement"], [[n, d] for n, d in rows])
@@ -125,9 +136,11 @@ def cmd_suspend_entropy(args) -> int:
     sys_ = _suspension(cfg)
     seed = cfg.get_int("experiment", "seed", required=True)
     eps_list = cfg.get_floats("experiment", "eps", required=True)
-    if any(eps >= 1.0 for eps in eps_list):
-        raise ConfigError(f"experiment.eps must be below 1, got {eps_list}")
+    if not eps_list or any(not 0.0 < eps < 1.0 for eps in eps_list):
+        raise ConfigError(f"experiment.eps must list scales in (0, 1), got {eps_list}")
     n_list = cfg.get_ints("experiment", "n", required=True)
+    if not n_list or min(n_list) < 1:
+        raise ConfigError(f"experiment.n must list horizons of at least 1, got {n_list}")
     # the counts are exact; experiment.budget is only echoed in its column
     budget = cfg.get_int("experiment", "budget", 20000)
     alpha = rotation_number(sys_.H)
@@ -149,6 +162,8 @@ def cmd_suspend_orbit(args) -> int:
     t = cfg.get_float("orbit", "t", 0.5)
     r = cfg.get_float("orbit", "r", 0.0)
     n = cfg.get_int("orbit", "n", 32)
+    if n < 0:
+        raise ConfigError(f"orbit.n must be at least 0, got {n}")
     c = sys_.h.random_point(seed, sys_.window)
     p0 = sys_.point(t, r, c)
     pts = orbit(sys_, p0, n)
@@ -183,6 +198,8 @@ def cmd_mixing_witness(args) -> int:
                 raise ConfigError(f"witness.{key} must be 't,r,seed'")
             c = sys_.h.random_point(int(spec[2]), sys_.window)
             radius = cfg.get_float("witness", f"{key}_radius", required=True)
+            if radius <= 0:
+                raise ConfigError(f"witness.{key}_radius must be positive, got {radius}")
             return (normalize(sys_, spec[0], spec[1], c), radius)
 
         cloud = cfg.get_int("witness", "cloud", 64)
@@ -204,6 +221,8 @@ def cmd_dense_orbit(args) -> int:
     sys_ = _suspension(cfg)
     seed = cfg.get_int("dense", "seed", required=True)
     eps = cfg.get_float("dense", "eps", required=True)
+    if eps <= 0:
+        raise ConfigError(f"dense.eps must be positive, got {eps}")
     k_max = cfg.get_int("dense", "k_max", 4)
     s_max = cfg.get_int("dense", "s_max", 4)
     p_max = cfg.get_int("dense", "p_max", 256)
@@ -228,6 +247,8 @@ def cmd_rotation_family(args) -> int:
         raise ConfigError(f"family.bits must be a nonempty 0/1 word, got {raw_bits!r}")
     bits = tuple(int(ch) for ch in raw_bits)
     eps = cfg.get_float("family", "eps", required=True)
+    if eps <= 0:
+        raise ConfigError(f"family.eps must be positive, got {eps}")
     alpha, schedule = rotation_family(bits, eps)
     out = _out_path(args, cfg, "rotation_family.csv")
     _write_csv(out, ["n", "bit", "b_n", "term"],
@@ -237,8 +258,17 @@ def cmd_rotation_family(args) -> int:
     return EXIT_OK
 
 
+def _kfold(k, key: str):
+    """The k-fold pattern for K = k; a K that is not an odd integer >= 3 is
+    a config error naming `key`."""
+    try:
+        return kfold(int(k))
+    except ValueError as exc:
+        raise ConfigError(f"{key} must give an odd integer K >= 3, got {k!r}") from exc
+
+
 def cmd_pattern(args) -> int:
-    pat = kfold(args.kfold)
+    pat = _kfold(args.kfold, "--kfold")
     text = ",".join(str(v) for v in pat.values)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -250,6 +280,9 @@ def cmd_horseshoe(args) -> int:
     cfg = load_config(args.map, args.override)
     g = build_plmap(cfg)
     chain = build_interval_chain(cfg)
+    if len(chain.links) != 7:
+        raise ConfigError(f"chain.links must list 7 links for the stretch test, "
+                          f"got {len(chain.links)}")
     k = args.k if args.k is not None else cfg.get_int("horseshoe", "k", required=True)
     depth = args.depth if args.depth is not None else cfg.get_int("horseshoe", "depth", 5)
     if k % 2 == 0 or k < 3:
@@ -289,7 +322,7 @@ def cmd_render(args) -> int:
         name, _, arg = pattern_spec.partition(":")
         if name != "kfold":
             raise ConfigError(f"render.pattern: only kfold:K supported, got {pattern_spec!r}")
-        pat = kfold(int(arg))
+        pat = _kfold(arg, "render.pattern")
         chain = essential_seven_chain()
         levels = [chain]
         for _ in range(n_levels - 1):
@@ -400,7 +433,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ConfigError, HAKConfigError, ChainError, PatternError, ValueError) as exc:
+    except (ConfigError, HAKConfigError, ChainError, PatternError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -128,10 +128,13 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
                 pipeline.append(RigidRotation(float(Fraction(args.strip()))))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"map.map: bad rotation {args!r}") from exc
-        elif name == "twist":
-            pipeline.append(Twist(Profile(_parse_breakpoints(args, "map.map twist"))))
-        elif name == "reparam":
-            pipeline.append(RadialReparam(Profile(_parse_breakpoints(args, "map.map reparam"))))
+        elif name in ("twist", "reparam"):
+            points = _parse_breakpoints(args, f"map.map {name}")
+            try:
+                profile = Profile(points)
+                pipeline.append(Twist(profile) if name == "twist" else RadialReparam(profile))
+            except ValueError as exc:
+                raise ConfigError(f"map.map: {name} {exc}") from exc
         elif name == "cover":
             qp = args.split(",")
             try:

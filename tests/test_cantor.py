@@ -305,6 +305,18 @@ def test_mixing_witness_thue_morse_with_enumeration_oracle():
     for u, v in (((5, 5), (1, 1)), ((0, 0, 0), (1,)), ((0,), (1, 1, 1))):
         with pytest.raises(ValueError, match="nonempty word"):
             tm.mixing_witness(u, v, 32)
+    # the block scan against the materialised one, which scans every legal
+    # word of length max(|u|, horizon + |v|) for u at 0 and v at n
+    for rules in (tm.rules, ((0, 1), (0,)), ((0, 0, 1), (1, 0))):
+        sub = Substitution(rules)
+        words = [w for L in (1, 2, 3) for w in sub.words(L)]
+        for horizon in (1, 5, 40):
+            for u in words:
+                for v in words:
+                    legal = _language_words(rules, max(len(u), horizon + len(v)))
+                    hits = [n for w in legal if w[:len(u)] == u
+                            for n in range(1, horizon + 1) if w[n:n + len(v)] == v]
+                    assert sub.mixing_witness(u, v, horizon) == min(hits, default=None)
 
 
 def test_odometer_witness_prefix_arithmetic():

@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 from pseudosusp.chains import (ChainCover, ChainError, IntervalChain,
                                PatternError, PLMap, Rect, RenderStyle,
                                StretchPreconditionError, _merge_intervals,
-                               essential_seven_chain, full_branch_middle_map,
-                               horseshoe_extract,
+                               _pullback, essential_seven_chain,
+                               full_branch_middle_map, horseshoe_extract,
                                identity_pattern, kfold, pattern_validate,
                                refine_chain, refine_interval_chain,
                                render_chains, stretch_check, tent_map,
                                tent_seven_chain, transition_entropy,
                                uniform_seven_chain)
+from pseudosusp.cli import fixture_path
+from pseudosusp.config import build_interval_chain, build_plmap, load_config
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +80,31 @@ def test_plmap_eval_image_preimage():
     assert pre == [(FR(1, 4), FR(3, 4))]
 
 
+def _compose(outer, inner):
+    """The map outer ∘ inner, with exact breakpoint refinement: the oracle
+    for the chained exact images and preimages the program takes of g^m.
+    Each piece of inner gains a knot where it crosses a knot of outer."""
+    outer_knots = [x for x, _ in outer.breakpoints]
+    bp = inner.breakpoints
+    points = [bp[0]]
+    for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
+        crossings = sorted(x0 + (knot - y0) * (x1 - x0) / (y1 - y0)
+                           for knot in outer_knots if min(y0, y1) < knot < max(y0, y1))
+        points += [(x, y0 + (x - x0) * (y1 - y0) / (x1 - x0)) for x in crossings]
+        points.append((x1, y1))
+    return PLMap(tuple((x, outer(y)) for x, y in points))
+
+
+def _iterate(g, m):
+    out = g
+    for _ in range(m - 1):
+        out = _compose(g, out)
+    return out
+
+
 def test_plmap_compose_exact():
     t = tent_map()
-    t2 = t.iterate(2)
+    t2 = _iterate(t, 2)
     assert t2(FR(1, 8)) == FR(1, 2)
     assert t2(FR(3, 8)) == FR(1, 2)
     assert t2(FR(1, 4)) == FR(1)
@@ -142,7 +166,7 @@ def test_plmap_image_exact(g, interval, samples):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(g=plmaps(), h=plmaps(), samples=st.lists(unit_fractions, max_size=8))
 def test_plmap_compose_after_exact(g, h, samples):
-    gh = g.compose_after(h)
+    gh = _compose(g, h)
     knots = [x for x, _ in gh.breakpoints]
     points = (set(samples) | set(knots) | {x for x, _ in h.breakpoints}
               | {(a + b) / 2 for a, b in zip(knots, knots[1:])})
@@ -356,16 +380,119 @@ def test_shared_pullback_matches_per_word_reference(case, depth, monkeypatch):
     n_calls = len(calls)
     monkeypatch.undo()
 
-    gm = g.iterate(cert.exponent)
+    m = cert.exponent
+    gm = _iterate(g, m)
     assert cert.intervals == _reference_intervals(gm, cert.slots, depth)
     assert len(cert.intervals) == cert.nonempty
-    # at most one call per piece of each suffix of length 1..depth
-    suffix_pieces = sum(len(_reference_pullback(gm, cert.slots, word))
-                        for n in range(1, depth + 1)
-                        for word in itertools.product(range(1, k + 1), repeat=n))
-    assert n_calls <= suffix_pieces
+    # g^-m is pulled as m chained g.preimages steps over a merged piece list:
+    # at most one call per component of g^-j(piece), j = 0..m-1, for each
+    # piece of each suffix of length 1..depth (one call per piece at m = 1)
+    inner = [_iterate(g, j) for j in range(1, m)]
+    suffix_calls = sum(1 + sum(len(gj.preimages(piece)) for gj in inner)
+                       for n in range(1, depth + 1)
+                       for word in itertools.product(range(1, k + 1), repeat=n)
+                       for piece in _reference_pullback(gm, cert.slots, word))
+    assert n_calls <= suffix_calls
     if whole:
-        assert n_calls == suffix_pieces == sum(k ** n for n in range(1, depth + 1))
+        assert n_calls == suffix_calls == sum(k ** n for n in range(1, depth + 1))
+
+
+@st.composite
+def seven_chains(draw):
+    """Taut 7-link chains: links around six distinct cuts i/24, overlapping
+    their neighbours by a quarter of the smallest gap."""
+    cuts = draw(st.lists(st.integers(1, 23), min_size=6, max_size=6, unique=True))
+    cuts = [FR(0)] + [FR(i, 24) for i in sorted(cuts)] + [FR(1)]
+    overlap = min(b - a for a, b in zip(cuts, cuts[1:])) / 4
+    return IntervalChain(tuple((max(FR(0), a - overlap), min(FR(1), b + overlap))
+                               for a, b in zip(cuts, cuts[1:])))
+
+
+@st.composite
+def folds(draw):
+    """A taut 7-link chain and a map sending 0, 1 and the middle of each
+    overlap of consecutive links to 0 or 1, linear between: some stretch
+    the chain, which maps from `plmaps()` almost never do."""
+    chain = draw(seven_chains())
+    links = chain.links
+    xs = [FR(0)] + [(a[1] + b[0]) / 2 for a, b in zip(links, links[1:])] + [FR(1)]
+    ys = draw(st.lists(st.sampled_from([FR(0), FR(1)]), min_size=8, max_size=8))
+    return PLMap(tuple(zip(xs, ys))), chain
+
+
+def _reference_stretch(g, chain, m_bound):
+    """The stretch test on composed iterates, one full map per exponent."""
+    def inside(outer, inner):
+        return outer[0] <= inner[0] and inner[1] <= outer[1]
+
+    u1, u3, u5, u7 = (chain.links[i] for i in (0, 2, 4, 6))
+    gm = g
+    for m in range(1, m_bound + 1):
+        if m > 1:
+            gm = _compose(g, gm)
+        i3, i5 = gm.image(u3), gm.image(u5)
+        if inside(u1, i3) and inside(u7, i5):
+            return True, m, "standard"
+        if inside(u7, i3) and inside(u1, i5):
+            return True, m, "swapped"
+    return False, 0, "none"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(g=plmaps(), interval=unit_intervals(), m=st.integers(1, 3),
+       chain=seven_chains(), fold=folds(), m_bound=st.integers(1, 4))
+def test_chained_exact_calls_match_composed_iterate(g, interval, m, chain, fold,
+                                                    m_bound):
+    gm = _iterate(g, m)
+    image, pieces = interval, [interval]
+    for _ in range(m):
+        image = g.image(image)
+        pieces = _merge_intervals([p for piece in pieces for p in g.preimages(piece)])
+    assert image == gm.image(interval)
+    assert pieces == gm.preimages(interval)
+    pulled = _pullback(g, m, (interval,), 1)
+    assert pulled.get((1, 1), []) == _reference_pullback(gm, (interval,), (1, 1))
+    for f, links in ((g, chain), fold):
+        s = stretch_check(f, links, m_bound)
+        assert ((s.stretches, s.exponent, s.orientation)
+                == _reference_stretch(f, links, m_bound))
+
+
+# 0,0; 1/4,1; 1/2,0; 3/4,1; 1,0: the tent map's second iterate, whose
+# iterates double their laps
+_FOUR_LAPS = PLMap(((FR(0), FR(0)), (FR(1, 4), FR(1)), (FR(1, 2), FR(0)),
+                    (FR(3, 4), FR(1)), (FR(1), FR(0))))
+
+
+def _shipped(name):
+    cfg = load_config(fixture_path(name))
+    return build_plmap(cfg), build_interval_chain(cfg), cfg.get_int("horseshoe", "k")
+
+
+@pytest.mark.parametrize("case", ["four laps", "three_branch_horseshoe.ini",
+                                  "five_branch_horseshoe.ini", "tent_horseshoe.ini"])
+def test_certificates_build_no_composed_map(case, monkeypatch):
+    if case == "four laps":
+        g, chain, k, m_bound = _FOUR_LAPS, uniform_seven_chain(), 3, 4
+    else:
+        (g, chain, k), m_bound = _shipped(case), 8
+    built = []
+    post_init = PLMap.__post_init__
+
+    def recorded(self):
+        built.append(len(self.breakpoints))
+        post_init(self)
+
+    monkeypatch.setattr(PLMap, "__post_init__", recorded)
+    stretch = stretch_check(g, chain, m_bound)
+    if stretch.stretches:
+        horseshoe_extract(g, chain, k, 3, m_bound)
+    else:
+        with pytest.raises(StretchPreconditionError):
+            horseshoe_extract(g, chain, k, 3, m_bound)
+    monkeypatch.undo()
+    assert stretch.stretches == (case != "four laps")
+    assert max(built, default=0) <= len(g.breakpoints)
 
 
 # ---------------------------------------------------------------------------

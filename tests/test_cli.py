@@ -222,6 +222,38 @@ def test_rotation_family_cli(tmp_path):
                 "--out", str(out)]) == 3
 
 
+def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
+    # (subcommand, fixture, override, key); main catches no bare ValueError,
+    # so each of these needs a guard where its value is read
+    for command, fixture, override, key in (
+            ("rotation", "rotation_demo.ini", "experiment.n=0", "experiment.n"),
+            ("rotation", "rotation_demo.ini", "map.map=twist:0,0;0.5,1", "map.map"),
+            ("rotation", "rotation_demo.ini", "map.map=reparam:0,0;0.5,0.7;1,0.2",
+             "map.map"),
+            ("rotation-family", "family_demo.ini", "family.eps=0", "family.eps"),
+            ("rigidity", "rigidity_golden.ini", "experiment.grid=0", "experiment.grid"),
+            ("rigidity", "rigidity_golden.ini", "experiment.band=0.5", "experiment.band"),
+            ("rigidity", "rigidity_golden.ini", "experiment.eps=-1", "experiment.eps"),
+            ("dense-orbit", "dense_demo.ini", "dense.eps=0", "dense.eps"),
+            ("mixing-witness", "witness_fullshift.ini", "witness.u_radius=0",
+             "witness.u_radius"),
+            ("suspend-entropy", "entropy_unit.ini", "experiment.n=0", "experiment.n"),
+            ("suspend-orbit", "orbit_demo.ini", "orbit.n=-1", "orbit.n"),
+            ("render", "render_demo.ini", "render.pattern=kfold:4", "render.pattern"),
+            ("render", "render_demo.ini", "render.pattern=kfold:x", "render.pattern"),
+            ("horseshoe", "three_branch_horseshoe.ini", "chain.links=0,1/2; 1/2,1",
+             "chain.links"),
+            ("pattern", None, None, "--kfold")):
+        if command == "pattern":
+            argv = ["pattern", "--kfold", "4"]
+        else:
+            flag = {"render": "--levels", "horseshoe": "--map"}.get(command, "-c")
+            argv = [command, flag, fixture_path(fixture), "--override", override]
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "bad.out")]) == 3, argv
+        assert key in capsys.readouterr().err, argv
+
+
 def test_fixture_descriptions_present():
     for name, desc in list_fixtures():
         assert desc, f"fixture {name} lacks a description comment"
