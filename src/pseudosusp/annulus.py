@@ -15,12 +15,14 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .config import ConfigError
+
 
 class DomainError(ValueError):
     """Query outside the strip domain."""
 
 
-class HAKConfigError(ValueError):
+class HAKConfigError(ConfigError):
     """Stage list violates a structural requirement (not a condition check)."""
 
 

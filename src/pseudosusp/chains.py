@@ -14,10 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .cantor import spectral_radius
-
 FR = Fraction
 
 
@@ -175,23 +171,24 @@ def _merge_intervals(pieces: list[tuple[FR, FR]]) -> list[tuple[FR, FR]]:
     return out
 
 
-def transition_matrix(g: PLMap) -> np.ndarray:
+def transition_matrix(g: PLMap) -> list[list[int]]:
     """0/1 covering matrix of the linear pieces: A[i][j] = 1 iff the image of
     piece i contains piece j.  Degenerate (constant) pieces cover nothing."""
     pieces = g.lap_pieces()
-    n = len(pieces)
-    a = np.zeros((n, n))
+    a = [[0] * len(pieces) for _ in pieces]
     for i, (_, (ilo, ihi)) in enumerate(pieces):
         if ilo == ihi:
             continue
         for j, ((dlo, dhi), _) in enumerate(pieces):
             if ilo <= dlo and dhi <= ihi:
-                a[i, j] = 1.0
+                a[i][j] = 1
     return a
 
 
 def transition_entropy(g: PLMap) -> float:
     """log of the spectral radius of the covering matrix (the Markov oracle)."""
+    from .cantor import spectral_radius
+
     sigma = spectral_radius(transition_matrix(g))
     if sigma <= 1.0:
         return 0.0

@@ -3,6 +3,9 @@ config, emitting CSV/SVG artifacts with fixed schemas.
 
 Exit codes: 0 success, 2 check/certificate failed, 3 config error,
 4 capacity error.
+
+Only `config` is imported here; each handler imports the layer it runs, so a
+command loads no layer (and no numpy) it does not use.
 """
 
 from __future__ import annotations
@@ -11,19 +14,15 @@ import argparse
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .annulus import (HAKConfigError, hak_verify, rigidity_scan,
-                      rotation_estimate, rotation_family, rotation_number)
-from .chains import (ChainError, PatternError, StretchPreconditionError,
-                     essential_seven_chain, horseshoe_extract, kfold,
-                     refine_chain, render_chains)
-from .config import (ConfigError, RunConfig, build_cantor, build_interval_chain,
-                     build_map, build_plmap, build_stages, load_config,
-                     parse_fractions)
-from .suspension import (CapacityError, SuspensionSystem, dense_orbit_check,
-                         normalize, orbit, product_formula_report,
-                         weak_mixing_witness)
+from .config import (CapacityError, ConfigError, RunConfig, build_cantor,
+                     build_interval_chain, build_map, build_plmap, build_stages,
+                     load_config, parse_fractions)
+
+if TYPE_CHECKING:
+    from .suspension import SuspensionSystem
 
 EXIT_OK = 0
 EXIT_CHECK = 2
@@ -55,6 +54,8 @@ def _out_path(args, cfg: RunConfig, default: str) -> str:
 
 
 def _suspension(cfg: RunConfig) -> SuspensionSystem:
+    from .suspension import SuspensionSystem
+
     m = build_map(cfg)
     h = build_cantor(cfg)
     window = cfg.get_int("cantor", "window", 32)
@@ -68,6 +69,8 @@ def _suspension(cfg: RunConfig) -> SuspensionSystem:
 # ---------------------------------------------------------------------------
 
 def cmd_rotation(args) -> int:
+    from .annulus import rotation_estimate
+
     cfg = load_config(args.config, args.override)
     m = build_map(cfg)
     n = cfg.get_int("experiment", "n", 1024)
@@ -83,6 +86,8 @@ def cmd_rotation(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
+    from .annulus import rigidity_scan
+
     cfg = load_config(args.config, args.override)
     m = build_map(cfg)
     grid = cfg.get_int("experiment", "grid", 24)
@@ -106,6 +111,8 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_hak_verify(args) -> int:
+    from .annulus import hak_verify
+
     cfg = load_config(args.config, args.override)
     stages = build_stages(cfg)
     grid = cfg.get_int("hak", "grid", 24)
@@ -132,6 +139,9 @@ def cmd_hak_verify(args) -> int:
 
 
 def cmd_suspend_entropy(args) -> int:
+    from .annulus import rotation_number
+    from .suspension import product_formula_report
+
     cfg = load_config(args.config, args.override)
     sys_ = _suspension(cfg)
     seed = cfg.get_int("experiment", "seed", required=True)
@@ -156,6 +166,8 @@ def cmd_suspend_entropy(args) -> int:
 
 
 def cmd_suspend_orbit(args) -> int:
+    from .suspension import orbit
+
     cfg = load_config(args.config, args.override)
     sys_ = _suspension(cfg)
     seed = cfg.get_int("orbit", "seed", required=True)
@@ -176,9 +188,13 @@ def cmd_suspend_orbit(args) -> int:
 
 
 def cmd_mixing_witness(args) -> int:
+    from .suspension import normalize, weak_mixing_witness
+
     cfg = load_config(args.config, args.override)
     mode = (cfg.raw("witness", "mode", "suspension") or "").strip().lower()
     horizon = cfg.get_int("witness", "horizon", 64)
+    if horizon < 1:
+        raise ConfigError(f"witness.horizon must be at least 1, got {horizon}")
     out = _out_path(args, cfg, "mixing_witness.csv")
     if mode == "symbolic":
         h = build_cantor(cfg)
@@ -217,6 +233,8 @@ def cmd_mixing_witness(args) -> int:
 
 
 def cmd_dense_orbit(args) -> int:
+    from .suspension import dense_orbit_check
+
     cfg = load_config(args.config, args.override)
     sys_ = _suspension(cfg)
     seed = cfg.get_int("dense", "seed", required=True)
@@ -226,6 +244,9 @@ def cmd_dense_orbit(args) -> int:
     k_max = cfg.get_int("dense", "k_max", 4)
     s_max = cfg.get_int("dense", "s_max", 4)
     p_max = cfg.get_int("dense", "p_max", 256)
+    for key, bound in (("k_max", k_max), ("s_max", s_max), ("p_max", p_max)):
+        if bound < 1:
+            raise ConfigError(f"dense.{key} must be at least 1, got {bound}")
     t = cfg.get_float("orbit", "t", 0.5)
     r = cfg.get_float("orbit", "r", 0.0)
     c = sys_.h.random_point(seed, sys_.window)
@@ -241,6 +262,8 @@ def cmd_dense_orbit(args) -> int:
 
 
 def cmd_rotation_family(args) -> int:
+    from .annulus import rotation_family
+
     cfg = load_config(args.config, args.override)
     raw_bits = (cfg.raw("family", "bits", required=True) or "").strip()
     if any(ch not in "01" for ch in raw_bits) or not raw_bits:
@@ -261,6 +284,8 @@ def cmd_rotation_family(args) -> int:
 def _kfold(k, key: str):
     """The k-fold pattern for K = k; a K that is not an odd integer >= 3 is
     a config error naming `key`."""
+    from .chains import kfold
+
     try:
         return kfold(int(k))
     except ValueError as exc:
@@ -277,6 +302,8 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_horseshoe(args) -> int:
+    from .chains import ChainError, StretchPreconditionError, horseshoe_extract
+
     cfg = load_config(args.map, args.override)
     g = build_plmap(cfg)
     chain = build_interval_chain(cfg)
@@ -292,7 +319,13 @@ def cmd_horseshoe(args) -> int:
     m_bound = cfg.get_int("horseshoe", "mbound", 8)
     if m_bound < 1:
         raise ConfigError(f"horseshoe.mbound must be at least 1, got {m_bound}")
-    cert = horseshoe_extract(g, chain, k, depth, m_bound)
+    try:
+        cert = horseshoe_extract(g, chain, k, depth, m_bound)
+    except StretchPreconditionError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK
+    except ChainError as exc:  # the chain is not taut, or its k-fold slots overlap
+        raise ConfigError(f"chain.links: {exc}") from exc
     out = args.out or cfg.raw("horseshoe", "out", "horseshoe.csv")
     rows = [["-".join(map(str, word)), float(lo), float(hi)]
             for word, (lo, hi) in sorted(cert.intervals.items())]
@@ -302,17 +335,22 @@ def cmd_horseshoe(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .chains import (ChainCover, ChainError, Rect, essential_seven_chain,
+                         refine_chain, render_chains)
+
     cfg = load_config(args.levels, args.override)
     levels = []
     level_sections = sorted(s for s in cfg.parser.sections() if s.startswith("level"))
     if level_sections:
-        from .chains import ChainCover, Rect
         for name in level_sections:
             raw = cfg.raw(name, "links", required=True)
             rects = [Rect((tlo, thi), (alo, ahi)) for tlo, thi, alo, ahi
                      in parse_fractions(raw, f"{name}.links", "tlo,thi,alo,ahi")]
             essential = (cfg.raw(name, "essential", "false") or "").lower() == "true"
-            levels.append(ChainCover.build(rects, essential))
+            try:
+                levels.append(ChainCover.build(rects, essential))
+            except ChainError as exc:
+                raise ConfigError(f"{name}.links: {exc}") from exc
     elif cfg.parser.has_section("render"):
         base = (cfg.raw("render", "base", "essential7") or "").strip()
         if base != "essential7":
@@ -326,7 +364,10 @@ def cmd_render(args) -> int:
         chain = essential_seven_chain()
         levels = [chain]
         for _ in range(n_levels - 1):
-            levels.append(refine_chain(levels[-1], pat))
+            try:
+                levels.append(refine_chain(levels[-1], pat))
+            except ChainError as exc:
+                raise ConfigError(f"render.pattern: {exc}") from exc
     else:
         raise ConfigError("levels file needs [level *] sections or a [render] block")
     out = args.out or "chains.svg"
@@ -427,13 +468,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return HANDLERS[args.command](args)
-    except StretchPreconditionError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ConfigError, HAKConfigError, ChainError, PatternError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,22 +1,30 @@
 """INI-style run configuration: sections [map], [cantor], [stage *],
 [experiment] and per-subcommand blocks.  Every parse error names the failing
-section.key."""
+section.key.
+
+This module imports only the standard library: each builder imports the
+layer it builds from when it is called, so a command loads only the layers
+it runs."""
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .annulus import (HAKStage, LiftedAnnulusMap, Profile, RadialReparam,
-                      RigidRotation, Twist, cover_lift)
-from .cantor import CantorSystem, FullShift, Odometer, SFT, Substitution
-from .chains import IntervalChain, PLMap
+if TYPE_CHECKING:
+    from .annulus import HAKStage, LiftedAnnulusMap
+    from .cantor import CantorSystem
+    from .chains import IntervalChain, PLMap
 
 
 class ConfigError(ValueError):
     """Bad or missing configuration value; message names section.key."""
+
+
+class CapacityError(RuntimeError):
+    """Windings would outrun the metric window; construct with a larger W."""
 
 
 @dataclass
@@ -112,6 +120,9 @@ def _parse_breakpoints(raw: str, key: str) -> tuple[tuple[float, float], ...]:
 
 
 def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
+    from .annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
+                          Twist, cover_lift)
+
     raw = cfg.raw("map", "map", required=True)
     pipeline = []
     cover = None
@@ -151,6 +162,8 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
 
 
 def build_cantor(cfg: RunConfig) -> CantorSystem:
+    from .cantor import FullShift, Odometer, SFT, Substitution
+
     kind = (cfg.raw("cantor", "kind", required=True) or "").strip().lower()
     if kind == "fullshift":
         system, args = FullShift, (cfg.get_int("cantor", "k", required=True),)
@@ -188,6 +201,8 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
 
 
 def build_stages(cfg: RunConfig) -> list[HAKStage]:
+    from .annulus import HAKStage
+
     names = sorted(s for s in cfg.parser.sections() if s.startswith("stage"))
     if not names:
         raise ConfigError("no [stage *] sections found")
@@ -215,6 +230,8 @@ def build_stages(cfg: RunConfig) -> list[HAKStage]:
 
 
 def build_plmap(cfg: RunConfig, section: str = "plmap") -> PLMap:
+    from .chains import PLMap
+
     key = f"{section}.breakpoints"
     pts = parse_fractions(cfg.raw(section, "breakpoints", required=True), key, "x,y")
     try:
@@ -224,6 +241,8 @@ def build_plmap(cfg: RunConfig, section: str = "plmap") -> PLMap:
 
 
 def build_interval_chain(cfg: RunConfig, section: str = "chain") -> IntervalChain:
+    from .chains import IntervalChain
+
     links = parse_fractions(cfg.raw(section, "links", required=True),
                             f"{section}.links", "lo,hi")
     return IntervalChain(tuple(links))

@@ -18,10 +18,7 @@ import numpy as np
 
 from .annulus import LiftedAnnulusMap
 from .cantor import CantorSystem, SymbolSequence, cantor_metric
-
-
-class CapacityError(RuntimeError):
-    """Windings would outrun the metric window; construct with a larger W."""
+from .config import CapacityError
 
 
 @dataclass(frozen=True)

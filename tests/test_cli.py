@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pseudosusp
+import pseudosusp.config
+import pseudosusp.suspension
 from pseudosusp.cli import fixture_path, list_fixtures, main
 
 
@@ -243,6 +251,15 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
             ("render", "render_demo.ini", "render.pattern=kfold:x", "render.pattern"),
             ("horseshoe", "three_branch_horseshoe.ini", "chain.links=0,1/2; 1/2,1",
              "chain.links"),
+            ("horseshoe", "three_branch_horseshoe.ini",
+             "chain.links=0,1/2; 1/4,3/4; 1/3,1/2; 1/2,5/8; 5/8,3/4; 3/4,7/8; 7/8,1",
+             "chain.links"),
+            ("dense-orbit", "dense_demo.ini", "dense.k_max=0", "dense.k_max"),
+            ("dense-orbit", "dense_demo.ini", "dense.s_max=0", "dense.s_max"),
+            ("dense-orbit", "dense_demo.ini", "dense.p_max=-1", "dense.p_max"),
+            ("mixing-witness", "witness_fullshift.ini", "witness.horizon=-1",
+             "witness.horizon"),
+            ("mixing-witness", "golden_mean.ini", "witness.horizon=0", "witness.horizon"),
             ("pattern", None, None, "--kfold")):
         if command == "pattern":
             argv = ["pattern", "--kfold", "4"]
@@ -257,3 +274,45 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
 def test_fixture_descriptions_present():
     for name, desc in list_fixtures():
         assert desc, f"fixture {name} lacks a description comment"
+
+
+def _modules_after(code: str, cwd: Path) -> set[str]:
+    """The modules a fresh interpreter holds after running `code`."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pseudosusp.__file__).parents[1])}
+    probe = code + "\nimport sys\nprint(' '.join(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    run_main = "from pseudosusp.cli import fixture_path, main\nassert main({}) == 0"
+    for code, absent in (
+            (run_main.format("['horseshoe', '--map', "
+                             "fixture_path('three_branch_horseshoe.ini'), '--out', 'h.csv']"),
+             {"numpy"}),
+            (run_main.format("['hak-verify', '-c', fixture_path('hak_toy.ini'), "
+                             "'--out', 'k.csv']"),
+             {"pseudosusp.cantor", "pseudosusp.chains", "pseudosusp.suspension"}),
+            ("import pseudosusp.chains", {"numpy", "pseudosusp.cantor"})):
+        assert not absent & _modules_after(code, tmp_path), code
+
+
+def test_layer_errors_keep_their_exit_codes(tmp_path, capsys):
+    # HAKConfigError is a ConfigError: exit 3 with the verifier's own message
+    for command, fixture, override, message in (
+            ("suspend-orbit", "orbit_demo.ini", "map.map=rotation:0.6|cover:0,1",
+             "cover degree q must be an integer >= 1"),
+            ("hak-verify", "hak_toy.ini", "stage 2.band=0.47,0.51",
+             "stage 2: bands must be strictly nested")):
+        capsys.readouterr()
+        assert run([command, "-c", fixture_path(fixture), "--override", override,
+                    "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    # CapacityError lives in config and is re-exported by suspension
+    assert pseudosusp.suspension.CapacityError is pseudosusp.config.CapacityError
+    capsys.readouterr()
+    assert run(["suspend-entropy", "-c", fixture_path("entropy_unit.ini"),
+                "--override", "cantor.window=8",
+                "--out", str(tmp_path / "cap.csv")]) == 4
+    assert capsys.readouterr().err.startswith("capacity error: ")
