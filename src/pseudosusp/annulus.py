@@ -462,20 +462,20 @@ def _validate_stage_config(stages: list[HAKStage]) -> None:
                 f"stage {st.n}: only the identity band-rescale chart is supported")
         u, v = st.band
         if not (0.0 < u < v < 1.0):
-            raise HAKConfigError(f"stage {st.n}: band must sit strictly inside (0,1)")
+            raise HAKConfigError(f"stage {st.n}.band: band must sit strictly inside (0,1)")
         if i > 0:
             pu, pv = stages[i - 1].band
             if not (pu < u < v < pv):
-                raise HAKConfigError(f"stage {st.n}: bands must be strictly nested")
+                raise HAKConfigError(f"stage {st.n}.band: bands must be strictly nested")
             if st.p < stages[i - 1].p:
-                raise HAKConfigError(f"stage {st.n}: period must not decrease")
+                raise HAKConfigError(f"stage {st.n}.rot: period must not decrease")
             if st.q < stages[i - 1].q:
-                raise HAKConfigError(f"stage {st.n}: q must not decrease")
+                raise HAKConfigError(f"stage {st.n}.q: q must not decrease")
         if st.eps <= 0:
-            raise HAKConfigError(f"stage {st.n}: eps must be positive")
+            raise HAKConfigError(f"stage {st.n}.eps: eps must be positive")
         if st.q % st.p != 0 or st.q < st.p:
             raise HAKConfigError(
-                f"stage {st.n}: condition (6) needs q = m*p for some m >= 1; "
+                f"stage {st.n}.q: condition (6) needs q = m*p for some m >= 1; "
                 f"got q = {st.q}, p = {st.p}")
 
 

@@ -9,9 +9,12 @@ ambient space is simplified.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 FR = Fraction
@@ -130,31 +133,31 @@ class PLMap:
         vals += [y for x, y in self.breakpoints if lo < x < hi]
         return min(vals), max(vals)
 
+    @cached_property
+    def _laps(self) -> tuple[tuple[FR, FR, FR, FR, FR, Optional[FR]], ...]:
+        """(x0, x1, y0, ymin, ymax, 1/slope or None when constant) per linear
+        piece, computed once per map for `preimages`."""
+        bp = self.breakpoints
+        return tuple((x0, x1, y0, min(y0, y1), max(y0, y1),
+                      None if y0 == y1 else (x1 - x0) / (y1 - y0))
+                     for (x0, y0), (x1, y1) in zip(bp, bp[1:]))
+
     def preimages(self, interval: tuple[FR, FR]) -> list[tuple[FR, FR]]:
         lo, hi = interval
         pieces = []
-        bp = self.breakpoints
-        for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
-            ymin, ymax = min(y0, y1), max(y0, y1)
+        for x0, x1, y0, ymin, ymax, inv_slope in self._laps:
             if ymax < lo or ymin > hi:
                 continue
-            if y0 == y1:
+            if inv_slope is None:
                 pieces.append((x0, x1))
                 continue
-            slope = (y1 - y0) / (x1 - x0)
-            a = x0 + (lo - y0) / slope
-            b = x0 + (hi - y0) / slope
+            a = x0 + (lo - y0) * inv_slope
+            b = x0 + (hi - y0) * inv_slope
             a, b = min(a, b), max(a, b)
             a, b = max(a, x0), min(b, x1)
             if a <= b:
                 pieces.append((a, b))
         return _merge_intervals(pieces)
-
-    def lap_pieces(self) -> list[tuple[tuple[FR, FR], tuple[FR, FR]]]:
-        """(domain, image) per linear piece between consecutive breakpoints."""
-        bp = self.breakpoints
-        return [((x0, x1), (min(y0, y1), max(y0, y1)))
-                for (x0, y0), (x1, y1) in zip(bp, bp[1:])]
 
 
 def _merge_intervals(pieces: list[tuple[FR, FR]]) -> list[tuple[FR, FR]]:
@@ -169,30 +172,6 @@ def _merge_intervals(pieces: list[tuple[FR, FR]]) -> list[tuple[FR, FR]]:
         else:
             out.append((lo, hi))
     return out
-
-
-def transition_matrix(g: PLMap) -> list[list[int]]:
-    """0/1 covering matrix of the linear pieces: A[i][j] = 1 iff the image of
-    piece i contains piece j.  Degenerate (constant) pieces cover nothing."""
-    pieces = g.lap_pieces()
-    a = [[0] * len(pieces) for _ in pieces]
-    for i, (_, (ilo, ihi)) in enumerate(pieces):
-        if ilo == ihi:
-            continue
-        for j, ((dlo, dhi), _) in enumerate(pieces):
-            if ilo <= dlo and dhi <= ihi:
-                a[i][j] = 1
-    return a
-
-
-def transition_entropy(g: PLMap) -> float:
-    """log of the spectral radius of the covering matrix (the Markov oracle)."""
-    from .cantor import spectral_radius
-
-    sigma = spectral_radius(transition_matrix(g))
-    if sigma <= 1.0:
-        return 0.0
-    return math.log(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -306,38 +285,46 @@ class HorseshoeCertificate:
 
 
 def _pullback(g: PLMap, m: int, slots: Sequence[tuple[FR, FR]], depth: int
-              ) -> dict[tuple[int, ...], list[tuple[FR, FR]]]:
+              ) -> list[dict[tuple[int, ...], list[tuple[FR, FR]]]]:
     """The points of slot w[0] whose g^m-itinerary through the slots is w,
-    as merged pieces, for every word w of length depth + 1 where they exist.
+    as merged pieces, for every word w where they exist: level l holds the
+    words of length l + 1, for l = 0..depth.
 
     The pieces of (s,) + v are g^-m(pieces of v) ∩ slot s, so they depend on
     v alone: each level is built from the previous one.  g^-m is m chained
     g.preimages steps over the merged piece list, one call per piece per
     step; with m = 1 and every piece whole that is k + k² + ... + k^depth
-    calls."""
-    level = {(s + 1,): [slot] for s, slot in enumerate(slots)}
+    calls.  The slots are sorted and disjoint, so each preimage piece is
+    clipped only to the run of slots that it meets."""
+    starts = [lo for lo, _ in slots]
+    levels = [{(s + 1,): [slot] for s, slot in enumerate(slots)}]
     for _ in range(depth):
         nxt: dict[tuple[int, ...], list[tuple[FR, FR]]] = {}
-        for suffix, pieces in level.items():
+        for suffix, pieces in levels[-1].items():
             pre = pieces
             for _ in range(m):
                 pre = [p for piece in _merge_intervals(pre) for p in g.preimages(piece)]
-            for sym, (slo, shi) in enumerate(slots, start=1):
-                clipped = [(max(lo, slo), min(hi, shi)) for lo, hi in pre]
-                clipped = [(lo, hi) for lo, hi in clipped if lo <= hi]
-                if clipped:
-                    nxt[(sym,) + suffix] = _merge_intervals(clipped)
-        level = nxt
-    return level
+            clipped: dict[int, list[tuple[FR, FR]]] = {}
+            for lo, hi in pre:
+                for s in range(max(bisect_right(starts, lo) - 1, 0), bisect_right(starts, hi)):
+                    a, b = max(lo, slots[s][0]), min(hi, slots[s][1])
+                    if a <= b:
+                        clipped.setdefault(s + 1, []).append((a, b))
+            for sym in sorted(clipped):
+                nxt[(sym,) + suffix] = _merge_intervals(clipped[sym])
+        levels.append(nxt)
+    return levels
 
 
 def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
                       m_bound: int = 8) -> HorseshoeCertificate:
     """Itinerary certificate over the k symbol slots of the k-fold refinement.
 
-    Forward interval arithmetic decides branch nonemptiness exactly; pullback
-    hulls of the surviving full-depth words are reported.  A passing
-    certificate lower-bounds the entropy by log(k)/m."""
+    The exact pullback decides it: a word's branch is nonempty exactly when
+    some point of its first slot has that g^m-itinerary, and the hull of
+    those points is reported for each surviving full-depth word.  A failed
+    certificate names the least missing word at the first level that misses
+    one.  A passing certificate lower-bounds the entropy by log(k)/m."""
     if k % 2 == 0 or k < 3:
         raise ValueError(f"horseshoe extraction requires odd k >= 3, got {k}")
     if depth < 0:
@@ -353,39 +340,26 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
             raise ChainError("symbol slots are not pairwise disjoint")
     m = stretch.exponent
 
-    frontier: dict[tuple[int, ...], tuple[FR, FR]] = {
-        (i + 1,): slots[i] for i in range(k)}
-    failing = None
-    for _ in range(depth):
-        nxt: dict[tuple[int, ...], tuple[FR, FR]] = {}
-        for word in sorted(frontier):
-            img = frontier[word]
-            for _ in range(m):
-                img = g.image(img)
-            for sym in range(1, k + 1):
-                slo = max(img[0], slots[sym - 1][0])
-                shi = min(img[1], slots[sym - 1][1])
-                child = word + (sym,)
-                if slo <= shi:
-                    nxt[child] = (slo, shi)
-                elif failing is None:
-                    failing = child
-        frontier = nxt
-    nonempty = len(frontier)
+    levels = _pullback(g, m, slots, depth)
+    pulled = levels[-1]
+    nonempty = len(pulled)
     expected = k ** (depth + 1)
     passed = nonempty == expected
-    bound = math.log(k) / m
-
-    # A word that pulls back also survives forward, so with no survivor
-    # there is nothing to pull back.
-    pulled = _pullback(g, m, slots, depth) if frontier else {}
-    intervals = {word: (pulled[word][0][0], pulled[word][-1][1])
-                 for word in sorted(frontier) if word in pulled}
+    # At the first level that misses a word every shorter word is present,
+    # so its least missing word is the first empty branch in word order.
+    failing = None
+    for n, level in enumerate(levels, start=1):
+        if len(level) < k ** n:
+            failing = next(w for w in itertools.product(range(1, k + 1), repeat=n)
+                           if w not in level)
+            break
+    intervals = {word: (pieces[0][0], pieces[-1][1])
+                 for word, pieces in sorted(pulled.items())}
 
     return HorseshoeCertificate(
         k=k, depth=depth, exponent=m, orientation=stretch.orientation,
         passed=passed, nonempty=nonempty, expected=expected,
-        failing_word=None if passed else failing, entropy_bound=bound,
+        failing_word=failing, entropy_bound=math.log(k) / m,
         slots=slots, intervals=intervals)
 
 

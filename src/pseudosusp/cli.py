@@ -356,6 +356,8 @@ def cmd_render(args) -> int:
         if base != "essential7":
             raise ConfigError(f"render.base: only 'essential7' is built in, got {base!r}")
         n_levels = cfg.get_int("render", "levels", 1)
+        if n_levels < 1:
+            raise ConfigError(f"render.levels must be at least 1, got {n_levels}")
         pattern_spec = (cfg.raw("render", "pattern", "kfold:3") or "").strip()
         name, _, arg = pattern_spec.partition(":")
         if name != "kfold":

@@ -120,8 +120,8 @@ def _parse_breakpoints(raw: str, key: str) -> tuple[tuple[float, float], ...]:
 
 
 def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
-    from .annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
-                          Twist, cover_lift)
+    from .annulus import (HAKConfigError, LiftedAnnulusMap, Profile, RadialReparam,
+                          RigidRotation, Twist, cover_lift)
 
     raw = cfg.raw("map", "map", required=True)
     pipeline = []
@@ -157,7 +157,10 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
             raise ConfigError(f"map.map: unknown primitive {name!r}")
     m = LiftedAnnulusMap(tuple(pipeline), label=raw)
     if cover is not None:
-        m = cover_lift(m, cover[0], cover[1])
+        try:
+            m = cover_lift(m, cover[0], cover[1])
+        except HAKConfigError as exc:
+            raise ConfigError(f"map.map: {exc}") from exc
     return m
 
 

@@ -14,13 +14,15 @@ from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam,
 from pseudosusp.cantor import FullShift, Odometer
 from pseudosusp.chains import (full_branch_middle_map, horseshoe_extract, kfold,
                                pattern_validate, tent_map, tent_seven_chain,
-                               transition_entropy, uniform_seven_chain)
+                               uniform_seven_chain)
 from pseudosusp.cli import fixture_path, main
 from pseudosusp.config import build_stages, load_config
 from pseudosusp.suspension import (SuspensionSystem, entropy_separated,
                                    entropy_spanning, normalize, step,
                                    winding_rate)
 from pseudosusp.cantor import cantor_metric
+
+from markov_oracle import transition_entropy
 
 
 def report(num: int, ok: bool, detail: str) -> None:

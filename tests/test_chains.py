@@ -1,5 +1,5 @@
 """Chain/pattern/horseshoe tests: exact rational geometry, frozen pattern
-values, transition-matrix oracles."""
+values, transition-matrix and forward-frontier oracles."""
 
 from __future__ import annotations
 
@@ -19,10 +19,11 @@ from pseudosusp.chains import (ChainCover, ChainError, IntervalChain,
                                identity_pattern, kfold, pattern_validate,
                                refine_chain, refine_interval_chain,
                                render_chains, stretch_check, tent_map,
-                               tent_seven_chain, transition_entropy,
-                               uniform_seven_chain)
+                               tent_seven_chain, uniform_seven_chain)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import build_interval_chain, build_plmap, load_config
+
+from markov_oracle import transition_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +277,9 @@ def test_horseshoe_five_branch_certifies():
 def test_horseshoe_tent_negative_with_named_branch():
     cert = horseshoe_extract(tent_map(), tent_seven_chain(), 3, 5)
     assert not cert.passed
+    # no word of length 6 survives, and the first empty branch is still named
+    assert cert.nonempty == 0 and cert.intervals == {}
     assert cert.failing_word == (1, 1)
-    assert cert.nonempty < cert.expected
     assert "empty branch" in cert.summary()
 
 
@@ -332,17 +334,32 @@ def _reference_pullback(gm, slots, word):
     return pieces
 
 
-def _reference_intervals(gm, slots, depth):
-    """Forward frontier, then the per-word pullback hull of each survivor."""
+def _reference_frontier(g, m, slots, depth):
+    """Forward interval arithmetic, the computation the pullback replaced:
+    the interval of w + (s,) is g^m(interval of w) ∩ slot s, by m chained
+    exact images.  Returns the surviving words of length depth + 1 with their
+    intervals, and the first word found empty in word order (or None)."""
     frontier = {(i + 1,): slot for i, slot in enumerate(slots)}
+    failing = None
     for _ in range(depth):
         nxt = {}
-        for word, hull in frontier.items():
-            img = gm.image(hull)
+        for word in sorted(frontier):
+            img = frontier[word]
+            for _ in range(m):
+                img = g.image(img)
             for sym, (slo, shi) in enumerate(slots, start=1):
-                if max(img[0], slo) <= min(img[1], shi):
-                    nxt[word + (sym,)] = (max(img[0], slo), min(img[1], shi))
+                lo, hi = max(img[0], slo), min(img[1], shi)
+                if lo <= hi:
+                    nxt[word + (sym,)] = (lo, hi)
+                elif failing is None:
+                    failing = word + (sym,)
         frontier = nxt
+    return frontier, failing
+
+
+def _reference_intervals(gm, slots, depth):
+    """Forward frontier, then the per-word pullback hull of each survivor."""
+    frontier, _ = _reference_frontier(gm, 1, slots, depth)
     intervals = {}
     for word in sorted(frontier):
         pieces = _reference_pullback(gm, slots, word)
@@ -397,6 +414,29 @@ def test_shared_pullback_matches_per_word_reference(case, depth, monkeypatch):
         assert n_calls == suffix_calls == sum(k ** n for n in range(1, depth + 1))
 
 
+@pytest.mark.parametrize("depth", range(6))
+@pytest.mark.parametrize("case", sorted(_PULLBACK_CASES))
+def test_pullback_verdict_matches_forward_frontier(case, depth, monkeypatch):
+    g, chain, k, _ = _PULLBACK_CASES[case]
+    images = []
+    image = PLMap.image
+
+    def counted(self, interval):
+        images.append(interval)
+        return image(self, interval)
+
+    monkeypatch.setattr(PLMap, "image", counted)
+    cert = horseshoe_extract(g, chain, k, depth)
+    monkeypatch.undo()
+
+    # the stretch test's two images per exponent tried are the only ones
+    assert len(images) == 2 * cert.exponent
+    frontier, failing = _reference_frontier(g, cert.exponent, cert.slots, depth)
+    assert cert.nonempty == len(frontier) == len(cert.intervals)
+    assert cert.passed == (len(frontier) == k ** (depth + 1))
+    assert cert.failing_word == failing
+
+
 @st.composite
 def seven_chains(draw):
     """Taut 7-link chains: links around six distinct cuts i/24, overlapping
@@ -409,14 +449,18 @@ def seven_chains(draw):
 
 
 @st.composite
-def folds(draw):
+def folds(draw, stretching=False):
     """A taut 7-link chain and a map sending 0, 1 and the middle of each
     overlap of consecutive links to 0 or 1, linear between: some stretch
-    the chain, which maps from `plmaps()` almost never do."""
+    the chain, which maps from `plmaps()` almost never do.  With
+    `stretching`, the four values around link 4 read 0,0,1,1 or 1,1,0,0,
+    which folds links 3 and 5 towards opposite ends, so most of them do."""
     chain = draw(seven_chains())
     links = chain.links
     xs = [FR(0)] + [(a[1] + b[0]) / 2 for a, b in zip(links, links[1:])] + [FR(1)]
     ys = draw(st.lists(st.sampled_from([FR(0), FR(1)]), min_size=8, max_size=8))
+    if stretching:
+        ys[2:6] = map(FR, draw(st.sampled_from([(0, 0, 1, 1), (1, 1, 0, 0)])))
     return PLMap(tuple(zip(xs, ys))), chain
 
 
@@ -450,12 +494,30 @@ def test_chained_exact_calls_match_composed_iterate(g, interval, m, chain, fold,
         pieces = _merge_intervals([p for piece in pieces for p in g.preimages(piece)])
     assert image == gm.image(interval)
     assert pieces == gm.preimages(interval)
-    pulled = _pullback(g, m, (interval,), 1)
+    pulled = _pullback(g, m, (interval,), 1)[-1]
     assert pulled.get((1, 1), []) == _reference_pullback(gm, (interval,), (1, 1))
     for f, links in ((g, chain), fold):
         s = stretch_check(f, links, m_bound)
         assert ((s.stretches, s.exponent, s.orientation)
                 == _reference_stretch(f, links, m_bound))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(fold=folds(stretching=True), k=st.sampled_from([3, 5]), depth=st.integers(0, 3),
+       m_bound=st.integers(1, 4))
+def test_pullback_certificate_matches_forward_frontier(fold, k, depth, m_bound):
+    g, chain = fold
+    try:
+        cert = horseshoe_extract(g, chain, k, depth, m_bound)
+    except StretchPreconditionError:
+        assert not stretch_check(g, chain, m_bound).stretches
+        return
+    m = cert.exponent
+    frontier, failing = _reference_frontier(g, m, cert.slots, depth)
+    assert cert.nonempty == len(frontier)
+    assert cert.passed == (len(frontier) == k ** (depth + 1))
+    assert cert.failing_word == failing
+    assert cert.intervals == _reference_intervals(_iterate(g, m), cert.slots, depth)
 
 
 # 0,0; 1/4,1; 1/2,0; 3/4,1; 1,0: the tent map's second iterate, whose

@@ -249,6 +249,8 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
             ("suspend-orbit", "orbit_demo.ini", "orbit.n=-1", "orbit.n"),
             ("render", "render_demo.ini", "render.pattern=kfold:4", "render.pattern"),
             ("render", "render_demo.ini", "render.pattern=kfold:x", "render.pattern"),
+            ("render", "render_demo.ini", "render.levels=0", "render.levels"),
+            ("render", "render_demo.ini", "render.levels=-3", "render.levels"),
             ("horseshoe", "three_branch_horseshoe.ini", "chain.links=0,1/2; 1/2,1",
              "chain.links"),
             ("horseshoe", "three_branch_horseshoe.ini",
@@ -299,16 +301,26 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
 
 
 def test_layer_errors_keep_their_exit_codes(tmp_path, capsys):
-    # HAKConfigError is a ConfigError: exit 3 with the verifier's own message
-    for command, fixture, override, message in (
+    # HAKConfigError is a ConfigError: exit 3 with the verifier's own message,
+    # led by the key that holds the bad value
+    for command, fixture, override, key, message in (
             ("suspend-orbit", "orbit_demo.ini", "map.map=rotation:0.6|cover:0,1",
-             "cover degree q must be an integer >= 1"),
+             "map.map", "cover degree q must be an integer >= 1"),
             ("hak-verify", "hak_toy.ini", "stage 2.band=0.47,0.51",
-             "stage 2: bands must be strictly nested")):
+             "stage 2.band", "bands must be strictly nested"),
+            ("hak-verify", "hak_toy.ini", "stage 2.band=0.2,1.5",
+             "stage 2.band", "band must sit strictly inside (0,1)"),
+            ("hak-verify", "hak_toy.ini", "stage 3.rot=1/5",
+             "stage 3.rot", "period must not decrease"),
+            ("hak-verify", "hak_toy.ini", "stage 2.q=5", "stage 2.q", "q must not decrease"),
+            ("hak-verify", "hak_toy.ini", "stage 3.q=13825", "stage 3.q",
+             "condition (6) needs q = m*p for some m >= 1; got q = 13825, p = 13824"),
+            ("hak-verify", "hak_toy.ini", "stage 1.eps=0", "stage 1.eps",
+             "eps must be positive")):
         capsys.readouterr()
         assert run([command, "-c", fixture_path(fixture), "--override", override,
                     "--out", str(tmp_path / "x.csv")]) == 3
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == f"config error: {key}: {message}\n"
     # CapacityError lives in config and is re-exported by suspension
     assert pseudosusp.suspension.CapacityError is pseudosusp.config.CapacityError
     capsys.readouterr()
