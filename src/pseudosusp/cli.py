@@ -111,31 +111,28 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_hak_verify(args) -> int:
-    from .annulus import hak_verify
+    from .tower import CONFIG, MEASURED, STRUCTURAL, hak_verify
 
     cfg = load_config(args.config, args.override)
     stages = build_stages(cfg)
-    grid = cfg.get_int("hak", "grid", 24)
-    tail = cfg.get_float("hak", "tail", 0.0)
-    horizon = cfg.get_int("hak", "horizon", None)
-    if grid < 2:
-        raise ConfigError(f"hak.grid must be at least 2, got {grid}")
-    if horizon is not None and horizon < 1:
-        raise ConfigError(f"hak.horizon must be at least 1, got {horizon}")
-    report = hak_verify(stages, grid=grid, horizon=horizon, tail=tail)
+    cfg.check_keys("hak", {"tail"})
+    report = hak_verify(stages, tail=cfg.get_fraction("hak", "tail", 0))
     out = _out_path(args, cfg, "hak_verify.csv")
+    # exact values become floats here, since _fmt would print a Fraction as 1/12
     _write_csv(out, ["condition", "stage", "value", "bound", "margin", "passed"],
-               [[c.condition, c.stage, c.value, c.bound, c.margin, c.passed]
-                for c in report.checks])
-    if report.passed:
-        worst = min(c.margin for c in report.checks)
-        checked = ",".join(sorted({c.condition for c in report.checks}))
-        print(f"hak-verify: checked condition(s) ({checked}) pass; "
-              f"smallest margin {worst:.9g} -> {out}")
-        return EXIT_OK
-    failing = ",".join(report.failing_conditions())
-    print(f"hak-verify: FAILED condition(s) ({failing}) -> {out}")
-    return EXIT_CHECK
+               [[c.condition, c.stage, float(c.value), float(c.bound), float(c.margin),
+                 c.passed] for c in report.checks])
+    if not report.passed:
+        failing = ",".join(report.failing_conditions())
+        print(f"hak-verify: FAILED condition(s) ({failing}) -> {out}")
+        return EXIT_CHECK
+    # the bound-0 rows hold identities, whose margin 0 says nothing
+    binding = min((c for c in report.checks if c.condition in MEASURED and c.bound),
+                  key=lambda c: c.margin)
+    print(f"hak-verify: measured ({','.join(MEASURED)}) pass, smallest margin "
+          f"{float(binding.margin):.9g} at ({binding.condition}) stage {binding.stage}; "
+          f"config ({','.join(CONFIG)}) hold; ({','.join(STRUCTURAL)}) structural -> {out}")
+    return EXIT_OK
 
 
 def cmd_suspend_entropy(args) -> int:

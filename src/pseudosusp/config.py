@@ -14,9 +14,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
-    from .annulus import HAKStage, LiftedAnnulusMap
+    from .annulus import LiftedAnnulusMap
     from .cantor import CantorSystem
     from .chains import IntervalChain, PLMap
+    from .tower import HAKStage
 
 
 class ConfigError(ValueError):
@@ -37,6 +38,21 @@ class RunConfig:
         if (section, key) in self.overrides:
             return True
         return self.parser.has_option(section, key)
+
+    def sections(self) -> set[str]:
+        """The sections of the file and of the overrides."""
+        return set(self.parser.sections()) | {section for section, _ in self.overrides}
+
+    def check_keys(self, section: str, known: set[str]) -> None:
+        """Refuse a key of `section`, from the file or an override, that no
+        reader of the section reads."""
+        keys = {key for sec, key in self.overrides if sec == section}
+        if self.parser.has_section(section):
+            keys.update(self.parser.options(section))
+        unknown = sorted(keys - known)
+        if unknown:
+            raise ConfigError(f"{section}.{unknown[0]}: unknown key; [{section}] takes "
+                              f"{', '.join(sorted(known))}")
 
     def raw(self, section: str, key: str, default=None, required: bool = False):
         if (section, key) in self.overrides:
@@ -79,7 +95,10 @@ class RunConfig:
 def load_config(path: Optional[str], overrides: Optional[list[str]] = None) -> RunConfig:
     parser = configparser.ConfigParser()
     if path is not None:
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
     cfg = RunConfig(parser, path or "<none>")
@@ -120,8 +139,8 @@ def _parse_breakpoints(raw: str, key: str) -> tuple[tuple[float, float], ...]:
 
 
 def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
-    from .annulus import (HAKConfigError, LiftedAnnulusMap, Profile, RadialReparam,
-                          RigidRotation, Twist, cover_lift)
+    from .annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation, Twist,
+                          cover_lift)
 
     raw = cfg.raw("map", "map", required=True)
     pipeline = []
@@ -159,7 +178,7 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
     if cover is not None:
         try:
             m = cover_lift(m, cover[0], cover[1])
-        except HAKConfigError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"map.map: {exc}") from exc
     return m
 
@@ -203,31 +222,42 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
         raise ConfigError(f"cantor section invalid: {exc}") from exc
 
 
-def build_stages(cfg: RunConfig) -> list[HAKStage]:
-    from .annulus import HAKStage
+STAGE_KEYS = {"eps", "band", "rot", "alpha", "q", "support"}
 
-    names = sorted(s for s in cfg.parser.sections() if s.startswith("stage"))
-    if not names:
+
+def _interval(cfg: RunConfig, section: str, key: str) -> tuple[Fraction, Fraction]:
+    entries = parse_fractions(cfg.raw(section, key, required=True), f"{section}.{key}", "lo,hi")
+    if len(entries) != 1:
+        raise ConfigError(f"{section}.{key} must be 'lo,hi'")
+    return entries[0]
+
+
+def build_stages(cfg: RunConfig) -> list[HAKStage]:
+    """The [stage N] sections in the order of N, every value exact."""
+    from .tower import HAKStage
+
+    numbered: dict[int, str] = {}
+    for name in sorted(s for s in cfg.sections() if s.startswith("stage")):
+        number = name[len("stage"):].strip()
+        if not number.isdigit():
+            raise ConfigError(f"[{name}]: a stage section is named 'stage N', N a whole number")
+        n = int(number)
+        if n in numbered:
+            raise ConfigError(f"[{name}]: stage {n} is already [{numbered[n]}]")
+        numbered[n] = name
+    if not numbered:
         raise ConfigError("no [stage *] sections found")
     stages = []
-    for i, name in enumerate(names, start=1):
-        band = cfg.get_floats(name, "band", required=True)
-        if len(band) != 2:
-            raise ConfigError(f"{name}.band must be 'lo,hi'")
-        support = None
-        if cfg.has(name, "support"):
-            sup = cfg.get_floats(name, "support")
-            if len(sup) != 2:
-                raise ConfigError(f"{name}.support must be 'lo,hi'")
-            support = (sup[0], sup[1])
+    for n, name in sorted(numbered.items()):
+        cfg.check_keys(name, STAGE_KEYS)
         stages.append(HAKStage(
-            n=i,
-            eps=cfg.get_float(name, "eps", required=True),
-            band=(band[0], band[1]),
+            n=n,
+            eps=cfg.get_fraction(name, "eps", required=True),
+            band=_interval(cfg, name, "band"),
             rot=cfg.get_fraction(name, "rot", required=True),
             alpha=cfg.get_fraction(name, "alpha", required=True),
             q=cfg.get_int(name, "q", required=True),
-            support=support,
+            support=_interval(cfg, name, "support") if cfg.has(name, "support") else None,
         ))
     return stages
 

@@ -6,10 +6,11 @@ from __future__ import annotations
 import math
 import random
 import time
+from fractions import Fraction
 
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam,
                                 RigidRotation, Twist,
-                                conjugacy_invariance_check, hak_verify,
+                                conjugacy_invariance_check,
                                 rotation_estimate, rotation_family)
 from pseudosusp.cantor import FullShift, Odometer
 from pseudosusp.chains import (full_branch_middle_map, horseshoe_extract, kfold,
@@ -20,6 +21,7 @@ from pseudosusp.config import build_stages, load_config
 from pseudosusp.suspension import (SuspensionSystem, entropy_separated,
                                    entropy_spanning, normalize, step,
                                    winding_rate)
+from pseudosusp.tower import hak_verify
 from pseudosusp.cantor import cantor_metric
 
 from markov_oracle import transition_entropy
@@ -123,8 +125,9 @@ def test_criterion_3_rotation_convergence():
 def test_criterion_4_hak_toy_and_mutants(tmp_path):
     t0 = time.time()
     stages = build_stages(load_config(fixture_path("hak_toy.ini")))
-    rep = hak_verify(stages, grid=24, tail=0.025)
-    margins_pos = all(c.margin > 0 or c.value == 0.0 for c in rep.checks)
+    rep = hak_verify(stages, tail=Fraction("0.025"))
+    # every row has a positive margin but the identities, which are 0 <= 0
+    margins_pos = all(c.margin > 0 or c.value == c.bound == 0 for c in rep.checks)
     ok_toy = rep.passed and margins_pos
     conds = {c.condition for c in rep.checks}
     ok_cover = {"1", "2", "3", "5", "6", "7", "8"} <= conds
@@ -134,15 +137,16 @@ def test_criterion_4_hak_toy_and_mutants(tmp_path):
     ok_mut = True
     for fixture, cond in expected.items():
         stages_m = build_stages(load_config(fixture_path(fixture)))
-        rep_m = hak_verify(stages_m, grid=24, tail=0.025)
+        rep_m = hak_verify(stages_m, tail=Fraction("0.025"))
         ok_mut &= rep_m.failing_conditions() == [cond]
         code = main(["hak-verify", "-c", fixture_path(fixture),
                      "--out", str(tmp_path / (fixture + ".csv"))])
         ok_mut &= code == 2
     elapsed = time.time() - t0
     report(4, ok_toy and ok_cover and ok_mut and elapsed <= 30,
-           f"toy passes (1,2,3,5,6,7,8) with positive margins; three mutants each fail "
-           f"exactly their condition with exit 2 ({elapsed:.1f}s)")
+           f"toy passes measured (3,6,8), config (1,2,7) and structural (5) with positive "
+           f"margins off the identities; three mutants each fail exactly their condition "
+           f"with exit 2 ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

@@ -5,24 +5,26 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudosusp.annulus import (CheckResult, DeckCover, GridSampled,
-                                HAKConfigError, HAKStage, LiftedAnnulusMap,
-                                Profile, RadialReparam, RigidRotation, Twist,
+from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, Profile,
+                                RadialReparam, RigidRotation, Twist,
                                 UnsupportedConjugacyError, circle_distance,
                                 conjugacy_invariance_check, cover_lift,
                                 displacement_bound, equivariance_defect,
-                                hak_verify, identity_map, invert_map,
-                                rigidity_margins, rigidity_scan,
+                                identity_map, invert_map, rigidity_scan,
                                 rotation_estimate, rotation_family,
-                                rotation_number, truncated_maps, twist_speed)
+                                rotation_number)
 from pseudosusp.cli import fixture_path
-from pseudosusp.config import build_stages, load_config
+from pseudosusp.config import ConfigError, build_stages, load_config
+from pseudosusp.tower import (HAKConfigError, circle_sup, hak_verify, pl_sum,
+                              rigidity_margins, stage_profiles)
 
 
 def rot(beta):
@@ -45,25 +47,15 @@ def test_apply_examples():
 
 
 def test_equivariance_all_primitives():
-    grid_tables = tuple(tuple(0.01 * ((i + j) % 3) for j in range(8)) for i in range(9))
-    zero_tables = tuple(tuple(0.0 for _ in range(8)) for _ in range(9))
     maps = [
         rot(0.37),
         twist((0.0, 0.0), (0.4, 0.2), (1.0, 0.0)),
         LiftedAnnulusMap((RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0)))),)),
-        LiftedAnnulusMap((GridSampled(8, zero_tables, grid_tables),)),
         cover_lift(rot(0.5), 3, 2),
         LiftedAnnulusMap((RigidRotation(0.3), Twist(Profile(((0.0, 0.1), (1.0, 0.3)))))),
     ]
     for m in maps:
         assert equivariance_defect(m, samples=1000) < 1e-9
-
-
-def test_gridsampled_domain_error():
-    zero = tuple(tuple(0.0 for _ in range(4)) for _ in range(5))
-    g = LiftedAnnulusMap((GridSampled(4, zero, zero),))
-    with pytest.raises(ValueError):
-        g.apply(1.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +122,18 @@ def test_displacement_bound_examples():
 # staged verifier
 # ---------------------------------------------------------------------------
 
+TAIL = Fraction("0.025")
+
+
 def toy_stages():
     return build_stages(load_config(fixture_path("hak_toy.ini")))
 
 
 def test_toy_tower_passes_all_conditions():
-    report = hak_verify(toy_stages(), grid=24, tail=0.025)
+    report = hak_verify(toy_stages(), tail=TAIL)
     assert report.passed
     for c in report.checks:
-        assert c.margin > 0 or (c.bound == c.SLACK and c.value == 0.0)
+        assert c.margin > 0 or (c.bound == 0 and c.value == 0)
 
 
 @pytest.mark.parametrize("fixture,condition", [
@@ -148,50 +143,85 @@ def test_toy_tower_passes_all_conditions():
 ])
 def test_mutants_fail_exactly_one_condition(fixture, condition):
     stages = build_stages(load_config(fixture_path(fixture)))
-    report = hak_verify(stages, grid=24, tail=0.025)
+    report = hak_verify(stages, tail=TAIL)
     assert not report.passed
     assert report.failing_conditions() == [condition]
 
 
+@pytest.mark.parametrize("fixture,override,failing", [
+    ("hak_mut_band.ini", None, {("1", 2, Fraction(3, 100), Fraction(1, 40))}),
+    ("hak_mut_alpha.ini", None, {("2", 2, Fraction(1, 40), Fraction(1, 80)),
+                                 ("2", 2, Fraction(67, 5), Fraction(0))}),
+    ("hak_mut_support.ini", None, {("3", 2, Fraction(1, 1152), Fraction(0))}),
+    # the collar leaks on the right of the previous band only
+    ("hak_mut_support.ini", "stage 2.support=0.48,0.53",
+     {("3", 2, Fraction(1, 1152), Fraction(0))}),
+])
+def test_failing_rows_hold_exact_values(fixture, override, failing):
+    stages = build_stages(load_config(fixture_path(fixture), [override] if override else []))
+    rows = {(c.condition, c.stage, c.value, c.bound)
+            for c in hak_verify(stages, tail=TAIL).checks if not c.passed}
+    assert rows == failing
+
+
+def test_box_tracking_is_capped_by_the_farthest_point_from_a_box():
+    # with q_1 = 576 the stage-1 drift 25/13824 reaches 1/2, and no point of
+    # the circle is further than (1 - alpha_1)/2 = 47/96 from a box
+    stages = [replace(s, q=576) if s.n == 1 else s for s in toy_stages()]
+    (eight,) = [c for c in hak_verify(stages, tail=TAIL).checks if c.condition == "8"
+                and c.stage == 1]
+    assert eight.value == Fraction(47, 96)
+    reference = iterated_reference(stages, 576, TAIL)[2][2]
+    assert Fraction(47, 96) - Fraction(1, 1000) < reference <= Fraction(47, 96)
+
+
 def test_stage_config_errors():
     stages = toy_stages()
-    bad_q = [HAKStage(s.n, s.eps, s.band, s.rot, s.alpha,
-                      s.q + (7 if s.n == 2 else 0)) for s in stages]
+    bad_q = [replace(s, q=s.q + (7 if s.n == 2 else 0)) for s in stages]
     with pytest.raises(HAKConfigError):
         hak_verify(bad_q)
-    bad_band = [HAKStage(s.n, s.eps,
-                         (0.1, 0.9) if s.n == 2 else s.band,
-                         s.rot, s.alpha, s.q) for s in stages]
+    bad_band = [replace(s, band=(Fraction(1, 10), Fraction(9, 10)) if s.n == 2 else s.band)
+                for s in stages]
     with pytest.raises(HAKConfigError):
         hak_verify(bad_band)
-    for kwargs in ({"horizon": 0}, {"horizon": -3}, {"grid": 0}, {"grid": 1}):
-        with pytest.raises(ValueError, match="at least"):
-            hak_verify(stages, **kwargs)
+    # a support must contain the band, or the collar profile is not a function
+    bad_support = [replace(s, support=(s.band[0], Fraction(6, 10)) if s.n == 2 else None)
+                   for s in stages]
+    with pytest.raises(HAKConfigError, match="stage 2.support"):
+        hak_verify(bad_support)
 
 
 def test_truncation_rigidity_within_gamma():
     # the near-period of each stage returns the deep band within gamma_n
-    for n, disp, gamma in rigidity_margins(toy_stages(), grid=8, tail=0.025):
+    for n, disp, gamma in rigidity_margins(toy_stages(), tail=TAIL):
         assert disp < gamma
 
 
-def iterated_reference(stages, grid, horizon, tail):
-    """The verifier's conditions (6) and (8), computed by iterating the
-    truncations step by step: the reference the closed-form iterates are
-    compared against."""
-    hs = truncated_maps(stages)
+def float_truncations(stages):
+    """H_1, ..., H_N as float Twist pipelines built from the exact profiles."""
+    twists = [Twist(Profile(tuple((float(x), float(y)) for x, y in g)))
+              for g in stage_profiles(stages)]
+    return [LiftedAnnulusMap(tuple(twists[:n])) for n in range(1, len(twists) + 1)]
+
+
+def iterated_reference(stages, horizon, tail):
+    """Conditions (6) and (8) over the first min(q_n, horizon) iterates,
+    computed by iterating the float truncations step by step on a grid: the
+    reference the exact sups are compared against.  The grid holds every
+    breakpoint of the fixtures' profiles, where their sups are attained."""
+    hs = float_truncations(stages)
     h_full = hs[-1]
-    t_parts = [np.linspace(0.0, 1.0, grid)]
+    t_parts = [np.linspace(0.0, 1.0, 24)]
     for s in stages:
-        t_parts.append(np.linspace(s.band[0], s.band[1], max(5, grid // 2)))
+        t_parts.append(np.linspace(float(s.band[0]), float(s.band[1]), 12))
         if s.support is not None:
-            t_parts.append(np.linspace(s.support[0], s.support[1], max(5, grid // 2)))
+            t_parts.append(np.linspace(float(s.support[0]), float(s.support[1]), 12))
     tfull = np.unique(np.concatenate(t_parts))
-    rfull = np.linspace(0.0, 1.0, grid, endpoint=False)
+    rfull = np.linspace(0.0, 1.0, 24, endpoint=False)
     tt, rr = np.meshgrid(tfull, rfull, indexing="ij")
     rows = []
     for i in range(len(stages) - 1):
-        q_n = stages[i].q if horizon is None else min(stages[i].q, horizon)
+        q_n = min(stages[i].q, horizon)
         ta, ra = tt.ravel(), rr.ravel()
         tb, rb = tt.ravel(), rr.ravel()
         worst = 0.0
@@ -200,31 +230,41 @@ def iterated_reference(stages, grid, horizon, tail):
             tb, rb = hs[i + 1].apply(tb, rb)
             worst = max(worst, float((np.abs(ta - tb) + circle_distance(ra, rb)).max()))
         rows.append(("6", stages[i].n, worst, stages[i].eps))
-    eps_list = [s.eps for s in stages]
     for i, s in enumerate(stages):
-        u, v = s.band
+        u, v = float(s.band[0]), float(s.band[1])
         alpha = float(s.alpha)
         starts = np.array([(j * float(s.rot)) % 1.0 for j in range(s.p)])
         js = sorted({0, 1, s.p // 3, s.p // 2, s.p - 1} & set(range(s.p)))
-        pts = [(u + ft * (v - u), starts[j] + fr * alpha, j)
-               for j in js for ft in (0.0, 0.5, 1.0) for fr in (0.0, 0.5, 1.0)]
+        pts = [(t, starts[j] + fr * alpha, j)
+               for j in js for t in np.linspace(u, v, 9) for fr in (0.0, 0.5, 1.0)]
         tc, rc, j_arr = (np.array(col) for col in zip(*pts))
-        q_n = s.q if horizon is None else min(s.q, horizon)
         worst = 0.0
-        for step in range(1, q_n + 1):
+        for step in range(1, min(s.q, horizon) + 1):
             tc, rc = h_full.apply(tc, rc)
             rel = np.mod(np.mod(rc, 1.0) - starts[(j_arr + step) % s.p], 1.0)
             dr = np.where(rel <= alpha, 0.0, np.minimum(rel - alpha, 1.0 - rel))
             dt = np.maximum(0.0, np.maximum(u - tc, tc - v))
             worst = max(worst, float((dt + dr).max()))
-        rows.append(("8", s.n, worst, sum(eps_list[i:]) + tail))
+        rows.append(("8", s.n, worst, sum(x.eps for x in stages[i:]) + tail))
     return rows
+
+
+def capped_sups(stages, horizon):
+    """The sups of (6) and (8) over the first min(q_n, horizon) iterates, from
+    the exact profiles and `circle_sup`."""
+    gs = stage_profiles(stages)
+    speed = pl_sum(gs)
+    six = [circle_sup(g, Fraction(0), Fraction(1), range(1, min(s.q, horizon) + 1))
+           for s, g in zip(stages, gs[1:])]
+    eight = [circle_sup(tuple((x, y - s.rot) for x, y in speed), s.band[0], s.band[1],
+                        range(1, min(s.q, horizon) + 1)) for s in stages]
+    return six + eight
 
 
 def iterated_rigidity_margins(stages, grid, tail):
     """`rigidity_margins` by p_n iterations of H_N on a band x circle grid."""
-    h_full = truncated_maps(stages)[-1]
-    u, v = stages[-1].band
+    h_full = float_truncations(stages)[-1]
+    u, v = float(stages[-1].band[0]), float(stages[-1].band[1])
     t0, r0 = np.meshgrid(np.linspace(u, v, grid),
                          np.linspace(0.0, 1.0, grid, endpoint=False), indexing="ij")
     out = []
@@ -237,34 +277,47 @@ def iterated_rigidity_margins(stages, grid, tail):
     return out
 
 
-def flipped(stages):
-    """The tower with the sign of every stage increment flipped."""
-    return [HAKStage(s.n, s.eps, s.band, -s.rot, s.alpha, s.q, s.chart, s.support)
-            for s in stages]
+def signed(stages, signs):
+    """The tower with the increment of stage n multiplied by signs[n - 1]."""
+    out, rot, prev = [], Fraction(0), Fraction(0)
+    for s, sign in zip(stages, signs):
+        rot, prev = rot + sign * (s.rot - prev), s.rot
+        out.append(replace(s, rot=rot))
+    return out
+
+
+TOWER_SIGNS = {"flipped": (-1, -1, -1), "mixed": (1, 1, -1)}
 
 
 @pytest.mark.parametrize("horizon", [None, 1, 257, 1000])
 @pytest.mark.parametrize("tower", ["hak_toy.ini", "hak_mut_band.ini", "hak_mut_alpha.ini",
-                                   "hak_mut_support.ini", "flipped hak_toy.ini"])
+                                   "hak_mut_support.ini", "flipped hak_toy.ini",
+                                   "mixed hak_toy.ini"])
 def test_closed_form_iterates_match_iterated_reference(tower, horizon):
+    """At the full q_n (horizon None) the verifier's (6) and (8) rows equal the
+    iterated reference; over the first `horizon` iterates so do the sups that
+    `circle_sup` takes of the same profiles.  The "mixed" tower turns with
+    stage 3 against stages 1 and 2, so its (8) sup on band 1 sits at t = 0.49,
+    inside the band."""
     stages = build_stages(load_config(fixture_path(tower.split()[-1])))
-    if tower.startswith("flipped"):
-        stages = flipped(stages)
-        assert all(s.rot < 0 for s in stages)
-    rows = iterated_reference(stages, 24, horizon, 0.025)
-    got = [c for c in hak_verify(stages, grid=24, horizon=horizon, tail=0.025).checks
-           if c.condition in ("6", "8")]
-    assert [(c.condition, c.stage, c.bound) for c in got] == \
-        [(cond, n, bound) for cond, n, _, bound in rows]
-    for c, (_, _, value, bound) in zip(got, rows):
-        assert abs(c.value - value) <= 1e-9
-        assert c.passed == (bound - value > -CheckResult.SLACK)
+    if tower.split()[0] in TOWER_SIGNS:
+        stages = signed(stages, TOWER_SIGNS[tower.split()[0]])
+    rows = iterated_reference(stages, horizon or max(s.q for s in stages), TAIL)
     if horizon is None:
-        got_margins = rigidity_margins(stages, grid=8, tail=0.025)
-        want_margins = iterated_rigidity_margins(stages, 8, 0.025)
+        got = [c for c in hak_verify(stages, tail=TAIL).checks if c.condition in ("6", "8")]
+        assert [(c.condition, c.stage, c.bound) for c in got] == \
+            [(cond, n, bound) for cond, n, _, bound in rows]
+        values = [c.value for c in got]
+    else:
+        values = capped_sups(stages, horizon)
+    for value, (_, _, ref, bound) in zip(values, rows, strict=True):
+        assert abs(value - Fraction(ref)) <= 1e-9
+    if horizon is None:
+        got_margins = rigidity_margins(stages, tail=TAIL)
+        want_margins = iterated_rigidity_margins(stages, 8, TAIL)
         assert [(n, g) for n, _, g in got_margins] == [(n, g) for n, _, g in want_margins]
         for (_, disp, _), (_, disp_ref, _) in zip(got_margins, want_margins):
-            assert abs(disp - disp_ref) <= 1e-9
+            assert abs(disp - Fraction(disp_ref)) <= 1e-9
 
 
 profiles = st.builds(
@@ -281,27 +334,73 @@ twist_primitives = st.one_of(st.builds(RigidRotation, st.floats(-2.0, 2.0)),
 @given(pipeline=st.lists(twist_primitives, max_size=5),
        t=st.floats(0.0, 1.0), r=st.floats(-3.0, 3.0), i=st.integers(1, 50))
 def test_twist_speed_is_the_closed_form_iterate(pipeline, t, r, i):
+    """Rigid rotations and twists fix t and move r by their speed P(t), the
+    sum of their parts, so i steps move r by i*P(t): the identity behind
+    `tower`'s closed forms."""
     m = LiftedAnnulusMap(tuple(pipeline))
-    speed = twist_speed(m)
-    assert speed(t) == pytest.approx(m.apply(t, 0.0)[1], abs=1e-12)
+    speed = sum(p.beta if isinstance(p, RigidRotation) else p.profile(t) for p in pipeline)
+    assert speed == pytest.approx(m.apply(t, 0.0)[1], abs=1e-12)
     tc, rc = t, r
     for _ in range(i):
         tc, rc = m.apply(tc, rc)
     assert tc == t
-    assert abs(rc - (r + i * speed(t))) <= 1e-9 * i
+    assert abs(rc - (r + i * speed)) <= 1e-9 * i
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(pipeline=st.lists(twist_primitives, max_size=4), at=st.integers(0, 4),
-       mover=st.sampled_from([
-           RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0)))),
-           GridSampled(2, ((0.0, 0.0),) * 3, ((0.1, 0.2),) * 3),
-           DeckCover(identity_map(), 2, 1),
-       ]))
-def test_twist_speed_refuses_primitives_that_move_t(pipeline, at, mover):
-    pipeline.insert(at, mover)
-    with pytest.raises(TypeError, match=type(mover).__name__):
-        twist_speed(LiftedAnnulusMap(tuple(pipeline)))
+def value_at(f, t):
+    for (x0, y0), (x1, y1) in zip(f, f[1:]):
+        if x0 <= t <= x1:
+            return y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+    raise AssertionError(t)
+
+
+def brute_circle_sup(f, ts, q):
+    """max of ||i*f(t)|| over i <= q and t in ts, every pair enumerated."""
+    best = Fraction(0)
+    for t in ts:
+        y = value_at(f, t)
+        n, d = y.numerator, y.denominator
+        best = max(best, Fraction(max(min(i * n % d, -i * n % d) for i in range(1, q + 1)), d))
+    return best
+
+
+@st.composite
+def pl_on_interval(draw):
+    """A rational PL function on [0, 1] with an interval [a, b] and whether
+    its range on [a, b] holds 0: near-constant ones stay off Z + 1/2."""
+    inner = sorted(set(draw(st.lists(st.integers(1, 99), max_size=4))))
+    xs = [Fraction(0)] + [Fraction(k, 100) for k in inner] + [Fraction(1)]
+    den = draw(st.sampled_from([1, 3, 7, 12, 48, 1001]))
+    spread = draw(st.sampled_from([0, Fraction(1, 10 ** 6), Fraction(1, 997), 1]))
+    base = Fraction(draw(st.integers(-3 * den, 3 * den)), den)
+    ys = [base + spread * draw(st.integers(-3, 3)) for _ in xs]
+    ka, kb = sorted(draw(st.lists(st.integers(0, 100), min_size=2, max_size=2)))
+    a, b = Fraction(ka, 100), Fraction(kb, 100)
+    f = tuple(zip(xs, ys))
+    at = [a, b] + [x for x in xs if a < x < b]
+    if draw(st.booleans()):
+        shift = value_at(f, draw(st.sampled_from(at)))
+    else:
+        shift = min(value_at(f, t) for t in at) - Fraction(1, draw(st.sampled_from([3, 7, 1001])))
+    return tuple((x, y - shift) for x, y in f), a, b, at
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=pl_on_interval(), q=st.integers(1, 2000))
+def test_circle_sup_bounds_and_meets_the_brute_force_max(case, q):
+    f, a, b, at = case
+    exact = circle_sup(f, a, b, range(1, q + 1))
+    assert 0 <= exact <= Fraction(1, 2)
+    grid = [a + (b - a) * Fraction(k, 8) for k in range(9)]
+    at_breakpoints = brute_circle_sup(f, at, q)
+    assert exact >= max(at_breakpoints, brute_circle_sup(f, grid, q))
+    if exact < Fraction(1, 2):
+        assert exact == at_breakpoints
+    else:
+        # f([a, b]) = [lo, hi], and some i*[lo, hi] meets Z + 1/2
+        lo, hi = min(value_at(f, t) for t in at), max(value_at(f, t) for t in at)
+        assert any(math.floor(i * hi - Fraction(1, 2)) >= math.ceil(i * lo - Fraction(1, 2))
+                   for i in range(1, q + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +472,7 @@ def test_cover_lift_identity_case():
 
 
 def test_cover_lift_validation():
-    with pytest.raises(HAKConfigError):
+    with pytest.raises(ConfigError):
         cover_lift(rot(0.1), 0, 1)
 
 
@@ -397,8 +496,7 @@ def test_conjugacy_twist_bound():
 
 
 def test_conjugacy_rejects_noninvertible():
-    zero = tuple(tuple(0.0 for _ in range(4)) for _ in range(5))
-    g = LiftedAnnulusMap((GridSampled(4, zero, zero),))
+    g = LiftedAnnulusMap((DeckCover(identity_map(), 2, 1),))
     with pytest.raises(UnsupportedConjugacyError):
         conjugacy_invariance_check(rot(0.1), g, 10)
 
@@ -417,8 +515,6 @@ def test_invert_map_roundtrip():
 
 def test_custom_charts_rejected():
     stages = toy_stages()
-    with_chart = [HAKStage(s.n, s.eps, s.band, s.rot, s.alpha, s.q,
-                           chart=rot(0.0) if s.n == 1 else None)
-                  for s in stages]
+    with_chart = [replace(s, chart=rot(0.0) if s.n == 1 else None) for s in stages]
     with pytest.raises(HAKConfigError):
         hak_verify(with_chart)

@@ -39,9 +39,11 @@ def test_hak_verify_exit_codes(tmp_path, capsys):
     out = tmp_path / "hak.csv"
     assert run(["hak-verify", "-c", fixture_path("hak_toy.ini"),
                 "--out", str(out)]) == 0
-    # condition (4) is not evaluated, so the summary must not claim it
+    # the summary names the binding measured check and the kind of every
+    # condition; (4) is not evaluated, so it must not be claimed
     message = capsys.readouterr().out
-    assert "(1,2,3,5,6,7,8) pass" in message
+    assert ("measured (3,6,8) pass, smallest margin 0.00833333333 at (6) stage 2; "
+            "config (1,2,7) hold; (5) structural -> ") in message
     assert "(4" not in message and "-(8)" not in message
     header = out.read_text().splitlines()[0]
     assert header == "condition,stage,value,bound,margin,passed"
@@ -54,13 +56,34 @@ def test_hak_config_error_exit(tmp_path, capsys):
     assert run(["hak-verify", "-c", fixture_path("hak_toy.ini"),
                 "--override", "stage 2.q=577",
                 "--out", str(tmp_path / "x.csv")]) == 3
-    # a horizon below 1 checks no iterate; a grid below 2 samples no width
+    # the verifier is exact and grid-free: hak.horizon and hak.grid are gone,
+    # and a config that still sets them is refused
     for override in ("hak.horizon=0", "hak.horizon=-3", "hak.grid=0", "hak.grid=1"):
         capsys.readouterr()
         assert run(["hak-verify", "-c", fixture_path("hak_toy.ini"),
                     "--override", override,
                     "--out", str(tmp_path / "x.csv")]) == 3
-        assert override.split("=")[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err and "unknown key" in err
+
+
+def test_stage_sections_are_numbered_by_their_name(tmp_path, capsys):
+    toy = Path(fixture_path("hak_toy.ini")).read_text()
+    renamed = tmp_path / "stage10.ini"
+    renamed.write_text(toy.replace("[stage 3]", "[stage 10]"))
+    out = tmp_path / "k.csv"
+    assert run(["hak-verify", "-c", str(renamed), "--out", str(out)]) == 0
+    stages = [line.split(",")[1] for line in out.read_text().splitlines()[1:]
+              if line.startswith("1,")]
+    assert stages == ["1", "2", "10"]
+    for text, section in ((toy.replace("[stage 3]", "[stage x]"), "[stage x]"),
+                          (toy.replace("[stage 3]", "[stage 02]"), "[stage 2"),
+                          (toy.replace("[stage 3]", "[stage 2]"), "'stage 2'")):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert run(["hak-verify", "-c", str(bad), "--out", str(out)]) == 3, section
+        assert section in capsys.readouterr().err, section
 
 
 def test_horseshoe_exit_codes(tmp_path, capsys):
@@ -262,6 +285,10 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
             ("mixing-witness", "witness_fullshift.ini", "witness.horizon=-1",
              "witness.horizon"),
             ("mixing-witness", "golden_mean.ini", "witness.horizon=0", "witness.horizon"),
+            ("hak-verify", "hak_toy.ini", "stage 2.alpah=1/3", "stage 2.alpah"),
+            ("hak-verify", "hak_toy.ini", "hak.tial=0.1", "hak.tial"),
+            ("hak-verify", "hak_toy.ini", "stage 4.eps=0.01", "stage 4.band"),
+            ("hak-verify", "hak_toy.ini", "stage 2.support=0.49,0.6", "stage 2.support"),
             ("pattern", None, None, "--kfold")):
         if command == "pattern":
             argv = ["pattern", "--kfold", "4"]
@@ -295,14 +322,16 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
              {"numpy"}),
             (run_main.format("['hak-verify', '-c', fixture_path('hak_toy.ini'), "
                              "'--out', 'k.csv']"),
-             {"pseudosusp.cantor", "pseudosusp.chains", "pseudosusp.suspension"}),
+             {"numpy", "pseudosusp.annulus", "pseudosusp.cantor", "pseudosusp.chains",
+              "pseudosusp.suspension"}),
             ("import pseudosusp.chains", {"numpy", "pseudosusp.cantor"})):
         assert not absent & _modules_after(code, tmp_path), code
 
 
 def test_layer_errors_keep_their_exit_codes(tmp_path, capsys):
-    # HAKConfigError is a ConfigError: exit 3 with the verifier's own message,
-    # led by the key that holds the bad value
+    # a layer's config error is a ConfigError (the verifier's HAKConfigError
+    # is one): exit 3 with the layer's own message, led by the key that holds
+    # the bad value
     for command, fixture, override, key, message in (
             ("suspend-orbit", "orbit_demo.ini", "map.map=rotation:0.6|cover:0,1",
              "map.map", "cover degree q must be an integer >= 1"),
