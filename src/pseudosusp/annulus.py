@@ -2,17 +2,18 @@
 
 The strip is [0,1] x R with the sum metric; the angular coordinate is the
 R/Z factor, and rotation numbers are measured on its lift.  Maps are pipelines
-of primitives; every primitive accepts floats or numpy arrays.
+of primitives; every primitive accepts floats or numpy arrays.  A float takes
+a pure-Python path with the same IEEE operations as the array path, so only
+the array code imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
-
-import numpy as np
 
 from .config import ConfigError
 
@@ -25,8 +26,18 @@ class UnsupportedConjugacyError(ValueError):
 # piecewise-linear profiles
 # ---------------------------------------------------------------------------
 
-def pl_eval(xs: np.ndarray, ys: np.ndarray, x):
-    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+def pl_eval(xs, ys, x):
+    """The piecewise-linear function through (xs, ys) at x, extended past
+    the ends by its end pieces.  A float x is located by `bisect_right`, an
+    array x by `searchsorted` on array breakpoints; both clamp the same way
+    and interpolate with the same operations, so their values are
+    bit-identical."""
+    if isinstance(x, (int, float)):
+        idx = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
+    else:
+        import numpy as np
+
+        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     x0, x1 = xs[idx], xs[idx + 1]
     y0, y1 = ys[idx], ys[idx + 1]
     return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
@@ -47,12 +58,16 @@ class Profile:
 
     @cached_property
     def _xy(self):
-        xs = np.array([x for x, _ in self.breakpoints])
-        ys = np.array([y for _, y in self.breakpoints])
-        return xs, ys
+        return tuple(x for x, _ in self.breakpoints), tuple(y for _, y in self.breakpoints)
+
+    @cached_property
+    def _xy_arrays(self):
+        import numpy as np
+
+        return tuple(np.array(v) for v in self._xy)
 
     def __call__(self, x):
-        xs, ys = self._xy
+        xs, ys = self._xy if isinstance(x, (int, float)) else self._xy_arrays
         return pl_eval(xs, ys, x)
 
     def negated(self) -> "Profile":
@@ -112,7 +127,7 @@ class DeckCover:
     p: int
 
     def apply(self, t, r):
-        t2, r2 = self.inner.apply(t, np.asarray(r) * self.q)
+        t2, r2 = self.inner.apply(t, r * self.q)
         return t2, r2 / self.q + self.p / self.q
 
 
@@ -140,21 +155,13 @@ def identity_map() -> LiftedAnnulusMap:
     return LiftedAnnulusMap((), label="identity")
 
 
-def equivariance_defect(m: LiftedAnnulusMap, samples: int = 100, seed: int = 7) -> float:
-    """Max over seeded samples of |map(t, r+1) - map(t, r) - (0, 1)|."""
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0, 1, samples)
-    r = rng.uniform(-2, 2, samples)
-    t1, r1 = m.apply(t, r)
-    t2, r2 = m.apply(t, r + 1.0)
-    return float(np.max(np.abs(t2 - t1) + np.abs(r2 - (r1 + 1.0))))
-
-
 # ---------------------------------------------------------------------------
 # metric helpers
 # ---------------------------------------------------------------------------
 
 def circle_distance(a, b):
+    import numpy as np
+
     d = np.mod(np.asarray(a) - b, 1.0)
     return np.minimum(d, 1.0 - d)
 
@@ -185,6 +192,8 @@ def rigidity_scan(m: LiftedAnnulusMap, grid: int, horizon: int, eps: float,
                   band: tuple[float, float] = (0.0, 1.0)) -> list[tuple[int, float]]:
     """All n <= horizon whose n-th iterate stays within eps of the identity on
     a grid over band x circle, with the measured sup displacement."""
+    import numpy as np
+
     t0 = np.linspace(band[0], band[1], grid)
     r0 = np.linspace(0.0, 1.0, grid, endpoint=False)
     tt, rr = np.meshgrid(t0, r0, indexing="ij")
@@ -203,6 +212,8 @@ def rigidity_scan(m: LiftedAnnulusMap, grid: int, horizon: int, eps: float,
 def displacement_bound(m: LiftedAnnulusMap, grid: int = 64) -> int:
     """Integer bound on |angular displacement|, valid globally by deck
     periodicity; sup over a fundamental-domain grid, rounded up."""
+    import numpy as np
+
     t = np.linspace(0.0, 1.0, grid)
     r = np.linspace(0.0, 1.0, grid, endpoint=False)
     tt, rr = np.meshgrid(t, r, indexing="ij")

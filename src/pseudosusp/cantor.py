@@ -15,9 +15,10 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InvalidPointError(ValueError):
@@ -190,8 +191,9 @@ class _Shift:
         return SymbolSequence(c.extension.shifted(w), c.alphabet_size, c.radius)
 
     def check(self, rows: np.ndarray) -> None:
-        """Raise InvalidPointError unless every row of consecutive symbols is
-        admissible; here, unless every symbol lies in the alphabet."""
+        """Raise InvalidPointError unless every row of a table of consecutive
+        symbols is admissible; here, unless every symbol lies in the
+        alphabet."""
         if ((rows < 0) | (rows >= self.k)).any():
             raise InvalidPointError("window symbol outside alphabet")
 
@@ -269,19 +271,27 @@ class SFT(_Shift):
             raise ValueError("adjacency has an all-zero column")
 
     def power(self, c: SymbolSequence, w: int) -> SymbolSequence:
+        """h^w, then the same check as `check` on the one window."""
         out = super().power(c, w)
         if w:
-            self.check(np.array([out.window]))
+            window = out.window
+            if not all(0 <= s < self.k for s in window):
+                raise InvalidPointError("window symbol outside alphabet")
+            bad = next(((a, b) for a, b in zip(window, window[1:])
+                        if not self.adjacency[a][b]), None)
+            if bad is not None:
+                raise _inadmissible(*bad)
         return out
 
     def check(self, rows: np.ndarray) -> None:
+        import numpy as np
+
         super().check(rows)
         left, right = rows[:, :-1], rows[:, 1:]
         bad = ~np.array(self.adjacency, dtype=bool)[left, right]
         if bad.any():
             j, i = np.argwhere(bad)[0]
-            raise InvalidPointError(f"inadmissible pair ({left[j, i]},{right[j, i]}) "
-                                    "for SFT adjacency")
+            raise _inadmissible(left[j, i], right[j, i])
 
     def contains(self, word) -> bool:
         return super().contains(word) and all(self.adjacency[a][b]
@@ -313,12 +323,11 @@ class SFT(_Shift):
         if not _irreducible(self.adjacency):
             warnings.warn("SFT adjacency is reducible; entropy of the full language returned",
                           ReducibleSFTWarning, stacklevel=2)
-        return math.log(spectral_radius(np.array(self.adjacency)))
+        return math.log(spectral_radius(self.adjacency))
 
     def mixing_witness(self, u, v, horizon: int):
         u, v = _cylinder_words(self, u, v)
-        adj = [[bool(x) for x in row] for row in self.adjacency]
-        power = adj  # adj^(n - len(u) + 1) maintained incrementally
+        power = self.adjacency  # (A^(n - len(u) + 1) > 0) maintained incrementally
         for n in range(1, horizon + 1):
             if n < len(u):
                 merged = _merge(u, v, n)
@@ -326,7 +335,7 @@ class SFT(_Shift):
                     return n
             else:
                 if n > len(u):
-                    power = _bool_mul(power, adj)
+                    power = _bool_mul(power, self.adjacency)
                 if power[u[-1]][v[0]]:
                     return n
         return None
@@ -519,6 +528,8 @@ class _ShiftTable:
         self.table = self._columns(0, 0)
 
     def read(self, w: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         need_lo = int(w.min()) + int(self.positions[0])
         need_hi = int(w.max()) + int(self.positions[-1])
         if need_lo < self.lo or self.hi < need_hi:
@@ -533,6 +544,8 @@ class _ShiftTable:
         return np.take_along_axis(self.table, cols, axis=1)
 
     def _columns(self, lo: int, hi: int) -> np.ndarray:
+        import numpy as np
+
         return np.array([[c.symbol_at(i) for i in range(lo, hi)] for c in self.seeds],
                         dtype=np.int64)
 
@@ -544,6 +557,8 @@ class _DigitTable:
 
     def __init__(self, bases: tuple[int, ...], seeds: list[SymbolSequence],
                  positions: np.ndarray):
+        import numpy as np
+
         self.bases = bases[:len(positions)]
         self.digits = np.array([[c.symbol_at(int(i)) for i in positions] for c in seeds],
                                dtype=np.int64)
@@ -554,7 +569,7 @@ class _DigitTable:
         for i, b in enumerate(self.bases):
             if not k.any():
                 break
-            k, self.digits[:, i] = np.divmod(self.digits[:, i] + k, b)
+            k, self.digits[:, i] = divmod(self.digits[:, i] + k, b)
         return self.digits
 
 
@@ -572,6 +587,17 @@ def _cylinder_words(sys: CantorSystem, u, v) -> tuple[tuple[int, ...], tuple[int
     return u, v
 
 
+def _inadmissible(a, b) -> InvalidPointError:
+    return InvalidPointError(f"inadmissible pair ({a},{b}) for SFT adjacency")
+
+
+def _bool_mul(a, b) -> list[list[int]]:
+    """The 0/1 product of two square matrices read as 0/1 (an entry is 1 iff
+    it is nonzero): entry (i, j) is 1 iff a[i][t] and b[t][j] for some t."""
+    cols = list(zip(*b))
+    return [[int(any(x and y for x, y in zip(row, col))) for col in cols] for row in a]
+
+
 def _primitive(rules, max_power: int) -> bool:
     k = len(rules)
     m = [[0] * k for _ in range(k)]
@@ -580,9 +606,9 @@ def _primitive(rules, max_power: int) -> bool:
             m[a][b] = 1
     p = m
     for _ in range(max_power):
-        if all(all(x > 0 for x in row) for row in p):
+        if all(all(row) for row in p):
             return True
-        p = [[min(1, sum(p[i][t] * m[t][j] for t in range(k))) for j in range(k)] for i in range(k)]
+        p = _bool_mul(p, m)
     return False
 
 
@@ -595,58 +621,52 @@ def _odometer_add(digits: tuple[int, ...], bases: tuple[int, ...], w: int) -> tu
     return tuple(out)
 
 
-def spectral_radius(matrix: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000) -> float:
-    """Power iteration with an all-ones start vector (deterministic)."""
-    a = np.asarray(matrix, dtype=float)
-    v = np.ones(a.shape[0])
-    lam = 0.0
+def spectral_radius(matrix, tol: float = 1e-12, max_iter: int = 10_000) -> float:
+    """The Perron root of a nonnegative square matrix given as rows: the
+    largest root over its strongly connected classes, each an irreducible
+    block (Frobenius normal form).  A one-state class without a loop has
+    root 0."""
+    reach = _closure(matrix)
+    roots = [0.0]
+    for i in range(len(matrix)):
+        cls = [j for j in range(len(matrix)) if reach[i][j] and reach[j][i]]
+        if cls[0] == i:  # each class once, at its least state
+            block = [[matrix[p][q] for q in cls] for p in cls]
+            roots.append(_perron_root(block, tol, max_iter))
+    return max(roots)
+
+
+def _perron_root(matrix, tol: float, max_iter: int) -> float:
+    """The Perron root of an irreducible nonnegative matrix.  Every positive
+    v brackets it between the least and the largest ratio (Av)_i / v_i
+    (Collatz-Wielandt).  v starts at all ones (deterministic) and steps by
+    A + I, which keeps it positive and makes the bracket close even when A
+    is periodic; the iteration stops once the bracket is tol-narrow."""
+    a = [[float(x) for x in row] for row in matrix]
+    v = [1.0] * len(a)
     for _ in range(max_iter):
-        w = a @ v
-        norm = w.sum()
-        if norm == 0.0:
-            return 0.0
-        new = norm / v.sum()
-        w = w / norm * v.sum()
-        if lam and abs(new - lam) <= tol * abs(new):
-            return new
-        lam, v = new, w
-    return lam
+        av = [sum(x * y for x, y in zip(row, v)) for row in a]
+        ratios = [x / y for x, y in zip(av, v)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= tol * hi:
+            break
+        norm = sum(av) + sum(v)
+        v = [(x + y) / norm for x, y in zip(av, v)]
+    return (lo + hi) / 2
 
 
-def _irreducible(adjacency) -> bool:
+def _closure(adjacency) -> list[list[int]]:
+    """0/1 matrix: whether state j can be reached from state i in zero or
+    more steps."""
     k = len(adjacency)
     reach = [[1 if i == j or adjacency[i][j] else 0 for j in range(k)] for i in range(k)]
     for _ in range(k):
-        reach = [[min(1, sum(reach[i][t] * reach[t][j] for t in range(k)))
-                  for j in range(k)] for i in range(k)]
-    return all(all(row) for row in reach)
+        reach = _bool_mul(reach, reach)
+    return reach
 
 
-def recurrence_profile(sys: CantorSystem, c: SymbolSequence, L: int,
-                       horizon: int) -> dict[tuple[int, ...], float]:
-    """Max gap between consecutive sightings of each length-L word along the
-    first `horizon` backward iterates.  Unseen words map to inf; a single
-    sighting reports the conservative gap `horizon`."""
-    last: dict[tuple[int, ...], int] = {}
-    gaps: dict[tuple[int, ...], float] = {}
-    counts: dict[tuple[int, ...], int] = {}
-    cur = c
-    for t in range(horizon):
-        word = tuple(cur.symbol_at(j) for j in range(L))
-        if word in last:
-            gaps[word] = max(gaps.get(word, 0.0), float(t - last[word]))
-        last[word] = t
-        counts[word] = counts.get(word, 0) + 1
-        cur = sys.power(cur, -1)
-    out: dict[tuple[int, ...], float] = {}
-    for word in sys.words(L):
-        if word not in counts:
-            out[word] = math.inf
-        elif counts[word] == 1:
-            out[word] = float(horizon)
-        else:
-            out[word] = gaps[word]
-    return out
+def _irreducible(adjacency) -> bool:
+    return all(all(row) for row in _closure(adjacency))
 
 
 def _digit_value(digits, bases) -> int:
@@ -677,22 +697,17 @@ def _merge(u, v, n):
     return tuple(out)
 
 
-def _bool_mul(a, b):
-    k = len(a)
-    return [[any(a[i][t] and b[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
-
-
 def _outward(seen: list[int], D: int) -> tuple[list[int], list[int]]:
     """The seen positions from each edge of the core [-D, D] outward."""
     return [p for p in seen if p >= D], [p for p in reversed(seen) if p <= -D]
 
 
-def _reach(adjacency, steps: int) -> np.ndarray:
+def _reach(adjacency, steps: int) -> list[list[int]]:
     """0/1 matrix: (A^steps > 0), without the growth of A^steps."""
-    a = np.array(adjacency, dtype=bool).astype(np.int64)
-    out = np.identity(len(a), dtype=np.int64)
+    k = len(adjacency)
+    out = [[int(i == j) for j in range(k)] for i in range(k)]
     for _ in range(steps):
-        out = np.minimum(out @ a, 1)
+        out = _bool_mul(out, adjacency)
     return out
 
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .annulus import LiftedAnnulusMap
 from .cantor import CantorSystem, SymbolSequence, cantor_metric
 from .config import CapacityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,12 @@ class QuotientCloud:
 
     t and r are float64 and the winding w is int64.  The Cantor coordinate
     is the system's `table` of the seeds, read at the positions the metric
-    reads: a symbol table for a shift, carried digits for the odometer."""
+    reads: a symbol table for a shift, carried digits for the odometer.
+    Only this class builds arrays in the module, so it alone imports numpy."""
 
     def __init__(self, sys: SuspensionSystem, points: list[SuspensionPoint]):
+        import numpy as np
+
         self.sys = sys
         self.alphabet = points[0].c.alphabet_size
         self.t = np.array([p.t for p in points], dtype=np.float64)
@@ -183,6 +188,8 @@ class QuotientCloud:
         self.symbols = self.table.read(self.w)
 
     def step(self) -> None:
+        import numpy as np
+
         t, r = self.sys.H.apply(self.t, self.r)
         k = np.floor(r)
         self.t, self.r = t, r - k
@@ -192,6 +199,8 @@ class QuotientCloud:
     def target(self, q: SuspensionPoint):
         """q with the symbols of h^-s(q.c), s = -1, 0, 1, at the positions
         the metric reads, for `distances`."""
+        import numpy as np
+
         if q.c.alphabet_size != self.alphabet:
             raise ValueError("points live over different alphabets")
         rows = np.array([[self.sys.h.power(q.c, -s).symbol_at(int(i))
@@ -201,6 +210,8 @@ class QuotientCloud:
     def distances(self, target) -> np.ndarray:
         """`quotient_distance` from every point to the target's point: the
         cylinder term is the scale of the nearest mismatch, or 0."""
+        import numpy as np
+
         qt, qr, rows = target
         best = np.full(len(self.t), math.inf)
         for s, row in zip((-1, 0, 1), rows):
@@ -239,49 +250,6 @@ def weak_mixing_witness(sys: SuspensionSystem, U: tuple[SuspensionPoint, float],
         if (cloud.distances(to_u) < ru).any() and (cloud.distances(to_v) < rv).any():
             return l
     return None
-
-
-# ---------------------------------------------------------------------------
-# rigidity on the quotient
-# ---------------------------------------------------------------------------
-
-def rigidity_suspension(sys: SuspensionSystem, grid: int, horizon: int,
-                        eps: float, seed: int = 0) -> list[tuple[int, float]]:
-    """All n <= horizon with sup quotient displacement < eps over a grid of
-    start points sharing one seeded Cantor coordinate."""
-    c0 = sys.h.random_point(seed, sys.window)
-    t0 = np.linspace(0.05, 0.95, grid)
-    r0 = np.linspace(0.0, 1.0, grid, endpoint=False)
-    tt, rr = np.meshgrid(t0, r0, indexing="ij")
-    tt, rr = tt.ravel(), rr.ravel()
-    t, rlift = tt.copy(), rr.copy()
-    wdist: dict[tuple[int, int], float] = {}
-
-    def cantor_gap(w: int, s: int) -> float:
-        # distance between h^w(c0) and h^(-s)(c0); the metric is not
-        # shift-invariant, so cache per (w, s) pair
-        key = (w, s)
-        if key not in wdist:
-            wdist[key] = cantor_metric(sys.h.power(c0, w), sys.h.power(c0, -s), sys.window)
-        return wdist[key]
-
-    qualifying = []
-    for n in range(1, horizon + 1):
-        t, rlift = sys.H.apply(t, rlift)
-        w = np.floor(rlift).astype(int)
-        worst = 0.0
-        for j in range(len(tt)):
-            best = math.inf
-            for s in (-1, 0, 1):
-                strip = abs(t[j] - tt[j]) + abs((rlift[j] - w[j]) - (rr[j] + s))
-                cd = cantor_gap(int(w[j]), s)
-                best = min(best, max(strip, cd))
-            worst = max(worst, best)
-            if worst >= eps:
-                break
-        if worst < eps:
-            qualifying.append((n, worst))
-    return qualifying
 
 
 # ---------------------------------------------------------------------------

@@ -261,15 +261,3 @@ def hak_verify(stages: list[HAKStage], tail: Fraction = ZERO) -> HAKReport:
 
 def _gamma(stages: list[HAKStage], i: int, tail: Fraction) -> Fraction:
     return sum(st.eps for st in stages[i:]) + tail
-
-
-def rigidity_margins(stages: list[HAKStage],
-                     tail: Fraction = ZERO) -> list[tuple[int, Fraction, Fraction]]:
-    """(n, sup displacement of H_N^(p_n) on the deepest band, gamma_n).
-
-    H_N^(p_n)(t, r) = (t, r + p_n*P_N(t)), so the displacement is
-    ||p_n*P_N(t)||, the same for every r."""
-    speed = pl_sum(stage_profiles(stages))
-    u, v = stages[-1].band
-    return [(st.n, circle_sup(speed, u, v, range(st.p, st.p + 1)), _gamma(stages, i, tail))
-            for i, st in enumerate(stages)]

@@ -17,14 +17,15 @@ from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, Profile,
                                 RadialReparam, RigidRotation, Twist,
                                 UnsupportedConjugacyError, circle_distance,
                                 conjugacy_invariance_check, cover_lift,
-                                displacement_bound, equivariance_defect,
-                                identity_map, invert_map, rigidity_scan,
+                                displacement_bound, identity_map, invert_map, rigidity_scan,
                                 rotation_estimate, rotation_family,
                                 rotation_number)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import ConfigError, build_stages, load_config
 from pseudosusp.tower import (HAKConfigError, circle_sup, hak_verify, pl_sum,
-                              rigidity_margins, stage_profiles)
+                              stage_profiles)
+
+from oracles import equivariance_defect, rigidity_margins
 
 
 def rot(beta):
@@ -56,6 +57,63 @@ def test_equivariance_all_primitives():
     ]
     for m in maps:
         assert equivariance_defect(m, samples=1000) < 1e-9
+
+
+def same_bits(a, b) -> bool:
+    # hex tells -0.0 from 0.0, which == does not
+    return float(a).hex() == float(b).hex()
+
+
+def ticks(n: int):
+    """n distinct sorted points strictly inside (0, 1)."""
+    return st.lists(st.integers(1, 9999), min_size=n, max_size=n, unique=True).map(
+        lambda ks: [k / 10000 for k in sorted(ks)])
+
+
+pl_profiles = st.integers(0, 4).flatmap(lambda n: st.builds(
+    lambda xs, ys: Profile(tuple(zip([0.0] + xs + [1.0], ys))),
+    ticks(n), st.lists(st.floats(-2.0, 2.0), min_size=n + 2, max_size=n + 2)))
+reparams = st.integers(0, 3).flatmap(lambda n: st.builds(
+    lambda xs, ys: RadialReparam(Profile(tuple(zip([0.0] + xs + [1.0], [0.0] + ys + [1.0])))),
+    ticks(n), ticks(n)))
+primitive_lists = st.lists(st.one_of(st.builds(RigidRotation, st.floats(-2.0, 2.0)),
+                                     st.builds(Twist, pl_profiles), reparams), max_size=4)
+pipelines = st.one_of(
+    primitive_lists.map(lambda p: LiftedAnnulusMap(tuple(p))),
+    st.builds(lambda p, q, k: LiftedAnnulusMap((DeckCover(LiftedAnnulusMap(tuple(p)), q, k),)),
+              primitive_lists, st.integers(1, 5), st.integers(-3, 3)))
+
+
+def probes(xs):
+    """Points where the float path's bisect and the array path's searchsorted
+    could part: the breakpoints and their float neighbours, 0 and 1, and
+    points outside [0, 1], where the clamp extends the end pieces."""
+    near = [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+    return st.one_of(st.sampled_from(sorted({0.0, 1.0, *xs, *near})),
+                     st.floats(-3.0, 4.0), st.floats(-1e-12, 1e-12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(profile=pl_profiles, data=st.data())
+def test_profile_float_and_array_paths_agree_bit_for_bit(profile, data):
+    x = data.draw(probes([x for x, _ in profile.breakpoints]))
+    assert same_bits(profile(x), profile(np.array([x]))[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=pipelines, data=st.data())
+def test_map_float_and_array_paths_agree_bit_for_bit(m, data):
+    """The contract behind `QuotientCloud`: `apply` on floats (the orbit and
+    `step`) and on arrays (the cloud) gives the same t and r, bit for bit."""
+    inner = m.pipeline[0].inner.pipeline if m.pipeline and isinstance(
+        m.pipeline[0], DeckCover) else m.pipeline
+    xs = [x for prim in inner if hasattr(prim, "profile") for x, _ in prim.profile.breakpoints]
+    t = data.draw(probes(xs))
+    r = data.draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                            st.floats(-5.0, 5.0)))
+    t1, r1 = m.apply(t, r)
+    t2, r2 = m.apply(np.array([t]), np.array([r]))
+    assert same_bits(t1, t2[0]) and same_bits(r1, r2[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ property sweeps."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from pseudosusp.cantor import (DigitStream, FullShift, GraphPath, InvalidPointEr
                                Odometer, Periodic,
                                ReducibleSFTWarning, SFT, Substitution,
                                SymbolSequence, cantor_metric,
-                               golden_mean_sft, recurrence_profile, thue_morse,
+                               golden_mean_sft, thue_morse,
                                _language_words, _odometer_add)
+
+from oracles import recurrence_profile
 
 # `test_system_contract` runs over this list: a new system class is tested
 # by adding it here
@@ -164,6 +168,55 @@ def test_golden_mean_entropy_against_root_oracle():
     val = golden_mean_sft().entropy_exact()
     assert val == pytest.approx(math.log(phi), abs=1e-9)
     assert val == pytest.approx(0.481212, abs=1e-6)
+
+
+def irreducible_01_matrices():
+    """Every irreducible 0/1 matrix up to 3 x 3, then 100 seeded ones each of
+    4 x 4 and 5 x 5.  Irreducible: every state reaches every other, which
+    the oracle decides by closing the reach relation itself."""
+    def irreducible(a):
+        k = len(a)
+        reach = {(i, j) for i in range(k) for j in range(k) if a[i][j]}
+        for _ in range(k):
+            reach |= {(i, j) for i, t in reach for s, j in reach if s == t}
+        return k == 1 or len(reach) == k * k
+
+    out = [[list(bits[i * k:(i + 1) * k]) for i in range(k)]
+           for k in (1, 2, 3) for bits in itertools.product((0, 1), repeat=k * k)]
+    rng = random.Random(2024)
+    for k in (4, 5):
+        drawn = 0
+        while drawn < 100:
+            a = [[int(rng.random() < 0.4) for _ in range(k)] for _ in range(k)]
+            out.append(a)
+            drawn += irreducible(a)
+    return [a for a in out if irreducible(a)]
+
+
+def test_spectral_radius_against_eigenvalue_oracle():
+    """Periodic matrices (a bipartite graph, a cycle) are included: a power
+    iteration on A alone oscillates on them."""
+    matrices = irreducible_01_matrices()
+    assert len(matrices) == 150 + 200
+    for a in matrices:
+        want = max(abs(np.linalg.eigvals(np.array(a, dtype=float))))
+        assert abs(cantor.spectral_radius(a) - want) <= 1e-9 * want, a
+    phi = (1 + math.sqrt(5)) / 2
+    assert cantor.spectral_radius(golden_mean_sft().adjacency) == pytest.approx(phi, rel=1e-12)
+
+
+@pytest.mark.parametrize("matrix,root", [
+    (((1, 1), (0, 1)), 1.0),                      # a Jordan block
+    (((0, 1), (0, 0)), 0.0),                      # nilpotent
+    (((1, 1, 0), (1, 0, 1), (0, 0, 1)), "phi"),   # the golden mean feeding a sink
+    (((1, 0, 0), (1, 1, 1), (1, 1, 0)), "phi"),   # ... fed by a source
+    (((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 1, 1), (0, 0, 1, 1)), 2.0),
+])
+def test_spectral_radius_of_reducible_matrices(matrix, root):
+    """The largest root over the strongly connected classes, which a power
+    iteration on the whole matrix approaches only slowly or not at all."""
+    want = (1 + math.sqrt(5)) / 2 if root == "phi" else root
+    assert cantor.spectral_radius(matrix) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def count_words(adjacency, n):

@@ -315,17 +315,45 @@ def _modules_after(code: str, cwd: Path) -> set[str]:
 
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    """Only array code imports numpy: the entropy counts, the orbits, the
+    rotation estimates and the symbolic witnesses run on floats and lists.
+    The suspension witness and `rigidity` still load it, so the probe can
+    see numpy when it is there."""
     run_main = "from pseudosusp.cli import fixture_path, main\nassert main({}) == 0"
+    layers = {"pseudosusp.annulus", "pseudosusp.cantor", "pseudosusp.chains",
+              "pseudosusp.suspension"}
+
+    def command(name, fixture, *overrides):
+        flag = "--map" if name == "horseshoe" else "-c"
+        extra = "".join(f", '--override', {o!r}" for o in overrides)
+        return run_main.format(f"[{name!r}, {flag!r}, fixture_path({fixture!r}), "
+                               f"'--out', 'o.csv'{extra}]")
+
+    golden = ("cantor.kind=sft", "cantor.adjacency=1,1;1,0")
+    thue_morse = ("cantor.kind=substitution", "cantor.rules=0:01;1:10")
+    no_numpy = [
+        command("horseshoe", "three_branch_horseshoe.ini"),
+        command("suspend-entropy", "entropy_unit.ini"),
+        command("suspend-entropy", "entropy_odometer.ini"),
+        command("suspend-entropy", "entropy_unit.ini", *golden),
+        command("suspend-entropy", "entropy_unit.ini", *thue_morse),
+        command("dense-orbit", "dense_demo.ini"),
+        command("suspend-orbit", "orbit_demo.ini"),
+        command("rotation", "rotation_demo.ini"),
+        command("rotation-family", "family_demo.ini"),
+        command("mixing-witness", "golden_mean.ini", "witness.mode=symbolic"),
+        command("mixing-witness", "thue_morse.ini", "witness.mode=symbolic"),
+        "import pseudosusp.annulus, pseudosusp.cantor, pseudosusp.suspension",
+    ]
+    for code in no_numpy:
+        assert "numpy" not in _modules_after(code, tmp_path), code
     for code, absent in (
-            (run_main.format("['horseshoe', '--map', "
-                             "fixture_path('three_branch_horseshoe.ini'), '--out', 'h.csv']"),
-             {"numpy"}),
-            (run_main.format("['hak-verify', '-c', fixture_path('hak_toy.ini'), "
-                             "'--out', 'k.csv']"),
-             {"numpy", "pseudosusp.annulus", "pseudosusp.cantor", "pseudosusp.chains",
-              "pseudosusp.suspension"}),
+            (command("hak-verify", "hak_toy.ini"), {"numpy", *layers}),
             ("import pseudosusp.chains", {"numpy", "pseudosusp.cantor"})):
         assert not absent & _modules_after(code, tmp_path), code
+    for code in (command("mixing-witness", "witness_fullshift.ini"),
+                 command("rigidity", "rigidity_golden.ini")):
+        assert "numpy" in _modules_after(code, tmp_path), code
 
 
 def test_layer_errors_keep_their_exit_codes(tmp_path, capsys):

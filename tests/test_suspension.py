@@ -23,8 +23,9 @@ from pseudosusp.suspension import (CapacityError, QuotientCloud, SuspensionSyste
                                    depth_for, entropy_separated,
                                    entropy_spanning, normalize,
                                    orbit, product_formula_report, quotient_distance,
-                                   rigidity_suspension, step,
-                                   weak_mixing_witness, winding_rate)
+                                   step, weak_mixing_witness, winding_rate)
+
+from oracles import rigidity_suspension
 
 
 def rot(beta):
