@@ -151,10 +151,6 @@ class LiftedAnnulusMap:
                                 label=f"{self.label}|{other.label}")
 
 
-def identity_map() -> LiftedAnnulusMap:
-    return LiftedAnnulusMap((), label="identity")
-
-
 # ---------------------------------------------------------------------------
 # metric helpers
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Symbolic Cantor-set dynamics: shifts, subshifts, substitutions, odometers.
 
-Points are bi-infinite symbol sequences represented by a total extension rule
-plus a cached window; shifting is an O(1) re-anchoring of the rule.  All values
-are immutable; every operation returns a new object.  Each system class knows
-all of its own behaviour (see "systems" below).
+A point of a shift (the full shift, an SFT, a substitution) is an explicit
+symbol word over [-R, R] plus an offset: h^w only moves the offset, and a
+read outside [-R, R] widens the word through the system's own `splice`.
+An odometer point is its integer value.  Each system class knows all of its
+own behaviour (see "systems" below).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -30,144 +30,77 @@ class ReducibleSFTWarning(RuntimeWarning):
 
 
 # ---------------------------------------------------------------------------
-# extension rules
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Periodic:
-    """Tile `left` over indices < anchor and `right` over indices >= anchor."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    anchor: int = 0
-
-    def symbol(self, i: int) -> int:
-        j = i - self.anchor
-        if j >= 0:
-            return self.right[j % len(self.right)]
-        return self.left[j % len(self.left)]
-
-    def shifted(self, steps: int) -> "Periodic":
-        return Periodic(self.left, self.right, self.anchor - steps)
-
-
-@dataclass(frozen=True)
-class GraphPath:
-    """Admissible path of an SFT: explicit core, lazy lex-smallest refill.
-
-    Beyond the stored core the sequence continues with the lexicographically
-    smallest admissible successor (right) / predecessor (left), which keeps
-    backward refills deterministic.
-    """
-
-    adjacency: tuple[tuple[int, ...], ...]
-    core: tuple[int, ...]
-    core_lo: int
-    shift: int = 0
-
-    def symbol(self, i: int) -> int:
-        j = i + self.shift
-        hi = self.core_lo + len(self.core) - 1
-        if self.core_lo <= j <= hi:
-            return self.core[j - self.core_lo]
-        if j > hi:
-            return _lex_walk(self.core[-1], j - hi, _successor_map(self.adjacency))
-        return _lex_walk(self.core[0], self.core_lo - j, _predecessor_map(self.adjacency))
-
-    def shifted(self, steps: int) -> "GraphPath":
-        return GraphPath(self.adjacency, self.core, self.core_lo, self.shift + steps)
-
-
-@dataclass(frozen=True)
-class DigitStream:
-    """Mixed-radix digit list of an odometer point; indices off range read 0."""
-
-    digits: tuple[int, ...]
-    bases: tuple[int, ...]
-
-    def symbol(self, i: int) -> int:
-        if 0 <= i < len(self.digits):
-            return self.digits[i]
-        return 0
-
-    def shifted(self, steps: int) -> "DigitStream":
-        raise InvalidPointError("odometer points advance by adding, not by shifting")
-
-
-Extension = Union[Periodic, GraphPath, DigitStream]
-
-
-@lru_cache(maxsize=None)
-def _successor_map(adjacency):
-    out = []
-    for row in adjacency:
-        succ = [q for q, bit in enumerate(row) if bit]
-        if not succ:
-            raise InvalidPointError("adjacency row without successor")
-        out.append(succ[0])
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _predecessor_map(adjacency):
-    k = len(adjacency)
-    out = []
-    for q in range(k):
-        pred = [p for p in range(k) if adjacency[p][q]]
-        if not pred:
-            raise InvalidPointError("adjacency column without predecessor")
-        out.append(pred[0])
-    return tuple(out)
-
-
-def _lex_walk(start: int, steps: int, nxt: tuple[int, ...]) -> int:
-    # The deterministic walk enters a cycle within len(nxt) steps.
-    seen = {start: 0}
-    path = [start]
-    s = start
-    for d in range(1, steps + 1):
-        s = nxt[s]
-        if s in seen:
-            lead = seen[s]
-            cycle = d - lead
-            return path[lead + (steps - lead) % cycle]
-        seen[s] = d
-        path.append(s)
-    return s
-
-
-# ---------------------------------------------------------------------------
 # points
 # ---------------------------------------------------------------------------
 
 DEFAULT_RADIUS = 32
 
 
-@dataclass(frozen=True)
-class SymbolSequence:
-    """Concrete Cantor point: window indexed -W..W derived from `extension`."""
+@dataclass(frozen=True, eq=False)
+class ShiftPoint:
+    """A point of a shift: the symbols at [-R, R] of a word of length
+    2R + 1, read at i + offset.  Every power of the point shares the word.
 
-    extension: Extension
-    alphabet_size: int
-    radius: int = DEFAULT_RADIUS
+    A read outside [-R, R] widens the word in place by the system's
+    `splice(point, R, stream, 2R)`: R doubles, and the new outer symbols
+    come from a stream seeded by the word itself.  So each symbol is a
+    function of the word the point was built from, whatever the order of
+    reads, and no caller's rng is consumed."""
+
+    system: _Shift
+    word: list[int]
+    offset: int = 0
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.system.k
 
     def symbol_at(self, i: int) -> int:
-        return self.extension.symbol(i)
+        return self.symbols(i, i + 1)[0]
 
-    @cached_property
-    def window(self) -> tuple[int, ...]:
-        w = self.radius
-        return tuple(self.extension.symbol(i) for i in range(-w, w + 1))
+    def symbols(self, lo: int, hi: int) -> list[int]:
+        """The symbols at lo..hi - 1, after widening the word until it holds
+        them."""
+        lo, hi = lo + self.offset, hi + self.offset
+        while max(-lo, hi - 1) > len(self.word) // 2:
+            R = len(self.word) // 2
+            wide = self.system.splice(ShiftPoint(self.system, self.word), R,
+                                      random.Random(str(self.word)), max(2 * R, 1))
+            self.word[:] = wide.word
+        R = len(self.word) // 2
+        return self.word[lo + R:hi + R]
 
 
-def cantor_metric(c1: SymbolSequence, c2: SymbolSequence, W: int) -> float:
-    """Cylinder metric 2^(-m), m = least |i| <= W with a mismatch; 0 if none."""
+@dataclass(frozen=True)
+class OdometerPoint:
+    """A point of an odometer: its value in [0, prod(bases)).  Symbol i is
+    digit i of the value in mixed radix; indices off the digits read 0."""
+
+    system: Odometer
+    value: int
+
+    @property
+    def alphabet_size(self) -> int:
+        return max(self.system.bases)
+
+    def symbol_at(self, i: int) -> int:
+        bases = self.system.bases
+        if not 0 <= i < len(bases):
+            return 0
+        return self.value // math.prod(bases[:i]) % bases[i]
+
+
+CantorPoint = Union[ShiftPoint, OdometerPoint]
+
+
+def cantor_metric(c1: CantorPoint, c2: CantorPoint, W: int) -> float:
+    """Cylinder metric 2^(-|i|), i the mismatch nearest 0 among the
+    system's `positions(W)`; 0 if none."""
     if c1.alphabet_size != c2.alphabet_size:
         raise ValueError("points live over different alphabets")
-    e1, e2 = c1.extension, c2.extension
-    for m in range(W + 1):
-        if e1.symbol(m) != e2.symbol(m) or (m and e1.symbol(-m) != e2.symbol(-m)):
-            return 2.0 ** (-m)
+    for i in sorted(c1.system.positions(W), key=abs):
+        if c1.symbol_at(i) != c2.symbol_at(i):
+            return 2.0 ** -abs(i)
     return 0.0
 
 
@@ -181,21 +114,22 @@ def cantor_metric(c1: SymbolSequence, c2: SymbolSequence, W: int) -> float:
 
 class _Shift:
     """What the full shift, an SFT and a substitution share: a point is a
-    bi-infinite symbol sequence that h^w re-anchors, and a word is a block
-    of consecutive symbols."""
+    `ShiftPoint` that h^w re-anchors, and a word is a block of consecutive
+    symbols."""
 
-    def power(self, c: SymbolSequence, w: int) -> SymbolSequence:
-        """h^w in one move: re-anchor the extension rule."""
+    def point(self, word) -> ShiftPoint:
+        """The point whose symbols over [-R, R] are `word`, of length 2R + 1;
+        InvalidPointError unless every symbol lies in the alphabet.  Every
+        point is built here."""
+        if min(word) < 0 or max(word) >= self.k:
+            raise InvalidPointError("window symbol outside alphabet")
+        return ShiftPoint(self, list(word))
+
+    def power(self, c: ShiftPoint, w: int) -> ShiftPoint:
+        """h^w in one move: move the offset."""
         if w == 0:
             return c
-        return SymbolSequence(c.extension.shifted(w), c.alphabet_size, c.radius)
-
-    def check(self, rows: np.ndarray) -> None:
-        """Raise InvalidPointError unless every row of a table of consecutive
-        symbols is admissible; here, unless every symbol lies in the
-        alphabet."""
-        if ((rows < 0) | (rows >= self.k)).any():
-            raise InvalidPointError("window symbol outside alphabet")
+        return ShiftPoint(self, c.word, c.offset + w)
 
     def contains(self, word) -> bool:
         return all(0 <= s < self.k for s in word)
@@ -207,12 +141,12 @@ class _Shift:
     def positions(self, D: int) -> range:
         return range(-D, D + 1)
 
-    def core_key(self, c: SymbolSequence, D: int) -> tuple[int, ...]:
+    def core_key(self, c: ShiftPoint, D: int) -> tuple[int, ...]:
         """What the Bowen class count of the cylinder of c depends on."""
         return ()
 
-    def table(self, seeds: list[SymbolSequence], positions: np.ndarray) -> "_ShiftTable":
-        return _ShiftTable(self, seeds, positions)
+    def table(self, seeds: list[ShiftPoint], positions: np.ndarray) -> "_ShiftTable":
+        return _ShiftTable(seeds, positions)
 
 
 @dataclass(frozen=True)
@@ -224,17 +158,17 @@ class FullShift(_Shift):
         if self.k < 2:
             raise ValueError("full shift needs alphabet size >= 2")
 
-    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> SymbolSequence:
+    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> ShiftPoint:
         rng = random.Random(seed)
-        word = tuple(rng.randrange(self.k) for _ in range(2 * W + 1))
-        return SymbolSequence(Periodic(word, word, -W), self.k, W)
+        return self.point([rng.randrange(self.k) for _ in range(2 * W + 1)])
 
-    def splice(self, base: SymbolSequence, D: int, rng: random.Random,
-               W: int) -> SymbolSequence:
-        """A point agreeing with `base` on |i| <= D, varied beyond."""
-        word = tuple(base.symbol_at(i) if abs(i) <= D else rng.randrange(self.k)
-                     for i in range(-W, W + 1))
-        return SymbolSequence(Periodic(word, word, -W), self.k, W)
+    def splice(self, base: ShiftPoint, D: int, rng: random.Random, W: int) -> ShiftPoint:
+        """A point over [-W, W] agreeing with `base` on |i| <= D, varied
+        beyond: the left symbols are drawn first, then the right ones."""
+        d = min(D, W)
+        left = [rng.randrange(self.k) for _ in range(W - d)]
+        return self.point(left + base.symbols(-d, d + 1)
+                          + [rng.randrange(self.k) for _ in range(W - d)])
 
     def entropy_exact(self) -> float:
         return math.log(self.k)
@@ -270,34 +204,21 @@ class SFT(_Shift):
         if any(not any(adj[p][q] for p in range(k)) for q in range(k)):
             raise ValueError("adjacency has an all-zero column")
 
-    def power(self, c: SymbolSequence, w: int) -> SymbolSequence:
-        """h^w, then the same check as `check` on the one window."""
-        out = super().power(c, w)
-        if w:
-            window = out.window
-            if not all(0 <= s < self.k for s in window):
-                raise InvalidPointError("window symbol outside alphabet")
-            bad = next(((a, b) for a, b in zip(window, window[1:])
-                        if not self.adjacency[a][b]), None)
-            if bad is not None:
-                raise _inadmissible(*bad)
-        return out
-
-    def check(self, rows: np.ndarray) -> None:
-        import numpy as np
-
-        super().check(rows)
-        left, right = rows[:, :-1], rows[:, 1:]
-        bad = ~np.array(self.adjacency, dtype=bool)[left, right]
-        if bad.any():
-            j, i = np.argwhere(bad)[0]
-            raise _inadmissible(left[j, i], right[j, i])
+    def point(self, word) -> ShiftPoint:
+        """As for every shift, and InvalidPointError unless every pair of
+        neighbours is admissible."""
+        c = super().point(word)
+        bad = next(((a, b) for a, b in zip(c.word, c.word[1:]) if not self.adjacency[a][b]),
+                   None)
+        if bad is not None:
+            raise _inadmissible(*bad)
+        return c
 
     def contains(self, word) -> bool:
         return super().contains(word) and all(self.adjacency[a][b]
                                               for a, b in zip(word, word[1:]))
 
-    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> SymbolSequence:
+    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> ShiftPoint:
         rng = random.Random(seed)
         s = rng.randrange(self.k)
         walk = [s]
@@ -305,19 +226,22 @@ class SFT(_Shift):
             succ = [q for q, bit in enumerate(self.adjacency[s]) if bit]
             s = rng.choice(succ)
             walk.append(s)
-        return SymbolSequence(GraphPath(self.adjacency, tuple(walk), -W), self.k, W)
+        return self.point(walk)
 
-    def splice(self, base: SymbolSequence, D: int, rng: random.Random,
-               W: int) -> SymbolSequence:
-        """A point agreeing with `base` on |i| <= D, varied admissibly beyond."""
-        word = [base.symbol_at(i) for i in range(-W, W + 1)]
-        for pos in range(W + D + 1, 2 * W + 1):
-            succ = [q for q, bit in enumerate(self.adjacency[word[pos - 1]]) if bit]
-            word[pos] = succ[rng.randrange(len(succ))]
-        for pos in range(W - D - 1, -1, -1):
-            pred = [q for q in range(self.k) if self.adjacency[q][word[pos + 1]]]
-            word[pos] = pred[rng.randrange(len(pred))]
-        return SymbolSequence(GraphPath(self.adjacency, tuple(word), -W), self.k, W)
+    def splice(self, base: ShiftPoint, D: int, rng: random.Random, W: int) -> ShiftPoint:
+        """A point over [-W, W] agreeing with `base` on |i| <= D, continued
+        by admissible steps drawn outward: first to the right, then to the
+        left."""
+        d = min(D, W)
+        right = base.symbols(-d, d + 1)
+        left = right[:1]
+        for _ in range(W - d):
+            succ = [q for q, bit in enumerate(self.adjacency[right[-1]]) if bit]
+            right.append(succ[rng.randrange(len(succ))])
+        for _ in range(W - d):
+            pred = [q for q in range(self.k) if self.adjacency[q][left[-1]]]
+            left.append(pred[rng.randrange(len(pred))])
+        return self.point(left[:0:-1] + right)
 
     def entropy_exact(self) -> float:
         if not _irreducible(self.adjacency):
@@ -352,7 +276,7 @@ class SFT(_Shift):
         return {(b, a): cols[b] * rows[a]
                 for b in range(self.k) for a in range(self.k) if joined[b][a]}
 
-    def core_key(self, c: SymbolSequence, D: int) -> tuple[int, ...]:
+    def core_key(self, c: ShiftPoint, D: int) -> tuple[int, ...]:
         return (c.symbol_at(-D), c.symbol_at(D))
 
 
@@ -380,27 +304,25 @@ class Substitution(_Shift):
     def words(self, L: int) -> list[tuple[int, ...]]:
         return sorted(_language_words(self.rules, L))
 
-    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> SymbolSequence:
+    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> ShiftPoint:
         rng = random.Random(seed)
         word = (rng.randrange(self.k),)
         while len(word) < 4 * W + 3:
             word = tuple(s for a in word for s in self.rules[a])
         off = rng.randrange(len(word) - (2 * W + 1))
-        sl = word[off:off + 2 * W + 1]
-        return SymbolSequence(Periodic(sl, sl, -W), self.k, W)
+        return self.point(word[off:off + 2 * W + 1])
 
-    def splice(self, base: SymbolSequence, D: int, rng: random.Random,
-               W: int) -> SymbolSequence:
-        """A language window agreeing with `base` on |i| <= D (on the whole
-        window when D > W), repeated periodically beyond; `base` itself if
-        no legal window holds its core."""
+    def splice(self, base: ShiftPoint, D: int, rng: random.Random, W: int) -> ShiftPoint:
+        """A language word over [-W, W] agreeing with `base` on |i| <= D (on
+        the whole window when D > W), drawn from every such word in
+        lexicographic order.  Each is a factor of one of the `_blocks`, the
+        core of `base` is legal, and a primitive substitution's legal words
+        extend on both sides, so there is one."""
         d = min(D, W)
-        core = tuple(base.symbol_at(i) for i in range(-d, d + 1))
-        hits = [w for w in self.words(2 * W + 1) if w[W - d:W + d + 1] == core]
-        if not hits:
-            return base
-        word = hits[rng.randrange(len(hits))]
-        return SymbolSequence(Periodic(word, word, -W), self.k, W)
+        core = tuple(base.symbols(-d, d + 1))
+        hits = sorted({block[p + d - W:p + d + W + 1] for block in _blocks(self.rules, 2 * W + 1)
+                       for p in _occurrences(block, core) if W <= p + d < len(block) - W})
+        return self.point(hits[rng.randrange(len(hits))])
 
     def entropy_exact(self) -> float:
         return 0.0
@@ -432,7 +354,7 @@ class Substitution(_Shift):
             restrictions.setdefault(core, set()).add(tuple(word[i] for i in picks))
         return {core: len(r) for core, r in restrictions.items()}
 
-    def core_key(self, c: SymbolSequence, D: int) -> tuple[int, ...]:
+    def core_key(self, c: ShiftPoint, D: int) -> tuple[int, ...]:
         return tuple(c.symbol_at(i) for i in range(-D, D + 1))
 
 
@@ -448,12 +370,11 @@ class Odometer:
         if len(self.bases) < 1 or any(b < 2 for b in self.bases):
             raise ValueError("odometer needs depth >= 1 and bases >= 2")
 
-    def power(self, c: SymbolSequence, w: int) -> SymbolSequence:
-        """h^w in one move: add w."""
+    def power(self, c: OdometerPoint, w: int) -> OdometerPoint:
+        """h^w in one move: add w; the carry past the last digit is dropped."""
         if w == 0:
             return c
-        digits = _odometer_add(c.extension.digits, self.bases, w)
-        return SymbolSequence(DigitStream(digits, self.bases), c.alphabet_size, c.radius)
+        return OdometerPoint(self, (c.value + w) % math.prod(self.bases))
 
     def contains(self, word) -> bool:
         return len(word) <= len(self.bases) and all(0 <= d < b
@@ -466,18 +387,18 @@ class Odometer:
     def positions(self, D: int) -> range:
         return range(min(D + 1, len(self.bases)))
 
-    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> SymbolSequence:
+    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> OdometerPoint:
         rng = random.Random(seed)
-        digits = tuple(rng.randrange(b) for b in self.bases)
-        return SymbolSequence(DigitStream(digits, self.bases), max(self.bases), W)
+        digits = [rng.randrange(b) for b in self.bases]
+        return OdometerPoint(self, _digit_value(digits, self.bases))
 
-    def splice(self, base: SymbolSequence, D: int, rng: random.Random,
-               W: int) -> SymbolSequence:
+    def splice(self, base: OdometerPoint, D: int, rng: random.Random,
+               W: int) -> OdometerPoint:
         """A point sharing the first D + 1 digits of `base`, varied beyond."""
-        digits = list(base.extension.digits)
-        for i in range(min(D + 1, len(digits)), len(digits)):
-            digits[i] = rng.randrange(self.bases[i])
-        return SymbolSequence(DigitStream(tuple(digits), self.bases), base.alphabet_size, W)
+        keep = min(D + 1, len(self.bases))
+        digits = ([base.symbol_at(i) for i in range(keep)]
+                  + [rng.randrange(b) for b in self.bases[keep:]])
+        return OdometerPoint(self, _digit_value(digits, self.bases))
 
     def entropy_exact(self) -> float:
         return 0.0
@@ -504,10 +425,10 @@ class Odometer:
         value modulo that product."""
         return {(): 1}
 
-    def core_key(self, c: SymbolSequence, D: int) -> tuple[int, ...]:
+    def core_key(self, c: OdometerPoint, D: int) -> tuple[int, ...]:
         return ()
 
-    def table(self, seeds: list[SymbolSequence], positions: np.ndarray) -> "_DigitTable":
+    def table(self, seeds: list[OdometerPoint], positions: np.ndarray) -> "_DigitTable":
         return _DigitTable(self.bases, seeds, positions)
 
 
@@ -518,11 +439,11 @@ class _ShiftTable:
     """The symbols of h^w(seed) at fixed positions for many seeds of a
     shift: one table of the seeds' symbols over an index range that grows
     when the windings need it, read at i + w.  Each growth adds as many
-    columns again as the table has, so the growths stay few, and the system
-    checks the table once per growth."""
+    columns again as the table has, so the growths stay few.  The seeds are
+    legal points, so the table needs no check."""
 
-    def __init__(self, system: _Shift, seeds: list[SymbolSequence], positions: np.ndarray):
-        self.system, self.seeds, self.positions = system, seeds, positions
+    def __init__(self, seeds: list[ShiftPoint], positions: np.ndarray):
+        self.seeds, self.positions = seeds, positions
         # an empty table over 0..-1, which the first read fills
         self.lo, self.hi = 0, -1
         self.table = self._columns(0, 0)
@@ -539,15 +460,13 @@ class _ShiftTable:
             self.table = np.hstack([self._columns(lo, self.lo), self.table,
                                     self._columns(self.hi + 1, hi + 1)])
             self.lo, self.hi = lo, hi
-            self.system.check(self.table)
         cols = (w - self.lo)[:, None] + self.positions[None, :]
         return np.take_along_axis(self.table, cols, axis=1)
 
     def _columns(self, lo: int, hi: int) -> np.ndarray:
         import numpy as np
 
-        return np.array([[c.symbol_at(i) for i in range(lo, hi)] for c in self.seeds],
-                        dtype=np.int64)
+        return np.array([c.symbols(lo, hi) for c in self.seeds], dtype=np.int64)
 
 
 class _DigitTable:
@@ -555,7 +474,7 @@ class _DigitTable:
     digits, carried by the change of w since the last read.  The carry past
     the last digit read is dropped."""
 
-    def __init__(self, bases: tuple[int, ...], seeds: list[SymbolSequence],
+    def __init__(self, bases: tuple[int, ...], seeds: list[OdometerPoint],
                  positions: np.ndarray):
         import numpy as np
 
@@ -610,15 +529,6 @@ def _primitive(rules, max_power: int) -> bool:
             return True
         p = _bool_mul(p, m)
     return False
-
-
-def _odometer_add(digits: tuple[int, ...], bases: tuple[int, ...], w: int) -> tuple[int, ...]:
-    value = (_digit_value(digits, bases) + w) % math.prod(bases)  # carry past depth is dropped
-    out = []
-    for b in bases:
-        out.append(value % b)
-        value //= b
-    return tuple(out)
 
 
 def spectral_radius(matrix, tol: float = 1e-12, max_iter: int = 10_000) -> float:
@@ -757,16 +667,13 @@ def _language_words(rules, L: int) -> set[tuple[int, ...]]:
 
 
 def _occurrences(block: tuple[int, ...], word: tuple[int, ...]) -> list[int]:
-    """The start positions of `word` in `block`, in increasing order."""
-    return [i for i in range(len(block) - len(word) + 1)
-            if block[i:i + len(word)] == word]
-
-
-# canned systems used across fixtures and tests
-
-def golden_mean_sft() -> SFT:
-    return SFT(2, ((1, 1), (1, 0)), label="golden-mean SFT")
-
-
-def thue_morse() -> Substitution:
-    return Substitution(((0, 1), (1, 0)), label="Thue-Morse substitution")
+    """The start positions of `word` in `block`, in increasing order,
+    overlapping ones included.  `str.find` on the symbols as characters
+    takes time linear in the block, where comparing a slice at every start
+    takes the product of the lengths, which widening a point makes large."""
+    text, pattern = "".join(map(chr, block)), "".join(map(chr, word))
+    out, i = [], text.find(pattern)
+    while i >= 0:
+        out.append(i)
+        i = text.find(pattern, i + 1)
+    return out

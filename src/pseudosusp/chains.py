@@ -92,10 +92,6 @@ def kfold(k: int) -> Pattern:
     return pattern_validate(values, 7)
 
 
-def identity_pattern(n: int) -> Pattern:
-    return pattern_validate(tuple(range(1, n + 1)), n)
-
-
 # ---------------------------------------------------------------------------
 # piecewise-linear interval maps (exact)
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .annulus import LiftedAnnulusMap
-from .cantor import CantorSystem, SymbolSequence, cantor_metric
+from .cantor import CantorPoint, CantorSystem, cantor_metric
 from .config import CapacityError
 
 if TYPE_CHECKING:
@@ -27,8 +27,8 @@ if TYPE_CHECKING:
 class SuspensionPoint:
     t: float
     r: float
-    c: SymbolSequence
-    seed: SymbolSequence
+    c: CantorPoint
+    seed: CantorPoint
     winding: int = 0
 
 
@@ -44,21 +44,21 @@ class SuspensionSystem:
         self.H = H
         self.h = h
         self.window = window
-        self._registry: list[SymbolSequence] = []
+        self._registry: list[CantorPoint] = []
 
-    def component_index(self, seed: SymbolSequence) -> int:
+    def component_index(self, seed: CantorPoint) -> int:
         for i, s in enumerate(self._registry):
             if s is seed:
                 return i
         self._registry.append(seed)
         return len(self._registry) - 1
 
-    def point(self, t: float, r: float, c: SymbolSequence) -> SuspensionPoint:
+    def point(self, t: float, r: float, c: CantorPoint) -> SuspensionPoint:
         return normalize(self, t, r, c)
 
 
-def normalize(sys: SuspensionSystem, t: float, r: float, c: SymbolSequence,
-              seed: SymbolSequence | None = None, winding: int = 0) -> SuspensionPoint:
+def normalize(sys: SuspensionSystem, t: float, r: float, c: CantorPoint,
+              seed: CantorPoint | None = None, winding: int = 0) -> SuspensionPoint:
     """Fundamental-domain representative: (t, r, c) -> (t, r - k, h^k(c)),
     k = floor(r); ties at integers resolve downward."""
     k = math.floor(r)
@@ -122,7 +122,7 @@ def depth_for(eps: float) -> int:
     return d
 
 
-def dense_orbit_check(sys: SuspensionSystem, c: SymbolSequence,
+def dense_orbit_check(sys: SuspensionSystem, c: CantorPoint,
                       tr: tuple[float, float], eps: float,
                       k_max: int, s_max: int, p_max: int):
     """Search for (k, s, p) witnessing the two dense-orbit hypotheses:

@@ -1,8 +1,9 @@
 """Estimators that no subcommand runs, kept as test oracles: the deck
 equivariance defect of an annulus map, word recurrence gaps of a Cantor
 point, near-identity return times on the quotient, and the rigidity margins
-of a staged tower.  Shared by `test_annulus.py`, `test_cantor.py` and
-`test_suspension.py`."""
+of a staged tower.  Also the canned systems, maps and patterns that only
+tests build.  Shared by `test_annulus.py`, `test_cantor.py`,
+`test_chains.py` and `test_suspension.py`."""
 
 from __future__ import annotations
 
@@ -12,9 +13,26 @@ from fractions import Fraction
 import numpy as np
 
 from pseudosusp.annulus import LiftedAnnulusMap
-from pseudosusp.cantor import CantorSystem, SymbolSequence, cantor_metric
+from pseudosusp.cantor import SFT, CantorPoint, CantorSystem, Substitution, cantor_metric
+from pseudosusp.chains import Pattern, pattern_validate
 from pseudosusp.suspension import SuspensionSystem
 from pseudosusp.tower import HAKStage, _gamma, circle_sup, pl_sum, stage_profiles
+
+
+def golden_mean_sft() -> SFT:
+    return SFT(2, ((1, 1), (1, 0)), label="golden-mean SFT")
+
+
+def thue_morse() -> Substitution:
+    return Substitution(((0, 1), (1, 0)), label="Thue-Morse substitution")
+
+
+def identity_map() -> LiftedAnnulusMap:
+    return LiftedAnnulusMap((), label="identity")
+
+
+def identity_pattern(n: int) -> Pattern:
+    return pattern_validate(tuple(range(1, n + 1)), n)
 
 
 def equivariance_defect(m: LiftedAnnulusMap, samples: int = 100, seed: int = 7) -> float:
@@ -27,7 +45,7 @@ def equivariance_defect(m: LiftedAnnulusMap, samples: int = 100, seed: int = 7) 
     return float(np.max(np.abs(t2 - t1) + np.abs(r2 - (r1 + 1.0))))
 
 
-def recurrence_profile(sys: CantorSystem, c: SymbolSequence, L: int,
+def recurrence_profile(sys: CantorSystem, c: CantorPoint, L: int,
                        horizon: int) -> dict[tuple[int, ...], float]:
     """Max gap between consecutive sightings of each length-L word along the
     first `horizon` backward iterates.  Unseen words map to inf; a single

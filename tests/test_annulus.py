@@ -17,7 +17,7 @@ from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, Profile,
                                 RadialReparam, RigidRotation, Twist,
                                 UnsupportedConjugacyError, circle_distance,
                                 conjugacy_invariance_check, cover_lift,
-                                displacement_bound, identity_map, invert_map, rigidity_scan,
+                                displacement_bound, invert_map, rigidity_scan,
                                 rotation_estimate, rotation_family,
                                 rotation_number)
 from pseudosusp.cli import fixture_path
@@ -25,7 +25,7 @@ from pseudosusp.config import ConfigError, build_stages, load_config
 from pseudosusp.tower import (HAKConfigError, circle_sup, hak_verify, pl_sum,
                               stage_profiles)
 
-from oracles import equivariance_defect, rigidity_margins
+from oracles import equivariance_defect, identity_map, rigidity_margins
 
 
 def rot(beta):

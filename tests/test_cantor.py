@@ -13,14 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudosusp import cantor
-from pseudosusp.cantor import (DigitStream, FullShift, GraphPath, InvalidPointError,
-                               Odometer, Periodic,
-                               ReducibleSFTWarning, SFT, Substitution,
-                               SymbolSequence, cantor_metric,
-                               golden_mean_sft, thue_morse,
-                               _language_words, _odometer_add)
+from pseudosusp.cantor import (FullShift, InvalidPointError, Odometer, OdometerPoint,
+                               ReducibleSFTWarning, SFT, Substitution, cantor_metric,
+                               _language_words)
 
-from oracles import recurrence_profile
+from oracles import golden_mean_sft, recurrence_profile, thue_morse
 
 # `test_system_contract` runs over this list: a new system class is tested
 # by adding it here
@@ -34,8 +31,24 @@ ALL_SYSTEMS = [
 ]
 
 
-def seq_from_word(word, alphabet=2, W=8):
-    return SymbolSequence(Periodic(tuple(word), tuple(word), -W), alphabet, W)
+# the three kinds of shift, whose points widen
+SHIFT_IDS = ["shift3", "golden", "three_sft", "thue_morse"]
+SHIFTS = [FullShift(3), golden_mean_sft(), SFT(3, ((1, 1, 1), (1, 0, 0), (0, 1, 1))),
+          thue_morse()]
+
+
+def seq_from_word(word, W=8, R=128):
+    """The full 2-shift point reading word[(i + W) mod len(word)] at every
+    |i| <= R."""
+    return FullShift(2).point([word[(i + W) % len(word)] for i in range(-R, R + 1)])
+
+
+def window(c, W):
+    return tuple(c.symbol_at(i) for i in range(-W, W + 1))
+
+
+def digits(c):
+    return tuple(c.symbol_at(i) for i in range(len(c.system.bases)))
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +57,7 @@ def seq_from_word(word, alphabet=2, W=8):
 
 def test_fullshift_moves_marker_left():
     # ...000.1000... -> ...0001.000...: the 1 moves from index 0 to index -1
-    word = (0,) * 8 + (1,) + (0,) * 8
-    c = SymbolSequence(Periodic(word, word, -8), 2, 8)
+    c = FullShift(2).point((0,) * 8 + (1,) + (0,) * 8)
     assert c.symbol_at(0) == 1
     c2 = FullShift(2).power(c, 1)
     assert c2.symbol_at(-1) == 1 and c2.symbol_at(0) == 0
@@ -53,55 +65,40 @@ def test_fullshift_moves_marker_left():
 
 def test_odometer_add_examples():
     o = Odometer((2, 2, 2))
-    c = SymbolSequence(DigitStream((1, 1, 1), (2, 2, 2)), 2, 8)
-    assert o.power(c, 1).extension.digits == (0, 0, 0)
+    c = OdometerPoint(o, 7)
+    assert digits(c) == (1, 1, 1) and digits(o.power(c, 1)) == (0, 0, 0)
 
     o23 = Odometer((2, 3))
-    c = SymbolSequence(DigitStream((1, 2), (2, 3)), 3, 8)
-    assert o23.power(c, 1).extension.digits == (0, 0)
+    c = OdometerPoint(o23, 5)
+    assert digits(c) == (1, 2) and digits(o23.power(c, 1)) == (0, 0)
 
     o22 = Odometer((2, 2))
-    c = SymbolSequence(DigitStream((0, 0), (2, 2)), 2, 8)
-    assert o22.power(c, -1).extension.digits == (1, 1)
+    assert digits(o22.power(OdometerPoint(o22, 0), -1)) == (1, 1)
+    # indices off the digits read 0
+    assert [c.symbol_at(i) for i in (-1, 2, 9)] == [0, 0, 0]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(bases=st.lists(st.integers(2, 5), min_size=1, max_size=5), data=st.data(),
        a=st.integers(-400, 400), b=st.integers(-400, 400))
 def test_odometer_add_is_an_action_of_the_integers(bases, data, a, b):
-    bases = tuple(bases)
-    digits = tuple(data.draw(st.integers(0, base - 1)) for base in bases)
-    assert _odometer_add(_odometer_add(digits, bases, a), bases, b) == \
-        _odometer_add(digits, bases, a + b)
-    assert _odometer_add(_odometer_add(digits, bases, a), bases, -a) == digits
+    h = Odometer(tuple(bases))
+    c = OdometerPoint(h, data.draw(st.integers(0, math.prod(bases) - 1)))
+    assert h.power(h.power(c, a), b) == h.power(c, a + b)
+    assert h.power(h.power(c, a), -a) == c
+    # the digits are the mixed-radix digits of the value
+    value, want = c.value, []
+    for base in bases:
+        value, d = divmod(value, base)
+        want.append(d)
+    assert digits(c) == tuple(want)
 
 
 def test_backward_path_stays_admissible():
     sft = golden_mean_sft()
     c = sft.random_point(3, 8)
-    back = sft.power(c, -1)
-    w = back.window
+    w = window(sft.power(c, -1), 8)
     assert all(sft.adjacency[a][b] for a, b in zip(w, w[1:]))
-
-
-def test_sft_refill_maps_are_built_once_per_adjacency():
-    cantor._successor_map.cache_clear()
-    cantor._predecessor_map.cache_clear()
-    adjacencies = [golden_mean_sft().adjacency, ((0, 1), (1, 1)), ((1, 1), (1, 1))]
-    for adjacency in adjacencies:
-        path = GraphPath(adjacency, (0, 1, 0), -1)
-        window = [path.symbol(i) for i in range(-300, 301)]
-        assert all(adjacency[a][b] for a, b in zip(window, window[1:]))
-    assert cantor._successor_map.cache_info().misses == len(adjacencies)
-    assert cantor._predecessor_map.cache_info().misses == len(adjacencies)
-    # the far reads follow the lex-smallest walk: 1 -> 0 -> 0 ... on the golden mean
-    golden = GraphPath(golden_mean_sft().adjacency, (1,), 0)
-    assert [golden.symbol(i) for i in (1, 2, 50, -1, -50)] == [0, 0, 0, 0, 0]
-
-    no_successor = GraphPath(((0, 0), (1, 1)), (1,), 0)
-    for _ in range(2):
-        with pytest.raises(InvalidPointError, match="without successor"):
-            no_successor.symbol(5)
 
 
 def test_forward_backward_identity_many_points():
@@ -253,16 +250,16 @@ def test_random_point_deterministic_and_valid():
     for sys_ in ALL_SYSTEMS:
         a = sys_.random_point(99, 8)
         b = sys_.random_point(99, 8)
-        assert a.window == b.window
+        assert window(a, 8) == window(b, 8)
         assert sys_.contains(tuple(a.symbol_at(i) for i in sys_.positions(8)))
     fs = FullShift(2).random_point(1, 8)
-    assert len(fs.window) == 17
+    assert len(fs.word) == 17
 
 
 def test_sft_random_point_admissible():
     sft = golden_mean_sft()
     for seed in range(20):
-        w = sft.random_point(seed, 8).window
+        w = sft.random_point(seed, 8).word
         assert all(sft.adjacency[a][b] for a, b in zip(w, w[1:]))
 
 
@@ -271,12 +268,10 @@ def test_odometer_orbit_period_is_product_of_bases():
         total = math.prod(bases)
         assert total <= 10 ** 4
         sys_ = Odometer(bases)
-        zero = SymbolSequence(DigitStream((0,) * len(bases), bases),
-                              max(bases), 8)
-        c = zero
+        c = OdometerPoint(sys_, 0)
         for step in range(1, total + 1):
             c = sys_.power(c, 1)
-            if c.extension.digits == zero.extension.digits:
+            if c.value == 0:
                 assert step == total
                 break
         else:
@@ -299,7 +294,7 @@ def test_recurrence_fullshift_periodic_word():
 def test_recurrence_odometer_gap_bound():
     bases = (2, 2, 2)
     sys_ = Odometer(bases)
-    c = SymbolSequence(DigitStream((0, 0, 0), bases), 2, 8)
+    c = OdometerPoint(sys_, 0)
     prof = recurrence_profile(sys_, c, 3, 2 * math.prod(bases) + 1)
     assert all(g <= math.prod(bases) for g in prof.values())
 
@@ -407,8 +402,8 @@ def test_constructors_reject_bad_configs():
 def test_system_contract(h, seed, a, b, W, D, L):
     c = h.random_point(seed, W)
     # h^a . h^b = h^(a+b) and h^-w . h^w = id, on the window
-    assert h.power(h.power(c, b), a).window == h.power(c, a + b).window
-    assert h.power(h.power(c, a), -a).window == c.window
+    assert window(h.power(h.power(c, b), a), W) == window(h.power(c, a + b), W)
+    assert window(h.power(h.power(c, a), -a), W) == window(c, W)
 
     # the pattern at the positions the metric reads to depth D is a word of
     # the system, for the seeded point moved anywhere within its window
@@ -438,7 +433,83 @@ def test_thue_morse_splice_draws_every_legal_window():
     language = _language_words(tm.rules, 2 * W + 1)
     for seed, D in ((1, 0), (2, 3), (5, 6), (8, 9)):
         base = tm.random_point(seed, W)
-        core = base.window[W - D:W + D + 1]
+        core = tuple(base.word[W - D:W + D + 1])
         legal = {w for w in language if w[W - D:W + D + 1] == core}
-        drawn = {tm.splice(base, D, Pick(i), W).window for i in range(len(legal))}
+        drawn = {tuple(tm.splice(base, D, Pick(i), W).word) for i in range(len(legal))}
         assert drawn == legal
+
+
+# ---------------------------------------------------------------------------
+# points beyond their word
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block=st.lists(st.integers(0, 2), max_size=40).map(tuple),
+       word=st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple))
+def test_occurrences_match_a_slice_scan(block, word):
+    assert cantor._occurrences(block, word) == [
+        i for i in range(len(block) - len(word) + 1) if block[i:i + len(word)] == word]
+
+
+def test_building_an_inadmissible_sft_point_raises():
+    sft = golden_mean_sft()
+    # (1, 1) is forbidden in the golden-mean shift
+    with pytest.raises(InvalidPointError, match=r"inadmissible pair \(1,1\)"):
+        sft.point((0, 1, 0, 1, 1, 0, 1, 0, 0))
+    for h in (sft, FullShift(2), thue_morse()):
+        with pytest.raises(InvalidPointError, match="outside alphabet"):
+            h.point((0, 2, 0))
+
+
+@pytest.mark.parametrize("h", SHIFTS, ids=SHIFT_IDS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), W=st.integers(1, 10),
+       reads=st.lists(st.integers(-200, 200), min_size=1, max_size=12))
+def test_widened_symbols_do_not_depend_on_the_order_of_reads(h, seed, W, reads):
+    """Two builds of one seeded point, read far outside their words in
+    opposite orders, hold the same symbols; the splice's rng is untouched."""
+    forward, backward = h.random_point(seed, W), h.random_point(seed, W)
+    got = [forward.symbol_at(i) for i in reads]
+    assert got == [backward.symbol_at(i) for i in reversed(reads)][::-1]
+    assert forward.word == backward.word
+    rng = random.Random(seed)
+    spliced = h.splice(forward, 0, rng, W)
+    state = rng.getstate()
+    spliced.symbol_at(5 * W + 3)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("h", SHIFTS, ids=SHIFT_IDS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), W=st.integers(1, 10),
+       a=st.integers(-120, 120), b=st.integers(-120, 120))
+def test_powers_compose_past_the_first_widening(h, seed, W, a, b):
+    composed = h.power(h.power(h.random_point(seed, W), a), b)
+    direct = h.power(h.random_point(seed, W), a + b)
+    assert window(composed, 2 * W) == window(direct, 2 * W)
+
+
+@pytest.mark.parametrize("h", SHIFTS[1:3], ids=SHIFT_IDS[1:3])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), W=st.integers(0, 10))
+def test_widened_sft_point_is_admissible_across_the_old_edge(h, seed, W):
+    c = h.random_point(seed, W)
+    core = list(c.word)
+    span = [c.symbol_at(i) for i in range(-3 * W - 2, 3 * W + 3)]
+    assert all(h.adjacency[x][y] for x, y in zip(span, span[1:]))
+    # widening keeps the old word at the centre
+    R = len(c.word) // 2
+    assert c.word[R - W:R + W + 1] == core
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), W=st.integers(1, 10), far=st.integers(1, 60))
+def test_widened_thue_morse_windows_are_legal(seed, W, far):
+    tm = thue_morse()
+    c = tm.random_point(seed, W)
+    c.symbol_at(far)
+    c.symbol_at(-far)
+    word = tuple(c.word)
+    for L in {2 * W + 1, len(word)}:
+        language = _language_words(tm.rules, L)
+        assert all(word[i:i + L] in language for i in range(len(word) - L + 1))

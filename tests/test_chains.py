@@ -16,7 +16,7 @@ from pseudosusp.chains import (ChainCover, ChainError, IntervalChain,
                                StretchPreconditionError, _merge_intervals,
                                _pullback, essential_seven_chain,
                                full_branch_middle_map, horseshoe_extract,
-                               identity_pattern, kfold, pattern_validate,
+                               kfold, pattern_validate,
                                refine_chain, refine_interval_chain,
                                render_chains, stretch_check, tent_map,
                                tent_seven_chain, uniform_seven_chain)
@@ -24,6 +24,7 @@ from pseudosusp.cli import fixture_path
 from pseudosusp.config import build_interval_chain, build_plmap, load_config
 
 from markov_oracle import transition_entropy
+from oracles import identity_pattern
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,19 @@ def test_dense_orbit_cli(tmp_path, capsys):
         assert "cantor.window" in capsys.readouterr().err
 
 
+def test_dense_orbit_finds_a_witness_past_the_window(tmp_path, capsys):
+    """At eps 0.1 the net has 128 cylinder words, so the backward walk runs
+    far past the seeded window [-32, 32]; a point that repeated its window
+    with period 65 could never show them all."""
+    out = tmp_path / "d.csv"
+    assert run(["dense-orbit", "-c", fixture_path("dense_demo.ini"),
+                "--override", "dense.eps=0.1", "--override", "dense.p_max=3000",
+                "--out", str(out)]) == 0
+    found, k, s, p = out.read_text().splitlines()[1].split(",")
+    assert found == "1" and 127 <= int(p) <= 3000
+    assert f"witness k={k} s={s} p={p}" in capsys.readouterr().out
+
+
 def test_render_cli(tmp_path, capsys):
     out = tmp_path / "c.svg"
     assert run(["render", "--levels", fixture_path("render_demo.ini"),
