@@ -1,10 +1,12 @@
-"""Symbolic Cantor-set dynamics: shifts, subshifts, substitutions, odometers.
+"""Symbolic Cantor-set dynamics: subshifts of finite type (the full shift
+is the one whose adjacency is all ones), substitutions, odometers.
 
-A point of a shift (the full shift, an SFT, a substitution) is an explicit
-symbol word over [-R, R] plus an offset: h^w only moves the offset, and a
-read outside [-R, R] widens the word through the system's own `splice`.
-An odometer point is its integer value.  Each system class knows all of its
-own behaviour (see "systems" below).
+A point of a shift (an SFT or a substitution) is an explicit symbol word
+over [-R, R] plus an offset: h^w only moves the offset, and a read outside
+[-R, R] widens the word through the system's own `splice`.  An odometer
+point is its integer value.  Each system class knows all of its own
+behaviour (see "systems" below), and a quotient cloud's table stacks its
+seeds' own words.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ class ReducibleSFTWarning(RuntimeWarning):
 # ---------------------------------------------------------------------------
 # points
 # ---------------------------------------------------------------------------
-
-DEFAULT_RADIUS = 32
-
 
 @dataclass(frozen=True, eq=False)
 class ShiftPoint:
@@ -113,9 +112,8 @@ def cantor_metric(c1: CantorPoint, c2: CantorPoint, W: int) -> float:
 
 
 class _Shift:
-    """What the full shift, an SFT and a substitution share: a point is a
-    `ShiftPoint` that h^w re-anchors, and a word is a block of consecutive
-    symbols."""
+    """What an SFT and a substitution share: a point is a `ShiftPoint`
+    that h^w re-anchors, and a word is a block of consecutive symbols."""
 
     def point(self, word) -> ShiftPoint:
         """The point whose symbols over [-R, R] are `word`, of length 2R + 1;
@@ -150,44 +148,6 @@ class _Shift:
 
 
 @dataclass(frozen=True)
-class FullShift(_Shift):
-    k: int
-    label: str = "full shift"
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("full shift needs alphabet size >= 2")
-
-    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> ShiftPoint:
-        rng = random.Random(seed)
-        return self.point([rng.randrange(self.k) for _ in range(2 * W + 1)])
-
-    def splice(self, base: ShiftPoint, D: int, rng: random.Random, W: int) -> ShiftPoint:
-        """A point over [-W, W] agreeing with `base` on |i| <= D, varied
-        beyond: the left symbols are drawn first, then the right ones."""
-        d = min(D, W)
-        left = [rng.randrange(self.k) for _ in range(W - d)]
-        return self.point(left + base.symbols(-d, d + 1)
-                          + [rng.randrange(self.k) for _ in range(W - d)])
-
-    def entropy_exact(self) -> float:
-        return math.log(self.k)
-
-    def mixing_witness(self, u, v, horizon: int):
-        """Least n in 1..horizon with [u] meeting the n-step preimage of [v],
-        else None (n = 0 is the trivial self-intersection and is excluded)."""
-        u, v = _cylinder_words(self, u, v)
-        return next((n for n in range(1, horizon + 1) if _overlap_consistent(u, v, n)), None)
-
-    def class_counts(self, D: int, seen: list[int]) -> dict:
-        """The Bowen class count of every cylinder, keyed by `core_key`: the
-        admissible fillings of the seen positions outside the core [-D, D],
-        here k^(f_R + f_L) whatever the core."""
-        right, left = _outward(seen, D)
-        return {(): self.k ** (len(right) + len(left) - 2)}
-
-
-@dataclass(frozen=True)
 class SFT(_Shift):
     k: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -196,7 +156,7 @@ class SFT(_Shift):
     def __post_init__(self):
         k, adj = self.k, self.adjacency
         if k < 2:
-            raise ValueError("SFT needs alphabet size >= 2")
+            raise ValueError(f"{self.label} needs alphabet size >= 2")
         if len(adj) != k or any(len(r) != k for r in adj):
             raise ValueError("adjacency must be k x k")
         if any(not any(row) for row in adj):
@@ -218,7 +178,7 @@ class SFT(_Shift):
         return super().contains(word) and all(self.adjacency[a][b]
                                               for a, b in zip(word, word[1:]))
 
-    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> ShiftPoint:
+    def random_point(self, seed: int, W: int) -> ShiftPoint:
         rng = random.Random(seed)
         s = rng.randrange(self.k)
         walk = [s]
@@ -280,6 +240,13 @@ class SFT(_Shift):
         return (c.symbol_at(-D), c.symbol_at(D))
 
 
+class FullShift(SFT):
+    """The full k-shift: the SFT whose adjacency is all ones."""
+
+    def __init__(self, k: int):
+        super().__init__(k, ((1,) * k,) * k, "full shift")
+
+
 @dataclass(frozen=True)
 class Substitution(_Shift):
     rules: tuple[tuple[int, ...], ...]
@@ -304,7 +271,7 @@ class Substitution(_Shift):
     def words(self, L: int) -> list[tuple[int, ...]]:
         return sorted(_language_words(self.rules, L))
 
-    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> ShiftPoint:
+    def random_point(self, seed: int, W: int) -> ShiftPoint:
         rng = random.Random(seed)
         word = (rng.randrange(self.k),)
         while len(word) < 4 * W + 3:
@@ -387,7 +354,7 @@ class Odometer:
     def positions(self, D: int) -> range:
         return range(min(D + 1, len(self.bases)))
 
-    def random_point(self, seed: int, W: int = DEFAULT_RADIUS) -> OdometerPoint:
+    def random_point(self, seed: int, W: int) -> OdometerPoint:
         rng = random.Random(seed)
         digits = [rng.randrange(b) for b in self.bases]
         return OdometerPoint(self, _digit_value(digits, self.bases))
@@ -432,41 +399,38 @@ class Odometer:
         return _DigitTable(self.bases, seeds, positions)
 
 
-CantorSystem = Union[FullShift, SFT, Substitution, Odometer]
+CantorSystem = Union[SFT, Substitution, Odometer]
 
 
 class _ShiftTable:
     """The symbols of h^w(seed) at fixed positions for many seeds of a
-    shift: one table of the seeds' symbols over an index range that grows
-    when the windings need it, read at i + w.  Each growth adds as many
-    columns again as the table has, so the growths stay few.  The seeds are
-    legal points, so the table needs no check."""
+    shift: the seeds' own words over a common [-R, R], stacked and read at
+    i + w.  A read past R widens each seed through its own `symbols`, R
+    becomes the largest seed radius and the table is stacked again, so it
+    holds exactly what the points hold."""
 
     def __init__(self, seeds: list[ShiftPoint], positions: np.ndarray):
         self.seeds, self.positions = seeds, positions
-        # an empty table over 0..-1, which the first read fills
-        self.lo, self.hi = 0, -1
-        self.table = self._columns(0, 0)
+        self._stack()
+
+    def _stack(self) -> None:
+        import numpy as np
+
+        self.R = max(len(c.word) // 2 for c in self.seeds)
+        self.table = np.array([c.symbols(-self.R, self.R + 1) for c in self.seeds],
+                              dtype=np.int64)
 
     def read(self, w: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        need_lo = int(w.min()) + int(self.positions[0])
-        need_hi = int(w.max()) + int(self.positions[-1])
-        if need_lo < self.lo or self.hi < need_hi:
-            pad = self.hi - self.lo + 1
-            lo = self.lo if need_lo >= self.lo else need_lo - pad
-            hi = self.hi if need_hi <= self.hi else need_hi + pad
-            self.table = np.hstack([self._columns(lo, self.lo), self.table,
-                                    self._columns(self.hi + 1, hi + 1)])
-            self.lo, self.hi = lo, hi
-        cols = (w - self.lo)[:, None] + self.positions[None, :]
+        lo = int(w.min()) + int(self.positions[0])
+        hi = int(w.max()) + int(self.positions[-1])
+        if lo < -self.R or self.R < hi:
+            for c in self.seeds:
+                c.symbols(lo, hi + 1)
+            self._stack()
+        cols = (w + self.R)[:, None] + self.positions[None, :]
         return np.take_along_axis(self.table, cols, axis=1)
-
-    def _columns(self, lo: int, hi: int) -> np.ndarray:
-        import numpy as np
-
-        return np.array([c.symbols(lo, hi) for c in self.seeds], dtype=np.int64)
 
 
 class _DigitTable:

@@ -64,6 +64,14 @@ def _suspension(cfg: RunConfig) -> SuspensionSystem:
     return SuspensionSystem(m, h, window)
 
 
+def _orbit_start(cfg: RunConfig) -> tuple[float, float]:
+    """orbit.t and orbit.r; t must lie on the annulus, in [0, 1]."""
+    t = cfg.get_float("orbit", "t", 0.5)
+    if not 0.0 <= t <= 1.0:
+        raise ConfigError(f"orbit.t must lie in [0, 1], got {t}")
+    return t, cfg.get_float("orbit", "r", 0.0)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -76,8 +84,7 @@ def cmd_rotation(args) -> int:
     n = cfg.get_int("experiment", "n", 1024)
     if n < 1:
         raise ConfigError(f"experiment.n must be at least 1, got {n}")
-    t = cfg.get_float("orbit", "t", 0.5)
-    r = cfg.get_float("orbit", "r", 0.0)
+    t, r = _orbit_start(cfg)
     rows = rotation_estimate(m, t, r, n)
     out = _out_path(args, cfg, "rotation.csv")
     _write_csv(out, ["n", "estimate"], [[k, est] for k, est in rows])
@@ -168,18 +175,17 @@ def cmd_suspend_orbit(args) -> int:
     cfg = load_config(args.config, args.override)
     sys_ = _suspension(cfg)
     seed = cfg.get_int("orbit", "seed", required=True)
-    t = cfg.get_float("orbit", "t", 0.5)
-    r = cfg.get_float("orbit", "r", 0.0)
+    t, r = _orbit_start(cfg)
     n = cfg.get_int("orbit", "n", 32)
     if n < 0:
         raise ConfigError(f"orbit.n must be at least 0, got {n}")
     c = sys_.h.random_point(seed, sys_.window)
     p0 = sys_.point(t, r, c)
     pts = orbit(sys_, p0, n)
-    component = sys_.component_index(p0.seed)
     out = _out_path(args, cfg, "suspend_orbit.csv")
+    # one orbit is one pseudo-component, numbered 0
     _write_csv(out, ["k", "t", "r", "w", "component"],
-               [[k, t, r, w, component] for k, (t, r, w) in enumerate(pts)])
+               [[k, t, r, w, 0] for k, (t, r, w) in enumerate(pts)])
     print(f"suspend-orbit: {n} steps, final winding {pts[-1][2]} -> {out}")
     return EXIT_OK
 
@@ -207,8 +213,9 @@ def cmd_mixing_witness(args) -> int:
 
         def ball(key):
             spec = cfg.get_floats("witness", key, required=True)
-            if len(spec) != 3:
-                raise ConfigError(f"witness.{key} must be 't,r,seed'")
+            if len(spec) != 3 or not 0.0 <= spec[0] <= 1.0 or not spec[2].is_integer():
+                raise ConfigError(f"witness.{key} must be 't,r,seed' with t in [0, 1] and "
+                                  f"an integer seed, got {spec}")
             c = sys_.h.random_point(int(spec[2]), sys_.window)
             radius = cfg.get_float("witness", f"{key}_radius", required=True)
             if radius <= 0:
@@ -244,8 +251,7 @@ def cmd_dense_orbit(args) -> int:
     for key, bound in (("k_max", k_max), ("s_max", s_max), ("p_max", p_max)):
         if bound < 1:
             raise ConfigError(f"dense.{key} must be at least 1, got {bound}")
-    t = cfg.get_float("orbit", "t", 0.5)
-    r = cfg.get_float("orbit", "r", 0.0)
+    t, r = _orbit_start(cfg)
     c = sys_.h.random_point(seed, sys_.window)
     hit = dense_orbit_check(sys_, c, (t, r), eps, k_max, s_max, p_max)
     out = _out_path(args, cfg, "dense_orbit.csv")

@@ -9,6 +9,7 @@ it runs."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -76,20 +77,28 @@ class RunConfig:
         return self._typed(int, "integer", section, key, default, required)
 
     def get_float(self, section, key, default=None, required=False) -> Optional[float]:
-        return self._typed(float, "number", section, key, default, required)
+        return self._typed(_finite, "number", section, key, default, required)
 
     def get_fraction(self, section, key, default=None, required=False) -> Optional[Fraction]:
         return self._typed(Fraction, "fraction", section, key, default, required)
 
     def get_floats(self, section, key, default=None, required=False) -> Optional[list[float]]:
         def cast(raw):
-            return [float(x) for x in raw.replace(";", ",").split(",") if x.strip()]
+            return [_finite(x) for x in raw.replace(";", ",").split(",") if x.strip()]
         return self._typed(cast, "number list", section, key, default, required)
 
     def get_ints(self, section, key, default=None, required=False) -> Optional[list[int]]:
         def cast(raw):
             return [int(x) for x in raw.replace(";", ",").split(",") if x.strip()]
         return self._typed(cast, "integer list", section, key, default, required)
+
+
+def _finite(raw: str) -> float:
+    """float(raw); ValueError for nan and the infinities, which no key takes."""
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(f"{raw!r} is not finite")
+    return x
 
 
 def load_config(path: Optional[str], overrides: Optional[list[str]] = None) -> RunConfig:

@@ -4,7 +4,7 @@ Points of the quotient are normalized representatives (t, r, c) with
 r in [0,1): shifting r by an integer n trades exactly against applying the
 n-th power of the Cantor homeomorphism to c.  The step map applies the lifted
 annulus map to (t, r) and renormalizes; the accumulated winding identifies
-which power of h acts on the registered seed, so pseudo-component bookkeeping
+which power of h acts on the point's seed, so pseudo-component bookkeeping
 is exact by construction.
 """
 
@@ -33,25 +33,15 @@ class SuspensionPoint:
 
 
 class SuspensionSystem:
-    """Lifted annulus map over a Cantor system, with a seed registry that
-    names pseudo-components in reports.
+    """Lifted annulus map over a Cantor system.
 
-    All dynamics here is pure; the registry is append-only naming and the only
-    mutable state.  `orbit` follows one point; a `QuotientCloud` steps many
-    points at once as arrays."""
+    All dynamics here is pure.  `orbit` follows one point; a `QuotientCloud`
+    steps many points at once as arrays."""
 
     def __init__(self, H: LiftedAnnulusMap, h: CantorSystem, window: int = 32):
         self.H = H
         self.h = h
         self.window = window
-        self._registry: list[CantorPoint] = []
-
-    def component_index(self, seed: CantorPoint) -> int:
-        for i, s in enumerate(self._registry):
-            if s is seed:
-                return i
-        self._registry.append(seed)
-        return len(self._registry) - 1
 
     def point(self, t: float, r: float, c: CantorPoint) -> SuspensionPoint:
         return normalize(self, t, r, c)

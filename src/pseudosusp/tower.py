@@ -46,12 +46,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .config import ConfigError
-
-if TYPE_CHECKING:
-    from .annulus import LiftedAnnulusMap
 
 ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
@@ -73,12 +70,11 @@ class HAKStage:
     """One stage of the approximation scheme.
 
     `rot` is the cumulative stage rotation p'/p in lowest terms; the stage
-    increment over the previous stage is what the collar map applies.
-    `chart` is the band chart; only the default identity band rescale is
-    supported (its fibers over angular values are radial segments, so the
-    fiber diameter equals the band width).  `support` widens the collar past
-    the previous band (used by a shipped mutant; defaults to the previous
-    band)."""
+    increment over the previous stage is what the collar map applies.  The
+    band chart is the identity band rescale: its fibers over angular values
+    are radial segments, so the fiber diameter equals the band width.
+    `support` widens the collar past the previous band (used by a shipped
+    mutant; defaults to the previous band)."""
 
     n: int
     eps: Fraction
@@ -86,7 +82,6 @@ class HAKStage:
     rot: Fraction
     alpha: Fraction
     q: int
-    chart: Optional["LiftedAnnulusMap"] = None
     support: Optional[tuple[Fraction, Fraction]] = None
 
     @property
@@ -190,9 +185,6 @@ def _validate_stage_config(stages: list[HAKStage]) -> None:
     if len(stages) < 2:
         raise HAKConfigError("need at least two stages")
     for i, st in enumerate(stages):
-        if st.chart is not None:
-            raise HAKConfigError(
-                f"stage {st.n}: only the identity band-rescale chart is supported")
         u, v = st.band
         if not (0 < u < v < 1):
             raise HAKConfigError(f"stage {st.n}.band: band must sit strictly inside (0,1)")

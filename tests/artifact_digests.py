@@ -1,0 +1,136 @@
+"""Exit code and sha256 digests of every subcommand on every shipped fixture,
+for comparing the artifacts of two source trees:
+
+    python tests/artifact_digests.py path/to/src [EXTRA.ini ...] > digests.txt
+    diff parent.txt change.txt
+
+Every config subcommand runs on every fixture of the tree and on each EXTRA
+file, `pattern` on a few K, and then the override cases in `OVERRIDES`.
+Each case runs in-process through `pseudosusp.cli.main`, inside a temporary
+directory that holds copies of the configs and the artifact, so no printed
+path depends on where the tree lies; nothing is written elsewhere.  One line
+per case:
+
+    <case> exit=<code> stdout=<sha256> stderr=<sha256> artifact=<sha256 or ->
+
+An exception that escapes `main` reads as exit 1 with its type and message
+on stderr (not the traceback, whose paths name the tree), and a warning as
+its category and message."""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+CONFIG_COMMANDS = ["rotation", "rigidity", "hak-verify", "suspend-entropy", "suspend-orbit",
+                   "mixing-witness", "dense-orbit", "rotation-family"]
+FLAGS = {"horseshoe": "--map", "render": "--levels"}
+KFOLDS = [1, 2, 3, 4, 5, 7]
+
+# (subcommand, fixture, overrides): inputs whose outputs a change to the
+# Cantor systems or to the checks of numbers can move
+OVERRIDES = [
+    ("dense-orbit", "dense_demo.ini", ["dense.eps=0.1", "dense.p_max=3000"]),
+    ("dense-orbit", "dense_demo.ini", ["dense.eps=nan"]),
+    ("dense-orbit", "dense_demo.ini", ["orbit.t=1.5"]),
+    ("suspend-orbit", "orbit_demo.ini", ["orbit.r=nan"]),
+    ("suspend-orbit", "orbit_demo.ini", ["orbit.t=-0.5"]),
+    ("suspend-orbit", "orbit_demo.ini", ["orbit.r=inf"]),
+    ("rotation", "rotation_demo.ini", ["orbit.t=2"]),
+    ("mixing-witness", "witness_fullshift.ini", ["witness.u_radius=nan"]),
+    ("mixing-witness", "witness_fullshift.ini", ["witness.u=0.5,0.1,nan"]),
+    ("mixing-witness", "witness_fullshift.ini", ["witness.u=1.5,0.1,3"]),
+    ("mixing-witness", "witness_fullshift.ini", ["witness.u=0.5,0.1,3.7"]),
+    ("mixing-witness", "witness_fullshift.ini", ["witness.v=-0.1,0.1,3"]),
+    ("mixing-witness", "witness_fullshift.ini", ["cantor.k=3"]),
+    ("mixing-witness", "witness_fullshift.ini", ["cantor.k=1"]),
+    ("mixing-witness", "golden_mean.ini", ["map.map=rotation:0.5", "witness.mode=suspension",
+                                           "witness.u=0.5,0.1,3",
+                                           "witness.v=0.5,0.4,5", "witness.u_radius=0.3",
+                                           "witness.v_radius=0.3", "experiment.seed=1"]),
+    ("suspend-entropy", "entropy_unit.ini", ["experiment.eps=nan"]),
+    ("suspend-entropy", "entropy_unit.ini", ["cantor.k=3"]),
+    ("rigidity", "rigidity_golden.ini", ["experiment.eps=inf"]),
+    ("dense-orbit", "dense_demo.ini", ["cantor.k=3"]),
+]
+
+
+def run_case(cli, argv: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of `cli.main(argv)` run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=err)
+    for w in caught:
+        print(f"{w.category.__name__}: {w.message}", file=err)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def cases(configs: list[str]) -> list[tuple[str, list[str]]]:
+    """(name, argv without --out) for every case."""
+    out = []
+    for config in configs:
+        for command in CONFIG_COMMANDS + list(FLAGS):
+            out.append((f"{command} {config}", [command, FLAGS.get(command, "-c"), config]))
+    for k in KFOLDS:
+        out.append((f"pattern --kfold {k}", ["pattern", "--kfold", str(k)]))
+    for command, fixture, overrides in OVERRIDES:
+        argv = [command, FLAGS.get(command, "-c"), f"fixtures/{fixture}"]
+        for item in overrides:
+            argv += ["--override", item]
+        out.append((" ".join([command, fixture] + overrides), argv))
+    return out
+
+
+def digest(data: bytes | None) -> str:
+    return "-" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: python tests/artifact_digests.py SRC [EXTRA.ini ...]", file=sys.stderr)
+        return 2
+    src, extras = Path(argv[0]).resolve(), [Path(p).resolve() for p in argv[1:]]
+    sys.path.insert(0, str(src))
+    import pseudosusp.cli as cli
+
+    if Path(cli.__file__).resolve().parents[1] != src:
+        print(f"pseudosusp was imported from {cli.__file__}, not {src}", file=sys.stderr)
+        return 2
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src / "pseudosusp" / "fixtures", Path(tmp) / "fixtures")
+        configs = [f"fixtures/{p.name}" for p in sorted((Path(tmp) / "fixtures").glob("*.ini"))]
+        for i, path in enumerate(extras):
+            shutil.copy(path, Path(tmp) / f"extra{i}_{path.name}")
+            configs.append(f"extra{i}_{path.name}")
+        os.chdir(tmp)
+        try:
+            for name, case in cases(configs):
+                artifact = Path("artifact")
+                artifact.unlink(missing_ok=True)
+                code, stdout, stderr = run_case(cli, case + ["--out", artifact.name])
+                data = artifact.read_bytes() if artifact.exists() else None
+                print(f"{name} exit={code} stdout={digest(stdout)} stderr={digest(stderr)} "
+                      f"artifact={digest(data)}", flush=True)
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

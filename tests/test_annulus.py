@@ -569,10 +569,3 @@ def test_invert_map_roundtrip():
         t, r = rng.uniform(0, 1), rng.uniform(-1, 2)
         t2, r2 = gi.apply(*g.apply(t, r))
         assert abs(t2 - t) < 1e-12 and abs(r2 - r) < 1e-12
-
-
-def test_custom_charts_rejected():
-    stages = toy_stages()
-    with_chart = [replace(s, chart=rot(0.0) if s.n == 1 else None) for s in stages]
-    with pytest.raises(HAKConfigError):
-        hak_verify(with_chart)

@@ -392,6 +392,49 @@ def test_constructors_reject_bad_configs():
 
 
 # ---------------------------------------------------------------------------
+# the full shift: its closed forms as oracles for the SFT path
+# ---------------------------------------------------------------------------
+
+FULL_K = st.sampled_from([2, 3, 4])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=FULL_K, D=st.integers(0, 3), windings=st.lists(st.integers(-6, 6), max_size=8))
+def test_full_shift_class_counts_are_k_to_the_free_positions(k, D, windings):
+    """k^(f_R + f_L) for every core, f_R and f_L the seen positions right
+    and left of the core [-D, D]."""
+    h = FullShift(k)
+    seen = sorted({p for w in [0] + windings for p in range(w - D, w + D + 1)})
+    counts = h.class_counts(D, seen)
+    assert set(counts.values()) == {k ** sum(abs(p) > D for p in seen)}
+    assert all(h.core_key(h.random_point(seed, D), D) in counts for seed in range(8))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k=FULL_K, data=st.data(), horizon=st.integers(1, 12))
+def test_full_shift_witness_is_the_least_overlap_consistent_n(k, data, horizon):
+    word = st.lists(st.integers(0, k - 1), min_size=1, max_size=5).map(tuple)
+    u, v = data.draw(word), data.draw(word)
+    consistent = [n for n in range(1, horizon + 1)
+                  if all(u[n + j] == s for j, s in enumerate(v) if n + j < len(u))]
+    assert FullShift(k).mixing_witness(u, v, horizon) == min(consistent, default=None)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(k=FULL_K)
+def test_full_shift_entropy_is_log_k(k):
+    assert FullShift(k).entropy_exact() == math.log(k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=FULL_K, seed=st.integers(0, 10 ** 6), W=st.integers(0, 20))
+def test_full_shift_random_point_is_k_ary_randrange_draws(k, seed, W):
+    rng = random.Random(seed)
+    assert FullShift(k).random_point(seed, W).word == [rng.randrange(k)
+                                                       for _ in range(2 * W + 1)]
+
+
+# ---------------------------------------------------------------------------
 # the contract every system class keeps
 # ---------------------------------------------------------------------------
 

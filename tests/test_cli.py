@@ -268,7 +268,9 @@ def test_rotation_family_cli(tmp_path):
 
 def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
     # (subcommand, fixture, override, key); main catches no bare ValueError,
-    # so each of these needs a guard where its value is read
+    # so each of these needs a guard where its value is read.  No key takes
+    # nan or an infinity, a ball's t and orbit.t lie in [0, 1], and a ball's
+    # seed is an integer
     for command, fixture, override, key in (
             ("rotation", "rotation_demo.ini", "experiment.n=0", "experiment.n"),
             ("rotation", "rotation_demo.ini", "map.map=twist:0,0;0.5,1", "map.map"),
@@ -302,6 +304,18 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
             ("hak-verify", "hak_toy.ini", "hak.tial=0.1", "hak.tial"),
             ("hak-verify", "hak_toy.ini", "stage 4.eps=0.01", "stage 4.band"),
             ("hak-verify", "hak_toy.ini", "stage 2.support=0.49,0.6", "stage 2.support"),
+            ("mixing-witness", "witness_fullshift.ini", "witness.u_radius=nan",
+             "witness.u_radius"),
+            ("mixing-witness", "witness_fullshift.ini", "witness.u=0.5,0.1,nan", "witness.u"),
+            ("mixing-witness", "witness_fullshift.ini", "witness.u=1.5,0.1,3", "witness.u"),
+            ("mixing-witness", "witness_fullshift.ini", "witness.u=0.5,0.1,3.7", "witness.u"),
+            ("mixing-witness", "witness_fullshift.ini", "witness.v=-0.1,0.35,9", "witness.v"),
+            ("suspend-orbit", "orbit_demo.ini", "orbit.r=nan", "orbit.r"),
+            ("suspend-orbit", "orbit_demo.ini", "orbit.t=-0.5", "orbit.t"),
+            ("dense-orbit", "dense_demo.ini", "dense.eps=nan", "dense.eps"),
+            ("dense-orbit", "dense_demo.ini", "orbit.t=1.5", "orbit.t"),
+            ("rotation", "rotation_demo.ini", "orbit.t=2", "orbit.t"),
+            ("rigidity", "rigidity_golden.ini", "experiment.eps=inf", "experiment.eps"),
             ("pattern", None, None, "--kfold")):
         if command == "pattern":
             argv = ["pattern", "--kfold", "4"]

@@ -413,10 +413,24 @@ def test_cloud_sft_table_grows_and_stays_exact():
     sys_ = SuspensionSystem(rot(1.0), golden_mean_sft(), 32)
     base = sys_.point(0.5, 0.1, sys_.h.random_point(4, 32))
     points = spliced_points(sys_, base, 12, 3)
-    initial_hi = QuotientCloud(sys_, points).table.hi
+    initial_R = QuotientCloud(sys_, points).table.R
     cloud = assert_cloud_matches_points(sys_, points, [base], 80)
     # windings reach 80, past the first table's right end at about w + 32
-    assert cloud.table.hi > initial_hi and cloud.w.max() + 32 > initial_hi
+    assert cloud.table.R > initial_R and cloud.w.max() + 32 > initial_R
+    # the table is the seeds' own words, stacked
+    assert cloud.table.table.tolist() == [p.seed.word for p in points]
+
+
+def test_full_shift_cloud_widens_each_seed_once():
+    """Windings of at most 3 read the seeds out to 32 + 3, so each seed
+    widens once, from R = 32 to 64, and the table with it."""
+    sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
+    base = sys_.point(0.5, 0.1, sys_.h.random_point(3, 32))
+    points = spliced_points(sys_, base, 16, 5)
+    cloud = assert_cloud_matches_points(sys_, points, [base], 6)
+    assert cloud.w.max() <= 3
+    assert max(len(p.seed.word) // 2 for p in points) == 64
+    assert cloud.table.R == 64
 
 
 def test_weak_mixing_witness_rejects_degenerate_radius():
