@@ -152,17 +152,6 @@ class LiftedAnnulusMap:
 
 
 # ---------------------------------------------------------------------------
-# metric helpers
-# ---------------------------------------------------------------------------
-
-def circle_distance(a, b):
-    import numpy as np
-
-    d = np.mod(np.asarray(a) - b, 1.0)
-    return np.minimum(d, 1.0 - d)
-
-
-# ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
 
@@ -182,27 +171,6 @@ def rotation_estimate(m: LiftedAnnulusMap, t: float, r: float,
 def rotation_number(m: LiftedAnnulusMap, t: float = 0.5, r: float = 0.0,
                     n_max: int = 1024) -> float:
     return rotation_estimate(m, t, r, n_max)[-1][1]
-
-
-def rigidity_scan(m: LiftedAnnulusMap, grid: int, horizon: int, eps: float,
-                  band: tuple[float, float] = (0.0, 1.0)) -> list[tuple[int, float]]:
-    """All n <= horizon whose n-th iterate stays within eps of the identity on
-    a grid over band x circle, with the measured sup displacement."""
-    import numpy as np
-
-    t0 = np.linspace(band[0], band[1], grid)
-    r0 = np.linspace(0.0, 1.0, grid, endpoint=False)
-    tt, rr = np.meshgrid(t0, r0, indexing="ij")
-    tt, rr = tt.ravel(), rr.ravel()
-    t, r = tt.copy(), rr.copy()
-    qualifying = []
-    for n in range(1, horizon + 1):
-        t, r = m.apply(t, r)
-        disp = np.abs(t - tt) + circle_distance(r, rr)
-        sup = float(np.max(disp))
-        if sup < eps:
-            qualifying.append((n, sup))
-    return qualifying
 
 
 def displacement_bound(m: LiftedAnnulusMap, grid: int = 64) -> int:

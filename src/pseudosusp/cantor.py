@@ -159,6 +159,8 @@ class SFT(_Shift):
             raise ValueError(f"{self.label} needs alphabet size >= 2")
         if len(adj) != k or any(len(r) != k for r in adj):
             raise ValueError("adjacency must be k x k")
+        if any(x not in (0, 1) for row in adj for x in row):
+            raise ValueError("adjacency entries must be 0 or 1")
         if any(not any(row) for row in adj):
             raise ValueError("adjacency has an all-zero row")
         if any(not any(adj[p][q] for p in range(k)) for q in range(k)):

@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import (CapacityError, ConfigError, RunConfig, build_cantor,
+from .config import (CapacityError, ConfigError, RunConfig, _finite, build_cantor,
                      build_interval_chain, build_map, build_plmap, build_stages,
-                     load_config, parse_fractions)
+                     load_config, parse_fractions, parse_map)
 
 if TYPE_CHECKING:
     from .suspension import SuspensionSystem
@@ -93,27 +93,34 @@ def cmd_rotation(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    from .annulus import rigidity_scan
+    from .tower import ONE, ZERO, pl_sum, rigidity_times
 
     cfg = load_config(args.config, args.override)
-    m = build_map(cfg)
-    grid = cfg.get_int("experiment", "grid", 24)
+    cfg.check_keys("experiment", {"horizon", "eps", "band", "out"})
+    _, pieces, cover = parse_map(cfg)
+    if any(name == "reparam" for name, _ in pieces):
+        raise ConfigError("map.map: rigidity needs a map that fixes t, and a reparam moves t")
     horizon = cfg.get_int("experiment", "horizon", required=True)
-    eps = cfg.get_float("experiment", "eps", required=True)
-    band = cfg.get_floats("experiment", "band", [0.0, 1.0])
-    if grid < 1:
-        raise ConfigError(f"experiment.grid must be at least 1, got {grid}")
+    eps = cfg.get_fraction("experiment", "eps", required=True)
+    lo, hi = cfg.get_interval("experiment", "band", (ZERO, ONE))
     if horizon < 1:
         raise ConfigError(f"experiment.horizon must be at least 1, got {horizon}")
     if eps <= 0:
         raise ConfigError(f"experiment.eps must be positive, got {eps}")
-    if len(band) != 2 or not 0.0 <= band[0] <= band[1] <= 1.0:
+    if not 0 <= lo <= hi <= 1:
         raise ConfigError(f"experiment.band must be 'lo,hi' with 0 <= lo <= hi <= 1, "
-                          f"got {band}")
-    rows = rigidity_scan(m, grid, horizon, eps, (band[0], band[1]))
+                          f"got {lo},{hi}")
+    # rotations and twists move r by the sum of their pieces P, and a cover
+    # q,p around them by (P + p)/q
+    q, p = cover or (1, 0)
+    parts = [value if name == "twist" else ((ZERO, value), (ONE, value))
+             for name, value in pieces + [("rotation", p)]]
+    speed = tuple((x, y / q) for x, y in pl_sum(parts))
+    rows = rigidity_times(speed, lo, hi, horizon, eps)
     out = _out_path(args, cfg, "rigidity.csv")
-    _write_csv(out, ["n", "sup_displacement"], [[n, d] for n, d in rows])
-    print(f"rigidity: {len(rows)} qualifying times <= {horizon} at eps={eps:.9g} -> {out}")
+    # exact sups become floats here, since _fmt would print a Fraction as 1/12
+    _write_csv(out, ["n", "sup_displacement"], [[n, float(d)] for n, d in rows])
+    print(f"rigidity: {len(rows)} qualifying times <= {horizon} at eps={float(eps):.9g} -> {out}")
     return EXIT_OK
 
 
@@ -212,15 +219,20 @@ def cmd_mixing_witness(args) -> int:
         seed = cfg.get_int("experiment", "seed", required=True)
 
         def ball(key):
-            spec = cfg.get_floats("witness", key, required=True)
-            if len(spec) != 3 or not 0.0 <= spec[0] <= 1.0 or not spec[2].is_integer():
+            raw = cfg.raw("witness", key, required=True)
+            try:
+                t, r, seed = raw.split(",")
+                t, r, seed = _finite(t), _finite(r), int(seed)
+            except ValueError:
+                t = None
+            if t is None or not 0.0 <= t <= 1.0:
                 raise ConfigError(f"witness.{key} must be 't,r,seed' with t in [0, 1] and "
-                                  f"an integer seed, got {spec}")
-            c = sys_.h.random_point(int(spec[2]), sys_.window)
+                                  f"an integer seed, got {raw!r}")
+            c = sys_.h.random_point(seed, sys_.window)
             radius = cfg.get_float("witness", f"{key}_radius", required=True)
             if radius <= 0:
                 raise ConfigError(f"witness.{key}_radius must be positive, got {radius}")
-            return (normalize(sys_, spec[0], spec[1], c), radius)
+            return (normalize(sys_, t, r, c), radius)
 
         cloud = cfg.get_int("witness", "cloud", 64)
         if cloud < 1:

@@ -82,6 +82,12 @@ class RunConfig:
     def get_fraction(self, section, key, default=None, required=False) -> Optional[Fraction]:
         return self._typed(Fraction, "fraction", section, key, default, required)
 
+    def get_interval(self, section, key, default=None, required=False) -> Optional[tuple]:
+        def cast(raw):
+            lo, hi = raw.split(",")
+            return Fraction(lo), Fraction(hi)
+        return self._typed(cast, "'lo,hi' pair", section, key, default, required)
+
     def get_floats(self, section, key, default=None, required=False) -> Optional[list[float]]:
         def cast(raw):
             return [_finite(x) for x in raw.replace(";", ",").split(",") if x.strip()]
@@ -143,16 +149,12 @@ def parse_fractions(raw: str, key: str, fields: str) -> list[tuple[Fraction, ...
     return entries
 
 
-def _parse_breakpoints(raw: str, key: str) -> tuple[tuple[float, float], ...]:
-    return tuple((float(x), float(y)) for x, y in parse_fractions(raw, key, "x,y"))
-
-
-def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
-    from .annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation, Twist,
-                          cover_lift)
-
+def parse_map(cfg: RunConfig) -> tuple[str, list[tuple[str, object]], Optional[tuple[int, int]]]:
+    """`map.map` checked and parsed once: the raw string, the exact pieces
+    ("rotation", beta) and ("twist" or "reparam", (x, y) breakpoints) in
+    pipeline order, and the cover (q, p) around them all, or None."""
     raw = cfg.raw("map", "map", required=True)
-    pipeline = []
+    pieces: list[tuple[str, object]] = []
     cover = None
     for stage in raw.split("|"):
         stage = stage.strip()
@@ -164,32 +166,48 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
         name = name.strip().lower()
         if name == "rotation":
             try:
-                pipeline.append(RigidRotation(float(Fraction(args.strip()))))
+                pieces.append((name, Fraction(args.strip())))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"map.map: bad rotation {args!r}") from exc
         elif name in ("twist", "reparam"):
-            points = _parse_breakpoints(args, f"map.map {name}")
-            try:
-                profile = Profile(points)
-                pipeline.append(Twist(profile) if name == "twist" else RadialReparam(profile))
-            except ValueError as exc:
-                raise ConfigError(f"map.map: {name} {exc}") from exc
+            points = tuple(parse_fractions(args, f"map.map {name}", "x,y"))
+            xs = [x for x, _ in points]
+            if (len(xs) < 2 or xs[0] != 0 or xs[-1] != 1
+                    or any(b <= a for a, b in zip(xs, xs[1:]))):
+                raise ConfigError(f"map.map: {name} breakpoints must increase from 0 to 1")
+            pieces.append((name, points))
         elif name == "cover":
-            qp = args.split(",")
+            if cover is not None:
+                raise ConfigError(f"map.map: a second cover {args!r}; one wraps the pipeline")
             try:
-                q, p = (int(x) for x in qp)
+                q, p = (int(x) for x in args.split(","))
             except ValueError as exc:
                 raise ConfigError(f"map.map: cover needs integers 'q,p', got {args!r}") from exc
+            if q < 1:
+                raise ConfigError("map.map: cover degree q must be an integer >= 1")
             cover = (q, p)
         else:
             raise ConfigError(f"map.map: unknown primitive {name!r}")
-    m = LiftedAnnulusMap(tuple(pipeline), label=raw)
-    if cover is not None:
+    return raw, pieces, cover
+
+
+def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
+    from .annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation, Twist,
+                          cover_lift)
+
+    raw, pieces, cover = parse_map(cfg)
+    pipeline = []
+    for name, value in pieces:
+        if name == "rotation":
+            pipeline.append(RigidRotation(float(value)))
+            continue
         try:
-            m = cover_lift(m, cover[0], cover[1])
-        except ConfigError as exc:
-            raise ConfigError(f"map.map: {exc}") from exc
-    return m
+            profile = Profile(tuple((float(x), float(y)) for x, y in value))
+            pipeline.append(Twist(profile) if name == "twist" else RadialReparam(profile))
+        except ValueError as exc:
+            raise ConfigError(f"map.map: {name} {exc}") from exc
+    m = LiftedAnnulusMap(tuple(pipeline), label=raw)
+    return m if cover is None else cover_lift(m, *cover)
 
 
 def build_cantor(cfg: RunConfig) -> CantorSystem:
@@ -197,7 +215,7 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
 
     kind = (cfg.raw("cantor", "kind", required=True) or "").strip().lower()
     if kind == "fullshift":
-        system, args = FullShift, (cfg.get_int("cantor", "k", required=True),)
+        system, args, key = FullShift, (cfg.get_int("cantor", "k", required=True),), "k"
     elif kind == "sft":
         k = cfg.get_int("cantor", "k", required=True)
         raw = cfg.raw("cantor", "adjacency", required=True)
@@ -206,7 +224,7 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
         except ValueError as exc:
             raise ConfigError(f"cantor.adjacency must be ';'-separated rows of "
                               f"integers, got {raw!r}") from exc
-        system, args = SFT, (k, rows)
+        system, args, key = SFT, (k, rows), "adjacency"
     elif kind == "substitution":
         raw = cfg.raw("cantor", "rules", required=True)
         rules: dict[int, tuple[int, ...]] = {}
@@ -220,25 +238,19 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
             except ValueError as exc:
                 raise ConfigError(f"cantor.rules: entry {part!r} is not "
                                   f"'symbol:digits'") from exc
-        system, args = Substitution, (tuple(rules[i] for i in sorted(rules)),)
+        system, args, key = Substitution, (tuple(rules[i] for i in sorted(rules)),), "rules"
     elif kind == "odometer":
-        system, args = Odometer, (tuple(cfg.get_ints("cantor", "bases", required=True)),)
+        bases = tuple(cfg.get_ints("cantor", "bases", required=True))
+        system, args, key = Odometer, (bases,), "bases"
     else:
         raise ConfigError(f"cantor.kind: unknown kind {kind!r}")
     try:
         return system(*args)
     except ValueError as exc:
-        raise ConfigError(f"cantor section invalid: {exc}") from exc
+        raise ConfigError(f"cantor.{key}: {exc}") from exc
 
 
 STAGE_KEYS = {"eps", "band", "rot", "alpha", "q", "support"}
-
-
-def _interval(cfg: RunConfig, section: str, key: str) -> tuple[Fraction, Fraction]:
-    entries = parse_fractions(cfg.raw(section, key, required=True), f"{section}.{key}", "lo,hi")
-    if len(entries) != 1:
-        raise ConfigError(f"{section}.{key} must be 'lo,hi'")
-    return entries[0]
 
 
 def build_stages(cfg: RunConfig) -> list[HAKStage]:
@@ -262,11 +274,11 @@ def build_stages(cfg: RunConfig) -> list[HAKStage]:
         stages.append(HAKStage(
             n=n,
             eps=cfg.get_fraction(name, "eps", required=True),
-            band=_interval(cfg, name, "band"),
+            band=cfg.get_interval(name, "band", required=True),
             rot=cfg.get_fraction(name, "rot", required=True),
             alpha=cfg.get_fraction(name, "alpha", required=True),
             q=cfg.get_int(name, "q", required=True),
-            support=_interval(cfg, name, "support") if cfg.has(name, "support") else None,
+            support=cfg.get_interval(name, "support"),
         ))
     return stages
 

@@ -177,6 +177,14 @@ def circle_sup(f: PL, a: Fraction, b: Fraction, steps: range) -> Fraction:
     return Fraction(best, d)
 
 
+def rigidity_times(speed: PL, a: Fraction, b: Fraction, horizon: int, eps: Fraction) -> list:
+    """Every n <= horizon with its sup displacement over [a, b] x circle, if
+    that is < eps, for a map that fixes t and moves r by speed(t): the n-th
+    iterate moves (t, r) by exactly ||n*speed(t)||."""
+    sups = ((n, circle_sup(speed, a, b, range(n, n + 1))) for n in range(1, horizon + 1))
+    return [(n, sup) for n, sup in sups if sup < eps]
+
+
 # ---------------------------------------------------------------------------
 # the verifier
 # ---------------------------------------------------------------------------

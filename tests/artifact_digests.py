@@ -58,6 +58,15 @@ OVERRIDES = [
     ("suspend-entropy", "entropy_unit.ini", ["experiment.eps=nan"]),
     ("suspend-entropy", "entropy_unit.ini", ["cantor.k=3"]),
     ("rigidity", "rigidity_golden.ini", ["experiment.eps=inf"]),
+    ("rigidity", "rigidity_golden.ini", ["map.map=twist:0,0;0.37,0.2;1,0",
+                                         "experiment.horizon=2", "experiment.eps=0.197"]),
+    ("rigidity", "rigidity_golden.ini", ["map.map=rotation:0.1|cover:2,1",
+                                         "experiment.horizon=40", "experiment.eps=0.06"]),
+    ("rigidity", "rigidity_golden.ini", ["map.map=reparam:0,0;0.5,0.7;1,1"]),
+    ("suspend-orbit", "orbit_demo.ini", ["map.map=rotation:0.1|cover:2,1|cover:3,0"]),
+    ("mixing-witness", "golden_mean.ini", ["cantor.adjacency=2,1;1,0"]),
+    ("mixing-witness", "golden_mean.ini", ["cantor.adjacency=1,-1;1,0"]),
+    ("mixing-witness", "witness_fullshift.ini", ["witness.u=0.5,0.1,9007199254740993"]),
     ("dense-orbit", "dense_demo.ini", ["cantor.k=3"]),
 ]
 

@@ -1,9 +1,10 @@
-"""Estimators that no subcommand runs, kept as test oracles: the deck
-equivariance defect of an annulus map, word recurrence gaps of a Cantor
-point, near-identity return times on the quotient, and the rigidity margins
-of a staged tower.  Also the canned systems, maps and patterns that only
-tests build.  Shared by `test_annulus.py`, `test_cantor.py`,
-`test_chains.py` and `test_suspension.py`."""
+"""Estimators that no subcommand runs, kept as test oracles: the circle
+distance of float arrays, the deck equivariance defect of an annulus map,
+word recurrence gaps of a Cantor point, near-identity return times on the
+quotient, and the rigidity margins of a staged tower.  Also the canned
+systems, maps and patterns that only tests build.  Shared by
+`test_annulus.py`, `test_cantor.py`, `test_chains.py` and
+`test_suspension.py`."""
 
 from __future__ import annotations
 
@@ -33,6 +34,12 @@ def identity_map() -> LiftedAnnulusMap:
 
 def identity_pattern(n: int) -> Pattern:
     return pattern_validate(tuple(range(1, n + 1)), n)
+
+
+def circle_distance(a, b):
+    """The distance of a - b from the integers, elementwise."""
+    d = np.mod(np.asarray(a) - b, 1.0)
+    return np.minimum(d, 1.0 - d)
 
 
 def equivariance_defect(m: LiftedAnnulusMap, samples: int = 100, seed: int = 7) -> float:

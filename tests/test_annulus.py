@@ -15,17 +15,17 @@ from hypothesis import strategies as st
 
 from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, Profile,
                                 RadialReparam, RigidRotation, Twist,
-                                UnsupportedConjugacyError, circle_distance,
+                                UnsupportedConjugacyError,
                                 conjugacy_invariance_check, cover_lift,
-                                displacement_bound, invert_map, rigidity_scan,
+                                displacement_bound, invert_map,
                                 rotation_estimate, rotation_family,
                                 rotation_number)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import ConfigError, build_stages, load_config
 from pseudosusp.tower import (HAKConfigError, circle_sup, hak_verify, pl_sum,
-                              stage_profiles)
+                              rigidity_times, stage_profiles)
 
-from oracles import equivariance_defect, identity_map, rigidity_margins
+from oracles import circle_distance, equivariance_defect, identity_map, rigidity_margins
 
 
 def rot(beta):
@@ -145,28 +145,69 @@ def test_twist_on_invariant_boundary_circle():
 # rigidity
 # ---------------------------------------------------------------------------
 
+ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+
+
+def constant(y):
+    return ((ZERO, Fraction(y)), (ONE, Fraction(y)))
+
+
+def circle_norm(y):
+    return min(y % 1, -y % 1)
+
+
 def test_rigidity_rational_rotation():
-    hits = rigidity_scan(rot(1.0 / 3.0), 8, 9, 1e-9)
-    assert [n for n, _ in hits] == [3, 6, 9]
-    assert all(d < 1e-12 for _, d in hits)
+    hits = rigidity_times(constant(Fraction(1, 3)), ZERO, ONE, 9, Fraction(1, 10 ** 9))
+    assert hits == [(3, 0), (6, 0), (9, 0)]
 
 
 def test_rigidity_identity():
-    hits = rigidity_scan(identity_map(), 6, 5, 1e-9)
-    assert [n for n, _ in hits] == [1, 2, 3, 4, 5]
+    hits = rigidity_times(constant(0), ZERO, ONE, 5, Fraction(1, 10 ** 9))
+    assert hits == [(n, 0) for n in range(1, 6)]
 
 
 def test_rigidity_golden_conjugate_continued_fraction():
-    beta = (math.sqrt(5) - 1) / 2
-    eps = 0.15
-    hits = rigidity_scan(rot(beta), 8, 15, eps)
-    got = [n for n, _ in hits]
+    beta = Fraction("0.6180339887498949")
+    eps = Fraction(15, 100)
+    hits = rigidity_times(constant(beta), ZERO, ONE, 15, eps)
     # oracle: direct circle distance of n*beta
-    expect = [n for n in range(1, 16)
-              if min((n * beta) % 1.0, 1.0 - (n * beta) % 1.0) < eps]
-    assert got == expect == [3, 5, 8, 13]
-    denominators = {1, 2, 3, 5, 8, 13, 21}
-    assert set(got) <= denominators
+    expect = [(n, circle_norm(n * beta)) for n in range(1, 16)]
+    assert hits == [(n, d) for n, d in expect if d < eps]
+    assert [n for n, _ in hits] == [3, 5, 8, 13]
+
+
+@st.composite
+def speeds_and_bands(draw):
+    """A rational PL speed on [0, 1] and a band [a, b] inside [0, 1]."""
+    inner = sorted(set(draw(st.lists(st.integers(1, 99), max_size=4))))
+    xs = [ZERO] + [Fraction(k, 100) for k in inner] + [ONE]
+    den = draw(st.sampled_from([1, 2, 3, 7, 12, 100]))
+    ys = [Fraction(draw(st.integers(-3 * den, 3 * den)), den) for _ in xs]
+    ka, kb = sorted(draw(st.lists(st.integers(0, 100), min_size=2, max_size=2)))
+    return tuple(zip(xs, ys)), Fraction(ka, 100), Fraction(kb, 100)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=speeds_and_bands(), n=st.integers(1, 40))
+def test_rigidity_sup_is_the_brute_force_max(case, n):
+    """The exact sup of ||n*speed(t)|| over the band equals the max over the
+    band's ends, the breakpoints inside it and the t inside it where
+    n*speed(t) crosses Z + 1/2; no sample of a fine rational grid exceeds it."""
+    speed, a, b = case
+    # every sup is at most 1/2, so at eps 1 every step qualifies
+    exact = dict(rigidity_times(speed, a, b, n, ONE))[n]
+    ts = {a, b} | {x for x, _ in speed if a < x < b}
+    for (x0, y0), (x1, y1) in zip(speed, speed[1:]):
+        if y0 == y1:
+            continue
+        lo, hi = sorted((n * y0, n * y1))
+        for k in range(math.ceil(lo - HALF), math.floor(hi - HALF) + 1):
+            t = x0 + (k + HALF - n * y0) / (n * (y1 - y0)) * (x1 - x0)
+            if a <= t <= b:
+                ts.add(t)
+    assert exact == max(circle_norm(n * value_at(speed, t)) for t in ts)
+    grid = [a + (b - a) * Fraction(k, 64) for k in range(65)]
+    assert all(circle_norm(n * value_at(speed, t)) <= exact for t in grid)
 
 
 def test_displacement_bound_examples():

@@ -278,6 +278,14 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
              "map.map"),
             ("rotation-family", "family_demo.ini", "family.eps=0", "family.eps"),
             ("rigidity", "rigidity_golden.ini", "experiment.grid=0", "experiment.grid"),
+            ("rigidity", "rigidity_golden.ini", "experiment.grid=24", "experiment.grid"),
+            ("rigidity", "rigidity_golden.ini", "map.map=reparam:0,0;0.5,0.7;1,1", "map.map"),
+            ("suspend-orbit", "orbit_demo.ini", "map.map=rotation:0.1|cover:2,1|cover:3,0",
+             "map.map"),
+            ("mixing-witness", "golden_mean.ini", "cantor.adjacency=2,1;1,0",
+             "cantor.adjacency"),
+            ("mixing-witness", "golden_mean.ini", "cantor.adjacency=1,-1;1,0",
+             "cantor.adjacency"),
             ("rigidity", "rigidity_golden.ini", "experiment.band=0.5", "experiment.band"),
             ("rigidity", "rigidity_golden.ini", "experiment.eps=-1", "experiment.eps"),
             ("dense-orbit", "dense_demo.ini", "dense.eps=0", "dense.eps"),
@@ -327,6 +335,53 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
         assert key in capsys.readouterr().err, argv
 
 
+def test_rigidity_is_exact(tmp_path, capsys):
+    """A pipeline of rotations and twists moves r by n times its speed in n
+    steps, so each row is the exact sup of that over the band, not a grid
+    max: the twist below moves the point t = 0.37 by 0.2, which a 24-point
+    grid reads as 0.193 and let pass at eps 0.197."""
+    out = tmp_path / "r.csv"
+
+    def rigidity(*overrides):
+        argv = ["rigidity", "-c", fixture_path("rigidity_golden.ini"), "--out", str(out)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert run(argv) == 0
+        return out.read_text().splitlines()
+
+    assert rigidity("map.map=twist:0,0;0.37,0.2;1,0", "experiment.horizon=2",
+                    "experiment.eps=0.197") == ["n,sup_displacement"]
+    assert "0 qualifying times <= 2 at eps=0.197" in capsys.readouterr().out
+    assert rigidity("map.map=twist:0,0;0.37,0.2;1,0", "experiment.horizon=1",
+                    "experiment.eps=0.2001") == ["n,sup_displacement", "1,0.2"]
+    # the band [0, 0.1] stays below the peak, so its end binds: 0.2*0.1/0.37
+    assert rigidity("map.map=twist:0,0;0.37,0.2;1,0", "experiment.horizon=1",
+                    "experiment.band=0,0.1")[1:] == ["1,0.0540540541"]
+    # a cover 2,1 around rotation 0.1 has speed (0.1 + 1)/2 = 11/20
+    assert rigidity("map.map=rotation:0.1|cover:2,1", "experiment.horizon=20",
+                    "experiment.eps=0.06")[1:] == ["9,0.05", "11,0.05", "20,0"]
+
+
+def test_ball_seed_is_an_integer(tmp_path, monkeypatch):
+    """A ball's seed above 2^53 reaches `random_point` as written, not
+    rounded through a float."""
+    import pseudosusp.cantor as cantor
+
+    seeds = []
+    draw = cantor.SFT.random_point
+
+    def recording(self, seed, W):
+        seeds.append(seed)
+        return draw(self, seed, W)
+
+    monkeypatch.setattr(cantor.SFT, "random_point", recording)
+    big = 2 ** 53 + 1
+    assert run(["mixing-witness", "-c", fixture_path("witness_fullshift.ini"),
+                "--override", f"witness.u=0.5,0.1,{big}", "--override", "witness.horizon=1",
+                "--override", "witness.cloud=1", "--out", str(tmp_path / "w.csv")]) == 0
+    assert big in seeds and float(big) != big
+
+
 def test_fixture_descriptions_present():
     for name, desc in list_fixtures():
         assert desc, f"fixture {name} lacks a description comment"
@@ -344,8 +399,9 @@ def _modules_after(code: str, cwd: Path) -> set[str]:
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     """Only array code imports numpy: the entropy counts, the orbits, the
     rotation estimates and the symbolic witnesses run on floats and lists.
-    The suspension witness and `rigidity` still load it, so the probe can
-    see numpy when it is there."""
+    `hak-verify` and `rigidity` are exact and load only `cli`, `config` and
+    `tower`.  The suspension witness still loads numpy, so the probe can see
+    numpy when it is there."""
     run_main = "from pseudosusp.cli import fixture_path, main\nassert main({}) == 0"
     layers = {"pseudosusp.annulus", "pseudosusp.cantor", "pseudosusp.chains",
               "pseudosusp.suspension"}
@@ -376,11 +432,14 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         assert "numpy" not in _modules_after(code, tmp_path), code
     for code, absent in (
             (command("hak-verify", "hak_toy.ini"), {"numpy", *layers}),
+            (command("rigidity", "rigidity_golden.ini"), {"numpy", *layers}),
             ("import pseudosusp.chains", {"numpy", "pseudosusp.cantor"})):
         assert not absent & _modules_after(code, tmp_path), code
-    for code in (command("mixing-witness", "witness_fullshift.ini"),
-                 command("rigidity", "rigidity_golden.ini")):
-        assert "numpy" in _modules_after(code, tmp_path), code
+    # a suspension command builds its map without compiling or loading tower
+    assert "pseudosusp.tower" not in _modules_after(command("dense-orbit", "dense_demo.ini"),
+                                                    tmp_path)
+    assert "numpy" in _modules_after(command("mixing-witness", "witness_fullshift.ini"),
+                                     tmp_path)
 
 
 def test_layer_errors_keep_their_exit_codes(tmp_path, capsys):
