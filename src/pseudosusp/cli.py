@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .config import (CapacityError, ConfigError, RunConfig, _finite, build_cantor,
                      build_interval_chain, build_map, build_plmap, build_stages,
-                     load_config, parse_fractions, parse_map)
+                     load_config, parse, parse_fractions, parse_map)
 
 if TYPE_CHECKING:
     from .suspension import SuspensionSystem
@@ -47,10 +47,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _out_path(args, cfg: RunConfig, default: str) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    return cfg.raw("experiment", "out", default)
+def _out_path(args, cfg: RunConfig) -> str:
+    return args.out or cfg.get("experiment", "out")
 
 
 def _suspension(cfg: RunConfig) -> SuspensionSystem:
@@ -58,58 +56,34 @@ def _suspension(cfg: RunConfig) -> SuspensionSystem:
 
     m = build_map(cfg)
     h = build_cantor(cfg)
-    window = cfg.get_int("cantor", "window", 32)
-    if window < 1:
-        raise ConfigError(f"cantor.window must be at least 1, got {window}")
-    return SuspensionSystem(m, h, window)
-
-
-def _orbit_start(cfg: RunConfig) -> tuple[float, float]:
-    """orbit.t and orbit.r; t must lie on the annulus, in [0, 1]."""
-    t = cfg.get_float("orbit", "t", 0.5)
-    if not 0.0 <= t <= 1.0:
-        raise ConfigError(f"orbit.t must lie in [0, 1], got {t}")
-    return t, cfg.get_float("orbit", "r", 0.0)
+    return SuspensionSystem(m, h, cfg.get("cantor", "window"))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_rotation(args) -> int:
+def cmd_rotation(args, cfg: RunConfig) -> int:
     from .annulus import rotation_estimate
 
-    cfg = load_config(args.config, args.override)
     m = build_map(cfg)
-    n = cfg.get_int("experiment", "n", 1024)
-    if n < 1:
-        raise ConfigError(f"experiment.n must be at least 1, got {n}")
-    t, r = _orbit_start(cfg)
-    rows = rotation_estimate(m, t, r, n)
-    out = _out_path(args, cfg, "rotation.csv")
+    n = cfg.get("experiment", "n")
+    rows = rotation_estimate(m, cfg.get("orbit", "t"), cfg.get("orbit", "r"), n)
+    out = _out_path(args, cfg)
     _write_csv(out, ["n", "estimate"], [[k, est] for k, est in rows])
     print(f"rotation: estimate {rows[-1][1]:.9g} at n={n} -> {out}")
     return EXIT_OK
 
 
-def cmd_rigidity(args) -> int:
+def cmd_rigidity(args, cfg: RunConfig) -> int:
     from .tower import ONE, ZERO, pl_sum, rigidity_times
 
-    cfg = load_config(args.config, args.override)
-    cfg.check_keys("experiment", {"horizon", "eps", "band", "out"})
     _, pieces, cover = parse_map(cfg)
     if any(name == "reparam" for name, _ in pieces):
         raise ConfigError("map.map: rigidity needs a map that fixes t, and a reparam moves t")
-    horizon = cfg.get_int("experiment", "horizon", required=True)
-    eps = cfg.get_fraction("experiment", "eps", required=True)
-    lo, hi = cfg.get_interval("experiment", "band", (ZERO, ONE))
-    if horizon < 1:
-        raise ConfigError(f"experiment.horizon must be at least 1, got {horizon}")
-    if eps <= 0:
-        raise ConfigError(f"experiment.eps must be positive, got {eps}")
-    if not 0 <= lo <= hi <= 1:
-        raise ConfigError(f"experiment.band must be 'lo,hi' with 0 <= lo <= hi <= 1, "
-                          f"got {lo},{hi}")
+    horizon = cfg.get("experiment", "horizon")
+    eps = cfg.get("experiment", "eps")
+    lo, hi = cfg.get("experiment", "band")
     # rotations and twists move r by the sum of their pieces P, and a cover
     # q,p around them by (P + p)/q
     q, p = cover or (1, 0)
@@ -117,21 +91,18 @@ def cmd_rigidity(args) -> int:
              for name, value in pieces + [("rotation", p)]]
     speed = tuple((x, y / q) for x, y in pl_sum(parts))
     rows = rigidity_times(speed, lo, hi, horizon, eps)
-    out = _out_path(args, cfg, "rigidity.csv")
+    out = _out_path(args, cfg)
     # exact sups become floats here, since _fmt would print a Fraction as 1/12
     _write_csv(out, ["n", "sup_displacement"], [[n, float(d)] for n, d in rows])
     print(f"rigidity: {len(rows)} qualifying times <= {horizon} at eps={float(eps):.9g} -> {out}")
     return EXIT_OK
 
 
-def cmd_hak_verify(args) -> int:
+def cmd_hak_verify(args, cfg: RunConfig) -> int:
     from .tower import CONFIG, MEASURED, STRUCTURAL, hak_verify
 
-    cfg = load_config(args.config, args.override)
-    stages = build_stages(cfg)
-    cfg.check_keys("hak", {"tail"})
-    report = hak_verify(stages, tail=cfg.get_fraction("hak", "tail", 0))
-    out = _out_path(args, cfg, "hak_verify.csv")
+    report = hak_verify(build_stages(cfg), tail=cfg.get("hak", "tail"))
+    out = _out_path(args, cfg)
     # exact values become floats here, since _fmt would print a Fraction as 1/12
     _write_csv(out, ["condition", "stage", "value", "bound", "margin", "passed"],
                [[c.condition, c.stage, float(c.value), float(c.bound), float(c.margin),
@@ -149,24 +120,19 @@ def cmd_hak_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_suspend_entropy(args) -> int:
+def cmd_suspend_entropy(args, cfg: RunConfig) -> int:
     from .annulus import rotation_number
     from .suspension import product_formula_report
 
-    cfg = load_config(args.config, args.override)
     sys_ = _suspension(cfg)
-    seed = cfg.get_int("experiment", "seed", required=True)
-    eps_list = cfg.get_floats("experiment", "eps", required=True)
-    if not eps_list or any(not 0.0 < eps < 1.0 for eps in eps_list):
-        raise ConfigError(f"experiment.eps must list scales in (0, 1), got {eps_list}")
-    n_list = cfg.get_ints("experiment", "n", required=True)
-    if not n_list or min(n_list) < 1:
-        raise ConfigError(f"experiment.n must list horizons of at least 1, got {n_list}")
+    seed = cfg.get("experiment", "seed")
+    eps_list = cfg.get("experiment", "eps")
+    n_list = cfg.get("experiment", "n")
     # the counts are exact; experiment.budget is only echoed in its column
-    budget = cfg.get_int("experiment", "budget", 20000)
+    budget = cfg.get("experiment", "budget")
     alpha = rotation_number(sys_.H)
     rows = product_formula_report(sys_, alpha, eps_list, n_list, seed)
-    out = _out_path(args, cfg, "suspend_entropy.csv")
+    out = _out_path(args, cfg)
     _write_csv(out, ["eps", "n", "budget", "lower", "upper", "target", "alpha", "h_entropy"],
                [[r.eps, r.n, budget, r.lower, r.upper, r.target, r.alpha, r.h_entropy]
                 for r in rows])
@@ -176,20 +142,17 @@ def cmd_suspend_entropy(args) -> int:
     return EXIT_OK
 
 
-def cmd_suspend_orbit(args) -> int:
+def cmd_suspend_orbit(args, cfg: RunConfig) -> int:
     from .suspension import orbit
 
-    cfg = load_config(args.config, args.override)
     sys_ = _suspension(cfg)
-    seed = cfg.get_int("orbit", "seed", required=True)
-    t, r = _orbit_start(cfg)
-    n = cfg.get_int("orbit", "n", 32)
-    if n < 0:
-        raise ConfigError(f"orbit.n must be at least 0, got {n}")
+    seed = cfg.get("orbit", "seed")
+    t, r = cfg.get("orbit", "t"), cfg.get("orbit", "r")
+    n = cfg.get("orbit", "n")
     c = sys_.h.random_point(seed, sys_.window)
     p0 = sys_.point(t, r, c)
     pts = orbit(sys_, p0, n)
-    out = _out_path(args, cfg, "suspend_orbit.csv")
+    out = _out_path(args, cfg)
     # one orbit is one pseudo-component, numbered 0
     _write_csv(out, ["k", "t", "r", "w", "component"],
                [[k, t, r, w, 0] for k, (t, r, w) in enumerate(pts)])
@@ -197,29 +160,26 @@ def cmd_suspend_orbit(args) -> int:
     return EXIT_OK
 
 
-def cmd_mixing_witness(args) -> int:
+def cmd_mixing_witness(args, cfg: RunConfig) -> int:
     from .suspension import normalize, weak_mixing_witness
 
-    cfg = load_config(args.config, args.override)
-    mode = (cfg.raw("witness", "mode", "suspension") or "").strip().lower()
-    horizon = cfg.get_int("witness", "horizon", 64)
-    if horizon < 1:
-        raise ConfigError(f"witness.horizon must be at least 1, got {horizon}")
-    out = _out_path(args, cfg, "mixing_witness.csv")
+    mode = cfg.get("witness", "mode")
+    horizon = cfg.get("witness", "horizon")
+    out = _out_path(args, cfg)
     if mode == "symbolic":
         h = build_cantor(cfg)
-        u = tuple(cfg.get_ints("witness", "u", required=True))
-        v = tuple(cfg.get_ints("witness", "v", required=True))
+        u, v = (tuple(parse(f"witness.{key}", cfg.get("witness", key), "integer list"))
+                for key in ("u", "v"))
         try:
             found = h.mixing_witness(u, v, horizon)
         except ValueError as exc:  # the message starts with the argument, u or v
             raise ConfigError(f"witness.{exc}") from exc
-    elif mode == "suspension":
+    else:
         sys_ = _suspension(cfg)
-        seed = cfg.get_int("experiment", "seed", required=True)
+        seed = cfg.get("experiment", "seed")
 
         def ball(key):
-            raw = cfg.raw("witness", key, required=True)
+            raw = cfg.get("witness", key)
             try:
                 t, r, seed = raw.split(",")
                 t, r, seed = _finite(t), _finite(r), int(seed)
@@ -229,18 +189,10 @@ def cmd_mixing_witness(args) -> int:
                 raise ConfigError(f"witness.{key} must be 't,r,seed' with t in [0, 1] and "
                                   f"an integer seed, got {raw!r}")
             c = sys_.h.random_point(seed, sys_.window)
-            radius = cfg.get_float("witness", f"{key}_radius", required=True)
-            if radius <= 0:
-                raise ConfigError(f"witness.{key}_radius must be positive, got {radius}")
-            return (normalize(sys_, t, r, c), radius)
+            return (normalize(sys_, t, r, c), cfg.get("witness", f"{key}_radius"))
 
-        cloud = cfg.get_int("witness", "cloud", 64)
-        if cloud < 1:
-            raise ConfigError(f"witness.cloud must be at least 1, got {cloud}")
         found = weak_mixing_witness(sys_, ball("u"), ball("v"), horizon,
-                                    cloud_size=cloud, seed=seed)
-    else:
-        raise ConfigError(f"witness.mode must be symbolic or suspension, got {mode!r}")
+                                    cloud_size=cfg.get("witness", "cloud"), seed=seed)
     _write_csv(out, ["mode", "horizon", "found", "l"],
                [[mode, horizon, found is not None, "" if found is None else found]])
     verdict = f"l={found}" if found is not None else "none within horizon"
@@ -248,25 +200,16 @@ def cmd_mixing_witness(args) -> int:
     return EXIT_OK
 
 
-def cmd_dense_orbit(args) -> int:
+def cmd_dense_orbit(args, cfg: RunConfig) -> int:
     from .suspension import dense_orbit_check
 
-    cfg = load_config(args.config, args.override)
     sys_ = _suspension(cfg)
-    seed = cfg.get_int("dense", "seed", required=True)
-    eps = cfg.get_float("dense", "eps", required=True)
-    if eps <= 0:
-        raise ConfigError(f"dense.eps must be positive, got {eps}")
-    k_max = cfg.get_int("dense", "k_max", 4)
-    s_max = cfg.get_int("dense", "s_max", 4)
-    p_max = cfg.get_int("dense", "p_max", 256)
-    for key, bound in (("k_max", k_max), ("s_max", s_max), ("p_max", p_max)):
-        if bound < 1:
-            raise ConfigError(f"dense.{key} must be at least 1, got {bound}")
-    t, r = _orbit_start(cfg)
+    seed, eps, k_max, s_max, p_max = (cfg.get("dense", key)
+                                      for key in ("seed", "eps", "k_max", "s_max", "p_max"))
+    t, r = cfg.get("orbit", "t"), cfg.get("orbit", "r")
     c = sys_.h.random_point(seed, sys_.window)
     hit = dense_orbit_check(sys_, c, (t, r), eps, k_max, s_max, p_max)
-    out = _out_path(args, cfg, "dense_orbit.csv")
+    out = _out_path(args, cfg)
     if hit is None:
         _write_csv(out, ["found", "k", "s", "p"], [[False, "", "", ""]])
         print(f"dense-orbit: no witness within bounds -> {out}")
@@ -276,23 +219,16 @@ def cmd_dense_orbit(args) -> int:
     return EXIT_OK
 
 
-def cmd_rotation_family(args) -> int:
+def cmd_rotation_family(args, cfg: RunConfig) -> int:
     from .annulus import rotation_family
 
-    cfg = load_config(args.config, args.override)
-    raw_bits = (cfg.raw("family", "bits", required=True) or "").strip()
-    if any(ch not in "01" for ch in raw_bits) or not raw_bits:
-        raise ConfigError(f"family.bits must be a nonempty 0/1 word, got {raw_bits!r}")
-    bits = tuple(int(ch) for ch in raw_bits)
-    eps = cfg.get_float("family", "eps", required=True)
-    if eps <= 0:
-        raise ConfigError(f"family.eps must be positive, got {eps}")
-    alpha, schedule = rotation_family(bits, eps)
-    out = _out_path(args, cfg, "rotation_family.csv")
+    bits = cfg.get("family", "bits")
+    alpha, schedule = rotation_family(bits, cfg.get("family", "eps"))
+    out = _out_path(args, cfg)
     _write_csv(out, ["n", "bit", "b_n", "term"],
                [[i + 1, b, s, s if b else s / 3.0]
                 for i, (b, s) in enumerate(zip(bits, schedule))])
-    print(f"rotation-family: alpha = {alpha:.12g} for bits {raw_bits} -> {out}")
+    print(f"rotation-family: alpha = {alpha:.12g} for bits {''.join(map(str, bits))} -> {out}")
     return EXIT_OK
 
 
@@ -307,7 +243,7 @@ def _kfold(k, key: str):
         raise ConfigError(f"{key} must give an odd integer K >= 3, got {k!r}") from exc
 
 
-def cmd_pattern(args) -> int:
+def cmd_pattern(args, cfg) -> int:
     pat = _kfold(args.kfold, "--kfold")
     text = ",".join(str(v) for v in pat.values)
     if args.out:
@@ -316,24 +252,17 @@ def cmd_pattern(args) -> int:
     return EXIT_OK
 
 
-def cmd_horseshoe(args) -> int:
+def cmd_horseshoe(args, cfg: RunConfig) -> int:
     from .chains import ChainError, StretchPreconditionError, horseshoe_extract
 
-    cfg = load_config(args.map, args.override)
     g = build_plmap(cfg)
     chain = build_interval_chain(cfg)
     if len(chain.links) != 7:
         raise ConfigError(f"chain.links must list 7 links for the stretch test, "
                           f"got {len(chain.links)}")
-    k = args.k if args.k is not None else cfg.get_int("horseshoe", "k", required=True)
-    depth = args.depth if args.depth is not None else cfg.get_int("horseshoe", "depth", 5)
+    k, depth, m_bound = (cfg.get("horseshoe", key) for key in ("k", "depth", "mbound"))
     if k % 2 == 0 or k < 3:
         raise ConfigError(f"horseshoe.k must be an odd integer >= 3, got {k}")
-    if depth < 0:
-        raise ConfigError(f"horseshoe.depth must be at least 0, got {depth}")
-    m_bound = cfg.get_int("horseshoe", "mbound", 8)
-    if m_bound < 1:
-        raise ConfigError(f"horseshoe.mbound must be at least 1, got {m_bound}")
     try:
         cert = horseshoe_extract(g, chain, k, depth, m_bound)
     except StretchPreconditionError as exc:
@@ -341,7 +270,7 @@ def cmd_horseshoe(args) -> int:
         return EXIT_CHECK
     except ChainError as exc:  # the chain is not taut, or its k-fold slots overlap
         raise ConfigError(f"chain.links: {exc}") from exc
-    out = args.out or cfg.raw("horseshoe", "out", "horseshoe.csv")
+    out = args.out or cfg.get("horseshoe", "out")
     rows = [["-".join(map(str, word)), float(lo), float(hi)]
             for word, (lo, hi) in sorted(cert.intervals.items())]
     _write_csv(out, ["word", "lo", "hi"], rows)
@@ -349,31 +278,25 @@ def cmd_horseshoe(args) -> int:
     return EXIT_OK if cert.passed else EXIT_CHECK
 
 
-def cmd_render(args) -> int:
+def cmd_render(args, cfg: RunConfig) -> int:
     from .chains import (ChainCover, ChainError, Rect, essential_seven_chain,
                          refine_chain, render_chains)
 
-    cfg = load_config(args.levels, args.override)
     levels = []
-    level_sections = sorted(s for s in cfg.parser.sections() if s.startswith("level"))
+    level_sections = cfg.numbered("level")
     if level_sections:
-        for name in level_sections:
-            raw = cfg.raw(name, "links", required=True)
+        for _, name in level_sections:
             rects = [Rect((tlo, thi), (alo, ahi)) for tlo, thi, alo, ahi
-                     in parse_fractions(raw, f"{name}.links", "tlo,thi,alo,ahi")]
-            essential = (cfg.raw(name, "essential", "false") or "").lower() == "true"
+                     in parse_fractions(cfg.get(name, "links"), f"{name}.links",
+                                        "tlo,thi,alo,ahi")]
             try:
-                levels.append(ChainCover.build(rects, essential))
+                levels.append(ChainCover.build(rects, cfg.get(name, "essential") == "true"))
             except ChainError as exc:
                 raise ConfigError(f"{name}.links: {exc}") from exc
     elif cfg.parser.has_section("render"):
-        base = (cfg.raw("render", "base", "essential7") or "").strip()
-        if base != "essential7":
-            raise ConfigError(f"render.base: only 'essential7' is built in, got {base!r}")
-        n_levels = cfg.get_int("render", "levels", 1)
-        if n_levels < 1:
-            raise ConfigError(f"render.levels must be at least 1, got {n_levels}")
-        pattern_spec = (cfg.raw("render", "pattern", "kfold:3") or "").strip()
+        # render.base takes only essential7, which its declaration checks
+        n_levels = cfg.get("render", "levels")
+        pattern_spec = cfg.get("render", "pattern").strip()
         name, _, arg = pattern_spec.partition(":")
         if name != "kfold":
             raise ConfigError(f"render.pattern: only kfold:K supported, got {pattern_spec!r}")
@@ -442,14 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_pat.add_argument("--out")
 
     p_h = sub.add_parser("horseshoe", help="itinerary certificate for a PL map")
-    p_h.add_argument("--map", required=True, help="INI with [plmap] and [chain]")
+    p_h.add_argument("--map", dest="config", required=True, help="INI with [plmap] and [chain]")
     p_h.add_argument("--k", type=int)
     p_h.add_argument("--depth", type=int)
     p_h.add_argument("--out")
     p_h.add_argument("--override", action="append", default=[])
 
     p_r = sub.add_parser("render", help="render nested chains to SVG")
-    p_r.add_argument("--levels", required=True, help="INI with [level *] or [render]")
+    p_r.add_argument("--levels", dest="config", required=True,
+                     help="INI with [level *] or [render]")
     p_r.add_argument("--out")
     p_r.add_argument("--override", action="append", default=[])
     return ap
@@ -484,7 +408,14 @@ def main(argv=None) -> int:
         ap.print_help()
         return EXIT_CONFIG
     try:
-        return HANDLERS[args.command](args)
+        cfg = None
+        if args.command != "pattern":
+            overrides = list(args.override)
+            if args.command == "horseshoe":
+                overrides += [f"horseshoe.{key}={value}" for key, value
+                              in (("k", args.k), ("depth", args.depth)) if value is not None]
+            cfg = load_config(args.config, overrides, args.command)
+        return HANDLERS[args.command](args, cfg)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -1,6 +1,6 @@
-"""INI-style run configuration: sections [map], [cantor], [stage *],
-[experiment] and per-subcommand blocks.  Every parse error names the failing
-section.key.
+"""INI-style run configuration.  `COMMANDS` declares, for each subcommand,
+the sections it reads and each key's type, default and range; every parse
+error names the failing section.key.
 
 This module imports only the standard library: each builder imports the
 layer it builds from when it is called, so a command loads only the layers
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -29,76 +28,6 @@ class CapacityError(RuntimeError):
     """Windings would outrun the metric window; construct with a larger W."""
 
 
-@dataclass
-class RunConfig:
-    parser: configparser.ConfigParser
-    path: str = "<none>"
-    overrides: dict = field(default_factory=dict)
-
-    def has(self, section: str, key: str) -> bool:
-        if (section, key) in self.overrides:
-            return True
-        return self.parser.has_option(section, key)
-
-    def sections(self) -> set[str]:
-        """The sections of the file and of the overrides."""
-        return set(self.parser.sections()) | {section for section, _ in self.overrides}
-
-    def check_keys(self, section: str, known: set[str]) -> None:
-        """Refuse a key of `section`, from the file or an override, that no
-        reader of the section reads."""
-        keys = {key for sec, key in self.overrides if sec == section}
-        if self.parser.has_section(section):
-            keys.update(self.parser.options(section))
-        unknown = sorted(keys - known)
-        if unknown:
-            raise ConfigError(f"{section}.{unknown[0]}: unknown key; [{section}] takes "
-                              f"{', '.join(sorted(known))}")
-
-    def raw(self, section: str, key: str, default=None, required: bool = False):
-        if (section, key) in self.overrides:
-            return self.overrides[(section, key)]
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key)
-        if required:
-            raise ConfigError(f"missing required key {section}.{key}")
-        return default
-
-    def _typed(self, caster, kind, section, key, default, required):
-        raw = self.raw(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            return caster(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{section}.{key} is not a valid {kind}: {raw!r}") from exc
-
-    def get_int(self, section, key, default=None, required=False) -> Optional[int]:
-        return self._typed(int, "integer", section, key, default, required)
-
-    def get_float(self, section, key, default=None, required=False) -> Optional[float]:
-        return self._typed(_finite, "number", section, key, default, required)
-
-    def get_fraction(self, section, key, default=None, required=False) -> Optional[Fraction]:
-        return self._typed(Fraction, "fraction", section, key, default, required)
-
-    def get_interval(self, section, key, default=None, required=False) -> Optional[tuple]:
-        def cast(raw):
-            lo, hi = raw.split(",")
-            return Fraction(lo), Fraction(hi)
-        return self._typed(cast, "'lo,hi' pair", section, key, default, required)
-
-    def get_floats(self, section, key, default=None, required=False) -> Optional[list[float]]:
-        def cast(raw):
-            return [_finite(x) for x in raw.replace(";", ",").split(",") if x.strip()]
-        return self._typed(cast, "number list", section, key, default, required)
-
-    def get_ints(self, section, key, default=None, required=False) -> Optional[list[int]]:
-        def cast(raw):
-            return [int(x) for x in raw.replace(";", ",").split(",") if x.strip()]
-        return self._typed(cast, "integer list", section, key, default, required)
-
-
 def _finite(raw: str) -> float:
     """float(raw); ValueError for nan and the infinities, which no key takes."""
     x = float(raw)
@@ -107,8 +36,185 @@ def _finite(raw: str) -> float:
     return x
 
 
-def load_config(path: Optional[str], overrides: Optional[list[str]] = None) -> RunConfig:
-    parser = configparser.ConfigParser()
+def _items(raw: str, parse) -> list:
+    """The ','- or ';'-separated values of a nonempty list."""
+    values = [parse(x) for x in raw.replace(";", ",").split(",") if x.strip()]
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+def _pair(raw: str) -> tuple[Fraction, Fraction]:
+    lo, hi = (Fraction(x) for x in raw.split(","))
+    if lo > hi:
+        raise ValueError("lo above hi")
+    return lo, hi
+
+
+def _bits(raw: str) -> tuple[int, ...]:
+    if not raw or set(raw) - {"0", "1"}:
+        raise ValueError("not a nonempty 0/1 word")
+    return tuple(int(ch) for ch in raw)
+
+
+# a key's type names its parser here
+PARSERS = {"string": str, "integer": int, "number": _finite, "fraction": Fraction,
+           "'lo,hi' pair": _pair, "0/1 word": _bits,
+           "integer list": lambda raw: _items(raw, int),
+           "number list": lambda raw: _items(raw, _finite),
+           "matrix": lambda raw: tuple(tuple(int(x) for x in row.split(","))
+                                       for row in raw.split(";"))}
+
+# The sections each subcommand reads, and each section's keys.  A key is
+# (type, default) or (type, default, range).  The type is a name in PARSERS,
+# or a dict of the values the key takes, each with the further keys of its
+# section that the value brings.  The default is written as in the file, or
+# is REQUIRED, or None for an optional key with no value.  A range is an
+# interval that every number of the value lies in.  "stage N" declares
+# every [stage N].
+REQUIRED = ...
+MAP = {"map": ("string", REQUIRED)}
+CANTOR = {"kind": ({"fullshift": {"k": ("integer", REQUIRED)},
+                    "sft": {"k": ("integer", REQUIRED), "adjacency": ("matrix", REQUIRED)},
+                    "substitution": {"rules": ("string", REQUIRED)},
+                    "odometer": {"bases": ("integer list", REQUIRED)}}, REQUIRED),
+          "window": ("integer", "32", "[1, inf)")}
+ORBIT = {"t": ("number", "0.5", "[0, 1]"), "r": ("number", "0.0")}
+COMMANDS = {
+    "rotation": {"map": MAP, "orbit": ORBIT, "experiment": {
+        "n": ("integer", "1024", "[1, inf)"), "out": ("string", "rotation.csv")}},
+    "rigidity": {"map": MAP, "experiment": {
+        "horizon": ("integer", REQUIRED, "[1, inf)"), "eps": ("fraction", REQUIRED, "(0, inf)"),
+        "band": ("'lo,hi' pair", "0,1", "[0, 1]"), "out": ("string", "rigidity.csv")}},
+    # the tower checks the stage values against each other, naming the key
+    "hak-verify": {"stage N": {
+        "eps": ("fraction", REQUIRED), "band": ("'lo,hi' pair", REQUIRED),
+        "rot": ("fraction", REQUIRED), "alpha": ("fraction", REQUIRED),
+        "q": ("integer", REQUIRED), "support": ("'lo,hi' pair", None)},
+        "hak": {"tail": ("fraction", "0")}, "experiment": {"out": ("string", "hak_verify.csv")}},
+    "suspend-entropy": {"map": MAP, "cantor": CANTOR, "experiment": {
+        "seed": ("integer", REQUIRED), "eps": ("number list", REQUIRED, "(0, 1)"),
+        "n": ("integer list", REQUIRED, "[1, inf)"), "budget": ("integer", "20000"),
+        "out": ("string", "suspend_entropy.csv")}},
+    "suspend-orbit": {"map": MAP, "cantor": CANTOR, "orbit": {
+        "seed": ("integer", REQUIRED), **ORBIT, "n": ("integer", "32", "[0, inf)")},
+        "experiment": {"out": ("string", "suspend_orbit.csv")}},
+    # both modes' keys, so that an override may switch the mode
+    "mixing-witness": {"map": MAP, "cantor": CANTOR, "witness": {
+        "mode": ({"symbolic": {}, "suspension": {}}, "suspension"),
+        "horizon": ("integer", "64", "[1, inf)"), "u": ("string", REQUIRED),
+        "v": ("string", REQUIRED), "u_radius": ("number", REQUIRED, "(0, inf)"),
+        "v_radius": ("number", REQUIRED, "(0, inf)"), "cloud": ("integer", "64", "[1, inf)")},
+        "experiment": {"seed": ("integer", REQUIRED), "out": ("string", "mixing_witness.csv")}},
+    "dense-orbit": {"map": MAP, "cantor": CANTOR, "dense": {
+        "seed": ("integer", REQUIRED), "eps": ("number", REQUIRED, "(0, inf)"),
+        "k_max": ("integer", "4", "[1, inf)"), "s_max": ("integer", "4", "[1, inf)"),
+        "p_max": ("integer", "256", "[1, inf)")},
+        "orbit": ORBIT, "experiment": {"out": ("string", "dense_orbit.csv")}},
+    "rotation-family": {"family": {
+        "bits": ("0/1 word", REQUIRED), "eps": ("number", REQUIRED, "(0, inf)")},
+        "experiment": {"out": ("string", "rotation_family.csv")}},
+    "horseshoe": {"plmap": {"breakpoints": ("string", REQUIRED)},
+                  "chain": {"links": ("string", REQUIRED)}, "horseshoe": {
+        "k": ("integer", REQUIRED), "depth": ("integer", "5", "[0, inf)"),
+        "mbound": ("integer", "8", "[1, inf)"), "out": ("string", "horseshoe.csv")}},
+    "render": {"level N": {
+        "links": ("string", REQUIRED), "essential": ({"true": {}, "false": {}}, "false")},
+        "render": {"base": ({"essential7": {}}, "essential7"),
+                   "levels": ("integer", "1", "[1, inf)"), "pattern": ("string", "kfold:3")}},
+}
+
+
+def parse(key: str, raw: str, kind):
+    """`raw` read as `kind`, a name in PARSERS or a dict of the values the
+    key takes (in any case); a ConfigError names `key`."""
+    if isinstance(kind, dict):
+        value = raw.strip().lower()
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {raw!r}")
+        return value
+    try:
+        return PARSERS[kind](raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{key} is not a valid {kind}: {raw!r}") from exc
+
+
+def _in(value, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return ((lo < value if interval[0] == "(" else lo <= value)
+            and (value < hi if interval[-1] == ")" else value <= hi))
+
+
+class RunConfig:
+    """A config with its overrides applied, read through one subcommand's
+    declaration in COMMANDS.  A section is checked when the command first
+    reads it, so a section it never opens is not checked."""
+
+    def __init__(self, parser: configparser.ConfigParser, command: str):
+        self.parser = parser
+        self.declaration = COMMANDS[command]
+        self.checked: set[str] = set()
+
+    def numbered(self, prefix: str) -> list[tuple[int, str]]:
+        """The [prefix N] sections as (N, name) in the order of N.  A section
+        whose name starts with `prefix` but is not `prefix N`, N a whole
+        number, or that repeats an N, is a ConfigError."""
+        found: dict[int, str] = {}
+        for name in sorted(s for s in self.parser.sections() if s.startswith(prefix)):
+            number = name[len(prefix):].strip()
+            if not (number.isascii() and number.isdigit()):
+                raise ConfigError(f"[{name}]: a {prefix} section is named '{prefix} N', "
+                                  f"N a whole number")
+            if int(number) in found:
+                raise ConfigError(f"[{name}]: {prefix} {int(number)} is already "
+                                  f"[{found[int(number)]}]")
+            found[int(number)] = name
+        return sorted(found.items())
+
+    def declared(self, section: str) -> dict:
+        """The keys [section] takes, with those its keys' values bring.  The
+        first call for a section refuses a key of the section that it does
+        not take."""
+        name = section if section in self.declaration else (
+            section.rstrip("0123456789").rstrip() + " N")
+        keys = dict(self.declaration[name])
+        for key, spec in list(keys.items()):
+            if isinstance(spec[0], dict):
+                keys.update(spec[0][self._read(section, key, spec)])
+        if section not in self.checked and self.parser.has_section(section):
+            self.checked.add(section)
+            unknown = sorted(set(self.parser.options(section)) - keys.keys())
+            if unknown:
+                raise ConfigError(f"{section}.{unknown[0]}: unknown key; [{section}] takes "
+                                  f"{', '.join(sorted(keys))}")
+        return keys
+
+    def get(self, section: str, key: str):
+        """The value of section.key, parsed, range-checked and defaulted as
+        declared."""
+        return self._read(section, key, self.declared(section)[key])
+
+    def _read(self, section: str, key: str, spec: tuple):
+        kind, default, *interval = spec
+        if self.parser.has_option(section, key):
+            raw = self.parser.get(section, key)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required key {section}.{key}")
+        elif default is None:
+            return None
+        else:
+            raw = default
+        value = parse(f"{section}.{key}", raw, kind)
+        for x in value if isinstance(value, (list, tuple)) else [value]:
+            if interval and not _in(x, interval[0]):
+                raise ConfigError(f"{section}.{key} must lie in {interval[0]}, got {x}")
+        return value
+
+
+def load_config(path: Optional[str], overrides: Optional[list[str]], command: str) -> RunConfig:
+    """The config at `path` with `overrides` applied, as `command` reads it.
+    Values are literal: no key interpolates `%`."""
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
             read = parser.read(path)
@@ -116,14 +222,14 @@ def load_config(path: Optional[str], overrides: Optional[list[str]] = None) -> R
             raise ConfigError(f"{path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
-    cfg = RunConfig(parser, path or "<none>")
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
-        cfg.overrides[(section.strip(), key.strip())] = value.strip()
-    return cfg
+        # the parser folds an override's key as it folds the file's keys
+        parser.read_dict({section.strip(): {key.strip(): value.strip()}})
+    return RunConfig(parser, command)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +259,7 @@ def parse_map(cfg: RunConfig) -> tuple[str, list[tuple[str, object]], Optional[t
     """`map.map` checked and parsed once: the raw string, the exact pieces
     ("rotation", beta) and ("twist" or "reparam", (x, y) breakpoints) in
     pipeline order, and the cover (q, p) around them all, or None."""
-    raw = cfg.raw("map", "map", required=True)
+    raw = cfg.get("map", "map")
     pieces: list[tuple[str, object]] = []
     cover = None
     for stage in raw.split("|"):
@@ -213,20 +319,14 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
 def build_cantor(cfg: RunConfig) -> CantorSystem:
     from .cantor import FullShift, Odometer, SFT, Substitution
 
-    kind = (cfg.raw("cantor", "kind", required=True) or "").strip().lower()
+    kind = cfg.get("cantor", "kind")
     if kind == "fullshift":
-        system, args, key = FullShift, (cfg.get_int("cantor", "k", required=True),), "k"
+        system, args, key = FullShift, (cfg.get("cantor", "k"),), "k"
     elif kind == "sft":
-        k = cfg.get_int("cantor", "k", required=True)
-        raw = cfg.raw("cantor", "adjacency", required=True)
-        try:
-            rows = tuple(tuple(int(x) for x in row.split(",")) for row in raw.split(";"))
-        except ValueError as exc:
-            raise ConfigError(f"cantor.adjacency must be ';'-separated rows of "
-                              f"integers, got {raw!r}") from exc
-        system, args, key = SFT, (k, rows), "adjacency"
+        system, args = SFT, (cfg.get("cantor", "k"), cfg.get("cantor", "adjacency"))
+        key = "adjacency"
     elif kind == "substitution":
-        raw = cfg.raw("cantor", "rules", required=True)
+        raw = cfg.get("cantor", "rules")
         rules: dict[int, tuple[int, ...]] = {}
         for part in raw.split(";"):
             part = part.strip()
@@ -239,64 +339,37 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
                 raise ConfigError(f"cantor.rules: entry {part!r} is not "
                                   f"'symbol:digits'") from exc
         system, args, key = Substitution, (tuple(rules[i] for i in sorted(rules)),), "rules"
-    elif kind == "odometer":
-        bases = tuple(cfg.get_ints("cantor", "bases", required=True))
-        system, args, key = Odometer, (bases,), "bases"
     else:
-        raise ConfigError(f"cantor.kind: unknown kind {kind!r}")
+        system, args, key = Odometer, (tuple(cfg.get("cantor", "bases")),), "bases"
     try:
         return system(*args)
     except ValueError as exc:
         raise ConfigError(f"cantor.{key}: {exc}") from exc
 
 
-STAGE_KEYS = {"eps", "band", "rot", "alpha", "q", "support"}
-
-
 def build_stages(cfg: RunConfig) -> list[HAKStage]:
     """The [stage N] sections in the order of N, every value exact."""
     from .tower import HAKStage
 
-    numbered: dict[int, str] = {}
-    for name in sorted(s for s in cfg.sections() if s.startswith("stage")):
-        number = name[len("stage"):].strip()
-        if not number.isdigit():
-            raise ConfigError(f"[{name}]: a stage section is named 'stage N', N a whole number")
-        n = int(number)
-        if n in numbered:
-            raise ConfigError(f"[{name}]: stage {n} is already [{numbered[n]}]")
-        numbered[n] = name
-    if not numbered:
+    sections = cfg.numbered("stage")
+    if not sections:
         raise ConfigError("no [stage *] sections found")
-    stages = []
-    for n, name in sorted(numbered.items()):
-        cfg.check_keys(name, STAGE_KEYS)
-        stages.append(HAKStage(
-            n=n,
-            eps=cfg.get_fraction(name, "eps", required=True),
-            band=cfg.get_interval(name, "band", required=True),
-            rot=cfg.get_fraction(name, "rot", required=True),
-            alpha=cfg.get_fraction(name, "alpha", required=True),
-            q=cfg.get_int(name, "q", required=True),
-            support=cfg.get_interval(name, "support"),
-        ))
-    return stages
+    return [HAKStage(n=n, **{key: cfg.get(name, key) for key in cfg.declared(name)})
+            for n, name in sections]
 
 
-def build_plmap(cfg: RunConfig, section: str = "plmap") -> PLMap:
+def build_plmap(cfg: RunConfig) -> PLMap:
     from .chains import PLMap
 
-    key = f"{section}.breakpoints"
-    pts = parse_fractions(cfg.raw(section, "breakpoints", required=True), key, "x,y")
+    pts = parse_fractions(cfg.get("plmap", "breakpoints"), "plmap.breakpoints", "x,y")
     try:
         return PLMap(tuple(pts))
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"plmap.breakpoints: {exc}") from exc
 
 
-def build_interval_chain(cfg: RunConfig, section: str = "chain") -> IntervalChain:
+def build_interval_chain(cfg: RunConfig) -> IntervalChain:
     from .chains import IntervalChain
 
-    links = parse_fractions(cfg.raw(section, "links", required=True),
-                            f"{section}.links", "lo,hi")
+    links = parse_fractions(cfg.get("chain", "links"), "chain.links", "lo,hi")
     return IntervalChain(tuple(links))

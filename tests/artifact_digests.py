@@ -35,7 +35,7 @@ FLAGS = {"horseshoe": "--map", "render": "--levels"}
 KFOLDS = [1, 2, 3, 4, 5, 7]
 
 # (subcommand, fixture, overrides): inputs whose outputs a change to the
-# Cantor systems or to the checks of numbers can move
+# Cantor systems, to the checks of numbers or to the declared keys can move
 OVERRIDES = [
     ("dense-orbit", "dense_demo.ini", ["dense.eps=0.1", "dense.p_max=3000"]),
     ("dense-orbit", "dense_demo.ini", ["dense.eps=nan"]),
@@ -68,6 +68,10 @@ OVERRIDES = [
     ("mixing-witness", "golden_mean.ini", ["cantor.adjacency=1,-1;1,0"]),
     ("mixing-witness", "witness_fullshift.ini", ["witness.u=0.5,0.1,9007199254740993"]),
     ("dense-orbit", "dense_demo.ini", ["cantor.k=3"]),
+    ("mixing-witness", "witness_fullshift.ini", ["witness.horizn=9"]),
+    ("mixing-witness", "golden_mean.ini", ["witness.Horizon=3"]),
+    ("suspend-orbit", "orbit_demo.ini", ["cantor.bases=2,2"]),
+    ("horseshoe", "tent_horseshoe.ini", ["horseshoe.dpth=1"]),
 ]
 
 

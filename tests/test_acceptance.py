@@ -124,7 +124,7 @@ def test_criterion_3_rotation_convergence():
 
 def test_criterion_4_hak_toy_and_mutants(tmp_path):
     t0 = time.time()
-    stages = build_stages(load_config(fixture_path("hak_toy.ini")))
+    stages = build_stages(load_config(fixture_path("hak_toy.ini"), [], "hak-verify"))
     rep = hak_verify(stages, tail=Fraction("0.025"))
     # every row has a positive margin but the identities, which are 0 <= 0
     margins_pos = all(c.margin > 0 or c.value == c.bound == 0 for c in rep.checks)
@@ -136,7 +136,7 @@ def test_criterion_4_hak_toy_and_mutants(tmp_path):
                 "hak_mut_support.ini": "3"}
     ok_mut = True
     for fixture, cond in expected.items():
-        stages_m = build_stages(load_config(fixture_path(fixture)))
+        stages_m = build_stages(load_config(fixture_path(fixture), [], "hak-verify"))
         rep_m = hak_verify(stages_m, tail=Fraction("0.025"))
         ok_mut &= rep_m.failing_conditions() == [cond]
         code = main(["hak-verify", "-c", fixture_path(fixture),

@@ -225,7 +225,7 @@ TAIL = Fraction("0.025")
 
 
 def toy_stages():
-    return build_stages(load_config(fixture_path("hak_toy.ini")))
+    return build_stages(load_config(fixture_path("hak_toy.ini"), [], "hak-verify"))
 
 
 def test_toy_tower_passes_all_conditions():
@@ -241,7 +241,7 @@ def test_toy_tower_passes_all_conditions():
     ("hak_mut_support.ini", "3"),
 ])
 def test_mutants_fail_exactly_one_condition(fixture, condition):
-    stages = build_stages(load_config(fixture_path(fixture)))
+    stages = build_stages(load_config(fixture_path(fixture), [], "hak-verify"))
     report = hak_verify(stages, tail=TAIL)
     assert not report.passed
     assert report.failing_conditions() == [condition]
@@ -257,7 +257,8 @@ def test_mutants_fail_exactly_one_condition(fixture, condition):
      {("3", 2, Fraction(1, 1152), Fraction(0))}),
 ])
 def test_failing_rows_hold_exact_values(fixture, override, failing):
-    stages = build_stages(load_config(fixture_path(fixture), [override] if override else []))
+    stages = build_stages(load_config(fixture_path(fixture), [override] if override else [],
+                                      "hak-verify"))
     rows = {(c.condition, c.stage, c.value, c.bound)
             for c in hak_verify(stages, tail=TAIL).checks if not c.passed}
     assert rows == failing
@@ -398,7 +399,7 @@ def test_closed_form_iterates_match_iterated_reference(tower, horizon):
     `circle_sup` takes of the same profiles.  The "mixed" tower turns with
     stage 3 against stages 1 and 2, so its (8) sup on band 1 sits at t = 0.49,
     inside the band."""
-    stages = build_stages(load_config(fixture_path(tower.split()[-1])))
+    stages = build_stages(load_config(fixture_path(tower.split()[-1]), [], "hak-verify"))
     if tower.split()[0] in TOWER_SIGNS:
         stages = signed(stages, TOWER_SIGNS[tower.split()[0]])
     rows = iterated_reference(stages, horizon or max(s.q for s in stages), TAIL)

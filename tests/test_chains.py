@@ -528,8 +528,8 @@ _FOUR_LAPS = PLMap(((FR(0), FR(0)), (FR(1, 4), FR(1)), (FR(1, 2), FR(0)),
 
 
 def _shipped(name):
-    cfg = load_config(fixture_path(name))
-    return build_plmap(cfg), build_interval_chain(cfg), cfg.get_int("horseshoe", "k")
+    cfg = load_config(fixture_path(name), [], "horseshoe")
+    return build_plmap(cfg), build_interval_chain(cfg), cfg.get("horseshoe", "k")
 
 
 @pytest.mark.parametrize("case", ["four laps", "three_branch_horseshoe.ini",

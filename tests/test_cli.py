@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import configparser
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pseudosusp
 import pseudosusp.config
 import pseudosusp.suspension
 from pseudosusp.cli import fixture_path, list_fixtures, main
+from pseudosusp.config import COMMANDS
 
 
 def run(argv):
@@ -77,6 +82,7 @@ def test_stage_sections_are_numbered_by_their_name(tmp_path, capsys):
               if line.startswith("1,")]
     assert stages == ["1", "2", "10"]
     for text, section in ((toy.replace("[stage 3]", "[stage x]"), "[stage x]"),
+                          (toy.replace("[stage 3]", "[stage ²]"), "[stage ²]"),
                           (toy.replace("[stage 3]", "[stage 02]"), "[stage 2"),
                           (toy.replace("[stage 3]", "[stage 2]"), "'stage 2'")):
         bad = tmp_path / "bad.ini"
@@ -253,6 +259,124 @@ def test_render_cli(tmp_path, capsys):
         assert "level 0.links" in capsys.readouterr().err
 
 
+def test_level_sections_are_numbered_by_their_name(tmp_path, capsys):
+    one = "0/1,1/1,0/1,1/4"
+    two = "0/1,1/1,0/1,1/4; 0/1,1/1,1/5,1/2"
+    levels = tmp_path / "levels.ini"
+    levels.write_text(f"[level 10]\nlinks = {two}\n\n[level 2]\nlinks = {one}\n")
+    assert run(["render", "--levels", str(levels), "--out", str(tmp_path / "l.svg")]) == 0
+    assert "2 level(s) with 1/2 links" in capsys.readouterr().out
+    levels.write_text(f"[level 2]\nlinks = {one}\n\n[levelx]\nlinks = {one}\n")
+    assert run(["render", "--levels", str(levels), "--out", str(tmp_path / "l.svg")]) == 3
+    assert "[levelx]" in capsys.readouterr().err
+
+
+def test_essential_is_a_boolean(tmp_path):
+    levels = tmp_path / "levels.ini"
+    # three links whose last misses the first: a chain, but not an essential one
+    links = "0,1,0,1/4; 0,1,1/5,2/5; 0,1,7/20,9/20"
+    for value, code in (("TRUE", 3), ("true", 3), ("False", 0), ("false", 0)):
+        levels.write_text(f"[level 0]\nlinks = {links}\nessential = {value}\n")
+        assert run(["render", "--levels", str(levels),
+                    "--out", str(tmp_path / "l.svg")]) == code, value
+
+
+def test_override_keys_fold_like_file_keys(tmp_path):
+    written = tmp_path / "golden.ini"
+    written.write_text(Path(fixture_path("golden_mean.ini")).read_text()
+                       .replace("horizon = 16", "Horizon = 3"))
+    assert run(["mixing-witness", "-c", str(written), "--out", str(tmp_path / "file.csv")]) == 0
+    assert run(["mixing-witness", "-c", fixture_path("golden_mean.ini"),
+                "--override", "witness.Horizon=3", "--out", str(tmp_path / "over.csv")]) == 0
+    assert (tmp_path / "file.csv").read_text() == (tmp_path / "over.csv").read_text()
+    assert (tmp_path / "over.csv").read_text().splitlines()[1] == "symbolic,3,1,2"
+
+
+# each subcommand on its own fixtures; every shipped fixture is one of them
+OWN_FIXTURES = {
+    "rotation": ["rotation_demo.ini"],
+    "rigidity": ["rigidity_golden.ini"],
+    "hak-verify": ["hak_toy.ini", "hak_mut_alpha.ini", "hak_mut_band.ini",
+                   "hak_mut_support.ini"],
+    "suspend-entropy": ["entropy_unit.ini", "entropy_frozen.ini", "entropy_halfspeed.ini",
+                        "entropy_odometer.ini"],
+    "suspend-orbit": ["orbit_demo.ini", "odometer_222.ini"],
+    "mixing-witness": ["witness_fullshift.ini", "witness_odometer.ini", "golden_mean.ini",
+                       "thue_morse.ini"],
+    "dense-orbit": ["dense_demo.ini"],
+    "rotation-family": ["family_demo.ini"],
+    "horseshoe": ["three_branch_horseshoe.ini", "five_branch_horseshoe.ini",
+                  "tent_horseshoe.ini"],
+    "render": ["render_demo.ini"],
+}
+FLAG = {"horseshoe": "--map", "render": "--levels"}
+
+
+def test_every_fixture_passes_its_own_declaration(tmp_path):
+    owned = sorted(name for names in OWN_FIXTURES.values() for name in names)
+    assert owned == sorted(name for name, _ in list_fixtures())
+    for command, names in OWN_FIXTURES.items():
+        for name in names:
+            code = run([command, FLAG.get(command, "-c"), fixture_path(name),
+                        "--out", str(tmp_path / "own.out")])
+            assert code in (0, 2), (command, name)
+
+
+@pytest.mark.parametrize("command,section", [
+    (command, section) for command, sections in COMMANDS.items() for section in sections])
+def test_misspelt_key_exits_3_naming_it(command, section, tmp_path, monkeypatch, capsys):
+    """In every section a subcommand reads, a key it does not declare is
+    refused, from the file and from an override.  No --out, so the run reads
+    experiment.out too."""
+    monkeypatch.chdir(tmp_path)
+    fixture = OWN_FIXTURES[command][0]
+    name = section.replace(" N", " 1")
+    key = f"{next(iter(COMMANDS[command][section]))}x"
+    parser = configparser.ConfigParser()
+    parser.read(fixture_path(fixture))
+    if not parser.has_section(name):
+        parser.add_section(name)
+    parser.set(name, key, "1")
+    with open("misspelt.ini", "w") as fh:
+        parser.write(fh)
+    flag = FLAG.get(command, "-c")
+    for argv in ([command, flag, "misspelt.ini"],
+                 [command, flag, fixture_path(fixture), "--override", f"{name}.{key}=1"]):
+        capsys.readouterr()
+        assert run(argv) == 3, argv
+        assert f"config error: {name}.{key}: unknown key" in capsys.readouterr().err, argv
+
+
+def _declared_keys() -> set[tuple[str, str]]:
+    keys = set()
+
+    def add(section, declared):
+        for key, (kind, *_) in declared.items():
+            keys.add((section, key))
+            if isinstance(kind, dict):
+                for brought in kind.values():
+                    add(section, brought)
+
+    for sections in COMMANDS.values():
+        for section, declared in sections.items():
+            add(section, declared)
+    return keys
+
+
+def test_readme_documents_every_declared_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("### Config format", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for block in re.findall(r"```ini\n(.*?)```", text, re.S):
+        section = None
+        for line in block.splitlines():
+            if match := re.match(r"\[([^\]]+)\]", line):
+                section = match.group(1)
+            elif match := re.match(r"(\w+)\s*=", line):
+                documented.add((section, match.group(1)))
+    assert documented == _declared_keys()
+
+
 def test_rotation_family_cli(tmp_path):
     out = tmp_path / "f.csv"
     assert run(["rotation-family", "-c", fixture_path("family_demo.ini"),
@@ -324,6 +448,17 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
             ("dense-orbit", "dense_demo.ini", "orbit.t=1.5", "orbit.t"),
             ("rotation", "rotation_demo.ini", "orbit.t=2", "orbit.t"),
             ("rigidity", "rigidity_golden.ini", "experiment.eps=inf", "experiment.eps"),
+            # a key that no reader of a read section takes, and [cantor] keys
+            # of another kind
+            ("mixing-witness", "witness_fullshift.ini", "witness.horizn=9", "witness.horizn"),
+            ("suspend-entropy", "entropy_unit.ini", "experiment.sed=1", "experiment.sed"),
+            ("horseshoe", "tent_horseshoe.ini", "horseshoe.dpth=1", "horseshoe.dpth"),
+            ("render", "render_demo.ini", "render.level=3", "render.level"),
+            ("suspend-orbit", "orbit_demo.ini", "cantor.bases=2,2", "cantor.bases"),
+            ("mixing-witness", "thue_morse.ini", "cantor.k=2", "cantor.k"),
+            ("mixing-witness", "golden_mean.ini", "cantor.rules=0:01;1:10", "cantor.rules"),
+            ("dense-orbit", "dense_demo.ini", "cantor.adjacency=1,1;1,0", "cantor.adjacency"),
+            ("render", "render_demo.ini", "level 0.essential=yes", "level 0.essential"),
             ("pattern", None, None, "--kfold")):
         if command == "pattern":
             argv = ["pattern", "--kfold", "4"]
@@ -413,13 +548,15 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
                                f"'--out', 'o.csv'{extra}]")
 
     golden = ("cantor.kind=sft", "cantor.adjacency=1,1;1,0")
-    thue_morse = ("cantor.kind=substitution", "cantor.rules=0:01;1:10")
+    # a substitution takes no cantor.k, so its probe starts from its own [cantor]
+    entropy = ("map.map=rotation:1.0", "experiment.seed=42", "experiment.eps=0.0625",
+               "experiment.n=12")
     no_numpy = [
         command("horseshoe", "three_branch_horseshoe.ini"),
         command("suspend-entropy", "entropy_unit.ini"),
         command("suspend-entropy", "entropy_odometer.ini"),
         command("suspend-entropy", "entropy_unit.ini", *golden),
-        command("suspend-entropy", "entropy_unit.ini", *thue_morse),
+        command("suspend-entropy", "thue_morse.ini", *entropy),
         command("dense-orbit", "dense_demo.ini"),
         command("suspend-orbit", "orbit_demo.ini"),
         command("rotation", "rotation_demo.ini"),
