@@ -216,8 +216,8 @@ class SFT(_Shift):
         power = self.adjacency  # (A^(n - len(u) + 1) > 0) maintained incrementally
         for n in range(1, horizon + 1):
             if n < len(u):
-                merged = _merge(u, v, n)
-                if merged is not None and self.contains(merged):
+                # u and v overlap, so each neighbour pair lies in u or in v: both legal
+                if u[n:n + len(v)] == v[:len(u) - n]:
                     return n
             else:
                 if n > len(u):
@@ -551,26 +551,6 @@ def _digit_value(digits, bases) -> int:
         value += d * place
         place *= b
     return value
-
-
-def _overlap_consistent(u, v, n) -> bool:
-    for j in range(len(v)):
-        i = n + j
-        if i < len(u) and u[i] != v[j]:
-            return False
-    return True
-
-
-def _merge(u, v, n):
-    if not _overlap_consistent(u, v, n):
-        return None
-    length = max(len(u), n + len(v))
-    out = list(u) + [None] * (length - len(u))
-    for j, s in enumerate(v):
-        out[n + j] = s
-    if any(s is None for s in out):
-        return None  # gap inside merged word cannot happen for n < len(u)
-    return tuple(out)
 
 
 def _outward(seen: list[int], D: int) -> tuple[list[int], list[int]]:

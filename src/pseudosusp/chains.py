@@ -116,8 +116,6 @@ class PLMap:
         bp = self.breakpoints
         for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
             if x0 <= x <= x1:
-                if x1 == x0:
-                    return y0
                 return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
         raise ValueError(f"{x} outside [0,1]")
 
@@ -194,38 +192,6 @@ class IntervalChain:
                 if ln[i][1] >= ln[j][0]:
                     raise ChainError(f"links {i + 1},{j + 1} are not taut")
 
-    def core(self, i: int) -> tuple[FR, FR]:
-        """Part of link i (1-based) exclusive of the neighbour overlaps."""
-        lo, hi = self.links[i - 1]
-        if i >= 2:
-            lo = max(lo, self.links[i - 2][1])
-        if i <= len(self.links) - 1:
-            hi = min(hi, self.links[i][0])
-        if lo >= hi:
-            raise ChainError(f"link {i} has empty core")
-        return lo, hi
-
-
-def refine_interval_chain(chain: IntervalChain, f: Pattern) -> IntervalChain:
-    """1D shadow of a pattern refinement: each parent's core is subdivided
-    equally among the visits, with 10% margins.  Containment is exact; the
-    folding itself cannot be taut on a line, so only the per-parent slot
-    disjointness is guaranteed."""
-    if f.n > len(chain.links):
-        raise ChainError("pattern range exceeds parent chain length")
-    visits: dict[int, list[int]] = {}
-    for i in range(1, f.m + 1):
-        visits.setdefault(f(i), []).append(i)
-    out: dict[int, tuple[FR, FR]] = {}
-    for parent, idxs in visits.items():
-        clo, chi = chain.core(parent)
-        w = (chi - clo) / len(idxs)
-        if w <= FR(1, 10 ** 6):
-            raise ChainError(f"refinement margins collapse inside parent {parent}")
-        for slot, i in enumerate(idxs):
-            out[i] = (clo + slot * w + w / 10, clo + (slot + 1) * w - w / 10)
-    return IntervalChain(tuple(out[i] for i in range(1, f.m + 1)))
-
 
 @dataclass(frozen=True)
 class StretchResult:
@@ -241,9 +207,9 @@ def _contains(outer: tuple[FR, FR], inner: tuple[FR, FR]) -> bool:
 def stretch_check(g: PLMap, chain: IntervalChain, m_bound: int = 8) -> StretchResult:
     """Does some iterate send link 3 into an end link and link 5 into the
     opposite end link?  Exact interval images."""
-    chain.validate_taut()
     if len(chain.links) != 7:
-        raise ChainError("stretch test is defined on 7-link chains")
+        raise ChainError(f"stretch test is defined on 7-link chains, got {len(chain.links)}")
+    chain.validate_taut()
     u1, u3, u5, u7 = (chain.links[i] for i in (0, 2, 4, 6))
     i3, i5 = u3, u5
     for m in range(1, m_bound + 1):
@@ -316,6 +282,11 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
                       m_bound: int = 8) -> HorseshoeCertificate:
     """Itinerary certificate over the k symbol slots of the k-fold refinement.
 
+    kfold(k) visits link 4 at positions 4, 6, ..., 2k+2 and nowhere else, and
+    the refinement splits a link's free part equally among its visits, so the
+    slots are the k equal parts of the gap between links 3 and 5, each shrunk
+    by a tenth of its width at both ends: sorted, and w/5 apart.
+
     The exact pullback decides it: a word's branch is nonempty exactly when
     some point of its first slot has that g^m-itinerary, and the hull of
     those points is reported for each surviving full-depth word.  A failed
@@ -329,11 +300,11 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
     if not stretch.stretches:
         raise StretchPreconditionError(
             f"map does not stretch the chain for any exponent <= {m_bound}")
-    refined = refine_interval_chain(chain, kfold(k))
-    slots = tuple(refined.links[2 * i + 1] for i in range(1, k + 1))
-    for i in range(k - 1):
-        if slots[i][1] >= slots[i + 1][0]:
-            raise ChainError("symbol slots are not pairwise disjoint")
+    lo, hi = chain.links[2][1], chain.links[4][0]
+    w = (hi - lo) / k
+    if w <= FR(1, 10 ** 6):
+        raise ChainError("refinement margins collapse inside parent 4")
+    slots = tuple((lo + s * w + w / 10, lo + (s + 1) * w - w / 10) for s in range(k))
     m = stretch.exponent
 
     levels = _pullback(g, m, slots, depth)
@@ -503,32 +474,28 @@ def refine_chain(parent: ChainCover, f: Pattern) -> ChainCover:
 # rendering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RenderStyle:
-    width: int = 1000
-    height: int = 500
-    palette: tuple[str, ...] = ("#0f3460", "#e94560", "#2ecc71", "#f39c12", "#533483")
-    fill_opacity: float = 0.25
-    stroke_width: float = 1.5
+WIDTH, HEIGHT = 1000, 500
+PALETTE = ("#0f3460", "#e94560", "#2ecc71", "#f39c12", "#533483")
+FILL_OPACITY = 0.25
+STROKE_WIDTH = 1.5
 
 
-def render_chains(levels: Sequence[ChainCover], style: Optional[RenderStyle] = None) -> str:
+def render_chains(levels: Sequence[ChainCover]) -> str:
     """Deterministic SVG: one layer per level, one polygon per link."""
-    st = style or RenderStyle()
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {st.width} {st.height}">']
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">']
     for li, level in enumerate(levels):
-        color = st.palette[li % len(st.palette)]
+        color = PALETTE[li % len(PALETTE)]
         out.append(f'  <g id="level{li}">')
         for ki, link in enumerate(level.links):
-            x0 = float(link.a[0]) * st.width
-            x1 = float(link.a[1]) * st.width
-            y0 = (1.0 - float(link.t[1])) * st.height
-            y1 = (1.0 - float(link.t[0])) * st.height
+            x0 = float(link.a[0]) * WIDTH
+            x1 = float(link.a[1]) * WIDTH
+            y0 = (1.0 - float(link.t[1])) * HEIGHT
+            y1 = (1.0 - float(link.t[0])) * HEIGHT
             pts = f"{x0:.3f},{y0:.3f} {x1:.3f},{y0:.3f} {x1:.3f},{y1:.3f} {x0:.3f},{y1:.3f}"
             out.append(
                 f'    <polygon id="level{li}-link{ki}" points="{pts}" '
-                f'fill="{color}" fill-opacity="{st.fill_opacity}" '
-                f'stroke="{color}" stroke-width="{st.stroke_width}" />')
+                f'fill="{color}" fill-opacity="{FILL_OPACITY}" '
+                f'stroke="{color}" stroke-width="{STROKE_WIDTH}" />')
         out.append('  </g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"

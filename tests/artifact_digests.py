@@ -74,6 +74,39 @@ OVERRIDES = [
     ("horseshoe", "tent_horseshoe.ini", ["horseshoe.dpth=1"]),
 ]
 
+# horseshoe certificates at depth 0, at the benchmark's depths, mirrored by
+# x -> 1 - x as the benchmark mirrors them (the 3- and 5-branch fixtures are
+# their own mirror images), on a 6-link chain, and on a chain whose link 3
+# has a core 10^-7 wide but holds no symbol slot
+_BRANCH_LINKS = ["0,37/252", "35/252,73/252", "71/252,109/252", "107/252,145/252",
+                 "143/252,181/252", "179/252,217/252", "215/252,1"]
+_MIRRORED_BRANCH_LINKS = ("0,37/252; 5/36,73/252; 71/252,109/252; 107/252,145/252; "
+                          "143/252,181/252; 179/252,31/36; 215/252,1")
+_MIRRORED = {
+    "three_branch_horseshoe.ini": ("0,0; 3/7,0; 10/21,1; 11/21,0; 4/7,1; 1,1",
+                                   _MIRRORED_BRANCH_LINKS),
+    "five_branch_horseshoe.ini": ("0,0; 3/7,0; 16/35,1; 17/35,0; 18/35,1; 19/35,0; 4/7,1; 1,1",
+                                  _MIRRORED_BRANCH_LINKS),
+    "tent_horseshoe.ini": ("0,1; 1/2,0; 1,1",
+                           "0,1/4; 6/25,109/200; 27/50,14/25; 111/200,139/200; "
+                           "69/100,71/100; 7/10,19/25; 3/4,1"),
+}
+for _fixture, _depth in (("three_branch_horseshoe.ini", 6), ("five_branch_horseshoe.ini", 4),
+                         ("tent_horseshoe.ini", 5)):
+    _breakpoints, _links = _MIRRORED[_fixture]
+    OVERRIDES += [
+        ("horseshoe", _fixture, ["horseshoe.depth=0"]),
+        ("horseshoe", _fixture, [f"horseshoe.depth={_depth}"]),
+        ("horseshoe", _fixture, [f"plmap.breakpoints={_breakpoints}", f"chain.links={_links}",
+                                 f"horseshoe.depth={_depth}"]),
+    ]
+OVERRIDES += [
+    ("horseshoe", "three_branch_horseshoe.ini", ["chain.links=" + "; ".join(_BRANCH_LINKS[:6])]),
+    ("horseshoe", "three_branch_horseshoe.ini",
+     ["chain.links=" + "; ".join(_BRANCH_LINKS[:1] + ["35/252,267499937/630000000"]
+                                 + _BRANCH_LINKS[2:]), "horseshoe.depth=2"]),
+]
+
 
 def run_case(cli, argv: list[str]) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of `cli.main(argv)` run in-process."""

@@ -2,9 +2,8 @@
 distance of float arrays, the deck equivariance defect of an annulus map,
 word recurrence gaps of a Cantor point, near-identity return times on the
 quotient, and the rigidity margins of a staged tower.  Also the canned
-systems, maps and patterns that only tests build.  Shared by
-`test_annulus.py`, `test_cantor.py`, `test_chains.py` and
-`test_suspension.py`."""
+systems and maps that only tests build.  Shared by
+`test_annulus.py`, `test_cantor.py` and `test_suspension.py`."""
 
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ import numpy as np
 
 from pseudosusp.annulus import LiftedAnnulusMap
 from pseudosusp.cantor import SFT, CantorPoint, CantorSystem, Substitution, cantor_metric
-from pseudosusp.chains import Pattern, pattern_validate
 from pseudosusp.suspension import SuspensionSystem
 from pseudosusp.tower import HAKStage, _gamma, circle_sup, pl_sum, stage_profiles
 
@@ -30,10 +28,6 @@ def thue_morse() -> Substitution:
 
 def identity_map() -> LiftedAnnulusMap:
     return LiftedAnnulusMap((), label="identity")
-
-
-def identity_pattern(n: int) -> Pattern:
-    return pattern_validate(tuple(range(1, n + 1)), n)
 
 
 def circle_distance(a, b):

@@ -331,6 +331,35 @@ def test_mixing_witness_golden_mean_with_power_oracle():
         sft.mixing_witness((1, 1), (1,), 16)
 
 
+@st.composite
+def sft_witness_cases(draw):
+    """An SFT on 2 or 3 letters with no zero row or column, two of its
+    words of length 1 to 3 and a horizon of at most 5."""
+    k = draw(st.sampled_from([2, 3]))
+    row = st.lists(st.integers(0, 1), min_size=k, max_size=k).map(tuple)
+    adj = draw(st.lists(row, min_size=k, max_size=k).map(tuple).filter(
+        lambda a: all(any(r) for r in a) and all(any(c) for c in zip(*a))))
+    sft = SFT(k, adj)
+    words = [w for L in (1, 2, 3) for w in sft.words(L)]
+    return sft, draw(st.sampled_from(words)), draw(st.sampled_from(words)), draw(
+        st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=sft_witness_cases())
+def test_sft_witness_matches_legal_word_enumeration(case):
+    """The least n <= horizon for which some legal word of length
+    max(|u|, horizon + |v|) holds u at 0 and v at n.  With no zero row or
+    column every legal word extends both ways, so that word is a point's."""
+    sft, u, v, horizon = case
+    adj = sft.adjacency
+    legal = [w for w in itertools.product(range(sft.k), repeat=max(len(u), horizon + len(v)))
+             if all(adj[a][b] for a, b in zip(w, w[1:]))]
+    hits = [n for n in range(1, horizon + 1)
+            if any(w[:len(u)] == u and w[n:n + len(v)] == v for w in legal)]
+    assert sft.mixing_witness(u, v, horizon) == min(hits, default=None)
+
+
 def test_mixing_witness_thue_morse_with_enumeration_oracle():
     tm = thue_morse()
     got = tm.mixing_witness((0, 0), (1, 1), 32)

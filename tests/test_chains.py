@@ -12,19 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudosusp.chains import (ChainCover, ChainError, IntervalChain,
-                               PatternError, PLMap, Rect, RenderStyle,
+                               PatternError, PLMap, Rect,
                                StretchPreconditionError, _merge_intervals,
                                _pullback, essential_seven_chain,
                                full_branch_middle_map, horseshoe_extract,
-                               kfold, pattern_validate,
-                               refine_chain, refine_interval_chain,
+                               kfold, pattern_validate, refine_chain,
                                render_chains, stretch_check, tent_map,
                                tent_seven_chain, uniform_seven_chain)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import build_interval_chain, build_plmap, load_config
 
 from markov_oracle import transition_entropy
-from oracles import identity_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,7 @@ def test_transition_entropy_oracles():
 
 
 # ---------------------------------------------------------------------------
-# 1D chains and refinement
+# 1D chains
 # ---------------------------------------------------------------------------
 
 def test_interval_chain_tautness():
@@ -196,33 +194,6 @@ def test_interval_chain_tautness():
                          (FR(2, 5), FR(1))))  # links 1,3 overlap
     with pytest.raises(ChainError):
         bad.validate_taut()
-
-
-def test_refine_interval_chain_containment():
-    chain = uniform_seven_chain()
-    child = refine_interval_chain(chain, kfold(3))
-    assert len(child.links) == 11
-    f = kfold(3)
-    for i in range(1, 12):
-        lo, hi = child.links[i - 1]
-        plo, phi = chain.links[f(i) - 1]
-        assert plo <= lo < hi <= phi
-    assert child.links[0][0] >= chain.links[0][0]
-    assert child.links[10][1] <= chain.links[6][1]
-
-
-def test_refine_interval_chain_identity_is_shrunk_copy():
-    chain = uniform_seven_chain()
-    child = refine_interval_chain(chain, identity_pattern(7))
-    assert len(child.links) == 7
-    for (lo, hi), (plo, phi) in zip(child.links, chain.links):
-        assert plo <= lo < hi <= phi
-
-
-def test_refine_rejects_out_of_range_pattern():
-    small = IntervalChain(((FR(0), FR(1, 2)), (FR(2, 5), FR(1)),))
-    with pytest.raises(ChainError):
-        refine_interval_chain(small, kfold(3))
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +529,50 @@ def test_certificates_build_no_composed_map(case, monkeypatch):
     assert max(built, default=0) <= len(g.breakpoints)
 
 
+def _refined_link_4(chain, f):
+    """The 1-D pattern refinement's rule for link 4, by position: the core of
+    link 4 (the link less its overlaps with links 3 and 5) split equally
+    among the positions where f visits 4, each part shrunk by a tenth of its
+    width at both ends."""
+    visits = [i for i in range(1, f.m + 1) if f(i) == 4]
+    (_, hi3), (lo4, hi4), (lo5, _) = chain.links[2:5]
+    lo, hi = max(lo4, hi3), min(hi4, lo5)
+    w = (hi - lo) / len(visits)
+    return {i: (lo + s * w + w / 10, lo + (s + 1) * w - w / 10)
+            for s, i in enumerate(visits)}
+
+
+@pytest.mark.parametrize("k", range(3, 22, 2))
+def test_kfold_visits_link_4_at_the_even_positions_4_to_2k_plus_2(k):
+    assert [i for i in range(1, 2 * k + 6) if kfold(k)(i) == 4] == list(range(4, 2 * k + 3, 2))
+
+
+def _assert_slots_are_refined_link_4(g, chain, k):
+    cert = horseshoe_extract(g, chain, k, 0)
+    refined = _refined_link_4(chain, kfold(k))
+    assert cert.slots == tuple(refined[i] for i in range(4, 2 * k + 3, 2))
+    w = (chain.links[4][0] - chain.links[2][1]) / k
+    assert all(b[0] - a[1] == w / 5 for a, b in zip(cert.slots, cert.slots[1:]))
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("name", ["three_branch_horseshoe.ini", "five_branch_horseshoe.ini",
+                                  "tent_horseshoe.ini"])
+def test_shipped_slots_are_the_refinements_link_4_visits(name, mirrored):
+    g, chain, k = _shipped(name)
+    if mirrored:
+        g, chain = _mirror(g, chain)
+    _assert_slots_are_refined_link_4(g, chain, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fold=folds(stretching=True), k=st.sampled_from([3, 5, 7, 9, 11]))
+def test_drawn_slots_are_the_refinements_link_4_visits(fold, k):
+    g, chain = fold
+    if stretch_check(g, chain).stretches:
+        _assert_slots_are_refined_link_4(g, chain, k)
+
+
 # ---------------------------------------------------------------------------
 # 2D chain covers
 # ---------------------------------------------------------------------------
@@ -616,4 +631,4 @@ def test_render_empty_is_valid_svg():
 
 def test_render_deterministic():
     ec = essential_seven_chain()
-    assert render_chains([ec], RenderStyle()) == render_chains([ec], RenderStyle())
+    assert render_chains([ec]) == render_chains([ec])

@@ -120,6 +120,31 @@ def test_horseshoe_exit_codes(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_horseshoe_checks_the_link_count_and_link_4_only(tmp_path, capsys):
+    """A 6-link chain exits 3 with its count, as does a link-4 gap too
+    narrow for k slots; a narrow link 3 holds no slot and certifies."""
+    links = ["0,37/252", "35/252,73/252", "71/252,109/252", "107/252,145/252",
+             "143/252,181/252", "179/252,217/252", "215/252,1"]
+
+    def horseshoe(chain, *extra):
+        capsys.readouterr()
+        code = run(["horseshoe", "--map", fixture_path("three_branch_horseshoe.ini"),
+                    "--override", "chain.links=" + "; ".join(chain), *extra,
+                    "--out", str(tmp_path / "h.csv")])
+        return code, capsys.readouterr().err
+
+    assert horseshoe(links[:6]) == (
+        3, "config error: chain.links: stretch test is defined on 7-link chains, got 6\n")
+    # link 3's core is 10^-7 wide
+    narrow_3 = links[:1] + ["35/252,267499937/630000000"] + links[2:]
+    assert horseshoe(narrow_3, "--depth", "2") == (0, "")
+    assert len((tmp_path / "h.csv").read_text().splitlines()) == 1 + 27
+    # the gap between links 3 and 5 is 34/252 wide, so 134921 slots are
+    # each at most 10^-6 wide
+    assert horseshoe(links, "--k", "134921") == (
+        3, "config error: chain.links: refinement margins collapse inside parent 4\n")
+
+
 def test_suspend_entropy_schema_and_capacity(tmp_path):
     out = tmp_path / "e.csv"
     assert run(["suspend-entropy", "-c", fixture_path("entropy_halfspeed.ini"),
