@@ -1,10 +1,12 @@
 """Chain patterns, folding refinements, stretching tests and horseshoe
 certificates on a piecewise-linear desk model.
 
-All geometry here is exact rational arithmetic (fractions.Fraction); the only
-floats are reported entropies.  Closed intervals stand in for the subcontinua
-of the folding construction: the itinerary structure is identical, only the
-ambient space is simplified.
+All geometry here is exact rational arithmetic: fractions.Fraction, except
+in the horseshoe pullback, which works on integer numerators over one common
+denominator per level and makes Fractions only of the hulls it reports.  The
+only floats are reported entropies.  Closed intervals stand in for the
+subcontinua of the folding construction: the itinerary structure is
+identical, only the ambient space is simplified.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 FR = Fraction
@@ -127,36 +128,10 @@ class PLMap:
         vals += [y for x, y in self.breakpoints if lo < x < hi]
         return min(vals), max(vals)
 
-    @cached_property
-    def _laps(self) -> tuple[tuple[FR, FR, FR, FR, FR, Optional[FR]], ...]:
-        """(x0, x1, y0, ymin, ymax, 1/slope or None when constant) per linear
-        piece, computed once per map for `preimages`."""
-        bp = self.breakpoints
-        return tuple((x0, x1, y0, min(y0, y1), max(y0, y1),
-                      None if y0 == y1 else (x1 - x0) / (y1 - y0))
-                     for (x0, y0), (x1, y1) in zip(bp, bp[1:]))
 
-    def preimages(self, interval: tuple[FR, FR]) -> list[tuple[FR, FR]]:
-        lo, hi = interval
-        pieces = []
-        for x0, x1, y0, ymin, ymax, inv_slope in self._laps:
-            if ymax < lo or ymin > hi:
-                continue
-            if inv_slope is None:
-                pieces.append((x0, x1))
-                continue
-            a = x0 + (lo - y0) * inv_slope
-            b = x0 + (hi - y0) * inv_slope
-            a, b = min(a, b), max(a, b)
-            a, b = max(a, x0), min(b, x1)
-            if a <= b:
-                pieces.append((a, b))
-        return _merge_intervals(pieces)
-
-
-def _merge_intervals(pieces: list[tuple[FR, FR]]) -> list[tuple[FR, FR]]:
-    if not pieces:
-        return []
+def _merge_intervals(pieces: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    if len(pieces) < 2:
+        return list(pieces)
     pieces = sorted(pieces)
     out = [pieces[0]]
     for lo, hi in pieces[1:]:
@@ -178,6 +153,11 @@ class IntervalChain:
     meet."""
 
     links: tuple[tuple[FR, FR], ...]
+
+    def __post_init__(self):
+        for i, (lo, hi) in enumerate(self.links):
+            if lo < 0 or hi > 1:
+                raise ChainError(f"link {i + 1} leaves [0,1]")
 
     def validate_taut(self) -> None:
         ln = self.links
@@ -246,35 +226,94 @@ class HorseshoeCertificate:
                 f"{self.nonempty}/{self.expected} intervals nonempty")
 
 
+def _lattice_preimages(laps, lo: int, hi: int) -> list[tuple[int, int]]:
+    """g^-1([lo, hi]) as merged pieces, on the integer lattice of one
+    preimage step: lo, hi and each lap's y0, ymin and ymax are numerators
+    over the step's old scale D, its x0 and x1 numerators over D·S, and r is
+    its inverse slope times S (0 on a constant lap), so each piece comes out
+    over D·S."""
+    pieces = []
+    for x0, x1, y0, ymin, ymax, r in laps:
+        if ymax < lo or ymin > hi:
+            continue
+        if not r:
+            pieces.append((x0, x1))
+            continue
+        a = x0 + (lo - y0) * r
+        b = x0 + (hi - y0) * r
+        if a > b:
+            a, b = b, a
+        if a < x0:
+            a = x0
+        if b > x1:
+            b = x1
+        if a <= b:
+            pieces.append((a, b))
+    return _merge_intervals(pieces)
+
+
 def _pullback(g: PLMap, m: int, slots: Sequence[tuple[FR, FR]], depth: int
-              ) -> list[dict[tuple[int, ...], list[tuple[FR, FR]]]]:
+              ) -> list[tuple[int, dict[tuple[int, ...], list[tuple[int, int]]]]]:
     """The points of slot w[0] whose g^m-itinerary through the slots is w,
     as merged pieces, for every word w where they exist: level l holds the
-    words of length l + 1, for l = 0..depth.
+    words of length l + 1, for l = 0..depth, as (scale, pieces by word), each
+    piece a pair of integer numerators over the level's scale.
 
     The pieces of (s,) + v are g^-m(pieces of v) ∩ slot s, so they depend on
     v alone: each level is built from the previous one.  g^-m is m chained
-    g.preimages steps over the merged piece list, one call per piece per
-    step; with m = 1 and every piece whole that is k + k² + ... + k^depth
-    calls.  The slots are sorted and disjoint, so each preimage piece is
-    clipped only to the run of slots that it meets."""
-    starts = [lo for lo, _ in slots]
-    levels = [{(s + 1,): [slot] for s, slot in enumerate(slots)}]
+    preimage steps over the merged piece list, one `_lattice_preimages` call
+    per piece per step; with m = 1 and every piece whole that is
+    k + k² + ... + k^depth calls.  The slots are sorted and disjoint, so each
+    preimage piece is clipped only to the run of slots that it meets.
+
+    Every endpoint lies on one integer lattice.  Let D0 be the lcm of the
+    denominators of the breakpoints and the slots, and S the lcm of the
+    denominators of the laps' inverse slopes: a preimage step takes a value
+    over D to a value over D·S, so level l lives on scale D0·S^(l·m), and
+    each preimage, clip and merge is a plain integer operation."""
+    bp = g.breakpoints
+    d0 = math.lcm(*(v.denominator for point in bp for v in point),
+                  *(v.denominator for slot in slots for v in slot))
+    inv = [(x1 - x0) / (y1 - y0) if y1 != y0 else 0 for (x0, y0), (x1, y1) in zip(bp, bp[1:])]
+    s = math.lcm(*(r.denominator for r in inv))
+
+    def over_d0(v: FR) -> int:
+        return v.numerator * (d0 // v.denominator)
+
+    pts = [(over_d0(x), over_d0(y)) for x, y in bp]
+    laps = [(x0, x1, y0, min(y0, y1), max(y0, y1), int(r * s))
+            for ((x0, y0), (x1, y1)), r in zip(zip(pts, pts[1:]), inv)]
+    base = [(over_d0(lo), over_d0(hi)) for lo, hi in slots]
+    levels = [(d0, {(i + 1,): [slot] for i, slot in enumerate(base)})]
     for _ in range(depth):
-        nxt: dict[tuple[int, ...], list[tuple[FR, FR]]] = {}
-        for suffix, pieces in levels[-1].items():
+        scale, level = levels[-1]
+        steps = []
+        for _ in range(m):
+            old, scale = scale // d0, scale * s
+            new = scale // d0
+            steps.append([(x0 * new, x1 * new, y0 * old, ymin * old, ymax * old, r)
+                          for x0, x1, y0, ymin, ymax, r in laps])
+        clip = [(lo * new, hi * new) for lo, hi in base]
+        starts = [lo for lo, _ in clip]
+        nxt: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for suffix, pieces in level.items():
             pre = pieces
-            for _ in range(m):
-                pre = [p for piece in _merge_intervals(pre) for p in g.preimages(piece)]
-            clipped: dict[int, list[tuple[FR, FR]]] = {}
+            for step in steps:
+                pre = [p for lo, hi in _merge_intervals(pre)
+                       for p in _lattice_preimages(step, lo, hi)]
+            clipped: dict[int, list[tuple[int, int]]] = {}
             for lo, hi in pre:
-                for s in range(max(bisect_right(starts, lo) - 1, 0), bisect_right(starts, hi)):
-                    a, b = max(lo, slots[s][0]), min(hi, slots[s][1])
+                for i in range(max(bisect_right(starts, lo) - 1, 0), bisect_right(starts, hi)):
+                    a, b = clip[i]
+                    if a < lo:
+                        a = lo
+                    if b > hi:
+                        b = hi
                     if a <= b:
-                        clipped.setdefault(s + 1, []).append((a, b))
+                        clipped.setdefault(i + 1, []).append((a, b))
             for sym in sorted(clipped):
                 nxt[(sym,) + suffix] = _merge_intervals(clipped[sym])
-        levels.append(nxt)
+        levels.append((scale, nxt))
     return levels
 
 
@@ -308,19 +347,19 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
     m = stretch.exponent
 
     levels = _pullback(g, m, slots, depth)
-    pulled = levels[-1]
+    scale, pulled = levels[-1]
     nonempty = len(pulled)
     expected = k ** (depth + 1)
     passed = nonempty == expected
     # At the first level that misses a word every shorter word is present,
     # so its least missing word is the first empty branch in word order.
     failing = None
-    for n, level in enumerate(levels, start=1):
+    for n, (_, level) in enumerate(levels, start=1):
         if len(level) < k ** n:
             failing = next(w for w in itertools.product(range(1, k + 1), repeat=n)
                            if w not in level)
             break
-    intervals = {word: (pieces[0][0], pieces[-1][1])
+    intervals = {word: (FR(pieces[0][0], scale), FR(pieces[-1][1], scale))
                  for word, pieces in sorted(pulled.items())}
 
     return HorseshoeCertificate(

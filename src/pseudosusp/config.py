@@ -372,4 +372,7 @@ def build_interval_chain(cfg: RunConfig) -> IntervalChain:
     from .chains import IntervalChain
 
     links = parse_fractions(cfg.get("chain", "links"), "chain.links", "lo,hi")
-    return IntervalChain(tuple(links))
+    try:
+        return IntervalChain(tuple(links))
+    except ValueError as exc:
+        raise ConfigError(f"chain.links: {exc}") from exc

@@ -76,8 +76,11 @@ OVERRIDES = [
 
 # horseshoe certificates at depth 0, at the benchmark's depths, mirrored by
 # x -> 1 - x as the benchmark mirrors them (the 3- and 5-branch fixtures are
-# their own mirror images), on a 6-link chain, and on a chain whose link 3
-# has a core 10^-7 wide but holds no symbol slot
+# their own mirror images), on a 6-link chain, on a chain whose link 3 has a
+# core 10^-7 wide but holds no symbol slot, and on a chain whose end links
+# leave [0, 1]; then an asymmetric 3-lap map and its mirror, whose
+# certificates fail with different hulls, and the 4-lap map
+# 0,0; 1/4,1; 1/2,0; 3/4,1; 1,0, which stretches the chain for no m <= 8
 _BRANCH_LINKS = ["0,37/252", "35/252,73/252", "71/252,109/252", "107/252,145/252",
                  "143/252,181/252", "179/252,217/252", "215/252,1"]
 _MIRRORED_BRANCH_LINKS = ("0,37/252; 5/36,73/252; 71/252,109/252; 107/252,145/252; "
@@ -105,6 +108,16 @@ OVERRIDES += [
     ("horseshoe", "three_branch_horseshoe.ini",
      ["chain.links=" + "; ".join(_BRANCH_LINKS[:1] + ["35/252,267499937/630000000"]
                                  + _BRANCH_LINKS[2:]), "horseshoe.depth=2"]),
+    ("horseshoe", "three_branch_horseshoe.ini",
+     ["chain.links=" + "; ".join(["-1,37/252"] + _BRANCH_LINKS[1:6] + ["215/252,2"]),
+      "horseshoe.depth=1"]),
+    ("horseshoe", "three_branch_horseshoe.ini",
+     ["plmap.breakpoints=0,0; 3/7,0; 9/20,1; 1/2,0; 4/7,1; 1,1"]),
+    ("horseshoe", "three_branch_horseshoe.ini",
+     ["plmap.breakpoints=0,0; 3/7,0; 1/2,1; 11/20,0; 4/7,1; 1,1",
+      f"chain.links={_MIRRORED_BRANCH_LINKS}"]),
+    ("horseshoe", "three_branch_horseshoe.ini",
+     ["plmap.breakpoints=0,0; 1/4,1; 1/2,0; 3/4,1; 1,0"]),
 ]
 
 

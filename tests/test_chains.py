@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudosusp import chains
 from pseudosusp.chains import (ChainCover, ChainError, IntervalChain,
                                PatternError, PLMap, Rect,
                                StretchPreconditionError, _merge_intervals,
@@ -76,13 +77,13 @@ def test_plmap_eval_image_preimage():
     t = tent_map()
     assert t(FR(1, 4)) == FR(1, 2)
     assert t.image((FR(1, 4), FR(3, 4))) == (FR(1, 2), FR(1))
-    pre = t.preimages((FR(1, 2), FR(1)))
+    pre = _preimages(t, (FR(1, 2), FR(1)))
     assert pre == [(FR(1, 4), FR(3, 4))]
 
 
 def _compose(outer, inner):
     """The map outer ∘ inner, with exact breakpoint refinement: the oracle
-    for the chained exact images and preimages the program takes of g^m.
+    for the chained exact images and preimage steps the program takes of g^m.
     Each piece of inner gains a knot where it crosses a knot of outer."""
     outer_knots = [x for x, _ in outer.breakpoints]
     bp = inner.breakpoints
@@ -137,7 +138,7 @@ def unit_intervals(draw):
        samples=st.lists(unit_fractions, max_size=8))
 def test_plmap_preimages_exact(g, interval, samples):
     lo, hi = interval
-    pieces = g.preimages(interval)
+    pieces = _preimages(g, interval)
     assert pieces == sorted(pieces)
     assert all(a <= b for a, b in pieces)
     assert all(b < c for (_, b), (c, _) in zip(pieces, pieces[1:]))
@@ -287,6 +288,51 @@ def _mirror(g, chain):
             IntervalChain(tuple((1 - hi, 1 - lo) for lo, hi in reversed(chain.links))))
 
 
+def _preimages(g, interval):
+    """g^-1(interval) as merged pieces, lap by lap in Fraction arithmetic:
+    the oracle for each preimage step of the lattice pullback."""
+    lo, hi = interval
+    pieces = []
+    bp = g.breakpoints
+    for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
+        if max(y0, y1) < lo or min(y0, y1) > hi:
+            continue
+        if y0 == y1:
+            pieces.append((x0, x1))
+            continue
+        a = x0 + (lo - y0) * (x1 - x0) / (y1 - y0)
+        b = x0 + (hi - y0) * (x1 - x0) / (y1 - y0)
+        a, b = max(min(a, b), x0), min(max(a, b), x1)
+        if a <= b:
+            pieces.append((a, b))
+    return _merge_intervals(pieces)
+
+
+def _fractions(levels):
+    """The lattice pullback's levels as Fractions: each numerator over its
+    level's scale."""
+    return [{word: [(FR(lo, scale), FR(hi, scale)) for lo, hi in pieces]
+             for word, pieces in level.items()} for scale, level in levels]
+
+
+def _reference_levels(g, m, slots, depth):
+    """The pullback's levels in Fraction arithmetic: the pieces of (s,) + v
+    are m chained `_preimages` steps of the pieces of v, clipped to slot s."""
+    levels = [{(s + 1,): [slot] for s, slot in enumerate(slots)}]
+    for _ in range(depth):
+        nxt = {}
+        for suffix, pieces in levels[-1].items():
+            for _ in range(m):
+                pieces = _merge_intervals([p for piece in pieces for p in _preimages(g, piece)])
+            for sym, (slo, shi) in enumerate(slots, start=1):
+                clipped = [(max(lo, slo), min(hi, shi)) for lo, hi in pieces
+                           if max(lo, slo) <= min(hi, shi)]
+                if clipped:
+                    nxt[(sym,) + suffix] = _merge_intervals(clipped)
+        levels.append(nxt)
+    return levels
+
+
 def _reference_pullback(gm, slots, word):
     """Pieces of slot word[0] with gm-itinerary word, pulled back one word at
     a time through all its symbols (the per-word loop the shared-suffix
@@ -295,7 +341,7 @@ def _reference_pullback(gm, slots, word):
     for sym in reversed(word[:-1]):
         pulled = []
         for piece in pieces:
-            for pre in gm.preimages(piece):
+            for pre in _preimages(gm, piece):
                 lo = max(pre[0], slots[sym - 1][0])
                 hi = min(pre[1], slots[sym - 1][1])
                 if lo <= hi:
@@ -340,31 +386,45 @@ def _reference_intervals(gm, slots, depth):
     return intervals
 
 
-# (map, chain, k, every pullback piece stays whole).  Five laps under three
-# slots split the pullbacks into several pieces per suffix.
+# 0,0; 3/7,0; 9/20,1; 1/2,0; 4/7,1; 1,1: three laps over the middle seventh,
+# not symmetric under x -> 1 - x; it stretches the uniform chain at m = 2 and
+# its certificate fails
+_ASYMMETRIC = PLMap(((FR(0), FR(0)), (FR(3, 7), FR(0)), (FR(9, 20), FR(1)),
+                     (FR(1, 2), FR(0)), (FR(4, 7), FR(1)), (FR(1), FR(1))))
+
+# (map, chain, k, every pullback piece stays whole, deepest depth tested).
+# Five laps under three slots split the pullbacks into several pieces per
+# suffix.  The 3- and 5-branch fixtures are their own mirror images, the
+# asymmetric map is not; its lattice denominators reach 17 digits at depth 3,
+# where the per-word Fraction reference already takes a while.
 _PULLBACK_CASES = {
-    "3-branch": (full_branch_middle_map(3), uniform_seven_chain(), 3, True),
-    "5-branch": (full_branch_middle_map(5), uniform_seven_chain(), 5, True),
-    "5 laps, 3 slots": (full_branch_middle_map(5), uniform_seven_chain(), 3, False),
-    "tent": (tent_map(), tent_seven_chain(), 3, False),
+    "3-branch": (full_branch_middle_map(3), uniform_seven_chain(), 3, True, 5),
+    "5-branch": (full_branch_middle_map(5), uniform_seven_chain(), 5, True, 5),
+    "5 laps, 3 slots": (full_branch_middle_map(5), uniform_seven_chain(), 3, False, 5),
+    "tent": (tent_map(), tent_seven_chain(), 3, False, 5),
+    "asymmetric": (_ASYMMETRIC, uniform_seven_chain(), 3, False, 3),
 }
-for _name in ("3-branch", "5-branch"):
-    _g, _chain, _k, _ = _PULLBACK_CASES[_name]
-    _PULLBACK_CASES[f"{_name} mirrored"] = (*_mirror(_g, _chain), _k, True)
+for _name in ("3-branch", "5-branch", "asymmetric"):
+    _g, _chain, _k, _whole, _deepest = _PULLBACK_CASES[_name]
+    _PULLBACK_CASES[f"{_name} mirrored"] = (*_mirror(_g, _chain), _k, _whole, _deepest)
 
 
-@pytest.mark.parametrize("depth", range(5))
-@pytest.mark.parametrize("case", sorted(_PULLBACK_CASES))
+def _pullback_params(depths):
+    return [(case, depth) for case in sorted(_PULLBACK_CASES) for depth in depths
+            if depth <= _PULLBACK_CASES[case][4]]
+
+
+@pytest.mark.parametrize("case, depth", _pullback_params(range(5)))
 def test_shared_pullback_matches_per_word_reference(case, depth, monkeypatch):
-    g, chain, k, whole = _PULLBACK_CASES[case]
+    g, chain, k, whole, _ = _PULLBACK_CASES[case]
     calls = []
-    preimages = PLMap.preimages
+    preimages = chains._lattice_preimages
 
-    def counted(self, interval):
-        calls.append(interval)
-        return preimages(self, interval)
+    def counted(laps, lo, hi):
+        calls.append((lo, hi))
+        return preimages(laps, lo, hi)
 
-    monkeypatch.setattr(PLMap, "preimages", counted)
+    monkeypatch.setattr(chains, "_lattice_preimages", counted)
     cert = horseshoe_extract(g, chain, k, depth)
     n_calls = len(calls)
     monkeypatch.undo()
@@ -373,11 +433,11 @@ def test_shared_pullback_matches_per_word_reference(case, depth, monkeypatch):
     gm = _iterate(g, m)
     assert cert.intervals == _reference_intervals(gm, cert.slots, depth)
     assert len(cert.intervals) == cert.nonempty
-    # g^-m is pulled as m chained g.preimages steps over a merged piece list:
-    # at most one call per component of g^-j(piece), j = 0..m-1, for each
-    # piece of each suffix of length 1..depth (one call per piece at m = 1)
+    # g^-m is pulled as m chained lattice preimage steps over a merged piece
+    # list: at most one call per component of g^-j(piece), j = 0..m-1, for
+    # each piece of each suffix of length 1..depth (one call per piece at m = 1)
     inner = [_iterate(g, j) for j in range(1, m)]
-    suffix_calls = sum(1 + sum(len(gj.preimages(piece)) for gj in inner)
+    suffix_calls = sum(1 + sum(len(_preimages(gj, piece)) for gj in inner)
                        for n in range(1, depth + 1)
                        for word in itertools.product(range(1, k + 1), repeat=n)
                        for piece in _reference_pullback(gm, cert.slots, word))
@@ -386,10 +446,9 @@ def test_shared_pullback_matches_per_word_reference(case, depth, monkeypatch):
         assert n_calls == suffix_calls == sum(k ** n for n in range(1, depth + 1))
 
 
-@pytest.mark.parametrize("depth", range(6))
-@pytest.mark.parametrize("case", sorted(_PULLBACK_CASES))
+@pytest.mark.parametrize("case, depth", _pullback_params(range(6)))
 def test_pullback_verdict_matches_forward_frontier(case, depth, monkeypatch):
-    g, chain, k, _ = _PULLBACK_CASES[case]
+    g, chain, k, _, _ = _PULLBACK_CASES[case]
     images = []
     image = PLMap.image
 
@@ -463,10 +522,10 @@ def test_chained_exact_calls_match_composed_iterate(g, interval, m, chain, fold,
     image, pieces = interval, [interval]
     for _ in range(m):
         image = g.image(image)
-        pieces = _merge_intervals([p for piece in pieces for p in g.preimages(piece)])
+        pieces = _merge_intervals([p for piece in pieces for p in _preimages(g, piece)])
     assert image == gm.image(interval)
-    assert pieces == gm.preimages(interval)
-    pulled = _pullback(g, m, (interval,), 1)[-1]
+    assert pieces == _preimages(gm, interval)
+    pulled = _fractions(_pullback(g, m, (interval,), 1))[-1]
     assert pulled.get((1, 1), []) == _reference_pullback(gm, (interval,), (1, 1))
     for f, links in ((g, chain), fold):
         s = stretch_check(f, links, m_bound)
@@ -490,6 +549,22 @@ def test_pullback_certificate_matches_forward_frontier(fold, k, depth, m_bound):
     assert cert.passed == (len(frontier) == k ** (depth + 1))
     assert cert.failing_word == failing
     assert cert.intervals == _reference_intervals(_iterate(g, m), cert.slots, depth)
+
+
+# m·depth at most 6: the Fraction reference's pieces multiply with each step
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fold=folds(stretching=True), k=st.sampled_from([3, 5]),
+       m_depth=st.integers(1, 4).flatmap(
+           lambda m: st.tuples(st.just(m), st.integers(0, min(3, 6 // m)))))
+def test_lattice_levels_equal_the_fraction_pullback(fold, k, m_depth):
+    # every level, those of failing certificates too, and any m: the
+    # pullback does not need the map to stretch the chain
+    g, chain = fold
+    m, depth = m_depth
+    refined = _refined_link_4(chain, kfold(k))
+    slots = tuple(refined[i] for i in range(4, 2 * k + 3, 2))
+    levels = _pullback(g, m, slots, depth)
+    assert _fractions(levels) == _reference_levels(g, m, slots, depth)
 
 
 # 0,0; 1/4,1; 1/2,0; 3/4,1; 1,0: the tent map's second iterate, whose

@@ -451,6 +451,9 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
             ("horseshoe", "three_branch_horseshoe.ini",
              "chain.links=0,1/2; 1/4,3/4; 1/3,1/2; 1/2,5/8; 5/8,3/4; 3/4,7/8; 7/8,1",
              "chain.links"),
+            ("horseshoe", "three_branch_horseshoe.ini",
+             "chain.links=-1,37/252; 35/252,73/252; 71/252,109/252; 107/252,145/252; "
+             "143/252,181/252; 179/252,217/252; 215/252,2", "chain.links"),
             ("dense-orbit", "dense_demo.ini", "dense.k_max=0", "dense.k_max"),
             ("dense-orbit", "dense_demo.ini", "dense.s_max=0", "dense.s_max"),
             ("dense-orbit", "dense_demo.ini", "dense.p_max=-1", "dense.p_max"),
