@@ -139,7 +139,6 @@ class LiftedAnnulusMap:
     """Composition pipeline; the first primitive acts first."""
 
     pipeline: tuple[Primitive, ...]
-    label: str = ""
 
     def apply(self, t, r):
         for prim in self.pipeline:
@@ -147,8 +146,7 @@ class LiftedAnnulusMap:
         return t, r
 
     def then(self, other: "LiftedAnnulusMap") -> "LiftedAnnulusMap":
-        return LiftedAnnulusMap(self.pipeline + other.pipeline,
-                                label=f"{self.label}|{other.label}")
+        return LiftedAnnulusMap(self.pipeline + other.pipeline)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +204,7 @@ def cover_lift(m: LiftedAnnulusMap, q: int, p: int) -> LiftedAnnulusMap:
         raise ConfigError("cover degree q must be an integer >= 1")
     if q == 1 and p == 0:
         return m
-    return LiftedAnnulusMap((DeckCover(m, q, p),), label=f"cover[{q},{p}]({m.label})")
+    return LiftedAnnulusMap((DeckCover(m, q, p),))
 
 
 def invert_map(g: LiftedAnnulusMap) -> LiftedAnnulusMap:
@@ -221,7 +219,7 @@ def invert_map(g: LiftedAnnulusMap) -> LiftedAnnulusMap:
         else:
             raise UnsupportedConjugacyError(
                 f"{type(prim).__name__} is not invertible in the pipeline algebra")
-    return LiftedAnnulusMap(tuple(inverted), label=f"inv({g.label})")
+    return LiftedAnnulusMap(tuple(inverted))
 
 
 def conjugacy_invariance_check(F: LiftedAnnulusMap, g: LiftedAnnulusMap, n: int,

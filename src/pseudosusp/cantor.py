@@ -373,19 +373,13 @@ class Odometer:
         return 0.0
 
     def mixing_witness(self, u, v, horizon: int):
+        """The least n >= 1 with h^n[u] meeting [v]: adding n to a value in
+        [u] reaches [v] iff n = val(v) - val(u) modulo the product p of the
+        bases of the shorter word, so n is that residue in 1..p."""
         u, v = _cylinder_words(self, u, v)
-        pu = math.prod(self.bases[:len(u)])
-        pv = math.prod(self.bases[:len(v)])
-        val_u = _digit_value(u, self.bases)
-        val_v = _digit_value(v, self.bases)
-        for n in range(1, horizon + 1):
-            if len(v) <= len(u):
-                ok = (val_u + n) % pv == val_v
-            else:
-                ok = (val_v - n) % pu == val_u
-            if ok:
-                return n
-        return None
+        p = math.prod(self.bases[:min(len(u), len(v))])
+        n = (_digit_value(v, self.bases) - _digit_value(u, self.bases) - 1) % p + 1
+        return n if n <= horizon else None
 
     def class_counts(self, D: int, seen: list[int]) -> dict:
         """1, an identity rather than a sample: the windows compare the first

@@ -3,10 +3,10 @@ certificates on a piecewise-linear desk model.
 
 All geometry here is exact rational arithmetic: fractions.Fraction, except
 in the horseshoe pullback, which works on integer numerators over one common
-denominator per level and makes Fractions only of the hulls it reports.  The
-only floats are reported entropies.  Closed intervals stand in for the
-subcontinua of the folding construction: the itinerary structure is
-identical, only the ambient space is simplified.
+denominator per level and reports its hulls as numerators over the last
+level's denominator.  The only floats are reported entropies.  Closed
+intervals stand in for the subcontinua of the folding construction: the
+itinerary structure is identical, only the ambient space is simplified.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -75,22 +75,8 @@ def kfold(k: int) -> Pattern:
     """The 7-link folding pattern on 2k+5 indices; defined for odd k >= 3."""
     if k % 2 == 0 or k < 3:
         raise ValueError(f"k-fold requires an odd k >= 3, got {k}")
-    values = []
-    top = 2 * k + 5
-    for i in range(1, top + 1):
-        if i <= 5:
-            values.append(i)
-        elif i == top - 1:
-            values.append(6)
-        elif i == top:
-            values.append(7)
-        elif i % 2 == 0:
-            values.append(4)
-        elif i % 4 == 3:
-            values.append(3)
-        else:
-            values.append(5)
-    return pattern_validate(values, 7)
+    # links 1-3, (k - 1)/2 swings 4,5,4,3 between links 5 and 3, then links 4-7
+    return pattern_validate((1, 2, 3) + (4, 5, 4, 3) * ((k - 1) // 2) + (4, 5, 6, 7), 7)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +159,16 @@ class IntervalChain:
                     raise ChainError(f"links {i + 1},{j + 1} are not taut")
 
 
-@dataclass(frozen=True)
-class StretchResult:
-    stretches: bool
-    exponent: int
-    orientation: str  # "standard", "swapped" or "none"
-
-
 def _contains(outer: tuple[FR, FR], inner: tuple[FR, FR]) -> bool:
     return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
-def stretch_check(g: PLMap, chain: IntervalChain, m_bound: int = 8) -> StretchResult:
-    """Does some iterate send link 3 into an end link and link 5 into the
-    opposite end link?  Exact interval images."""
+def stretch_check(g: PLMap, chain: IntervalChain,
+                  m_bound: int = 8) -> Optional[tuple[int, str]]:
+    """The least m <= m_bound for which g^m sends link 3 into an end link and
+    link 5 into the opposite end link, with the orientation: "standard" if
+    link 3 lands in link 1, "swapped" if in link 7.  None if no m does.
+    Exact interval images."""
     if len(chain.links) != 7:
         raise ChainError(f"stretch test is defined on 7-link chains, got {len(chain.links)}")
     chain.validate_taut()
@@ -195,10 +177,10 @@ def stretch_check(g: PLMap, chain: IntervalChain, m_bound: int = 8) -> StretchRe
     for m in range(1, m_bound + 1):
         i3, i5 = g.image(i3), g.image(i5)  # g^m(I) = g(g^(m-1)(I)), g continuous
         if _contains(u1, i3) and _contains(u7, i5):
-            return StretchResult(True, m, "standard")
+            return m, "standard"
         if _contains(u7, i3) and _contains(u1, i5):
-            return StretchResult(True, m, "swapped")
-    return StretchResult(False, 0, "none")
+            return m, "swapped"
+    return None
 
 
 @dataclass
@@ -213,7 +195,9 @@ class HorseshoeCertificate:
     failing_word: Optional[tuple[int, ...]]
     entropy_bound: float
     slots: tuple[tuple[FR, FR], ...]
-    intervals: dict[tuple[int, ...], tuple[FR, FR]] = field(default_factory=dict)
+    scale: int
+    # each surviving full-depth word's hull, as numerators over `scale`
+    intervals: dict[tuple[int, ...], tuple[int, int]]
 
     def summary(self) -> str:
         if self.passed:
@@ -336,7 +320,7 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
     if depth < 0:
         raise ValueError("depth must be >= 0")
     stretch = stretch_check(g, chain, m_bound)
-    if not stretch.stretches:
+    if stretch is None:
         raise StretchPreconditionError(
             f"map does not stretch the chain for any exponent <= {m_bound}")
     lo, hi = chain.links[2][1], chain.links[4][0]
@@ -344,7 +328,7 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
     if w <= FR(1, 10 ** 6):
         raise ChainError("refinement margins collapse inside parent 4")
     slots = tuple((lo + s * w + w / 10, lo + (s + 1) * w - w / 10) for s in range(k))
-    m = stretch.exponent
+    m, orientation = stretch
 
     levels = _pullback(g, m, slots, depth)
     scale, pulled = levels[-1]
@@ -359,14 +343,13 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
             failing = next(w for w in itertools.product(range(1, k + 1), repeat=n)
                            if w not in level)
             break
-    intervals = {word: (FR(pieces[0][0], scale), FR(pieces[-1][1], scale))
-                 for word, pieces in sorted(pulled.items())}
+    intervals = {word: (pieces[0][0], pieces[-1][1]) for word, pieces in sorted(pulled.items())}
 
     return HorseshoeCertificate(
-        k=k, depth=depth, exponent=m, orientation=stretch.orientation,
+        k=k, depth=depth, exponent=m, orientation=orientation,
         passed=passed, nonempty=nonempty, expected=expected,
         failing_word=failing, entropy_bound=math.log(k) / m,
-        slots=slots, intervals=intervals)
+        slots=slots, scale=scale, intervals=intervals)
 
 
 # ---------------------------------------------------------------------------

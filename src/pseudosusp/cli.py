@@ -2,7 +2,8 @@
 config, emitting CSV/SVG artifacts with fixed schemas.
 
 Exit codes: 0 success, 2 check/certificate failed, 3 config error,
-4 capacity error.
+4 capacity error (an entropy scale below the resolution 2^-(W-2) of the
+symbol window W).
 
 Only `config` is imported here; each handler imports the layer it runs, so a
 command loads no layer (and no numpy) it does not use.
@@ -78,7 +79,7 @@ def cmd_rotation(args, cfg: RunConfig) -> int:
 def cmd_rigidity(args, cfg: RunConfig) -> int:
     from .tower import ONE, ZERO, pl_sum, rigidity_times
 
-    _, pieces, cover = parse_map(cfg)
+    pieces, cover = parse_map(cfg)
     if any(name == "reparam" for name, _ in pieces):
         raise ConfigError("map.map: rigidity needs a map that fixes t, and a reparam moves t")
     horizon = cfg.get("experiment", "horizon")
@@ -101,18 +102,18 @@ def cmd_rigidity(args, cfg: RunConfig) -> int:
 def cmd_hak_verify(args, cfg: RunConfig) -> int:
     from .tower import CONFIG, MEASURED, STRUCTURAL, hak_verify
 
-    report = hak_verify(build_stages(cfg), tail=cfg.get("hak", "tail"))
+    checks = hak_verify(build_stages(cfg), tail=cfg.get("hak", "tail"))
     out = _out_path(args, cfg)
     # exact values become floats here, since _fmt would print a Fraction as 1/12
     _write_csv(out, ["condition", "stage", "value", "bound", "margin", "passed"],
                [[c.condition, c.stage, float(c.value), float(c.bound), float(c.margin),
-                 c.passed] for c in report.checks])
-    if not report.passed:
-        failing = ",".join(report.failing_conditions())
-        print(f"hak-verify: FAILED condition(s) ({failing}) -> {out}")
+                 c.passed] for c in checks])
+    failing = sorted({c.condition for c in checks if not c.passed})
+    if failing:
+        print(f"hak-verify: FAILED condition(s) ({','.join(failing)}) -> {out}")
         return EXIT_CHECK
     # the bound-0 rows hold identities, whose margin 0 says nothing
-    binding = min((c for c in report.checks if c.condition in MEASURED and c.bound),
+    binding = min((c for c in checks if c.condition in MEASURED and c.bound),
                   key=lambda c: c.margin)
     print(f"hak-verify: measured ({','.join(MEASURED)}) pass, smallest margin "
           f"{float(binding.margin):.9g} at ({binding.condition}) stage {binding.stage}; "
@@ -268,7 +269,8 @@ def cmd_horseshoe(args, cfg: RunConfig) -> int:
     except ChainError as exc:  # not 7 taut links, or link 4 too narrow for k slots
         raise ConfigError(f"chain.links: {exc}") from exc
     out = args.out or cfg.get("horseshoe", "out")
-    rows = [["-".join(map(str, word)), float(lo), float(hi)]
+    # int true division rounds correctly, so each end is float(Fraction(end, scale))
+    rows = [["-".join(map(str, word)), lo / cert.scale, hi / cert.scale]
             for word, (lo, hi) in sorted(cert.intervals.items())]
     _write_csv(out, ["word", "lo", "hi"], rows)
     print(cert.summary() + f" -> {out}")

@@ -25,7 +25,8 @@ class ConfigError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Windings would outrun the metric window; construct with a larger W."""
+    """An entropy scale below the window's resolution 2^-(W-2); construct
+    with a larger W."""
 
 
 def _finite(raw: str) -> float:
@@ -255,14 +256,13 @@ def parse_fractions(raw: str, key: str, fields: str) -> list[tuple[Fraction, ...
     return entries
 
 
-def parse_map(cfg: RunConfig) -> tuple[str, list[tuple[str, object]], Optional[tuple[int, int]]]:
-    """`map.map` checked and parsed once: the raw string, the exact pieces
-    ("rotation", beta) and ("twist" or "reparam", (x, y) breakpoints) in
-    pipeline order, and the cover (q, p) around them all, or None."""
-    raw = cfg.get("map", "map")
+def parse_map(cfg: RunConfig) -> tuple[list[tuple[str, object]], Optional[tuple[int, int]]]:
+    """`map.map` checked and parsed once: the exact pieces ("rotation", beta)
+    and ("twist" or "reparam", (x, y) breakpoints) in pipeline order, and
+    the cover (q, p) around them all, or None."""
     pieces: list[tuple[str, object]] = []
     cover = None
-    for stage in raw.split("|"):
+    for stage in cfg.get("map", "map").split("|"):
         stage = stage.strip()
         if not stage:
             continue
@@ -294,14 +294,14 @@ def parse_map(cfg: RunConfig) -> tuple[str, list[tuple[str, object]], Optional[t
             cover = (q, p)
         else:
             raise ConfigError(f"map.map: unknown primitive {name!r}")
-    return raw, pieces, cover
+    return pieces, cover
 
 
 def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
     from .annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation, Twist,
                           cover_lift)
 
-    raw, pieces, cover = parse_map(cfg)
+    pieces, cover = parse_map(cfg)
     pipeline = []
     for name, value in pieces:
         if name == "rotation":
@@ -312,7 +312,7 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
             pipeline.append(Twist(profile) if name == "twist" else RadialReparam(profile))
         except ValueError as exc:
             raise ConfigError(f"map.map: {name} {exc}") from exc
-    m = LiftedAnnulusMap(tuple(pipeline), label=raw)
+    m = LiftedAnnulusMap(tuple(pipeline))
     return m if cover is None else cover_lift(m, *cover)
 
 

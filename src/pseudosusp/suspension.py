@@ -249,7 +249,8 @@ def weak_mixing_witness(sys: SuspensionSystem, U: tuple[SuspensionPoint, float],
 def _seen_positions(sys: SuspensionSystem, scale: float, n: int) -> tuple[int, list[int]]:
     """D and the sorted symbol positions S = union of [w_i - D, w_i + D] that
     the Bowen windows read, w_i the windings of the annulus orbit of
-    (0.5, 0.0) over n steps."""
+    (0.5, 0.0) over n steps.  The window W caps D only: `class_counts` reads
+    any position, so a winding may exceed W."""
     if not scale < 1.0:
         raise ValueError(f"entropy scale {scale!r} must be below 1: at scale 1 "
                          "the deck shifts +-1 come within reach")
@@ -261,10 +262,6 @@ def _seen_positions(sys: SuspensionSystem, scale: float, n: int) -> tuple[int, l
     for _ in range(n):
         windings.append(math.floor(r))
         t, r = (float(x) for x in sys.H.apply(t, r))
-    widest = max(abs(w) for w in windings)
-    if widest > sys.window:
-        raise CapacityError(f"winding {widest} exceeds window radius {sys.window}; "
-                            "increase W")
     return D, sorted({p for w in windings for p in range(w - D, w + D + 1)})
 
 

@@ -43,10 +43,9 @@ library."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .config import ConfigError
 
@@ -61,12 +60,7 @@ STRUCTURAL = ("5",)
 PL = tuple[tuple[Fraction, Fraction], ...]
 
 
-class HAKConfigError(ConfigError):
-    """Stage list violates a structural requirement (not a condition check)."""
-
-
-@dataclass(frozen=True)
-class HAKStage:
+class HAKStage(NamedTuple):
     """One stage of the approximation scheme.
 
     `rot` is the cumulative stage rotation p'/p in lowest terms; the stage
@@ -89,8 +83,7 @@ class HAKStage:
         return self.rot.denominator
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     condition: str
     stage: int
     value: Fraction
@@ -103,18 +96,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.value <= self.bound
-
-
-@dataclass
-class HAKReport:
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failing_conditions(self) -> list[str]:
-        return sorted({c.condition for c in self.checks if not c.passed})
 
 
 # ---------------------------------------------------------------------------
@@ -191,31 +172,31 @@ def rigidity_times(speed: PL, a: Fraction, b: Fraction, horizon: int, eps: Fract
 
 def _validate_stage_config(stages: list[HAKStage]) -> None:
     if len(stages) < 2:
-        raise HAKConfigError("need at least two stages")
+        raise ConfigError("need at least two stages")
     for i, st in enumerate(stages):
         u, v = st.band
         if not (0 < u < v < 1):
-            raise HAKConfigError(f"stage {st.n}.band: band must sit strictly inside (0,1)")
+            raise ConfigError(f"stage {st.n}.band: band must sit strictly inside (0,1)")
         if st.support is not None and not (0 <= st.support[0] < u and v < st.support[1] <= 1):
-            raise HAKConfigError(
+            raise ConfigError(
                 f"stage {st.n}.support: support must contain the band and lie in [0,1]")
         if i > 0:
             pu, pv = stages[i - 1].band
             if not (pu < u < v < pv):
-                raise HAKConfigError(f"stage {st.n}.band: bands must be strictly nested")
+                raise ConfigError(f"stage {st.n}.band: bands must be strictly nested")
             if st.p < stages[i - 1].p:
-                raise HAKConfigError(f"stage {st.n}.rot: period must not decrease")
+                raise ConfigError(f"stage {st.n}.rot: period must not decrease")
             if st.q < stages[i - 1].q:
-                raise HAKConfigError(f"stage {st.n}.q: q must not decrease")
+                raise ConfigError(f"stage {st.n}.q: q must not decrease")
         if st.eps <= 0:
-            raise HAKConfigError(f"stage {st.n}.eps: eps must be positive")
+            raise ConfigError(f"stage {st.n}.eps: eps must be positive")
         if st.q % st.p != 0 or st.q < st.p:
-            raise HAKConfigError(
+            raise ConfigError(
                 f"stage {st.n}.q: condition (6) needs q = m*p for some m >= 1; "
                 f"got q = {st.q}, p = {st.p}")
 
 
-def hak_verify(stages: list[HAKStage], tail: Fraction = ZERO) -> HAKReport:
+def hak_verify(stages: list[HAKStage], tail: Fraction = ZERO) -> list[CheckResult]:
     """The rows of conditions (1), (2), (3), (5), (6), (7) and (8), each an
     exact value against its bound (see the module docstring).
 
@@ -228,8 +209,8 @@ def hak_verify(stages: list[HAKStage], tail: Fraction = ZERO) -> HAKReport:
     holds the smaller of the two: the exact sup when the first is the
     smaller, an upper bound otherwise."""
     _validate_stage_config(stages)
-    report = HAKReport()
-    add = report.checks.append
+    checks: list[CheckResult] = []
+    add = checks.append
     gs = stage_profiles(stages)
     speed = pl_sum(gs)
     once = range(1, 2)
@@ -256,7 +237,7 @@ def hak_verify(stages: list[HAKStage], tail: Fraction = ZERO) -> HAKReport:
         value = min((1 - st.alpha) / 2,
                     circle_sup(drift, st.band[0], st.band[1], range(1, st.q + 1)))
         add(CheckResult("8", st.n, value, _gamma(stages, i, tail)))
-    return report
+    return checks
 
 
 def _gamma(stages: list[HAKStage], i: int, tail: Fraction) -> Fraction:

@@ -72,6 +72,14 @@ OVERRIDES = [
     ("mixing-witness", "golden_mean.ini", ["witness.Horizon=3"]),
     ("suspend-orbit", "orbit_demo.ini", ["cantor.bases=2,2"]),
     ("horseshoe", "tent_horseshoe.ini", ["horseshoe.dpth=1"]),
+    # windings up to 11 past W = 8, and a scale below W = 8's resolution 2^-6
+    ("suspend-entropy", "entropy_unit.ini", ["cantor.window=8"]),
+    ("suspend-entropy", "entropy_unit.ini", ["cantor.window=8", "experiment.eps=0.001"]),
+    # the odometer's first witness for [001] -> [11] is l = 3
+    ("mixing-witness", "odometer_222.ini", ["witness.mode=symbolic", "witness.u=0,0,1",
+                                            "witness.v=1,1", "witness.horizon=8"]),
+    ("mixing-witness", "odometer_222.ini", ["witness.mode=symbolic", "witness.u=0,0,1",
+                                            "witness.v=1,1", "witness.horizon=2"]),
 ]
 
 # horseshoe certificates at depth 0, at the benchmark's depths, mirrored by

@@ -27,7 +27,7 @@ def thue_morse() -> Substitution:
 
 
 def identity_map() -> LiftedAnnulusMap:
-    return LiftedAnnulusMap((), label="identity")
+    return LiftedAnnulusMap(())
 
 
 def circle_distance(a, b):

@@ -409,6 +409,36 @@ def test_odometer_witness_prefix_arithmetic():
         Odometer((2, 2, 2)).mixing_witness((3,), (0,), 8)
 
 
+def _odometer_witness_loop(bases, u, v, horizon):
+    """The least n <= horizon with h^n[u] meeting [v], by trying each n:
+    the shorter word's digits of value + n must match."""
+    def value(word):
+        return sum(d * math.prod(bases[:i]) for i, d in enumerate(word))
+
+    pu, pv = math.prod(bases[:len(u)]), math.prod(bases[:len(v)])
+    for n in range(1, horizon + 1):
+        if len(v) <= len(u):
+            ok = (value(u) + n) % pv == value(v)
+        else:
+            ok = (value(v) - n) % pu == value(u)
+        if ok:
+            return n
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bases=st.lists(st.integers(2, 4), min_size=1, max_size=4).map(tuple),
+       data=st.data(), horizon=st.integers(0, 79))
+def test_odometer_witness_matches_the_loop(bases, data, horizon):
+    def word():
+        n = data.draw(st.integers(1, len(bases)))
+        return tuple(data.draw(st.integers(0, b - 1)) for b in bases[:n])
+
+    u, v = word(), word()
+    assert (Odometer(bases).mixing_witness(u, v, horizon)
+            == _odometer_witness_loop(bases, u, v, horizon))
+
+
 def test_constructors_reject_bad_configs():
     with pytest.raises(ValueError):
         FullShift(1)

@@ -202,25 +202,23 @@ def test_interval_chain_tautness():
 # ---------------------------------------------------------------------------
 
 def test_stretch_three_branch_standard_m1():
-    s = stretch_check(full_branch_middle_map(3), uniform_seven_chain())
-    assert (s.stretches, s.exponent, s.orientation) == (True, 1, "standard")
+    assert stretch_check(full_branch_middle_map(3), uniform_seven_chain()) == (1, "standard")
 
 
 def test_stretch_tent_tailored_chain_m2():
-    s = stretch_check(tent_map(), tent_seven_chain())
-    assert (s.stretches, s.exponent, s.orientation) == (True, 2, "swapped")
+    assert stretch_check(tent_map(), tent_seven_chain()) == (2, "swapped")
 
 
 def test_stretch_identity_false():
     identity = PLMap(((FR(0), FR(0)), (FR(1), FR(1))))
-    assert not stretch_check(identity, uniform_seven_chain(), 6).stretches
+    assert stretch_check(identity, uniform_seven_chain(), 6) is None
 
 
 def test_stretch_rotation_like_false():
     # continuous PL surrogate of x + 1/3: images of middle links never land
     # inside an end link
     surrogate = PLMap(((FR(0), FR(1, 3)), (FR(2, 3), FR(1)), (FR(1), FR(0))))
-    assert not stretch_check(surrogate, uniform_seven_chain(), 8).stretches
+    assert stretch_check(surrogate, uniform_seven_chain(), 8) is None
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +373,12 @@ def _reference_frontier(g, m, slots, depth):
     return frontier, failing
 
 
+def _hulls(cert):
+    """The certificate's hulls as Fractions: each numerator over its scale."""
+    return {word: (FR(lo, cert.scale), FR(hi, cert.scale))
+            for word, (lo, hi) in cert.intervals.items()}
+
+
 def _reference_intervals(gm, slots, depth):
     """Forward frontier, then the per-word pullback hull of each survivor."""
     frontier, _ = _reference_frontier(gm, 1, slots, depth)
@@ -431,7 +435,7 @@ def test_shared_pullback_matches_per_word_reference(case, depth, monkeypatch):
 
     m = cert.exponent
     gm = _iterate(g, m)
-    assert cert.intervals == _reference_intervals(gm, cert.slots, depth)
+    assert _hulls(cert) == _reference_intervals(gm, cert.slots, depth)
     assert len(cert.intervals) == cert.nonempty
     # g^-m is pulled as m chained lattice preimage steps over a merged piece
     # list: at most one call per component of g^-j(piece), j = 0..m-1, for
@@ -507,10 +511,10 @@ def _reference_stretch(g, chain, m_bound):
             gm = _compose(g, gm)
         i3, i5 = gm.image(u3), gm.image(u5)
         if inside(u1, i3) and inside(u7, i5):
-            return True, m, "standard"
+            return m, "standard"
         if inside(u7, i3) and inside(u1, i5):
-            return True, m, "swapped"
-    return False, 0, "none"
+            return m, "swapped"
+    return None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -528,9 +532,7 @@ def test_chained_exact_calls_match_composed_iterate(g, interval, m, chain, fold,
     pulled = _fractions(_pullback(g, m, (interval,), 1))[-1]
     assert pulled.get((1, 1), []) == _reference_pullback(gm, (interval,), (1, 1))
     for f, links in ((g, chain), fold):
-        s = stretch_check(f, links, m_bound)
-        assert ((s.stretches, s.exponent, s.orientation)
-                == _reference_stretch(f, links, m_bound))
+        assert stretch_check(f, links, m_bound) == _reference_stretch(f, links, m_bound)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -541,14 +543,14 @@ def test_pullback_certificate_matches_forward_frontier(fold, k, depth, m_bound):
     try:
         cert = horseshoe_extract(g, chain, k, depth, m_bound)
     except StretchPreconditionError:
-        assert not stretch_check(g, chain, m_bound).stretches
+        assert stretch_check(g, chain, m_bound) is None
         return
     m = cert.exponent
     frontier, failing = _reference_frontier(g, m, cert.slots, depth)
     assert cert.nonempty == len(frontier)
     assert cert.passed == (len(frontier) == k ** (depth + 1))
     assert cert.failing_word == failing
-    assert cert.intervals == _reference_intervals(_iterate(g, m), cert.slots, depth)
+    assert _hulls(cert) == _reference_intervals(_iterate(g, m), cert.slots, depth)
 
 
 # m·depth at most 6: the Fraction reference's pieces multiply with each step
@@ -594,13 +596,13 @@ def test_certificates_build_no_composed_map(case, monkeypatch):
 
     monkeypatch.setattr(PLMap, "__post_init__", recorded)
     stretch = stretch_check(g, chain, m_bound)
-    if stretch.stretches:
+    if stretch is not None:
         horseshoe_extract(g, chain, k, 3, m_bound)
     else:
         with pytest.raises(StretchPreconditionError):
             horseshoe_extract(g, chain, k, 3, m_bound)
     monkeypatch.undo()
-    assert stretch.stretches == (case != "four laps")
+    assert (stretch is not None) == (case != "four laps")
     assert max(built, default=0) <= len(g.breakpoints)
 
 
@@ -644,7 +646,7 @@ def test_shipped_slots_are_the_refinements_link_4_visits(name, mirrored):
 @given(fold=folds(stretching=True), k=st.sampled_from([3, 5, 7, 9, 11]))
 def test_drawn_slots_are_the_refinements_link_4_visits(fold, k):
     g, chain = fold
-    if stretch_check(g, chain).stretches:
+    if stretch_check(g, chain) is not None:
         _assert_slots_are_refined_link_4(g, chain, k)
 
 

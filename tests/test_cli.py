@@ -153,10 +153,18 @@ def test_suspend_entropy_schema_and_capacity(tmp_path):
     assert lines[0] == "eps,n,budget,lower,upper,target,alpha,h_entropy"
     assert len(lines) == 2
 
+    # W = 8 resolves scales down to 2^-6, so eps = 0.001 is a capacity error
     assert run(["suspend-entropy", "-c", fixture_path("entropy_unit.ini"),
                 "--override", "cantor.window=8",
+                "--override", "experiment.eps=0.001",
                 "--override", "experiment.budget=500",
                 "--out", str(tmp_path / "cap.csv")]) == 4
+    # the windings reach 11, past W = 8, which caps only D: same CSV as W = 32
+    for window in (8, 32):
+        assert run(["suspend-entropy", "-c", fixture_path("entropy_unit.ini"),
+                    "--override", f"cantor.window={window}",
+                    "--out", str(tmp_path / f"w{window}.csv")]) == 0
+    assert (tmp_path / "w8.csv").read_text() == (tmp_path / "w32.csv").read_text()
 
 
 def test_suspend_entropy_rejects_unit_scale(tmp_path, capsys):
@@ -563,8 +571,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     """Only array code imports numpy: the entropy counts, the orbits, the
     rotation estimates and the symbolic witnesses run on floats and lists.
     `hak-verify` and `rigidity` are exact and load only `cli`, `config` and
-    `tower`.  The suspension witness still loads numpy, so the probe can see
-    numpy when it is there."""
+    `tower`, whose records are named tuples: no `dataclasses` either.  The
+    suspension witness still loads numpy, so the probe can see numpy when it
+    is there."""
     run_main = "from pseudosusp.cli import fixture_path, main\nassert main({}) == 0"
     layers = {"pseudosusp.annulus", "pseudosusp.cantor", "pseudosusp.chains",
               "pseudosusp.suspension"}
@@ -596,8 +605,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     for code in no_numpy:
         assert "numpy" not in _modules_after(code, tmp_path), code
     for code, absent in (
-            (command("hak-verify", "hak_toy.ini"), {"numpy", *layers}),
-            (command("rigidity", "rigidity_golden.ini"), {"numpy", *layers}),
+            (command("hak-verify", "hak_toy.ini"), {"numpy", "dataclasses", *layers}),
+            (command("rigidity", "rigidity_golden.ini"), {"numpy", "dataclasses", *layers}),
             ("import pseudosusp.chains", {"numpy", "pseudosusp.cantor"})):
         assert not absent & _modules_after(code, tmp_path), code
     # a suspension command builds its map without compiling or loading tower
@@ -608,9 +617,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
 
 
 def test_layer_errors_keep_their_exit_codes(tmp_path, capsys):
-    # a layer's config error is a ConfigError (the verifier's HAKConfigError
-    # is one): exit 3 with the layer's own message, led by the key that holds
-    # the bad value
+    # a layer's config error is a ConfigError: exit 3 with the layer's own
+    # message, led by the key that holds the bad value
     for command, fixture, override, key, message in (
             ("suspend-orbit", "orbit_demo.ini", "map.map=rotation:0.6|cover:0,1",
              "map.map", "cover degree q must be an integer >= 1"),
@@ -633,6 +641,7 @@ def test_layer_errors_keep_their_exit_codes(tmp_path, capsys):
     assert pseudosusp.suspension.CapacityError is pseudosusp.config.CapacityError
     capsys.readouterr()
     assert run(["suspend-entropy", "-c", fixture_path("entropy_unit.ini"),
-                "--override", "cantor.window=8",
+                "--override", "cantor.window=8", "--override", "experiment.eps=0.001",
                 "--out", str(tmp_path / "cap.csv")]) == 4
-    assert capsys.readouterr().err.startswith("capacity error: ")
+    assert capsys.readouterr().err == ("capacity error: scale below window resolution; "
+                                       "increase W\n")

@@ -490,11 +490,17 @@ def test_entropy_monotone_in_eps_and_ordered():
 
 
 def test_entropy_capacity_error():
+    # W = 8 resolves scales down to 2^-6: below that is a capacity error
     sys_ = SuspensionSystem(rot(1.0), FullShift(2), window=8)
-    with pytest.raises(CapacityError):
-        entropy_separated(sys_, 1 / 16, 12, 42)
-    with pytest.raises(CapacityError):
-        entropy_spanning(sys_, 1 / 16, 12)
+    with pytest.raises(CapacityError, match="scale below window resolution"):
+        entropy_separated(sys_, 1 / 128, 12, 42)
+    with pytest.raises(CapacityError, match="scale below window resolution"):
+        entropy_spanning(sys_, 1 / 64, 12)
+    # windings up to 11 outrun W = 8, but W caps only D: the counts read
+    # every position, and agree with W = 32
+    wide = SuspensionSystem(rot(1.0), FullShift(2), window=32)
+    assert entropy_separated(sys_, 1 / 16, 12, 42) == entropy_separated(wide, 1 / 16, 12, 42)
+    assert entropy_spanning(sys_, 1 / 16, 12) == entropy_spanning(wide, 1 / 16, 12)
 
 
 def test_product_report_targets():
