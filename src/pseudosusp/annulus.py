@@ -2,14 +2,11 @@
 
 The strip is [0,1] x R with the sum metric; the angular coordinate is the
 R/Z factor, and rotation numbers are measured on its lift.  Maps are pipelines
-of primitives; every primitive accepts floats or numpy arrays.  A float takes
-a pure-Python path with the same IEEE operations as the array path, so only
-the array code imports numpy.
+of primitives acting on floats.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,16 +25,8 @@ class UnsupportedConjugacyError(ValueError):
 
 def pl_eval(xs, ys, x):
     """The piecewise-linear function through (xs, ys) at x, extended past
-    the ends by its end pieces.  A float x is located by `bisect_right`, an
-    array x by `searchsorted` on array breakpoints; both clamp the same way
-    and interpolate with the same operations, so their values are
-    bit-identical."""
-    if isinstance(x, (int, float)):
-        idx = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
-    else:
-        import numpy as np
-
-        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    the ends by its end pieces."""
+    idx = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
     x0, x1 = xs[idx], xs[idx + 1]
     y0, y1 = ys[idx], ys[idx + 1]
     return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
@@ -60,15 +49,8 @@ class Profile:
     def _xy(self):
         return tuple(x for x, _ in self.breakpoints), tuple(y for _, y in self.breakpoints)
 
-    @cached_property
-    def _xy_arrays(self):
-        import numpy as np
-
-        return tuple(np.array(v) for v in self._xy)
-
     def __call__(self, x):
-        xs, ys = self._xy if isinstance(x, (int, float)) else self._xy_arrays
-        return pl_eval(xs, ys, x)
+        return pl_eval(*self._xy, x)
 
     def negated(self) -> "Profile":
         return Profile(tuple((x, -y) for x, y in self.breakpoints))
@@ -171,19 +153,6 @@ def rotation_number(m: LiftedAnnulusMap, t: float = 0.5, r: float = 0.0,
     return rotation_estimate(m, t, r, n_max)[-1][1]
 
 
-def displacement_bound(m: LiftedAnnulusMap, grid: int = 64) -> int:
-    """Integer bound on |angular displacement|, valid globally by deck
-    periodicity; sup over a fundamental-domain grid, rounded up."""
-    import numpy as np
-
-    t = np.linspace(0.0, 1.0, grid)
-    r = np.linspace(0.0, 1.0, grid, endpoint=False)
-    tt, rr = np.meshgrid(t, r, indexing="ij")
-    _, r1 = m.apply(tt, rr)
-    sup = float(np.max(np.abs(r1 - rr)))
-    return max(0, math.ceil(sup - 1e-9))
-
-
 def rotation_family(bits: tuple[int, ...], eps: float) -> tuple[float, list[float]]:
     """Injective rotation-number family from a 0/1 word.
 
@@ -220,25 +189,3 @@ def invert_map(g: LiftedAnnulusMap) -> LiftedAnnulusMap:
             raise UnsupportedConjugacyError(
                 f"{type(prim).__name__} is not invertible in the pipeline algebra")
     return LiftedAnnulusMap(tuple(inverted))
-
-
-def conjugacy_invariance_check(F: LiftedAnnulusMap, g: LiftedAnnulusMap, n: int,
-                               start: tuple[float, float] = (0.25, 0.1),
-                               ) -> tuple[float, float, float]:
-    """Rotation estimates at horizon n of F (along the orbit of g⁻¹(start))
-    and of g∘F∘g⁻¹ (along the orbit of start), plus the bound 2K/n.
-
-    The two orbits are the same F-orbit seen through g, so the angular
-    displacements differ by at most twice g's displacement bound; the
-    estimates are compared at matched points, which is what the bounded
-    telescoping argument compares.  Raises if the bound is exceeded."""
-    g_inv = invert_map(g)
-    conj = g_inv.then(F).then(g)
-    t0, r0 = g_inv.apply(*start)
-    est_f = rotation_estimate(F, float(t0), float(r0), n)[-1][1]
-    est_c = rotation_estimate(conj, *start, n)[-1][1]
-    bound = 2.0 * displacement_bound(g) / n + 1e-12
-    if abs(est_f - est_c) > bound:
-        raise RuntimeError(
-            f"conjugacy invariance violated: |{est_f} - {est_c}| > {bound}")
-    return est_f, est_c, bound

@@ -5,8 +5,7 @@ A point of a shift (an SFT or a substitution) is an explicit symbol word
 over [-R, R] plus an offset: h^w only moves the offset, and a read outside
 [-R, R] widens the word through the system's own `splice`.  An odometer
 point is its integer value.  Each system class knows all of its own
-behaviour (see "systems" below), and a quotient cloud's table stacks its
-seeds' own words.
+behaviour (see "systems" below).
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Union
 
 
 class InvalidPointError(ValueError):
@@ -103,6 +99,25 @@ def cantor_metric(c1: CantorPoint, c2: CantorPoint, W: int) -> float:
     return 0.0
 
 
+def depth_for(eps: float) -> int:
+    """Least D with 2^-(D+1) < eps: window agreement on |i| <= D certifies
+    cylinder distance < eps."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    d = 0
+    while 2.0 ** (-(d + 1)) >= eps:
+        d += 1
+    return d
+
+
+def _depth(rho: float, W: int) -> int:
+    """The largest D <= W with 2^-D >= rho, or -1 when rho > 1.  The metric
+    is an ultrametric, so the open ball of radius rho about c is a cylinder:
+    the points that agree with c at every position i, |i| <= D, that
+    `cantor_metric` at window W reads."""
+    return -1 if rho > 1 else min(depth_for(rho), W)
+
+
 # ---------------------------------------------------------------------------
 # systems
 # ---------------------------------------------------------------------------
@@ -143,8 +158,16 @@ class _Shift:
         """What the Bowen class count of the cylinder of c depends on."""
         return ()
 
-    def table(self, seeds: list[ShiftPoint], positions: np.ndarray) -> "_ShiftTable":
-        return _ShiftTable(seeds, positions)
+    def meets(self, p: ShiftPoint, rp: float, q: ShiftPoint, rq: float, n: int,
+              W: int) -> bool:
+        """Whether the ball of radius rp about p meets h^-n of the ball of
+        radius rq about q, in `cantor_metric` at window W: whether a legal
+        sequence holds p's symbols at |i| <= Dp and q's at |i - n| <= Dq
+        (see `_depth`)."""
+        dp, dq = _depth(rp, W), _depth(rq, W)
+        if min(dp, dq) < 0:
+            return True  # a ball of radius above 1 is the whole space
+        return self._joins(p.symbols(-dp, dp + 1), -dp, q.symbols(-dq, dq + 1), n - dq)
 
 
 @dataclass(frozen=True)
@@ -225,6 +248,19 @@ class SFT(_Shift):
                 if power[u[-1]][v[0]]:
                     return n
         return None
+
+    def _joins(self, u, i: int, v, j: int) -> bool:
+        """Whether a point holds the legal word u from position i on and v
+        from j on.  Overlapping words must agree where they overlap, and then
+        every neighbour pair lies in one of them; apart, they join across a
+        gap of g steps iff (A^g > 0) from u's last symbol to v's first.  A
+        legal word extends both ways, since no row or column of A is zero."""
+        if j < i:
+            u, i, v, j = v, j, u, i
+        off = j - i
+        if off < len(u):
+            return u[off:off + len(v)] == v[:len(u) - off]
+        return bool(_reach(self.adjacency, off - len(u) + 1)[u[-1]][v[0]])
 
     def class_counts(self, D: int, seen: list[int]) -> dict:
         """Keyed by the core's end symbols: the row sum of A^(f_R) at the
@@ -312,6 +348,20 @@ class Substitution(_Shift):
                     gaps.append(at_v[i] - p)
         return min(gaps, default=None)
 
+    def _joins(self, u, i: int, v, j: int) -> bool:
+        """Whether a point holds the legal word u from position i on and v
+        from j on: whether some block of the `_blocks` for the span holds u
+        at some p and v at p + (j - i), overlapping or not, since every legal
+        word of that length is a factor of a block and every factor is legal."""
+        if j < i:
+            u, i, v, j = v, j, u, i
+        u, v, off = tuple(u), tuple(v), j - i
+        for block in _blocks(self.rules, max(len(u), off + len(v))):
+            at_v = set(_occurrences(block, v))
+            if any(p + off in at_v for p in _occurrences(block, u)):
+                return True
+        return False
+
     def class_counts(self, D: int, seen: list[int]) -> dict:
         """Keyed by the core: the distinct restrictions to the seen positions
         of the language words on their span whose core is the cylinder's."""
@@ -361,14 +411,6 @@ class Odometer:
         digits = [rng.randrange(b) for b in self.bases]
         return OdometerPoint(self, _digit_value(digits, self.bases))
 
-    def splice(self, base: OdometerPoint, D: int, rng: random.Random,
-               W: int) -> OdometerPoint:
-        """A point sharing the first D + 1 digits of `base`, varied beyond."""
-        keep = min(D + 1, len(self.bases))
-        digits = ([base.symbol_at(i) for i in range(keep)]
-                  + [rng.randrange(b) for b in self.bases[keep:]])
-        return OdometerPoint(self, _digit_value(digits, self.bases))
-
     def entropy_exact(self) -> float:
         return 0.0
 
@@ -391,65 +433,19 @@ class Odometer:
     def core_key(self, c: OdometerPoint, D: int) -> tuple[int, ...]:
         return ()
 
-    def table(self, seeds: list[OdometerPoint], positions: np.ndarray) -> "_DigitTable":
-        return _DigitTable(self.bases, seeds, positions)
+    def meets(self, p: OdometerPoint, rp: float, q: OdometerPoint, rq: float, n: int,
+              W: int) -> bool:
+        """Whether the ball of radius rp about p meets h^-n of the ball of
+        radius rq about q, in `cantor_metric` at window W.  The balls fix
+        leading digits (see `_depth`), so a value c must be p modulo the
+        product of p's fixed bases, and c + n must be q modulo that of q's:
+        one divides the other, so that is p + n = q modulo the product of
+        the shorter prefix of bases."""
+        digits = min(_depth(rp, W), _depth(rq, W)) + 1
+        return (p.value + n - q.value) % math.prod(self.bases[:digits]) == 0
 
 
 CantorSystem = Union[SFT, Substitution, Odometer]
-
-
-class _ShiftTable:
-    """The symbols of h^w(seed) at fixed positions for many seeds of a
-    shift: the seeds' own words over a common [-R, R], stacked and read at
-    i + w.  A read past R widens each seed through its own `symbols`, R
-    becomes the largest seed radius and the table is stacked again, so it
-    holds exactly what the points hold."""
-
-    def __init__(self, seeds: list[ShiftPoint], positions: np.ndarray):
-        self.seeds, self.positions = seeds, positions
-        self._stack()
-
-    def _stack(self) -> None:
-        import numpy as np
-
-        self.R = max(len(c.word) // 2 for c in self.seeds)
-        self.table = np.array([c.symbols(-self.R, self.R + 1) for c in self.seeds],
-                              dtype=np.int64)
-
-    def read(self, w: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        lo = int(w.min()) + int(self.positions[0])
-        hi = int(w.max()) + int(self.positions[-1])
-        if lo < -self.R or self.R < hi:
-            for c in self.seeds:
-                c.symbols(lo, hi + 1)
-            self._stack()
-        cols = (w + self.R)[:, None] + self.positions[None, :]
-        return np.take_along_axis(self.table, cols, axis=1)
-
-
-class _DigitTable:
-    """The first digits of h^w(seed) for many odometer seeds: the seeds'
-    digits, carried by the change of w since the last read.  The carry past
-    the last digit read is dropped."""
-
-    def __init__(self, bases: tuple[int, ...], seeds: list[OdometerPoint],
-                 positions: np.ndarray):
-        import numpy as np
-
-        self.bases = bases[:len(positions)]
-        self.digits = np.array([[c.symbol_at(int(i)) for i in positions] for c in seeds],
-                               dtype=np.int64)
-        self.w = np.zeros(len(seeds), dtype=np.int64)
-
-    def read(self, w: np.ndarray) -> np.ndarray:
-        k, self.w = w - self.w, w.copy()
-        for i, b in enumerate(self.bases):
-            if not k.any():
-                break
-            k, self.digits[:, i] = divmod(self.digits[:, i] + k, b)
-        return self.digits
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +549,17 @@ def _outward(seen: list[int], D: int) -> tuple[list[int], list[int]]:
 
 
 def _reach(adjacency, steps: int) -> list[list[int]]:
-    """0/1 matrix: (A^steps > 0), without the growth of A^steps."""
+    """0/1 matrix: (A^steps > 0), without the growth of A^steps, by
+    repeated squaring."""
     k = len(adjacency)
     out = [[int(i == j) for j in range(k)] for i in range(k)]
-    for _ in range(steps):
-        out = _bool_mul(out, adjacency)
+    square = adjacency
+    while steps:
+        if steps & 1:
+            out = _bool_mul(out, square)
+        steps >>= 1
+        if steps:
+            square = _bool_mul(square, square)
     return out
 
 

@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 check/certificate failed, 3 config error,
 symbol window W).
 
 Only `config` is imported here; each handler imports the layer it runs, so a
-command loads no layer (and no numpy) it does not use.
+command loads no layer it does not use.
 """
 
 from __future__ import annotations
@@ -33,19 +33,17 @@ EXIT_CAPACITY = 4
 CONFIG_FORMAT = 1
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+# column format specs: "" writes str(value), FLOAT a float to 9 significant
+# digits, BOOL a bool as 1 or 0
+FLOAT, BOOL = ".9g", "d"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: str, columns: dict[str, str], rows) -> None:
+    """A header of the column names, then one line per row, each value in
+    its column's format spec."""
+    line = ",".join(f"{{:{spec}}}" for spec in columns.values()).format
+    text = "\n".join([",".join(columns), *(line(*row) for row in rows)])
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _out_path(args, cfg: RunConfig) -> str:
@@ -60,6 +58,22 @@ def _suspension(cfg: RunConfig) -> SuspensionSystem:
     return SuspensionSystem(m, h, cfg.get("cantor", "window"))
 
 
+def _speed(cfg: RunConfig, command: str):
+    """The exact speed P of `map.map`, for a command that needs a map that
+    fixes t and moves r by P(t): rotations and twists sum into P, and a
+    cover q,p around them moves r by (P + p)/q.  A reparam moves t, which
+    is a config error naming map.map."""
+    from .tower import ONE, ZERO, pl_sum
+
+    pieces, cover = parse_map(cfg)
+    if any(name == "reparam" for name, _ in pieces):
+        raise ConfigError(f"map.map: {command} needs a map that fixes t, and a reparam moves t")
+    q, p = cover or (1, 0)
+    parts = [value if name == "twist" else ((ZERO, value), (ONE, value))
+             for name, value in pieces + [("rotation", p)]]
+    return tuple((x, y / q) for x, y in pl_sum(parts))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -71,30 +85,22 @@ def cmd_rotation(args, cfg: RunConfig) -> int:
     n = cfg.get("experiment", "n")
     rows = rotation_estimate(m, cfg.get("orbit", "t"), cfg.get("orbit", "r"), n)
     out = _out_path(args, cfg)
-    _write_csv(out, ["n", "estimate"], [[k, est] for k, est in rows])
+    _write_csv(out, {"n": "", "estimate": FLOAT}, rows)
     print(f"rotation: estimate {rows[-1][1]:.9g} at n={n} -> {out}")
     return EXIT_OK
 
 
 def cmd_rigidity(args, cfg: RunConfig) -> int:
-    from .tower import ONE, ZERO, pl_sum, rigidity_times
+    from .tower import rigidity_times
 
-    pieces, cover = parse_map(cfg)
-    if any(name == "reparam" for name, _ in pieces):
-        raise ConfigError("map.map: rigidity needs a map that fixes t, and a reparam moves t")
+    speed = _speed(cfg, "rigidity")
     horizon = cfg.get("experiment", "horizon")
     eps = cfg.get("experiment", "eps")
     lo, hi = cfg.get("experiment", "band")
-    # rotations and twists move r by the sum of their pieces P, and a cover
-    # q,p around them by (P + p)/q
-    q, p = cover or (1, 0)
-    parts = [value if name == "twist" else ((ZERO, value), (ONE, value))
-             for name, value in pieces + [("rotation", p)]]
-    speed = tuple((x, y / q) for x, y in pl_sum(parts))
     rows = rigidity_times(speed, lo, hi, horizon, eps)
     out = _out_path(args, cfg)
-    # exact sups become floats here, since _fmt would print a Fraction as 1/12
-    _write_csv(out, ["n", "sup_displacement"], [[n, float(d)] for n, d in rows])
+    # the exact sups become floats for their FLOAT column
+    _write_csv(out, {"n": "", "sup_displacement": FLOAT}, [(n, float(d)) for n, d in rows])
     print(f"rigidity: {len(rows)} qualifying times <= {horizon} at eps={float(eps):.9g} -> {out}")
     return EXIT_OK
 
@@ -104,10 +110,11 @@ def cmd_hak_verify(args, cfg: RunConfig) -> int:
 
     checks = hak_verify(build_stages(cfg), tail=cfg.get("hak", "tail"))
     out = _out_path(args, cfg)
-    # exact values become floats here, since _fmt would print a Fraction as 1/12
-    _write_csv(out, ["condition", "stage", "value", "bound", "margin", "passed"],
-               [[c.condition, c.stage, float(c.value), float(c.bound), float(c.margin),
-                 c.passed] for c in checks])
+    # the exact values become floats for their FLOAT columns
+    _write_csv(out, {"condition": "", "stage": "", "value": FLOAT, "bound": FLOAT,
+                     "margin": FLOAT, "passed": BOOL},
+               [(c.condition, c.stage, float(c.value), float(c.bound), float(c.margin),
+                 c.passed) for c in checks])
     failing = sorted({c.condition for c in checks if not c.passed})
     if failing:
         print(f"hak-verify: FAILED condition(s) ({','.join(failing)}) -> {out}")
@@ -134,8 +141,9 @@ def cmd_suspend_entropy(args, cfg: RunConfig) -> int:
     alpha = rotation_number(sys_.H)
     rows = product_formula_report(sys_, alpha, eps_list, n_list, seed)
     out = _out_path(args, cfg)
-    _write_csv(out, ["eps", "n", "budget", "lower", "upper", "target", "alpha", "h_entropy"],
-               [[r.eps, r.n, budget, r.lower, r.upper, r.target, r.alpha, r.h_entropy]
+    _write_csv(out, {"eps": FLOAT, "n": "", "budget": "", "lower": FLOAT, "upper": FLOAT,
+                     "target": FLOAT, "alpha": FLOAT, "h_entropy": FLOAT},
+               [(r.eps, r.n, budget, r.lower, r.upper, r.target, r.alpha, r.h_entropy)
                 for r in rows])
     last = rows[-1]
     print(f"suspend-entropy: bracket [{last.lower:.9g}, {last.upper:.9g}] "
@@ -155,8 +163,8 @@ def cmd_suspend_orbit(args, cfg: RunConfig) -> int:
     pts = orbit(sys_, p0, n)
     out = _out_path(args, cfg)
     # one orbit is one pseudo-component, numbered 0
-    _write_csv(out, ["k", "t", "r", "w", "component"],
-               [[k, t, r, w, 0] for k, (t, r, w) in enumerate(pts)])
+    _write_csv(out, {"k": "", "t": FLOAT, "r": FLOAT, "w": "", "component": ""},
+               ((k, t, r, w, 0) for k, (t, r, w) in enumerate(pts)))
     print(f"suspend-orbit: {n} steps, final winding {pts[-1][2]} -> {out}")
     return EXIT_OK
 
@@ -176,8 +184,8 @@ def cmd_mixing_witness(args, cfg: RunConfig) -> int:
         except ValueError as exc:  # the message starts with the argument, u or v
             raise ConfigError(f"witness.{exc}") from exc
     else:
+        speed = _speed(cfg, "mixing-witness")
         sys_ = _suspension(cfg)
-        seed = cfg.get("experiment", "seed")
 
         def ball(key):
             raw = cfg.get("witness", key)
@@ -192,10 +200,9 @@ def cmd_mixing_witness(args, cfg: RunConfig) -> int:
             c = sys_.h.random_point(seed, sys_.window)
             return (normalize(sys_, t, r, c), cfg.get("witness", f"{key}_radius"))
 
-        found = weak_mixing_witness(sys_, ball("u"), ball("v"), horizon,
-                                    cloud_size=cfg.get("witness", "cloud"), seed=seed)
-    _write_csv(out, ["mode", "horizon", "found", "l"],
-               [[mode, horizon, found is not None, "" if found is None else found]])
+        found = weak_mixing_witness(sys_, speed, ball("u"), ball("v"), horizon)
+    _write_csv(out, {"mode": "", "horizon": "", "found": BOOL, "l": ""},
+               [(mode, horizon, found is not None, "" if found is None else found)])
     verdict = f"l={found}" if found is not None else "none within horizon"
     print(f"mixing-witness[{mode}]: {verdict} -> {out}")
     return EXIT_OK
@@ -211,11 +218,12 @@ def cmd_dense_orbit(args, cfg: RunConfig) -> int:
     c = sys_.h.random_point(seed, sys_.window)
     hit = dense_orbit_check(sys_, c, (t, r), eps, k_max, s_max, p_max)
     out = _out_path(args, cfg)
+    columns = {"found": BOOL, "k": "", "s": "", "p": ""}
     if hit is None:
-        _write_csv(out, ["found", "k", "s", "p"], [[False, "", "", ""]])
+        _write_csv(out, columns, [(False, "", "", "")])
         print(f"dense-orbit: no witness within bounds -> {out}")
     else:
-        _write_csv(out, ["found", "k", "s", "p"], [[True, hit[0], hit[1], hit[2]]])
+        _write_csv(out, columns, [(True, *hit)])
         print(f"dense-orbit: witness k={hit[0]} s={hit[1]} p={hit[2]} -> {out}")
     return EXIT_OK
 
@@ -226,8 +234,8 @@ def cmd_rotation_family(args, cfg: RunConfig) -> int:
     bits = cfg.get("family", "bits")
     alpha, schedule = rotation_family(bits, cfg.get("family", "eps"))
     out = _out_path(args, cfg)
-    _write_csv(out, ["n", "bit", "b_n", "term"],
-               [[i + 1, b, s, s if b else s / 3.0]
+    _write_csv(out, {"n": "", "bit": "", "b_n": FLOAT, "term": FLOAT},
+               [(i + 1, b, s, s if b else s / 3.0)
                 for i, (b, s) in enumerate(zip(bits, schedule))])
     print(f"rotation-family: alpha = {alpha:.12g} for bits {''.join(map(str, bits))} -> {out}")
     return EXIT_OK
@@ -270,9 +278,9 @@ def cmd_horseshoe(args, cfg: RunConfig) -> int:
         raise ConfigError(f"chain.links: {exc}") from exc
     out = args.out or cfg.get("horseshoe", "out")
     # int true division rounds correctly, so each end is float(Fraction(end, scale))
-    rows = [["-".join(map(str, word)), lo / cert.scale, hi / cert.scale]
+    rows = [("-".join(map(str, word)), lo / cert.scale, hi / cert.scale)
             for word, (lo, hi) in sorted(cert.intervals.items())]
-    _write_csv(out, ["word", "lo", "hi"], rows)
+    _write_csv(out, {"word": "", "lo": FLOAT, "hi": FLOAT}, rows)
     print(cert.summary() + f" -> {out}")
     return EXIT_OK if cert.passed else EXIT_CHECK
 

@@ -100,7 +100,9 @@ COMMANDS = {
     "suspend-orbit": {"map": MAP, "cantor": CANTOR, "orbit": {
         "seed": ("integer", REQUIRED), **ORBIT, "n": ("integer", "32", "[0, inf)")},
         "experiment": {"out": ("string", "suspend_orbit.csv")}},
-    # both modes' keys, so that an override may switch the mode
+    # both modes' keys, so that an override may switch the mode; witness.cloud
+    # and experiment.seed are read by nothing, and stay declared for configs
+    # that still set them
     "mixing-witness": {"map": MAP, "cantor": CANTOR, "witness": {
         "mode": ({"symbolic": {}, "suspension": {}}, "suspension"),
         "horizon": ("integer", "64", "[1, inf)"), "u": ("string", REQUIRED),

@@ -5,22 +5,20 @@ r in [0,1): shifting r by an integer n trades exactly against applying the
 n-th power of the Cantor homeomorphism to c.  The step map applies the lifted
 annulus map to (t, r) and renormalizes; the accumulated winding identifies
 which power of h acts on the point's seed, so pseudo-component bookkeeping
-is exact by construction.
+is exact by construction.  Everything here runs on floats, ints and exact
+fractions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from fractions import Fraction
 
 from .annulus import LiftedAnnulusMap
-from .cantor import CantorPoint, CantorSystem, cantor_metric
+from .cantor import CantorPoint, CantorSystem, depth_for
 from .config import CapacityError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,8 +33,8 @@ class SuspensionPoint:
 class SuspensionSystem:
     """Lifted annulus map over a Cantor system.
 
-    All dynamics here is pure.  `orbit` follows one point; a `QuotientCloud`
-    steps many points at once as arrays."""
+    All dynamics here is pure: `orbit` follows one point, and
+    `weak_mixing_witness` decides its question on whole balls."""
 
     def __init__(self, H: LiftedAnnulusMap, h: CantorSystem, window: int = 32):
         self.H = H
@@ -56,15 +54,11 @@ def normalize(sys: SuspensionSystem, t: float, r: float, c: CantorPoint,
                            c if seed is None else seed, winding + k)
 
 
-def step(sys: SuspensionSystem, p: SuspensionPoint) -> SuspensionPoint:
-    t2, r2 = sys.H.apply(p.t, p.r)
-    return normalize(sys, float(t2), float(r2), p.c, p.seed, p.winding)
-
-
 def orbit(sys: SuspensionSystem, p: SuspensionPoint,
           n: int) -> list[tuple[float, float, int]]:
-    """(t, r, winding) of p and its first n iterates under `step`.  The k-th
-    iterate's Cantor coordinate is h^(w_k - w_0)(p.c); it is not built."""
+    """(t, r, winding) of p and its first n iterates under H, each
+    renormalized.  The k-th iterate's Cantor coordinate is
+    h^(w_k - w_0)(p.c); it is not built."""
     t, r, w = p.t, p.r, p.winding
     out = [(t, r, w)]
     for _ in range(n):
@@ -77,40 +71,9 @@ def orbit(sys: SuspensionSystem, p: SuspensionPoint,
     return out
 
 
-def quotient_distance(sys: SuspensionSystem, p: SuspensionPoint,
-                      q: SuspensionPoint) -> float:
-    """max(strip, cylinder) distance, minimized over adjacent deck shifts."""
-    best = math.inf
-    for s in (-1, 0, 1):
-        strip = abs(p.t - q.t) + abs(p.r - (q.r + s))
-        if strip >= best:
-            continue
-        cd = cantor_metric(p.c, sys.h.power(q.c, -s), sys.window)
-        best = min(best, max(strip, cd))
-    return best
-
-
-def winding_rate(sys: SuspensionSystem, p0: SuspensionPoint,
-                 n: int) -> list[tuple[int, float]]:
-    """w_k/k along the orbit: an independent rotation-number estimate."""
-    return [(k, (w - p0.winding) / k)
-            for k, (_, _, w) in enumerate(orbit(sys, p0, n)[1:], start=1)]
-
-
 # ---------------------------------------------------------------------------
 # dense-orbit condition search
 # ---------------------------------------------------------------------------
-
-def depth_for(eps: float) -> int:
-    """Least D with 2^-(D+1) < eps: window agreement on |i| <= D certifies
-    cylinder distance < eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    d = 0
-    while 2.0 ** (-(d + 1)) >= eps:
-        d += 1
-    return d
-
 
 def dense_orbit_check(sys: SuspensionSystem, c: CantorPoint,
                       tr: tuple[float, float], eps: float,
@@ -153,93 +116,119 @@ def dense_orbit_check(sys: SuspensionSystem, c: CantorPoint,
 # weak-mixing witness search
 # ---------------------------------------------------------------------------
 
-class QuotientCloud:
-    """Points (t, r, h^w(seed)) of the quotient held as arrays, stepped and
-    measured all at once with the same floating-point operations as `step`
-    and `quotient_distance` use point by point, so every coordinate and
-    every distance is bit-identical to theirs.
+def weak_mixing_witness(sys: SuspensionSystem, speed, U: tuple[SuspensionPoint, float],
+                        V: tuple[SuspensionPoint, float], horizon: int):
+    """The Banks criterion, decided exactly: the least l <= horizon at which
+    H^l(U) meets U and H^l(U) meets V, or None.
 
-    t and r are float64 and the winding w is int64.  The Cantor coordinate
-    is the system's `table` of the seeds, read at the positions the metric
-    reads: a symbol table for a shift, carried digits for the odometer.
-    Only this class builds arrays in the module, so it alone imports numpy."""
+    U and V are (centre, radius) open balls of the quotient distance: the
+    least, over deck shifts s in {-1, 0, 1}, of the larger of the strip
+    distance |t - t'| + |r - (r' + s)| and the Cantor distance to h^-s of
+    the centre's Cantor coordinate.  H fixes t and moves r by P(t), the
+    continuous PL function whose exact (x, y) breakpoints from 0 to 1 are
+    `speed` (a `tower.PL`).
 
-    def __init__(self, sys: SuspensionSystem, points: list[SuspensionPoint]):
-        import numpy as np
-
-        self.sys = sys
-        self.alphabet = points[0].c.alphabet_size
-        self.t = np.array([p.t for p in points], dtype=np.float64)
-        self.r = np.array([p.r for p in points], dtype=np.float64)
-        self.w = np.array([p.winding for p in points], dtype=np.int64)
-        self.positions = np.array(sys.h.positions(sys.window))
-        self.scale = np.array([2.0 ** (-abs(int(i))) for i in self.positions])
-        self.table = sys.h.table([p.seed for p in points], self.positions)
-        self.symbols = self.table.read(self.w)
-
-    def step(self) -> None:
-        import numpy as np
-
-        t, r = self.sys.H.apply(self.t, self.r)
-        k = np.floor(r)
-        self.t, self.r = t, r - k
-        self.w += k.astype(np.int64)
-        self.symbols = self.table.read(self.w)
-
-    def target(self, q: SuspensionPoint):
-        """q with the symbols of h^-s(q.c), s = -1, 0, 1, at the positions
-        the metric reads, for `distances`."""
-        import numpy as np
-
-        if q.c.alphabet_size != self.alphabet:
-            raise ValueError("points live over different alphabets")
-        rows = np.array([[self.sys.h.power(q.c, -s).symbol_at(int(i))
-                          for i in self.positions] for s in (-1, 0, 1)])
-        return q.t, q.r, rows
-
-    def distances(self, target) -> np.ndarray:
-        """`quotient_distance` from every point to the target's point: the
-        cylinder term is the scale of the nearest mismatch, or 0."""
-        import numpy as np
-
-        qt, qr, rows = target
-        best = np.full(len(self.t), math.inf)
-        for s, row in zip((-1, 0, 1), rows):
-            strip = np.abs(self.t - qt) + np.abs(self.r - (qr + s))
-            cd = np.where(self.symbols != row, self.scale, 0.0).max(axis=1)
-            best = np.minimum(best, np.maximum(strip, cd))
-        return best
-
-
-def weak_mixing_witness(sys: SuspensionSystem, U: tuple[SuspensionPoint, float],
-                        V: tuple[SuspensionPoint, float], horizon: int,
-                        cloud_size: int = 64, seed: int = 0):
-    """Banks-criterion search: least l <= horizon with some iterate of the
-    U-cloud back in U and some iterate in V.  None on exhaustion."""
+    A point (t, r, c) of U, near the centre under shift s', goes to
+    (t, r + l*P(t) - k, h^k(c)), k its winding.  For each k and shifts s'
+    and s (into the target) the question splits in two: a strip question on
+    (t, r), which `_strip_meets` decides on each piece of the speed, and a
+    cylinder question on c, which is the system's `meets`.  The strip
+    question runs in integers: every float centre and radius is an exact
+    dyadic rational, and one common denominator d scales them and the
+    speed's pieces to ints."""
     (cu, ru), (cv, rv) = U, V
     if ru <= 0 or rv <= 0:
         raise ValueError("ball radii must be positive")
-    if cloud_size < 1:
-        raise ValueError(f"cloud size must be at least 1, got {cloud_size}")
-    rng = random.Random(seed)
-    D = depth_for(ru)
-    cloud = []
-    for _ in range(cloud_size):
-        dt = (rng.random() - 0.5) * ru / 2
-        dr = (rng.random() - 0.5) * ru / 2
-        c = sys.h.splice(cu.c, D, rng, sys.window)
-        p = normalize(sys, min(1.0, max(0.0, cu.t + dt)), cu.r + dr, c)
-        if quotient_distance(sys, p, cu) < ru:
-            cloud.append(p)
-    if not cloud:
-        raise ValueError("could not seed a cloud inside U")
-    cloud = QuotientCloud(sys, cloud)
-    to_u, to_v = cloud.target(cu), cloud.target(cv)
+    h, W = sys.h, sys.window
+    balls = [tuple(Fraction(x) for x in (c.t, c.r, rho)) for c, rho in (U, V)]
+    # P(t) = m*t + c on the piece [x0, x1], with P's least and largest value there
+    pieces = []
+    for (x0, y0), (x1, y1) in zip(speed, speed[1:]):
+        x0, y0, x1, y1 = (Fraction(v) for v in (x0, y0, x1, y1))
+        m = (y1 - y0) / (x1 - x0)
+        pieces.append(((x0, x1, m, y0 - m * x0), min(y0, y1), max(y0, y1)))
+    d = math.lcm(*(x.denominator for row in balls + [line for line, _, _ in pieces]
+                   for x in row))
+    balls = [tuple(int(x * d) for x in ball) for ball in balls]
+    pieces = [(tuple(int(x * d) for x in line), lo, hi) for line, lo, hi in pieces]
+    # the deck shifts under which a ball's r-interval meets [0, 1), where the
+    # r of a point and of its image lie
+    shifts = [[s for s in (-1, 0, 1) if -rho < r + s * d < d + rho] for _, r, rho in balls]
+
+    # h^-s of each centre's Cantor coordinate, s = -1, 0, 1
+    shifted = [{s: h.power(c.c, -s) for s in (-1, 0, 1)} for c in (cu, cv)]
+
+    @functools.cache
+    def cylinder(target: int, k: int, su: int, sq: int) -> bool:
+        return h.meets(shifted[0][su], ru, shifted[target][sq], (ru, rv)[target], k, W)
+
+    def hit(target: int, l: int) -> bool:
+        return any(cylinder(target, k, su, sq)
+                   and _strip_meets(balls[0], balls[target], piece, l, k, su, sq, d)
+                   for piece, lo, hi in pieces
+                   for k in range(math.floor(l * lo), math.ceil(l * hi) + 1)
+                   for su in shifts[0] for sq in shifts[target])
+
     for l in range(1, horizon + 1):
-        cloud.step()
-        if (cloud.distances(to_u) < ru).any() and (cloud.distances(to_v) < rv).any():
+        if hit(0, l) and hit(1, l):
             return l
     return None
+
+
+def _strip_meets(u, q, piece, l: int, k: int, su: int, sq: int, d: int) -> bool:
+    """Whether some (t, r) with t on the piece and r in [0, 1) lies in U's
+    strip ball under shift su while r + l*P(t) - k lies in [0, 1) and, with
+    that t, in the target's strip ball under shift sq.  Balls are
+    (t, r, radius) and the piece (x0, x1, m, c), P(t) = m*t + c on it, all
+    numerators over d.
+
+    On a flat piece, r + l*P - k = r - shift.  For a fixed r, the t of U's
+    ball and of the target's are open intervals about their centres, of
+    half-widths rho_U - |r - a| and rho - |r - b|; they and the piece share
+    a point iff each two of them meet (Helly, in one dimension).  So r must
+    lie in I, the window and the two r-intervals whose radii are shrunk by
+    their centre's distance from the piece, and |r - a| + |r - b|, least on
+    I at its point nearest [a, b], must be below rho_U + rho - |t_U - t_q|.
+    On a sloped piece every condition is linear in (t, r), and `_feasible`
+    decides them."""
+    (tu, au, pu), (tq, aq, pq) = u, q
+    x0, x1, m, c = piece
+    a = au + su * d
+    if m == 0:
+        shift = k * d - l * c
+        b = aq + sq * d + shift
+        eu = pu - max(0, x0 - tu, tu - x1)
+        eq = pq - max(0, x0 - tq, tq - x1)
+        lo, hi = max(a - eu, b - eq, shift, 0), min(a + eu, b + eq, shift + d, d)
+        near = max(0, lo - max(a, b), min(a, b) - hi)
+        return lo < hi and abs(a - b) + 2 * near < pu + pq - abs(tu - tq)
+    # d*(r + l*P(t) - k) = d*r + L1*t + L0, and E shifts that to the target's centre
+    L1, L0 = l * m, l * c - k * d
+    E = L0 - aq - sq * d
+    rows = [(d, 0, -x0, False), (-d, 0, x1, False),
+            (0, d, 0, False), (0, -d, d, True),
+            (L1, d, L0, False), (-L1, -d, d - L0, True)]
+    for s1 in (-1, 1):
+        for s2 in (-1, 1):
+            rows.append((-s1 * d, -s2 * d, pu + s1 * tu + s2 * a, True))
+            rows.append((-s1 * d - s2 * L1, -s2 * d, pq + s1 * tq - s2 * E, True))
+    return _feasible(rows)
+
+
+def _feasible(rows) -> bool:
+    """Whether some real (t, r) meets every row (a, b, c, strict), which
+    reads a*t + b*r + c > 0 if strict and >= 0 if not.  Fourier-Motzkin
+    elimination of r, then of t, in integers: two rows that bound a variable
+    from opposite sides combine, with positive weights, into one without
+    it, strict if either is; the system is feasible iff every row left,
+    now a bare constant c, holds."""
+    for var in (1, 0):
+        pos = [row for row in rows if row[var] > 0]
+        neg = [row for row in rows if row[var] < 0]
+        rows = [row for row in rows if row[var] == 0] + [
+            tuple(-n[var] * x + p[var] * y for x, y in zip(p[:3], n[:3])) + (p[3] or n[3],)
+            for p in pos for n in neg]
+    return all(c > 0 if strict else c >= 0 for _, _, c, strict in rows)
 
 
 # ---------------------------------------------------------------------------

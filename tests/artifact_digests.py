@@ -80,6 +80,14 @@ OVERRIDES = [
                                             "witness.v=1,1", "witness.horizon=8"]),
     ("mixing-witness", "odometer_222.ini", ["witness.mode=symbolic", "witness.u=0,0,1",
                                             "witness.v=1,1", "witness.horizon=2"]),
+    # the suspension witness on a twist, on a cover and on a reparam, which
+    # moves t; the witness reads the cover's exact speed, and an orbit runs
+    # it through `DeckCover.apply`
+    ("mixing-witness", "witness_fullshift.ini", ["map.map=twist:0,0.2;0.4,0.7;1,0.5"]),
+    ("mixing-witness", "witness_fullshift.ini",
+     ["map.map=rotation:0.2|twist:0,0;1,0.3|cover:2,1"]),
+    ("mixing-witness", "witness_fullshift.ini", ["map.map=reparam:0,0;0.5,0.7;1,1"]),
+    ("suspend-orbit", "orbit_demo.ini", ["map.map=rotation:0.2|twist:0,0;1,0.3|cover:2,1"]),
 ]
 
 # horseshoe certificates at depth 0, at the benchmark's depths, mirrored by

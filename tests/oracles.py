@@ -1,20 +1,28 @@
-"""Estimators that no subcommand runs, kept as test oracles: the circle
-distance of float arrays, the deck equivariance defect of an annulus map,
-word recurrence gaps of a Cantor point, near-identity return times on the
+"""Estimators that no subcommand runs, kept as test oracles: annulus maps
+applied to float arrays, the circle distance of float arrays, the deck
+equivariance defect and displacement bound of an annulus map, conjugacy
+invariance of rotation estimates, word recurrence gaps of a Cantor point,
+the quotient's step, distance and winding rate, the sampled and the
+brute-force weak-mixing witness, near-identity return times on the
 quotient, and the rigidity margins of a staged tower.  Also the canned
-systems and maps that only tests build.  Shared by
+systems and maps that only tests build.  Shared by `test_acceptance.py`,
 `test_annulus.py`, `test_cantor.py` and `test_suspension.py`."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
-from pseudosusp.annulus import LiftedAnnulusMap
-from pseudosusp.cantor import SFT, CantorPoint, CantorSystem, Substitution, cantor_metric
-from pseudosusp.suspension import SuspensionSystem
+from pseudosusp.annulus import (LiftedAnnulusMap, RadialReparam, RigidRotation, Twist,
+                                invert_map, rotation_estimate)
+from pseudosusp.cantor import (SFT, CantorPoint, CantorSystem, Odometer, OdometerPoint,
+                               Substitution, _language_words, cantor_metric)
+from pseudosusp.suspension import (SuspensionPoint, SuspensionSystem, depth_for, normalize,
+                                   orbit)
 from pseudosusp.tower import HAKStage, _gamma, circle_sup, pl_sum, stage_profiles
 
 
@@ -30,6 +38,31 @@ def identity_map() -> LiftedAnnulusMap:
     return LiftedAnnulusMap(())
 
 
+def pl_eval_arrays(profile, x):
+    """A float `Profile` at every point of the array x: the breakpoint at or
+    left of x, clamped to the end pieces, then the interpolation
+    `annulus.pl_eval` uses."""
+    xs = np.array([bx for bx, _ in profile.breakpoints])
+    ys = np.array([by for _, by in profile.breakpoints])
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    return ys[i] + (x - xs[i]) * (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+
+
+def apply_arrays(m: LiftedAnnulusMap, t, r):
+    """`m.apply` on float arrays t and r, primitive by primitive."""
+    for prim in m.pipeline:
+        if isinstance(prim, RigidRotation):
+            r = r + prim.beta
+        elif isinstance(prim, Twist):
+            r = r + pl_eval_arrays(prim.profile, t)
+        elif isinstance(prim, RadialReparam):
+            t = pl_eval_arrays(prim.profile, t)
+        else:  # DeckCover
+            t, r = apply_arrays(prim.inner, t, r * prim.q)
+            r = r / prim.q + prim.p / prim.q
+    return t, r
+
+
 def circle_distance(a, b):
     """The distance of a - b from the integers, elementwise."""
     d = np.mod(np.asarray(a) - b, 1.0)
@@ -41,9 +74,42 @@ def equivariance_defect(m: LiftedAnnulusMap, samples: int = 100, seed: int = 7) 
     rng = np.random.default_rng(seed)
     t = rng.uniform(0, 1, samples)
     r = rng.uniform(-2, 2, samples)
-    t1, r1 = m.apply(t, r)
-    t2, r2 = m.apply(t, r + 1.0)
+    t1, r1 = apply_arrays(m, t, r)
+    t2, r2 = apply_arrays(m, t, r + 1.0)
     return float(np.max(np.abs(t2 - t1) + np.abs(r2 - (r1 + 1.0))))
+
+
+def displacement_bound(m: LiftedAnnulusMap, grid: int = 64) -> int:
+    """Integer bound on |angular displacement|, valid globally by deck
+    periodicity; sup over a fundamental-domain grid, rounded up."""
+    t = np.linspace(0.0, 1.0, grid)
+    r = np.linspace(0.0, 1.0, grid, endpoint=False)
+    tt, rr = np.meshgrid(t, r, indexing="ij")
+    _, r1 = apply_arrays(m, tt, rr)
+    sup = float(np.max(np.abs(r1 - rr)))
+    return max(0, math.ceil(sup - 1e-9))
+
+
+def conjugacy_invariance_check(F: LiftedAnnulusMap, g: LiftedAnnulusMap, n: int,
+                               start: tuple[float, float] = (0.25, 0.1),
+                               ) -> tuple[float, float, float]:
+    """Rotation estimates at horizon n of F (along the orbit of g⁻¹(start))
+    and of g∘F∘g⁻¹ (along the orbit of start), plus the bound 2K/n.
+
+    The two orbits are the same F-orbit seen through g, so the angular
+    displacements differ by at most twice g's displacement bound; the
+    estimates are compared at matched points, which is what the bounded
+    telescoping argument compares.  Raises if the bound is exceeded."""
+    g_inv = invert_map(g)
+    conj = g_inv.then(F).then(g)
+    t0, r0 = g_inv.apply(*start)
+    est_f = rotation_estimate(F, float(t0), float(r0), n)[-1][1]
+    est_c = rotation_estimate(conj, *start, n)[-1][1]
+    bound = 2.0 * displacement_bound(g) / n + 1e-12
+    if abs(est_f - est_c) > bound:
+        raise RuntimeError(
+            f"conjugacy invariance violated: |{est_f} - {est_c}| > {bound}")
+    return est_f, est_c, bound
 
 
 def recurrence_profile(sys: CantorSystem, c: CantorPoint, L: int,
@@ -95,7 +161,7 @@ def rigidity_suspension(sys: SuspensionSystem, grid: int, horizon: int,
 
     qualifying = []
     for n in range(1, horizon + 1):
-        t, rlift = sys.H.apply(t, rlift)
+        t, rlift = apply_arrays(sys.H, t, rlift)
         w = np.floor(rlift).astype(int)
         worst = 0.0
         for j in range(len(tt)):
@@ -122,3 +188,183 @@ def rigidity_margins(stages: list[HAKStage],
     u, v = stages[-1].band
     return [(st.n, circle_sup(speed, u, v, range(st.p, st.p + 1)), _gamma(stages, i, tail))
             for i, st in enumerate(stages)]
+
+
+# ---------------------------------------------------------------------------
+# the quotient point by point, and the weak-mixing witness
+# ---------------------------------------------------------------------------
+
+def step(sys: SuspensionSystem, p: SuspensionPoint) -> SuspensionPoint:
+    t2, r2 = sys.H.apply(p.t, p.r)
+    return normalize(sys, float(t2), float(r2), p.c, p.seed, p.winding)
+
+
+def quotient_distance(sys: SuspensionSystem, p: SuspensionPoint,
+                      q: SuspensionPoint) -> float:
+    """max(strip, cylinder) distance, minimized over adjacent deck shifts."""
+    best = math.inf
+    for s in (-1, 0, 1):
+        strip = abs(p.t - q.t) + abs(p.r - (q.r + s))
+        if strip >= best:
+            continue
+        cd = cantor_metric(p.c, sys.h.power(q.c, -s), sys.window)
+        best = min(best, max(strip, cd))
+    return best
+
+
+def winding_rate(sys: SuspensionSystem, p0: SuspensionPoint,
+                 n: int) -> list[tuple[int, float]]:
+    """w_k/k along the orbit: an independent rotation-number estimate."""
+    return [(k, (w - p0.winding) / k)
+            for k, (_, _, w) in enumerate(orbit(sys, p0, n)[1:], start=1)]
+
+
+def splice_point(h: CantorSystem, base: CantorPoint, D: int, rng: random.Random,
+                 W: int) -> CantorPoint:
+    """A point agreeing with `base` at the positions |i| <= D, drawn from
+    rng beyond: an odometer keeps the first D + 1 digits of `base`."""
+    if isinstance(h, Odometer):
+        digits = [base.symbol_at(i) if i <= D else rng.randrange(b)
+                  for i, b in enumerate(h.bases)]
+        return OdometerPoint(h, sum(x * math.prod(h.bases[:i]) for i, x in enumerate(digits)))
+    return h.splice(base, D, rng, W)
+
+
+def sampled_witness(sys: SuspensionSystem, U, V, horizon: int, cloud_size: int = 64,
+                    seed: int = 0):
+    """The sampled weak-mixing search: a seeded cloud of points of U near its
+    centre, stepped point by point; the least l at which some point is back
+    in U and some point is in V, or None.  Every hit is a point of U whose
+    l-th iterate lies in the ball, so the exact witness is at most this l
+    (up to float rounding in the steps)."""
+    (cu, ru), (cv, rv) = U, V
+    rng = random.Random(seed)
+    D = depth_for(ru)
+    cloud = []
+    for _ in range(cloud_size):
+        dt = (rng.random() - 0.5) * ru / 2
+        dr = (rng.random() - 0.5) * ru / 2
+        c = splice_point(sys.h, cu.c, D, rng, sys.window)
+        p = normalize(sys, min(1.0, max(0.0, cu.t + dt)), cu.r + dr, c)
+        if quotient_distance(sys, p, cu) < ru:
+            cloud.append(p)
+    for l in range(1, horizon + 1):
+        cloud = [step(sys, p) for p in cloud]
+        if (any(quotient_distance(sys, p, cu) < ru for p in cloud)
+                and any(quotient_distance(sys, p, cv) < rv for p in cloud)):
+            return l
+    return None
+
+
+def brute_force_witness(sys: SuspensionSystem, speed, U, V, horizon: int):
+    """The weak-mixing witness from the definitions, by brute force: the
+    least l <= horizon at which some point of U has its l-th iterate in U
+    and some point of U has it in V.
+
+    A point (t, r, c) of U under shift s' goes to (t, r + l*P(t) - k, h^k c).
+    For each piece of the speed, winding k and shifts s' and s, the strip
+    part is a set of linear inequalities in (t, r), decided on the vertices
+    of their line arrangement in Fractions (`strip_meets`), and the
+    cylinder part by `cylinders_meet`."""
+    for l in range(1, horizon + 1):
+        if _image_meets(sys, speed, U, U, l) and _image_meets(sys, speed, U, V, l):
+            return l
+    return None
+
+
+def _image_meets(sys, speed, U, B, l: int) -> bool:
+    (cu, ru), (cq, rq) = U, B
+    u = tuple(Fraction(x) for x in (cu.t, cu.r, ru))
+    q = tuple(Fraction(x) for x in (cq.t, cq.r, rq))
+    for (x0, y0), (x1, y1) in zip(speed, speed[1:]):
+        x0, y0, x1, y1 = (Fraction(v) for v in (x0, y0, x1, y1))
+        m = (y1 - y0) / (x1 - x0)
+        lo, hi = sorted((l * y0, l * y1))
+        for k in range(math.floor(lo) - 1, math.ceil(hi) + 2):
+            for su, sq in itertools.product((-1, 0, 1), repeat=2):
+                if (cylinders_meet(sys, sys.h.power(cu.c, -su), ru,
+                                    sys.h.power(cq.c, -sq), rq, k)
+                        and strip_meets(u, q, (x0, x1, m, y0 - m * x0), l, k, su, sq)):
+                    return True
+    return False
+
+
+def strip_meets(u, q, piece, l: int, k: int, su: int, sq: int) -> bool:
+    """Whether some (t, r), t in [x0, x1] and r in [0, 1), lies within rho_u
+    of (t_u, r_u + su) while r' = r + l*P(t) - k lies in [0, 1) and (t, r')
+    within rho_q of (t_q, r_q + sq); balls are (t, r, rho) and the piece
+    (x0, x1, m, c), P(t) = m*t + c, all exact.  Each condition is a row
+    (a, b, c, strict), a*t + b*r + c > 0 or >= 0, decided by
+    `_region_nonempty`."""
+    (tu, au, pu), (tq, aq, pq) = u, q
+    x0, x1, m, c = piece
+    if max(x0, tu - pu, tq - pq) >= min(x1, tu + pu, tq + pq):
+        return False  # the t-ranges of the balls and the piece miss
+    one = Fraction(1)
+    e = l * c - k  # r' = r + l*m*t + e
+    rows = [(one, 0, -x0, False), (-one, 0, x1, False),
+            (0, one, 0, False), (0, -one, one, True),
+            (l * m, one, e, False), (-l * m, -one, 1 - e, True)]
+    for s1, s2 in itertools.product((-1, 1), repeat=2):
+        # rho - s1*(t - t_c) - s2*(r_any - r_c) > 0 for both balls
+        rows.append((-s1 * one, -s2 * one, pu + s1 * tu + s2 * (au + su), True))
+        rows.append((-s1 - s2 * l * m, -s2 * one, pq + s1 * tq - s2 * (e - aq - sq), True))
+    return _region_nonempty(rows)
+
+
+def _region_nonempty(rows) -> bool:
+    """Whether some (t, r) meets every row.  Every row has a nonzero
+    (a, b), and the rows bound t and r, so a nonempty region has interior;
+    its closure is then a polygon whose corners are vertices of the rows'
+    line arrangement, and the centroid of the arrangement's vertices in that
+    closure is an interior point.  So the region is nonempty iff that
+    centroid meets every row.  Each row is scaled to integers, and a vertex
+    is (t, r) = (x, y) / z with z > 0."""
+    rows = [tuple(int(v * math.lcm(*(Fraction(u).denominator for u in row[:3])))
+                  for v in row[:3]) + row[3:] for row in rows]
+    inside = []
+    for (a1, b1, c1, _), (a2, b2, c2, _) in itertools.combinations(rows, 2):
+        z = a1 * b2 - a2 * b1
+        x, y = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+        if z < 0:
+            x, y, z = -x, -y, -z
+        if z and all(a * x + b * y + c * z >= 0 for a, b, c, _ in rows):
+            inside.append((Fraction(x, z), Fraction(y, z)))
+    if not inside:
+        return False
+    t = sum(t for t, _ in inside) / len(inside)
+    r = sum(r for _, r in inside) / len(inside)
+    return all(a * t + b * r + c > 0 if strict else a * t + b * r + c >= 0
+               for a, b, c, strict in rows)
+
+
+def cylinders_meet(sys, p, rp, q, rq, n: int) -> bool:
+    """Whether some point c has cantor_metric(c, p) < rp and
+    cantor_metric(h^n c, q) < rq: over every value of an odometer; for a
+    shift, the positions where the metric reads a mismatch as at least the
+    radius must hold p's symbols and, n further on, q's, and a legal word
+    with those symbols is sought position by position (an SFT) or among
+    the language words of the span (a substitution)."""
+    h, W = sys.h, sys.window
+    if isinstance(h, Odometer):
+        return any(cantor_metric(c, p, W) < rp and cantor_metric(h.power(c, n), q, W) < rq
+                   for c in (OdometerPoint(h, v) for v in range(math.prod(h.bases))))
+    fixed = {}
+    for point, rho, at in ((p, rp, 0), (q, rq, n)):
+        for i in h.positions(W):
+            if 2.0 ** -abs(i) >= rho:
+                symbol = point.symbol_at(i)
+                if fixed.setdefault(i + at, symbol) != symbol:
+                    return False
+    if not fixed:
+        return True
+    lo, hi = min(fixed), max(fixed)
+    if isinstance(h, Substitution):
+        return any(all(word[i - lo] == x for i, x in fixed.items())
+                   for word in _language_words(h.rules, hi - lo + 1))
+    allowed = {fixed[lo]}
+    for i in range(lo + 1, hi + 1):
+        allowed = {b for b in range(h.k) if any(h.adjacency[a][b] for a in allowed)}
+        if i in fixed:
+            allowed &= {fixed[i]}
+    return bool(allowed)

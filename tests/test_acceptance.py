@@ -9,9 +9,7 @@ import time
 from fractions import Fraction
 
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam,
-                                RigidRotation, Twist,
-                                conjugacy_invariance_check,
-                                rotation_estimate, rotation_family)
+                                RigidRotation, Twist, rotation_estimate, rotation_family)
 from pseudosusp.cantor import FullShift, Odometer
 from pseudosusp.chains import (full_branch_middle_map, horseshoe_extract, kfold,
                                pattern_validate, tent_map, tent_seven_chain,
@@ -19,12 +17,12 @@ from pseudosusp.chains import (full_branch_middle_map, horseshoe_extract, kfold,
 from pseudosusp.cli import fixture_path, main
 from pseudosusp.config import build_stages, load_config
 from pseudosusp.suspension import (SuspensionSystem, entropy_separated,
-                                   entropy_spanning, normalize, step,
-                                   winding_rate)
+                                   entropy_spanning, normalize)
 from pseudosusp.tower import hak_verify
 from pseudosusp.cantor import cantor_metric
 
 from markov_oracle import transition_entropy
+from oracles import conjugacy_invariance_check, step, winding_rate
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, Profile,
                                 RadialReparam, RigidRotation, Twist,
-                                UnsupportedConjugacyError,
-                                conjugacy_invariance_check, cover_lift,
-                                displacement_bound, invert_map,
+                                UnsupportedConjugacyError, cover_lift, invert_map,
                                 rotation_estimate, rotation_family,
                                 rotation_number)
 from pseudosusp.cli import fixture_path
@@ -24,7 +22,9 @@ from pseudosusp.config import ConfigError, build_stages, load_config
 from pseudosusp.tower import (circle_sup, hak_verify, pl_sum,
                               rigidity_times, stage_profiles)
 
-from oracles import circle_distance, equivariance_defect, identity_map, rigidity_margins
+from oracles import (apply_arrays, circle_distance, conjugacy_invariance_check,
+                     displacement_bound, equivariance_defect, identity_map, pl_eval_arrays,
+                     rigidity_margins)
 
 
 def rot(beta):
@@ -84,9 +84,10 @@ pipelines = st.one_of(
 
 
 def probes(xs):
-    """Points where the float path's bisect and the array path's searchsorted
-    could part: the breakpoints and their float neighbours, 0 and 1, and
-    points outside [0, 1], where the clamp extends the end pieces."""
+    """Points where the float path's bisect and the tests' array path's
+    searchsorted could part: the breakpoints and their float neighbours, 0
+    and 1, and points outside [0, 1], where the clamp extends the end
+    pieces."""
     near = [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
     return st.one_of(st.sampled_from(sorted({0.0, 1.0, *xs, *near})),
                      st.floats(-3.0, 4.0), st.floats(-1e-12, 1e-12))
@@ -96,14 +97,15 @@ def probes(xs):
 @given(profile=pl_profiles, data=st.data())
 def test_profile_float_and_array_paths_agree_bit_for_bit(profile, data):
     x = data.draw(probes([x for x, _ in profile.breakpoints]))
-    assert same_bits(profile(x), profile(np.array([x]))[0])
+    assert same_bits(profile(x), pl_eval_arrays(profile, np.array([x]))[0])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(m=pipelines, data=st.data())
 def test_map_float_and_array_paths_agree_bit_for_bit(m, data):
-    """The contract behind `QuotientCloud`: `apply` on floats (the orbit and
-    `step`) and on arrays (the cloud) gives the same t and r, bit for bit."""
+    """The contract behind the tests' array references: `apply` on floats
+    (the program) and `apply_arrays` on arrays give the same t and r, bit
+    for bit."""
     inner = m.pipeline[0].inner.pipeline if m.pipeline and isinstance(
         m.pipeline[0], DeckCover) else m.pipeline
     xs = [x for prim in inner if hasattr(prim, "profile") for x, _ in prim.profile.breakpoints]
@@ -111,7 +113,7 @@ def test_map_float_and_array_paths_agree_bit_for_bit(m, data):
     r = data.draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
                             st.floats(-5.0, 5.0)))
     t1, r1 = m.apply(t, r)
-    t2, r2 = m.apply(np.array([t]), np.array([r]))
+    t2, r2 = apply_arrays(m, np.array([t]), np.array([r]))
     assert same_bits(t1, t2[0]) and same_bits(r1, r2[0])
 
 
@@ -324,8 +326,8 @@ def iterated_reference(stages, horizon, tail):
         tb, rb = tt.ravel(), rr.ravel()
         worst = 0.0
         for _ in range(q_n):
-            ta, ra = hs[i].apply(ta, ra)
-            tb, rb = hs[i + 1].apply(tb, rb)
+            ta, ra = apply_arrays(hs[i], ta, ra)
+            tb, rb = apply_arrays(hs[i + 1], tb, rb)
             worst = max(worst, float((np.abs(ta - tb) + circle_distance(ra, rb)).max()))
         rows.append(("6", stages[i].n, worst, stages[i].eps))
     for i, s in enumerate(stages):
@@ -338,7 +340,7 @@ def iterated_reference(stages, horizon, tail):
         tc, rc, j_arr = (np.array(col) for col in zip(*pts))
         worst = 0.0
         for step in range(1, min(s.q, horizon) + 1):
-            tc, rc = h_full.apply(tc, rc)
+            tc, rc = apply_arrays(h_full, tc, rc)
             rel = np.mod(np.mod(rc, 1.0) - starts[(j_arr + step) % s.p], 1.0)
             dr = np.where(rel <= alpha, 0.0, np.minimum(rel - alpha, 1.0 - rel))
             dt = np.maximum(0.0, np.maximum(u - tc, tc - v))
@@ -369,7 +371,7 @@ def iterated_rigidity_margins(stages, grid, tail):
     for i, s in enumerate(stages):
         t, r = t0, r0
         for _ in range(s.p):
-            t, r = h_full.apply(t, r)
+            t, r = apply_arrays(h_full, t, r)
         disp = float(np.max(np.abs(t - t0) + circle_distance(r, r0)))
         out.append((s.n, disp, sum(x.eps for x in stages[i:]) + tail))
     return out

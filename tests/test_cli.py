@@ -236,12 +236,35 @@ def test_unparsable_cantor_and_map_values_name_their_key(tmp_path, capsys):
 
 
 def test_mixing_witness_rejects_empty_cloud(tmp_path, capsys):
-    for override in ("witness.cloud=0", "cantor.window=0"):
-        capsys.readouterr()
-        assert run(["mixing-witness", "-c", fixture_path("witness_fullshift.ini"),
-                    "--override", override,
-                    "--out", str(tmp_path / "w.csv")]) == 3
-        assert override.split("=")[0] in capsys.readouterr().err
+    # witness.cloud is declared but read by nothing, so only the window is left
+    assert run(["mixing-witness", "-c", fixture_path("witness_fullshift.ini"),
+                "--override", "cantor.window=0", "--out", str(tmp_path / "w.csv")]) == 3
+    assert "cantor.window" in capsys.readouterr().err
+
+
+def test_suspension_witness_is_exact(tmp_path, capsys):
+    """The shipped full-shift witness is l = 5 (a cloud near U's centre first
+    hit at 6); a twist and a cover run; a reparam moves t, so it exits 3
+    naming map.map; the control finds none."""
+    out = tmp_path / "w.csv"
+
+    def witness(fixture, *overrides):
+        argv = ["mixing-witness", "-c", fixture_path(fixture), "--out", str(out)]
+        for item in overrides:
+            argv += ["--override", item]
+        return run(argv)
+
+    assert witness("witness_fullshift.ini") == 0
+    assert out.read_text().splitlines()[1] == "suspension,64,1,5"
+    assert witness("witness_odometer.ini") == 0
+    assert out.read_text().splitlines()[1] == "suspension,40,0,"
+    for map_ in ("twist:0,0.2;0.4,0.7;1,0.5", "rotation:0.2|twist:0,0;1,0.3|cover:2,1"):
+        assert witness("witness_fullshift.ini", f"map.map={map_}") == 0
+        assert out.read_text().splitlines()[1].startswith("suspension,64,1,")
+    capsys.readouterr()
+    assert witness("witness_fullshift.ini", "map.map=reparam:0,0;0.5,0.7;1,1") == 3
+    assert capsys.readouterr().err == ("config error: map.map: mixing-witness needs a map "
+                                       "that fixes t, and a reparam moves t\n")
 
 
 def test_dense_orbit_cli(tmp_path, capsys):
@@ -568,12 +591,10 @@ def _modules_after(code: str, cwd: Path) -> set[str]:
 
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
-    """Only array code imports numpy: the entropy counts, the orbits, the
-    rotation estimates and the symbolic witnesses run on floats and lists.
+    """No command loads numpy: the entropy counts, the orbits, the rotation
+    estimates and both witnesses run on floats, ints and lists.
     `hak-verify` and `rigidity` are exact and load only `cli`, `config` and
-    `tower`, whose records are named tuples: no `dataclasses` either.  The
-    suspension witness still loads numpy, so the probe can see numpy when it
-    is there."""
+    `tower`, whose records are named tuples: no `dataclasses` either."""
     run_main = "from pseudosusp.cli import fixture_path, main\nassert main({}) == 0"
     layers = {"pseudosusp.annulus", "pseudosusp.cantor", "pseudosusp.chains",
               "pseudosusp.suspension"}
@@ -612,8 +633,28 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     # a suspension command builds its map without compiling or loading tower
     assert "pseudosusp.tower" not in _modules_after(command("dense-orbit", "dense_demo.ini"),
                                                     tmp_path)
-    assert "numpy" in _modules_after(command("mixing-witness", "witness_fullshift.ini"),
-                                     tmp_path)
+    # the probe sees numpy when something loads it
+    assert "numpy" in _modules_after("import numpy", tmp_path)
+
+
+def test_no_subcommand_loads_numpy(tmp_path):
+    """Every subcommand on each of its shipped fixtures, one after another in
+    one fresh interpreter; numpy must be absent after each."""
+    runs = [[command, FLAG.get(command, "-c"), name]
+            for command, names in OWN_FIXTURES.items() for name in names]
+    runs += [["pattern", "--kfold", "5"],
+             ["mixing-witness", "-c", "witness_fullshift.ini",
+              "--override", "map.map=rotation:0.2|twist:0,0;1,0.3|cover:2,1"]]
+    probe = ("import sys\nfrom pseudosusp.cli import fixture_path, main\n"
+             f"for argv in {runs!r}:\n"
+             "    argv[2] = fixture_path(argv[2]) if argv[0] != 'pattern' else argv[2]\n"
+             "    assert main(argv + ['--out', 'o.out']) in (0, 2), argv\n"
+             "    assert 'numpy' not in sys.modules, argv\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(pseudosusp.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert {argv[0] for argv in runs} == {*COMMANDS, "pattern"}
 
 
 def test_layer_errors_keep_their_exit_codes(tmp_path, capsys):

@@ -7,6 +7,7 @@ import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,14 +18,15 @@ from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RigidRotation, Twist,
                                 rotation_estimate)
 from pseudosusp.cantor import (FullShift, Odometer, OdometerPoint, SFT, Substitution,
                                cantor_metric, _language_words)
-from pseudosusp.suspension import (CapacityError, QuotientCloud, SuspensionSystem,
-                                   dense_orbit_check,
-                                   depth_for, entropy_separated,
-                                   entropy_spanning, normalize,
-                                   orbit, product_formula_report, quotient_distance,
-                                   step, weak_mixing_witness, winding_rate)
+from pseudosusp.suspension import (CapacityError, SuspensionPoint, SuspensionSystem,
+                                   _strip_meets,
+                                   dense_orbit_check, depth_for, entropy_separated,
+                                   entropy_spanning, normalize, orbit, product_formula_report,
+                                   weak_mixing_witness)
 
-from oracles import golden_mean_sft, rigidity_suspension, thue_morse
+from oracles import (brute_force_witness, cylinders_meet, golden_mean_sft, quotient_distance,
+                     rigidity_suspension, sampled_witness, splice_point, step, strip_meets,
+                     thue_morse, winding_rate)
 
 
 def rot(beta):
@@ -39,11 +41,20 @@ def symbols(c, W):
     return [c.symbol_at(i) for i in range(-W, W + 1)]
 
 
-CLOUD_MAPS = [
-    rot(0.5),
-    rot((math.sqrt(5) - 1) / 2),
-    LiftedAnnulusMap((Twist(Profile(((0.0, 0.11), (0.5, 0.6), (1.0, 0.4)))),
-                      RigidRotation(0.3))),
+def constant(beta):
+    """The exact speed of a rotation by beta."""
+    return ((Fraction(0), Fraction(beta)), (Fraction(1), Fraction(beta)))
+
+
+GOLDEN = (math.sqrt(5) - 1) / 2
+# each map with its exact speed, the sum of its pieces
+MAPS = [
+    (rot(0.5), constant(0.5)),
+    (rot(GOLDEN), constant(GOLDEN)),
+    (LiftedAnnulusMap((Twist(Profile(((0.0, 0.11), (0.5, 0.6), (1.0, 0.4)))),
+                       RigidRotation(0.3))),
+     tuple((Fraction(x), Fraction(y) + Fraction(0.3))
+           for x, y in ((0.0, 0.11), (0.5, 0.6), (1.0, 0.4)))),
 ]
 
 
@@ -158,7 +169,7 @@ def test_normalize_trades_deck_shift_for_power(h, seed, t, r, m):
 @given(h=st.sampled_from(QUOTIENT_SYSTEMS), m=st.integers(0, 2),
        seed=st.integers(0, 10 ** 6), t=st.floats(0.0, 1.0), r=st.floats(-3.0, 3.0))
 def test_step_commutes_with_normalize(h, m, seed, t, r):
-    sys_ = SuspensionSystem(CLOUD_MAPS[m], h, 16)
+    sys_ = SuspensionSystem(MAPS[m][0], h, 16)
     c = h.random_point(seed, 16)
     t2, r2 = (float(x) for x in sys_.H.apply(t, r))
     assume(abs(r2 - round(r2)) > 1e-9)  # both orders round to the same floor
@@ -184,7 +195,8 @@ def test_pseudo_component_conserved_and_fiber_preserved():
         cur = nxt
 
 
-@pytest.mark.parametrize("m", CLOUD_MAPS + [rot(-0.37)], ids=["half", "golden", "twist", "back"])
+@pytest.mark.parametrize("m", [m for m, _ in MAPS] + [rot(-0.37)],
+                         ids=["half", "golden", "twist", "back"])
 def test_orbit_equals_stepped_points(m):
     sys_ = SuspensionSystem(m, golden_mean_sft(), 32)
     p = sys_.point(0.3, 0.8, sys_.h.random_point(5, 32))
@@ -289,16 +301,22 @@ def test_weak_mixing_witness_found_for_mixing_shift():
     cv = sys_.h.random_point(9, 32)
     U = (sys_.point(0.5, 0.10, cu), 0.3)
     V = (sys_.point(0.5, 0.35, cv), 0.3)
-    l = weak_mixing_witness(sys_, U, V, 64, seed=11)
-    assert l is not None and l % 2 == 0  # returns to U only on even steps
+    # the windows of U's and V's words at depth 1 must part: winding k >= 3
+    l = weak_mixing_witness(sys_, constant(0.5), U, V, 64)
+    assert l == brute_force_witness(sys_, constant(0.5), U, V, 12) == 5
 
 
 def test_weak_mixing_witness_self_ball():
+    """The half rotation carries (0.5, 0.85, h^-1 c_U), at 0.25 from U's
+    centre under deck shift 1, to (0.5, 0.35, c_U), at 0.25 from it: U meets
+    itself at l = 1."""
     sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
     cu = sys_.h.random_point(3, 32)
     U = (sys_.point(0.5, 0.10, cu), 0.3)
-    l = weak_mixing_witness(sys_, U, U, 16, seed=7)
-    assert l == 2
+    assert weak_mixing_witness(sys_, constant(0.5), U, U, 16) == 1
+    p = normalize(sys_, 0.5, 0.85, sys_.h.power(cu, -1))
+    assert quotient_distance(sys_, p, U[0]) < 0.3
+    assert quotient_distance(sys_, step(sys_, p), U[0]) < 0.3
 
 
 def test_weak_mixing_witness_odometer_negative():
@@ -306,83 +324,29 @@ def test_weak_mixing_witness_odometer_negative():
     c = sys_.h.random_point(1, 32)
     U = (sys_.point(0.5, 0.10, c), 0.05)
     V = (sys_.point(0.5, 0.60, c), 0.05)
-    assert weak_mixing_witness(sys_, U, V, 40, seed=11) is None
+    assert weak_mixing_witness(sys_, constant("0.3819660112501051"), U, V, 40) is None
 
 
-def test_weak_mixing_witness_seeds_the_given_cloud(monkeypatch):
-    sys_ = SuspensionSystem(rot(0.3819660112501051), Odometer((2, 2, 2)), 32)
-    c = sys_.h.random_point(1, 32)
-    U = (sys_.point(0.5, 0.10, c), 0.05)
-    V = (sys_.point(0.5, 0.60, c), 0.05)
-    calls = []
-    splice = Odometer.splice
-
-    def counting_splice(*args):
-        calls.append(args)
-        return splice(*args)
-
-    # one candidate point is spliced per cloud slot
-    monkeypatch.setattr(Odometer, "splice", counting_splice)
-    assert weak_mixing_witness(sys_, U, V, 10, cloud_size=8, seed=11) is None
-    assert len(calls) == 8
-    with pytest.raises(ValueError, match="cloud"):
-        weak_mixing_witness(sys_, U, V, 10, cloud_size=0)
+SAMPLED_SYSTEMS = [FullShift(2), FullShift(3), golden_mean_sft(), thue_morse(),
+                   Odometer((2, 2, 2)), Odometer((3, 2, 5, 2))]
 
 
-def per_point_witness(sys_, U, V, horizon, cloud_size=64, seed=0):
-    """The per-point loop the array cloud replaced: the same seeding, then
-    `step` and `quotient_distance` point by point."""
-    (cu, ru), (cv, rv) = U, V
-    rng = random.Random(seed)
-    D = depth_for(ru)
-    cloud = []
-    for _ in range(cloud_size):
-        dt = (rng.random() - 0.5) * ru / 2
-        dr = (rng.random() - 0.5) * ru / 2
-        c = sys_.h.splice(cu.c, D, rng, sys_.window)
-        p = normalize(sys_, min(1.0, max(0.0, cu.t + dt)), cu.r + dr, c)
-        if quotient_distance(sys_, p, cu) < ru:
-            cloud.append(p)
-    for l in range(1, horizon + 1):
-        cloud = [step(sys_, p) for p in cloud]
-        if (any(quotient_distance(sys_, p, cu) < ru for p in cloud)
-                and any(quotient_distance(sys_, p, cv) < rv for p in cloud)):
-            return l
-    return None
-
-
-CLOUD_SYSTEMS = [FullShift(2), FullShift(3), golden_mean_sft(), thue_morse(),
-                 Odometer((2, 2, 2)), Odometer((3, 2, 5, 2))]
-
-
-def test_weak_mixing_witness_matches_per_point_loop():
-    found = []
-    for h in CLOUD_SYSTEMS:
-        for m in CLOUD_MAPS:
+def test_exact_witness_is_at_most_the_sampled_one():
+    """Every hit of the sampled search is a point of U whose l-th iterate
+    lies in the ball, so the exact l is at most the sampled l."""
+    pairs = []
+    for h in SAMPLED_SYSTEMS:
+        for m, speed in MAPS:
             sys_ = SuspensionSystem(m, h, 32)
             for seed, (ru, rv) in enumerate([(0.3, 0.3), (0.1, 0.2), (0.05, 0.05)]):
                 U = (sys_.point(0.5, 0.1, h.random_point(seed + 3, 32)), ru)
                 V = (sys_.point(0.5, 0.35 + 0.2 * seed, h.random_point(seed + 9, 32)), rv)
-                l = weak_mixing_witness(sys_, U, V, 24, cloud_size=12, seed=seed)
-                assert l == per_point_witness(sys_, U, V, 24, cloud_size=12, seed=seed)
-                found.append(l)
-    assert None in found
-    assert any(l is not None and l > 1 for l in found)
-
-
-def assert_cloud_matches_points(sys_, points, targets, steps):
-    cloud = QuotientCloud(sys_, points)
-    prepared = [cloud.target(q) for q in targets]
-    for _ in range(steps):
-        cloud.step()
-        points = [step(sys_, p) for p in points]
-        assert cloud.t.tolist() == [p.t for p in points]
-        assert cloud.r.tolist() == [p.r for p in points]
-        assert cloud.w.tolist() == [p.winding for p in points]
-        for q, to_q in zip(targets, prepared):
-            assert cloud.distances(to_q).tolist() == \
-                [quotient_distance(sys_, p, q) for p in points]
-    return cloud
+                exact = weak_mixing_witness(sys_, speed, U, V, 24)
+                sampled = sampled_witness(sys_, U, V, 24, cloud_size=12, seed=seed)
+                assert sampled is None or exact is not None and exact <= sampled
+                pairs.append((exact, sampled))
+    assert sum(s is not None for _, s in pairs) >= 10
+    assert (None, None) in pairs
 
 
 def spliced_points(sys_, base, count, seed):
@@ -391,53 +355,134 @@ def spliced_points(sys_, base, count, seed):
     rng = random.Random(seed)
     out = []
     for j in range(count):
-        c = sys_.h.splice(base.c, j % 5, rng, sys_.window)
+        c = splice_point(sys_.h, base.c, j % 5, rng, sys_.window)
         out.append(normalize(sys_, min(1.0, max(0.0, base.t + rng.uniform(-0.1, 0.1))),
                              base.r + rng.uniform(-0.6, 0.6), c))
     return out
 
 
-@pytest.mark.parametrize("h", CLOUD_SYSTEMS, ids=["shift2", "shift3", "golden", "thue_morse",
-                                               "odometer222", "odometer3252"])
-@pytest.mark.parametrize("m", CLOUD_MAPS, ids=["half", "golden", "twist"])
+def speed_at(speed, t):
+    """P(t) in floats, by interpolation between the speed's breakpoints."""
+    for (x0, y0), (x1, y1) in zip(speed, speed[1:]):
+        if x0 <= t <= x1:
+            return float(y0) + (float(y1) - float(y0)) * (t - float(x0)) / float(x1 - x0)
+    raise ValueError(t)
+
+
+@pytest.mark.parametrize("h", SAMPLED_SYSTEMS, ids=["shift2", "shift3", "golden", "thue_morse",
+                                                 "odometer222", "odometer3252"])
+@pytest.mark.parametrize("m", MAPS, ids=["half", "golden", "twist"])
 def test_cloud_steps_and_distances_equal_scalar(h, m):
+    """A spliced cloud about two centres, each point followed by `orbit`,
+    against the scalar `step` and `quotient_distance` of the sampled
+    reference: the iterates agree, the n-th one is (t, r + n*P(t) - k,
+    h^k c) as the exact witness models it, and wherever an iterate lies
+    near a target, the system's `meets` says the balls about the centre and
+    the target meet under that winding."""
+    m, speed = m
     for window in (32, 2):
         sys_ = SuspensionSystem(m, h, window)
         base = sys_.point(0.5, 0.1, h.random_point(4, window))
         other = sys_.point(0.45, 0.7, h.random_point(5, window))
-        points = spliced_points(sys_, base, 20, 7) + spliced_points(sys_, other, 4, 8)
-        assert_cloud_matches_points(sys_, points, [base, other], 20)
+        for centre, points in ((base, spliced_points(sys_, base, 20, 7)),
+                               (other, spliced_points(sys_, other, 4, 8))):
+            for p in points:
+                rp = 2 * cantor_metric(p.c, centre.c, window) or 2.0 ** -(window + 1)
+                cur = p
+                for n, (t, r, w) in enumerate(orbit(sys_, p, 20)[1:], start=1):
+                    cur = step(sys_, cur)
+                    assert (t, r, w) == (cur.t, cur.r, cur.winding)
+                    assert t == p.t
+                    assert abs(r + w - (p.r + p.winding + n * speed_at(speed, t))) < 1e-9
+                    k = w - p.winding
+                    c = h.power(p.c, k)
+                    assert symbols(c, window) == symbols(cur.c, window)
+                    for q in (base, other):
+                        assert quotient_distance(sys_, SuspensionPoint(t, r, c, p.seed, w), q) \
+                            == quotient_distance(sys_, cur, q)
+                        for s in (-1, 0, 1):
+                            target = h.power(q.c, -s)
+                            rq = 2 * cantor_metric(c, target, window) or 2.0 ** -(window + 1)
+                            assert h.meets(centre.c, rp, target, rq, k, window)
 
 
-def test_cloud_sft_table_grows_and_stays_exact():
-    sys_ = SuspensionSystem(rot(1.0), golden_mean_sft(), 32)
-    base = sys_.point(0.5, 0.1, sys_.h.random_point(4, 32))
-    points = spliced_points(sys_, base, 12, 3)
-    initial_R = QuotientCloud(sys_, points).table.R
-    cloud = assert_cloud_matches_points(sys_, points, [base], 80)
-    # windings reach 80, past the first table's right end at about w + 32
-    assert cloud.table.R > initial_R and cloud.w.max() + 32 > initial_R
-    # the table is the seeds' own words, stacked
-    assert cloud.table.table.tolist() == [p.seed.word for p in points]
+# a rotation by a multiple of 1/8, a twist with a sloped and a flat piece,
+# and a cover 2,1 or 3,-1 around a twist
+speeds = st.one_of(
+    st.integers(-12, 12).map(lambda n: constant(Fraction(n, 8))),
+    st.tuples(st.integers(1, 7), st.integers(-8, 8), st.integers(-8, 8),
+              st.integers(-8, 8)).map(lambda v: (
+                  (Fraction(0), Fraction(v[1], 8)), (Fraction(v[0], 8), Fraction(v[2], 8)),
+                  (Fraction(1), Fraction(v[3], 8)))),
+    st.tuples(st.integers(1, 7), st.integers(-8, 8), st.integers(-8, 8)).map(lambda v: (
+        (Fraction(0), Fraction(v[1], 8)), (Fraction(v[0], 8), Fraction(v[1], 8)),
+        (Fraction(1), Fraction(v[2], 8)))),
+    st.tuples(st.sampled_from([(2, 1), (3, -1)]), st.integers(-8, 8)).map(lambda v: (
+        (Fraction(0), (Fraction(v[1], 8) + v[0][1]) / v[0][0]),
+        (Fraction(1), (Fraction(v[1] + 3, 8) + v[0][1]) / v[0][0]))),
+)
+WITNESS_SYSTEMS = [FullShift(2), golden_mean_sft(), thue_morse(), Odometer((2, 2, 2)),
+                   Odometer((2, 3))]
 
 
-def test_full_shift_cloud_widens_each_seed_once():
-    """Windings of at most 3 read the seeds out to 32 + 3, so each seed
-    widens once, from R = 32 to 64, and the table with it."""
-    sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
-    base = sys_.point(0.5, 0.1, sys_.h.random_point(3, 32))
-    points = spliced_points(sys_, base, 16, 5)
-    cloud = assert_cloud_matches_points(sys_, points, [base], 6)
-    assert cloud.w.max() <= 3
-    assert max(len(p.seed.word) // 2 for p in points) == 64
-    assert cloud.table.R == 64
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(h=st.sampled_from(WITNESS_SYSTEMS), speed=speeds, W=st.sampled_from([2, 32]),
+       data=st.data())
+def test_exact_witness_matches_brute_force(h, speed, W, data):
+    sys_ = SuspensionSystem(None, h, W)
+
+    def ball():
+        t = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        r = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        radius = data.draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 1.5]))
+        return sys_.point(t, r, h.random_point(data.draw(st.integers(0, 99)), W)), radius
+
+    U, V = ball(), ball()
+    assert weak_mixing_witness(sys_, speed, U, V, 6) == brute_force_witness(sys_, speed, U, V, 6)
+
+
+# numerators over 8: balls (t, r, radius), pieces (x0, x1, m, c) with
+# P(t) = m*t + c; the coarse grid makes balls, windows and pieces touch often
+balls8 = st.tuples(st.integers(0, 8), st.integers(0, 7), st.integers(1, 12))
+pieces8 = st.integers(0, 7).flatmap(lambda x0: st.tuples(
+    st.just(x0), st.integers(x0 + 1, 8), st.one_of(st.just(0), st.integers(-12, 12)),
+    st.integers(-16, 16)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(u=balls8, q=balls8, piece=pieces8, l=st.integers(1, 3), k=st.integers(-4, 6),
+       su=st.sampled_from((-1, 0, 1)), sq=st.sampled_from((-1, 0, 1)))
+def test_strip_meets_matches_the_arrangement(u, q, piece, l, k, su, sq):
+    """The integer strip test, closed form on flat pieces and elimination
+    on sloped ones, against the arrangement's vertices in Fractions."""
+    def exact(values):
+        return tuple(Fraction(x, 8) for x in values)
+
+    assert (_strip_meets(u, q, piece, l, k, su, sq, 8)
+            == strip_meets(exact(u), exact(q), exact(piece), l, k, su, sq))
+
+
+RADII = [0.05, 0.1, 0.125, 0.2, 0.25, 0.3, 0.5, 1.0, 1.5]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(h=st.sampled_from(WITNESS_SYSTEMS + [Odometer((3, 2, 2))]), W=st.sampled_from([1, 2, 32]),
+       seeds=st.tuples(st.integers(0, 3), st.integers(0, 3)), j=st.integers(-2, 2),
+       rp=st.sampled_from(RADII), rq=st.sampled_from(RADII), n=st.integers(-8, 12))
+def test_meets_matches_the_metric(h, W, seeds, j, rp, rq, n):
+    """Each system's `meets` against the metric's definition: every value
+    of an odometer, and for a shift the positions the metric reads."""
+    p = h.random_point(seeds[0], W)
+    q = h.power(h.random_point(seeds[1], W), j)
+    assert h.meets(p, rp, q, rq, n, W) == cylinders_meet(SuspensionSystem(None, h, W),
+                                                         p, rp, q, rq, n)
 
 
 def test_weak_mixing_witness_rejects_degenerate_radius():
     sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
     c = sys_.h.random_point(3, 32)
     with pytest.raises(ValueError):
-        weak_mixing_witness(sys_, (sys_.point(0.5, 0.1, c), 0.0),
+        weak_mixing_witness(sys_, constant(0.5), (sys_.point(0.5, 0.1, c), 0.0),
                             (sys_.point(0.5, 0.2, c), 0.1), 8)
 
 
