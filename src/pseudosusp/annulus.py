@@ -8,15 +8,9 @@ of primitives acting on floats.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from .config import ConfigError
-
-
-class UnsupportedConjugacyError(ValueError):
-    """Conjugating map is not invertible in the pipeline algebra."""
 
 
 # ---------------------------------------------------------------------------
@@ -32,50 +26,36 @@ def pl_eval(xs, ys, x):
     return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
 
 
-@dataclass(frozen=True)
 class Profile:
     """Piecewise-linear function on [0,1] given by (x, y) breakpoints."""
 
-    breakpoints: tuple[tuple[float, float], ...]
+    __slots__ = ("breakpoints", "_xy")
 
-    def __post_init__(self):
-        xs = [x for x, _ in self.breakpoints]
+    def __init__(self, breakpoints: tuple[tuple[float, float], ...]):
+        xs = tuple(x for x, _ in breakpoints)
         if len(xs) < 2 or xs[0] != 0.0 or xs[-1] != 1.0:
             raise ValueError("profile must span [0,1]")
         if any(b >= a for a, b in zip(xs[1:], xs)):
             raise ValueError("profile breakpoints must be strictly increasing")
-
-    @cached_property
-    def _xy(self):
-        return tuple(x for x, _ in self.breakpoints), tuple(y for _, y in self.breakpoints)
+        self.breakpoints = breakpoints
+        self._xy = xs, tuple(y for _, y in breakpoints)
 
     def __call__(self, x):
         return pl_eval(*self._xy, x)
-
-    def negated(self) -> "Profile":
-        return Profile(tuple((x, -y) for x, y in self.breakpoints))
-
-    def inverted(self) -> "Profile":
-        ys = [y for _, y in self.breakpoints]
-        if any(b >= a for a, b in zip(ys[1:], ys)) or ys[0] != 0.0 or ys[-1] != 1.0:
-            raise UnsupportedConjugacyError("profile is not an increasing self-map of [0,1]")
-        return Profile(tuple((y, x) for x, y in self.breakpoints))
 
 
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RigidRotation:
+class RigidRotation(NamedTuple):
     beta: float
 
     def apply(self, t, r):
         return t, r + self.beta
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(NamedTuple):
     """Angular displacement depending on the radial coordinate."""
 
     profile: Profile
@@ -84,27 +64,26 @@ class Twist:
         return t, r + self.profile(t)
 
 
-@dataclass(frozen=True)
 class RadialReparam:
     """Increasing PL reparametrization of the radial factor, fixing 0 and 1."""
 
-    profile: Profile
+    __slots__ = ("profile",)
 
-    def __post_init__(self):
-        ys = [y for _, y in self.profile.breakpoints]
+    def __init__(self, profile: Profile):
+        ys = [y for _, y in profile.breakpoints]
         if ys[0] != 0.0 or ys[-1] != 1.0 or any(b >= a for a, b in zip(ys[1:], ys)):
             raise ValueError("radial reparametrization must increase from 0 to 1")
+        self.profile = profile
 
     def apply(self, t, r):
         return self.profile(t), r
 
 
-@dataclass(frozen=True)
-class DeckCover:
+class DeckCover(NamedTuple):
     """q-fold covering composite: conjugate the angular lift by r -> r/q, then
     rotate by p/q.  Equivariant as a whole even though the bare scaling is not."""
 
-    inner: "LiftedAnnulusMap"
+    inner: LiftedAnnulusMap
     q: int
     p: int
 
@@ -116,8 +95,7 @@ class DeckCover:
 Primitive = Union[RigidRotation, Twist, RadialReparam, DeckCover]
 
 
-@dataclass(frozen=True)
-class LiftedAnnulusMap:
+class LiftedAnnulusMap(NamedTuple):
     """Composition pipeline; the first primitive acts first."""
 
     pipeline: tuple[Primitive, ...]
@@ -126,9 +104,6 @@ class LiftedAnnulusMap:
         for prim in self.pipeline:
             t, r = prim.apply(t, r)
         return t, r
-
-    def then(self, other: "LiftedAnnulusMap") -> "LiftedAnnulusMap":
-        return LiftedAnnulusMap(self.pipeline + other.pipeline)
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +149,3 @@ def cover_lift(m: LiftedAnnulusMap, q: int, p: int) -> LiftedAnnulusMap:
     if q == 1 and p == 0:
         return m
     return LiftedAnnulusMap((DeckCover(m, q, p),))
-
-
-def invert_map(g: LiftedAnnulusMap) -> LiftedAnnulusMap:
-    inverted = []
-    for prim in reversed(g.pipeline):
-        if isinstance(prim, RigidRotation):
-            inverted.append(RigidRotation(-prim.beta))
-        elif isinstance(prim, Twist):
-            inverted.append(Twist(prim.profile.negated()))
-        elif isinstance(prim, RadialReparam):
-            inverted.append(RadialReparam(prim.profile.inverted()))
-        else:
-            raise UnsupportedConjugacyError(
-                f"{type(prim).__name__} is not invertible in the pipeline algebra")
-    return LiftedAnnulusMap(tuple(inverted))

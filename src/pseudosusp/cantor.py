@@ -15,8 +15,7 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class InvalidPointError(ValueError):
@@ -31,8 +30,7 @@ class ReducibleSFTWarning(RuntimeWarning):
 # points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ShiftPoint:
+class ShiftPoint(NamedTuple):
     """A point of a shift: the symbols at [-R, R] of a word of length
     2R + 1, read at i + offset.  Every power of the point shares the word.
 
@@ -66,8 +64,7 @@ class ShiftPoint:
         return self.word[lo + R:hi + R]
 
 
-@dataclass(frozen=True)
-class OdometerPoint:
+class OdometerPoint(NamedTuple):
     """A point of an odometer: its value in [0, prod(bases)).  Symbol i is
     digit i of the value in mixed radix; indices off the digits read 0."""
 
@@ -130,6 +127,8 @@ class _Shift:
     """What an SFT and a substitution share: a point is a `ShiftPoint`
     that h^w re-anchors, and a word is a block of consecutive symbols."""
 
+    __slots__ = ()
+
     def point(self, word) -> ShiftPoint:
         """The point whose symbols over [-R, R] are `word`, of length 2R + 1;
         InvalidPointError unless every symbol lies in the alphabet.  Every
@@ -170,16 +169,14 @@ class _Shift:
         return self._joins(p.symbols(-dp, dp + 1), -dp, q.symbols(-dq, dq + 1), n - dq)
 
 
-@dataclass(frozen=True)
 class SFT(_Shift):
-    k: int
-    adjacency: tuple[tuple[int, ...], ...]
-    label: str = "subshift of finite type"
+    __slots__ = ("k", "adjacency", "label")
 
-    def __post_init__(self):
-        k, adj = self.k, self.adjacency
+    def __init__(self, k: int, adjacency: tuple[tuple[int, ...], ...],
+                 label: str = "subshift of finite type"):
+        adj = adjacency
         if k < 2:
-            raise ValueError(f"{self.label} needs alphabet size >= 2")
+            raise ValueError(f"{label} needs alphabet size >= 2")
         if len(adj) != k or any(len(r) != k for r in adj):
             raise ValueError("adjacency must be k x k")
         if any(x not in (0, 1) for row in adj for x in row):
@@ -188,6 +185,11 @@ class SFT(_Shift):
             raise ValueError("adjacency has an all-zero row")
         if any(not any(adj[p][q] for p in range(k)) for q in range(k)):
             raise ValueError("adjacency has an all-zero column")
+        self.k, self.adjacency, self.label = k, adjacency, label
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(k={self.k!r}, adjacency={self.adjacency!r}, "
+                f"label={self.label!r})")
 
     def point(self, word) -> ShiftPoint:
         """As for every shift, and InvalidPointError unless every pair of
@@ -281,23 +283,28 @@ class SFT(_Shift):
 class FullShift(SFT):
     """The full k-shift: the SFT whose adjacency is all ones."""
 
+    __slots__ = ()
+
     def __init__(self, k: int):
         super().__init__(k, ((1,) * k,) * k, "full shift")
 
 
-@dataclass(frozen=True)
 class Substitution(_Shift):
-    rules: tuple[tuple[int, ...], ...]
-    label: str = "substitution subshift"
+    __slots__ = ("rules", "label")
 
-    def __post_init__(self):
-        k = len(self.rules)
-        if k < 2 or any(len(r) == 0 for r in self.rules):
+    def __init__(self, rules: tuple[tuple[int, ...], ...],
+                 label: str = "substitution subshift"):
+        k = len(rules)
+        if k < 2 or any(len(r) == 0 for r in rules):
             raise ValueError("substitution needs >= 2 letters and nonempty rules")
-        if any(s >= k or s < 0 for r in self.rules for s in r):
+        if any(s >= k or s < 0 for r in rules for s in r):
             raise ValueError("substitution rule symbol outside alphabet")
-        if not _primitive(self.rules, 2 * k):
+        if not _primitive(rules, 2 * k):
             raise ValueError("substitution is not primitive at desk scale")
+        self.rules, self.label = rules, label
+
+    def __repr__(self) -> str:
+        return f"Substitution(rules={self.rules!r}, label={self.label!r})"
 
     @property
     def k(self) -> int:
@@ -377,17 +384,19 @@ class Substitution(_Shift):
         return tuple(c.symbol_at(i) for i in range(-D, D + 1))
 
 
-@dataclass(frozen=True)
 class Odometer:
     """Adding one in mixed radix: digit i has base bases[i], and the carry
     past the last digit is dropped.  A word is a prefix of the digits."""
 
-    bases: tuple[int, ...]
-    label: str = "odometer"
+    __slots__ = ("bases", "label")
 
-    def __post_init__(self):
-        if len(self.bases) < 1 or any(b < 2 for b in self.bases):
+    def __init__(self, bases: tuple[int, ...], label: str = "odometer"):
+        if len(bases) < 1 or any(b < 2 for b in bases):
             raise ValueError("odometer needs depth >= 1 and bases >= 2")
+        self.bases, self.label = bases, label
+
+    def __repr__(self) -> str:
+        return f"Odometer(bases={self.bases!r}, label={self.label!r})"
 
     def power(self, c: OdometerPoint, w: int) -> OdometerPoint:
         """h^w in one move: add w; the carry past the last digit is dropped."""

@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 FR = Fraction
 
@@ -39,8 +38,7 @@ class StretchPreconditionError(ValueError):
 # patterns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """Unit-step index map f: {1..m} -> {1..n} between chains."""
 
     values: tuple[int, ...]
@@ -83,21 +81,21 @@ def kfold(k: int) -> Pattern:
 # piecewise-linear interval maps (exact)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PLMap:
     """Continuous piecewise-linear self-map of [0,1], exact breakpoints."""
 
-    breakpoints: tuple[tuple[FR, FR], ...]
+    __slots__ = ("breakpoints",)
 
-    def __post_init__(self):
-        xs = [x for x, _ in self.breakpoints]
-        ys = [y for _, y in self.breakpoints]
+    def __init__(self, breakpoints: tuple[tuple[FR, FR], ...]):
+        xs = [x for x, _ in breakpoints]
+        ys = [y for _, y in breakpoints]
         if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1:
             raise ValueError("breakpoints must span [0,1]")
         if any(b >= a for a, b in zip(xs[1:], xs)):
             raise ValueError("breakpoint abscissae must strictly increase")
         if any(y < 0 or y > 1 for y in ys):
             raise ValueError("image must stay inside [0,1]")
+        self.breakpoints = breakpoints
 
     def __call__(self, x: FR) -> FR:
         bp = self.breakpoints
@@ -133,17 +131,17 @@ def _merge_intervals(pieces: list[tuple[int, int]]) -> list[tuple[int, int]]:
 # one-dimensional chains, stretching, horseshoes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class IntervalChain:
     """Ordered closed subintervals of [0,1]; taut = only consecutive closures
     meet."""
 
-    links: tuple[tuple[FR, FR], ...]
+    __slots__ = ("links",)
 
-    def __post_init__(self):
-        for i, (lo, hi) in enumerate(self.links):
+    def __init__(self, links: tuple[tuple[FR, FR], ...]):
+        for i, (lo, hi) in enumerate(links):
             if lo < 0 or hi > 1:
                 raise ChainError(f"link {i + 1} leaves [0,1]")
+        self.links = links
 
     def validate_taut(self) -> None:
         ln = self.links
@@ -183,8 +181,7 @@ def stretch_check(g: PLMap, chain: IntervalChain,
     return None
 
 
-@dataclass
-class HorseshoeCertificate:
+class HorseshoeCertificate(NamedTuple):
     k: int
     depth: int
     exponent: int
@@ -356,8 +353,7 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
 # two-dimensional chain covers and pattern refinement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     t: tuple[FR, FR]
     a: tuple[FR, FR]
 
@@ -381,8 +377,7 @@ def rects_meet(p: Rect, q: Rect, wrap: bool = True) -> bool:
     return any(_intervals_meet(p.a, (q.a[0] + s, q.a[1] + s)) for s in shifts)
 
 
-@dataclass(frozen=True)
-class ChainCover:
+class ChainCover(NamedTuple):
     """Chain of rectangles in (radial, angular) coordinates.
 
     `essential` chains close around the annulus: the last and first links are
@@ -521,47 +516,3 @@ def render_chains(levels: Sequence[ChainCover]) -> str:
         out.append('  </g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# shipped desk fixtures
-# ---------------------------------------------------------------------------
-
-def tent_map() -> PLMap:
-    return PLMap(((FR(0), FR(0)), (FR(1, 2), FR(1)), (FR(1), FR(0))))
-
-
-def full_branch_middle_map(k: int) -> PLMap:
-    """PL map with k full branches folded over the middle seventh of [0,1],
-    constant outside; Markov entropy exactly log k."""
-    if k % 2 == 0 or k < 3:
-        raise ValueError("need odd k >= 3")
-    left, right = FR(3, 7), FR(4, 7)
-    pts = [(FR(0), FR(0)), (left, FR(0))]
-    for j in range(1, k + 1):
-        pts.append((left + FR(j, 7 * k), FR(j % 2)))
-    pts.append((FR(1), FR(1)))
-    return PLMap(tuple(pts))
-
-
-def uniform_seven_chain(overlap: FR = FR(1, 252)) -> IntervalChain:
-    links = []
-    for i in range(7):
-        lo = max(FR(0), FR(i, 7) - overlap)
-        hi = min(FR(1), FR(i + 1, 7) + overlap)
-        links.append((lo, hi))
-    return IntervalChain(tuple(links))
-
-
-def tent_seven_chain() -> IntervalChain:
-    """Taut 7-chain tailored to the tent map: stretching holds at exponent 2,
-    and the k = 3 certificate fails (the shipped negative fixture)."""
-    return IntervalChain((
-        (FR(0), FR(1, 4)),
-        (FR(6, 25), FR(3, 10)),
-        (FR(29, 100), FR(31, 100)),
-        (FR(61, 200), FR(89, 200)),
-        (FR(11, 25), FR(23, 50)),
-        (FR(91, 200), FR(19, 25)),
-        (FR(3, 4), FR(1)),
-    ))

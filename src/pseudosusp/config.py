@@ -150,13 +150,11 @@ def _in(value, interval: str) -> bool:
 
 class RunConfig:
     """A config with its overrides applied, read through one subcommand's
-    declaration in COMMANDS.  A section is checked when the command first
-    reads it, so a section it never opens is not checked."""
+    declaration in COMMANDS."""
 
     def __init__(self, parser: configparser.ConfigParser, command: str):
         self.parser = parser
         self.declaration = COMMANDS[command]
-        self.checked: set[str] = set()
 
     def numbered(self, prefix: str) -> list[tuple[int, str]]:
         """The [prefix N] sections as (N, name) in the order of N.  A section
@@ -175,22 +173,30 @@ class RunConfig:
         return sorted(found.items())
 
     def declared(self, section: str) -> dict:
-        """The keys [section] takes, with those its keys' values bring.  The
-        first call for a section refuses a key of the section that it does
-        not take."""
+        """The keys [section] takes, with those its keys' values bring."""
         name = section if section in self.declaration else (
             section.rstrip("0123456789").rstrip() + " N")
         keys = dict(self.declaration[name])
         for key, spec in list(keys.items()):
             if isinstance(spec[0], dict):
                 keys.update(spec[0][self._read(section, key, spec)])
-        if section not in self.checked and self.parser.has_section(section):
-            self.checked.add(section)
-            unknown = sorted(set(self.parser.options(section)) - keys.keys())
-            if unknown:
-                raise ConfigError(f"{section}.{unknown[0]}: unknown key; [{section}] takes "
-                                  f"{', '.join(sorted(keys))}")
         return keys
+
+    def check(self) -> None:
+        """Refuse a key that it does not take in every declared section the
+        config holds, [prefix N] ones included, whether or not the command
+        goes on to read the section."""
+        for declared in self.declaration:
+            if declared.endswith(" N"):
+                sections = [name for _, name in self.numbered(declared[:-2])]
+            else:
+                sections = [declared] if self.parser.has_section(declared) else []
+            for section in sections:
+                keys = self.declared(section)
+                unknown = sorted(set(self.parser.options(section)) - keys.keys())
+                if unknown:
+                    raise ConfigError(f"{section}.{unknown[0]}: unknown key; [{section}] "
+                                      f"takes {', '.join(sorted(keys))}")
 
     def get(self, section: str, key: str):
         """The value of section.key, parsed, range-checked and defaulted as
@@ -215,8 +221,9 @@ class RunConfig:
 
 
 def load_config(path: Optional[str], overrides: Optional[list[str]], command: str) -> RunConfig:
-    """The config at `path` with `overrides` applied, as `command` reads it.
-    Values are literal: no key interpolates `%`."""
+    """The config at `path` with `overrides` applied, as `command` reads it,
+    its declared sections checked for unknown keys.  Values are literal: no
+    key interpolates `%`."""
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
@@ -232,7 +239,9 @@ def load_config(path: Optional[str], overrides: Optional[list[str]], command: st
         section, key = target.split(".", 1)
         # the parser folds an override's key as it folds the file's keys
         parser.read_dict({section.strip(): {key.strip(): value.strip()}})
-    return RunConfig(parser, command)
+    cfg = RunConfig(parser, command)
+    cfg.check()
+    return cfg
 
 
 # ---------------------------------------------------------------------------

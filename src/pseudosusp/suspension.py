@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .annulus import LiftedAnnulusMap
 from .cantor import CantorPoint, CantorSystem, depth_for
 from .config import CapacityError
 
 
-@dataclass(frozen=True)
-class SuspensionPoint:
+class SuspensionPoint(NamedTuple):
     t: float
     r: float
     c: CantorPoint
@@ -295,8 +294,7 @@ def entropy_spanning(sys: SuspensionSystem, eps: float, n: int) -> float:
     return math.log(max(counts.values())) / n
 
 
-@dataclass
-class ProductFormulaRow:
+class ProductFormulaRow(NamedTuple):
     eps: float
     n: int
     lower: float

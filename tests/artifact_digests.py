@@ -88,6 +88,11 @@ OVERRIDES = [
      ["map.map=rotation:0.2|twist:0,0;1,0.3|cover:2,1"]),
     ("mixing-witness", "witness_fullshift.ini", ["map.map=reparam:0,0;0.5,0.7;1,1"]),
     ("suspend-orbit", "orbit_demo.ini", ["map.map=rotation:0.2|twist:0,0;1,0.3|cover:2,1"]),
+    # an orbit through `RadialReparam.apply`, and the entropy bracket on a
+    # substitution
+    ("suspend-orbit", "orbit_demo.ini", ["map.map=reparam:0,0;0.5,0.7;1,1|rotation:0.6"]),
+    ("suspend-entropy", "thue_morse.ini", ["map.map=rotation:1.0", "experiment.seed=42",
+                                           "experiment.eps=0.0625", "experiment.n=12"]),
 ]
 
 # horseshoe certificates at depth 0, at the benchmark's depths, mirrored by

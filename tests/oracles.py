@@ -5,8 +5,9 @@ invariance of rotation estimates, word recurrence gaps of a Cantor point,
 the quotient's step, distance and winding rate, the sampled and the
 brute-force weak-mixing witness, near-identity return times on the
 quotient, and the rigidity margins of a staged tower.  Also the canned
-systems and maps that only tests build.  Shared by `test_acceptance.py`,
-`test_annulus.py`, `test_cantor.py` and `test_suspension.py`."""
+systems, maps and chains that only tests build, and map inversion.  Shared
+by `test_acceptance.py`, `test_annulus.py`, `test_cantor.py`,
+`test_chains.py` and `test_suspension.py`."""
 
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from pseudosusp.annulus import (LiftedAnnulusMap, RadialReparam, RigidRotation, Twist,
-                                invert_map, rotation_estimate)
+from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
+                                Twist, rotation_estimate)
 from pseudosusp.cantor import (SFT, CantorPoint, CantorSystem, Odometer, OdometerPoint,
                                Substitution, _language_words, cantor_metric)
+from pseudosusp.chains import IntervalChain, PLMap
 from pseudosusp.suspension import (SuspensionPoint, SuspensionSystem, depth_for, normalize,
                                    orbit)
 from pseudosusp.tower import HAKStage, _gamma, circle_sup, pl_sum, stage_profiles
@@ -36,6 +38,33 @@ def thue_morse() -> Substitution:
 
 def identity_map() -> LiftedAnnulusMap:
     return LiftedAnnulusMap(())
+
+
+class UnsupportedConjugacyError(ValueError):
+    """Conjugating map is not invertible in the pipeline algebra."""
+
+
+def invert_map(g: LiftedAnnulusMap) -> LiftedAnnulusMap:
+    """The inverse pipeline: each primitive inverted, in reverse order.  A
+    twist's profile is negated and a reparam's profile inverted; a cover,
+    or a reparam that is not an increasing self-map of [0,1], raises."""
+    inverted = []
+    for prim in reversed(g.pipeline):
+        if isinstance(prim, RigidRotation):
+            inverted.append(RigidRotation(-prim.beta))
+        elif isinstance(prim, Twist):
+            inverted.append(Twist(Profile(tuple((x, -y) for x, y in prim.profile.breakpoints))))
+        elif isinstance(prim, RadialReparam):
+            ys = [y for _, y in prim.profile.breakpoints]
+            if any(b >= a for a, b in zip(ys[1:], ys)) or ys[0] != 0.0 or ys[-1] != 1.0:
+                raise UnsupportedConjugacyError(
+                    "profile is not an increasing self-map of [0,1]")
+            inverted.append(RadialReparam(
+                Profile(tuple((y, x) for x, y in prim.profile.breakpoints))))
+        else:
+            raise UnsupportedConjugacyError(
+                f"{type(prim).__name__} is not invertible in the pipeline algebra")
+    return LiftedAnnulusMap(tuple(inverted))
 
 
 def pl_eval_arrays(profile, x):
@@ -101,7 +130,7 @@ def conjugacy_invariance_check(F: LiftedAnnulusMap, g: LiftedAnnulusMap, n: int,
     estimates are compared at matched points, which is what the bounded
     telescoping argument compares.  Raises if the bound is exceeded."""
     g_inv = invert_map(g)
-    conj = g_inv.then(F).then(g)
+    conj = LiftedAnnulusMap(g_inv.pipeline + F.pipeline + g.pipeline)
     t0, r0 = g_inv.apply(*start)
     est_f = rotation_estimate(F, float(t0), float(r0), n)[-1][1]
     est_c = rotation_estimate(conj, *start, n)[-1][1]
@@ -368,3 +397,48 @@ def cylinders_meet(sys, p, rp, q, rq, n: int) -> bool:
         if i in fixed:
             allowed &= {fixed[i]}
     return bool(allowed)
+
+
+# ---------------------------------------------------------------------------
+# canned interval maps and chains
+# ---------------------------------------------------------------------------
+
+def tent_map() -> PLMap:
+    return PLMap(((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)),
+                  (Fraction(1), Fraction(0))))
+
+
+def full_branch_middle_map(k: int) -> PLMap:
+    """PL map with k full branches folded over the middle seventh of [0,1],
+    constant outside; Markov entropy exactly log k."""
+    if k % 2 == 0 or k < 3:
+        raise ValueError("need odd k >= 3")
+    left = Fraction(3, 7)
+    pts = [(Fraction(0), Fraction(0)), (left, Fraction(0))]
+    for j in range(1, k + 1):
+        pts.append((left + Fraction(j, 7 * k), Fraction(j % 2)))
+    pts.append((Fraction(1), Fraction(1)))
+    return PLMap(tuple(pts))
+
+
+def uniform_seven_chain(overlap: Fraction = Fraction(1, 252)) -> IntervalChain:
+    links = []
+    for i in range(7):
+        lo = max(Fraction(0), Fraction(i, 7) - overlap)
+        hi = min(Fraction(1), Fraction(i + 1, 7) + overlap)
+        links.append((lo, hi))
+    return IntervalChain(tuple(links))
+
+
+def tent_seven_chain() -> IntervalChain:
+    """Taut 7-chain tailored to the tent map: stretching holds at exponent 2,
+    and the k = 3 certificate fails (the shipped negative fixture)."""
+    return IntervalChain((
+        (Fraction(0), Fraction(1, 4)),
+        (Fraction(6, 25), Fraction(3, 10)),
+        (Fraction(29, 100), Fraction(31, 100)),
+        (Fraction(61, 200), Fraction(89, 200)),
+        (Fraction(11, 25), Fraction(23, 50)),
+        (Fraction(91, 200), Fraction(19, 25)),
+        (Fraction(3, 4), Fraction(1)),
+    ))

@@ -11,9 +11,7 @@ from fractions import Fraction
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam,
                                 RigidRotation, Twist, rotation_estimate, rotation_family)
 from pseudosusp.cantor import FullShift, Odometer
-from pseudosusp.chains import (full_branch_middle_map, horseshoe_extract, kfold,
-                               pattern_validate, tent_map, tent_seven_chain,
-                               uniform_seven_chain)
+from pseudosusp.chains import horseshoe_extract, kfold, pattern_validate
 from pseudosusp.cli import fixture_path, main
 from pseudosusp.config import build_stages, load_config
 from pseudosusp.suspension import (SuspensionSystem, entropy_separated,
@@ -22,7 +20,8 @@ from pseudosusp.tower import hak_verify
 from pseudosusp.cantor import cantor_metric
 
 from markov_oracle import transition_entropy
-from oracles import conjugacy_invariance_check, step, winding_rate
+from oracles import (conjugacy_invariance_check, full_branch_middle_map, step, tent_map,
+                     tent_seven_chain, uniform_seven_chain, winding_rate)
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, Profile,
-                                RadialReparam, RigidRotation, Twist,
-                                UnsupportedConjugacyError, cover_lift, invert_map,
+                                RadialReparam, RigidRotation, Twist, cover_lift,
                                 rotation_estimate, rotation_family,
                                 rotation_number)
 from pseudosusp.cli import fixture_path
@@ -22,9 +21,9 @@ from pseudosusp.config import ConfigError, build_stages, load_config
 from pseudosusp.tower import (circle_sup, hak_verify, pl_sum,
                               rigidity_times, stage_profiles)
 
-from oracles import (apply_arrays, circle_distance, conjugacy_invariance_check,
-                     displacement_bound, equivariance_defect, identity_map, pl_eval_arrays,
-                     rigidity_margins)
+from oracles import (UnsupportedConjugacyError, apply_arrays, circle_distance,
+                     conjugacy_invariance_check, displacement_bound, equivariance_defect,
+                     identity_map, invert_map, pl_eval_arrays, rigidity_margins)
 
 
 def rot(beta):

@@ -16,14 +16,13 @@ from pseudosusp.chains import (ChainCover, ChainError, IntervalChain,
                                PatternError, PLMap, Rect,
                                StretchPreconditionError, _merge_intervals,
                                _pullback, essential_seven_chain,
-                               full_branch_middle_map, horseshoe_extract,
-                               kfold, pattern_validate, refine_chain,
-                               render_chains, stretch_check, tent_map,
-                               tent_seven_chain, uniform_seven_chain)
+                               horseshoe_extract, kfold, pattern_validate,
+                               refine_chain, render_chains, stretch_check)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import build_interval_chain, build_plmap, load_config
 
 from markov_oracle import transition_entropy
+from oracles import full_branch_middle_map, tent_map, tent_seven_chain, uniform_seven_chain
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +587,13 @@ def test_certificates_build_no_composed_map(case, monkeypatch):
     else:
         (g, chain, k), m_bound = _shipped(case), 8
     built = []
-    post_init = PLMap.__post_init__
+    init = PLMap.__init__
 
-    def recorded(self):
-        built.append(len(self.breakpoints))
-        post_init(self)
+    def recorded(self, breakpoints):
+        built.append(len(breakpoints))
+        init(self, breakpoints)
 
-    monkeypatch.setattr(PLMap, "__post_init__", recorded)
+    monkeypatch.setattr(PLMap, "__init__", recorded)
     stretch = stretch_check(g, chain, m_bound)
     if stretch is not None:
         horseshoe_extract(g, chain, k, 3, m_bound)

@@ -518,6 +518,11 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
             ("mixing-witness", "golden_mean.ini", "cantor.rules=0:01;1:10", "cantor.rules"),
             ("dense-orbit", "dense_demo.ini", "cantor.adjacency=1,1;1,0", "cantor.adjacency"),
             ("render", "render_demo.ini", "level 0.essential=yes", "level 0.essential"),
+            # a misspelt key in a declared section that, given --out, the
+            # command never reads
+            ("suspend-orbit", "orbit_demo.ini", "experiment.oot=1", "experiment.oot"),
+            ("mixing-witness", "witness_fullshift.ini", "experiment.sede=1",
+             "experiment.sede"),
             ("pattern", None, None, "--kfold")):
         if command == "pattern":
             argv = ["pattern", "--kfold", "4"]
@@ -639,7 +644,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
 
 def test_no_subcommand_loads_numpy(tmp_path):
     """Every subcommand on each of its shipped fixtures, one after another in
-    one fresh interpreter; numpy must be absent after each."""
+    one fresh interpreter; numpy must be absent after each, and so must
+    `dataclasses` and the `inspect` it imports: every record in `src/` is a
+    named tuple or a class with `__slots__`."""
     runs = [[command, FLAG.get(command, "-c"), name]
             for command, names in OWN_FIXTURES.items() for name in names]
     runs += [["pattern", "--kfold", "5"],
@@ -649,7 +656,7 @@ def test_no_subcommand_loads_numpy(tmp_path):
              f"for argv in {runs!r}:\n"
              "    argv[2] = fixture_path(argv[2]) if argv[0] != 'pattern' else argv[2]\n"
              "    assert main(argv + ['--out', 'o.out']) in (0, 2), argv\n"
-             "    assert 'numpy' not in sys.modules, argv\n")
+             "    assert not {'numpy', 'dataclasses', 'inspect'} & sys.modules.keys(), argv\n")
     env = {**os.environ, "PYTHONPATH": str(Path(pseudosusp.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
