@@ -7,6 +7,7 @@ of primitives acting on floats.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import NamedTuple, Union
 
@@ -120,6 +121,23 @@ def rotation_estimate(m: LiftedAnnulusMap, t: float, r: float,
     for n in range(1, n_max + 1):
         t_cur, r_cur = m.apply(t_cur, r_cur)
         out.append((n, (r_cur - r) / n))
+    return out
+
+
+def orbit(m: LiftedAnnulusMap, t: float, r: float,
+          n: int) -> list[tuple[float, float, int]]:
+    """(t, r, w) of (t, r) and its first n iterates under m, each r reduced
+    to [0, 1) by its floor and w the sum of the floors taken so far."""
+    w = math.floor(r)
+    r -= w
+    out = [(t, r, w)]
+    for _ in range(n):
+        t, r = m.apply(t, r)
+        t, r = float(t), float(r)
+        k = math.floor(r)
+        r -= k
+        w += k
+        out.append((t, r, w))
     return out
 
 

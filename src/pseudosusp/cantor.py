@@ -153,10 +153,6 @@ class _Shift:
     def positions(self, D: int) -> range:
         return range(-D, D + 1)
 
-    def core_key(self, c: ShiftPoint, D: int) -> tuple[int, ...]:
-        """What the Bowen class count of the cylinder of c depends on."""
-        return ()
-
     def meets(self, p: ShiftPoint, rp: float, q: ShiftPoint, rq: float, n: int,
               W: int) -> bool:
         """Whether the ball of radius rp about p meets h^-n of the ball of
@@ -276,9 +272,6 @@ class SFT(_Shift):
         return {(b, a): cols[b] * rows[a]
                 for b in range(self.k) for a in range(self.k) if joined[b][a]}
 
-    def core_key(self, c: ShiftPoint, D: int) -> tuple[int, ...]:
-        return (c.symbol_at(-D), c.symbol_at(D))
-
 
 class FullShift(SFT):
     """The full k-shift: the SFT whose adjacency is all ones."""
@@ -380,9 +373,6 @@ class Substitution(_Shift):
             restrictions.setdefault(core, set()).add(tuple(word[i] for i in picks))
         return {core: len(r) for core, r in restrictions.items()}
 
-    def core_key(self, c: ShiftPoint, D: int) -> tuple[int, ...]:
-        return tuple(c.symbol_at(i) for i in range(-D, D + 1))
-
 
 class Odometer:
     """Adding one in mixed radix: digit i has base bases[i], and the carry
@@ -438,9 +428,6 @@ class Odometer:
         the first D + 1 bases, and every point of the cylinder has the same
         value modulo that product."""
         return {(): 1}
-
-    def core_key(self, c: OdometerPoint, D: int) -> tuple[int, ...]:
-        return ()
 
     def meets(self, p: OdometerPoint, rp: float, q: OdometerPoint, rq: float, n: int,
               W: int) -> bool:

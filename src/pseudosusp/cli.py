@@ -133,13 +133,12 @@ def cmd_suspend_entropy(args, cfg: RunConfig) -> int:
     from .suspension import product_formula_report
 
     sys_ = _suspension(cfg)
-    seed = cfg.get("experiment", "seed")
     eps_list = cfg.get("experiment", "eps")
     n_list = cfg.get("experiment", "n")
     # the counts are exact; experiment.budget is only echoed in its column
     budget = cfg.get("experiment", "budget")
     alpha = rotation_number(sys_.H)
-    rows = product_formula_report(sys_, alpha, eps_list, n_list, seed)
+    rows = product_formula_report(sys_, alpha, eps_list, n_list)
     out = _out_path(args, cfg)
     _write_csv(out, {"eps": FLOAT, "n": "", "budget": "", "lower": FLOAT, "upper": FLOAT,
                      "target": FLOAT, "alpha": FLOAT, "h_entropy": FLOAT},
@@ -152,20 +151,17 @@ def cmd_suspend_entropy(args, cfg: RunConfig) -> int:
 
 
 def cmd_suspend_orbit(args, cfg: RunConfig) -> int:
-    from .suspension import orbit
+    from .annulus import orbit
 
-    sys_ = _suspension(cfg)
-    seed = cfg.get("orbit", "seed")
+    m = build_map(cfg)
     t, r = cfg.get("orbit", "t"), cfg.get("orbit", "r")
     n = cfg.get("orbit", "n")
-    c = sys_.h.random_point(seed, sys_.window)
-    p0 = sys_.point(t, r, c)
-    pts = orbit(sys_, p0, n)
+    # the k-th point's Cantor coordinate is h^(w_k - w_0)(c), never built
+    rows = orbit(m, t, r, n)
     out = _out_path(args, cfg)
-    # one orbit is one pseudo-component, numbered 0
-    _write_csv(out, {"k": "", "t": FLOAT, "r": FLOAT, "w": "", "component": ""},
-               ((k, t, r, w, 0) for k, (t, r, w) in enumerate(pts)))
-    print(f"suspend-orbit: {n} steps, final winding {pts[-1][2]} -> {out}")
+    _write_csv(out, {"k": "", "t": FLOAT, "r": FLOAT, "w": ""},
+               ((k, *row) for k, row in enumerate(rows)))
+    print(f"suspend-orbit: {n} steps, final winding {rows[-1][2]} -> {out}")
     return EXIT_OK
 
 

@@ -93,6 +93,17 @@ OVERRIDES = [
     ("suspend-orbit", "orbit_demo.ini", ["map.map=reparam:0,0;0.5,0.7;1,1|rotation:0.6"]),
     ("suspend-entropy", "thue_morse.ini", ["map.map=rotation:1.0", "experiment.seed=42",
                                            "experiment.eps=0.0625", "experiment.n=12"]),
+    # the lower estimate reads neither the seed nor the window: the golden
+    # mean at eps 1/8, n 12 at W = 8 and 32, and Thue-Morse at speed 1,
+    # eps 1/8, n 6, where some eps-cylinders hold more classes than any
+    # eps/2-cylinder
+    *(("suspend-entropy", "entropy_unit.ini",
+       ["cantor.kind=sft", "cantor.adjacency=1,1;1,0", "experiment.eps=0.125",
+        f"cantor.window={window}"]) for window in (8, 32)),
+    ("suspend-entropy", "thue_morse.ini", ["map.map=rotation:1.0", "experiment.seed=7",
+                                           "experiment.eps=0.125", "experiment.n=6"]),
+    # a [cantor] key of another kind, in a command that declares [cantor]
+    ("suspend-entropy", "entropy_unit.ini", ["cantor.bases=2,2"]),
 ]
 
 # horseshoe certificates at depth 0, at the benchmark's depths, mirrored by

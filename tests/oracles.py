@@ -2,12 +2,13 @@
 applied to float arrays, the circle distance of float arrays, the deck
 equivariance defect and displacement bound of an annulus map, conjugacy
 invariance of rotation estimates, word recurrence gaps of a Cantor point,
-the quotient's step, distance and winding rate, the sampled and the
-brute-force weak-mixing witness, near-identity return times on the
-quotient, and the rigidity margins of a staged tower.  Also the canned
-systems, maps and chains that only tests build, and map inversion.  Shared
-by `test_acceptance.py`, `test_annulus.py`, `test_cantor.py`,
-`test_chains.py` and `test_suspension.py`."""
+the key of a cylinder's Bowen class count, the quotient's step, distance
+and winding rate, the sampled and the brute-force weak-mixing witness,
+near-identity return times on the quotient, and the rigidity margins of a
+staged tower.  Also the canned systems, maps and chains that only tests
+build, and map inversion.  Shared by `test_acceptance.py`,
+`test_annulus.py`, `test_cantor.py`, `test_chains.py` and
+`test_suspension.py`."""
 
 from __future__ import annotations
 
@@ -19,12 +20,11 @@ from fractions import Fraction
 import numpy as np
 
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
-                                Twist, rotation_estimate)
+                                Twist, orbit, rotation_estimate)
 from pseudosusp.cantor import (SFT, CantorPoint, CantorSystem, Odometer, OdometerPoint,
                                Substitution, _language_words, cantor_metric)
 from pseudosusp.chains import IntervalChain, PLMap
-from pseudosusp.suspension import (SuspensionPoint, SuspensionSystem, depth_for, normalize,
-                                   orbit)
+from pseudosusp.suspension import SuspensionPoint, SuspensionSystem, depth_for, normalize
 from pseudosusp.tower import HAKStage, _gamma, circle_sup, pl_sum, stage_profiles
 
 
@@ -168,6 +168,19 @@ def recurrence_profile(sys: CantorSystem, c: CantorPoint, L: int,
     return out
 
 
+def core_key(h: CantorSystem, core: tuple[int, ...]) -> tuple[int, ...]:
+    """The key under which `class_counts` gives the count of the cylinder
+    whose symbols at -D..D (for an odometer, whose first digits) are
+    `core`: what that count depends on.  An SFT's count depends on the
+    core's end symbols, a substitution's on the whole core, and an
+    odometer's on nothing."""
+    if isinstance(h, Odometer):
+        return ()
+    if isinstance(h, SFT):
+        return (core[0], core[-1])
+    return core
+
+
 def rigidity_suspension(sys: SuspensionSystem, grid: int, horizon: int,
                         eps: float, seed: int = 0) -> list[tuple[int, float]]:
     """All n <= horizon with sup quotient displacement < eps over a grid of
@@ -244,8 +257,7 @@ def quotient_distance(sys: SuspensionSystem, p: SuspensionPoint,
 def winding_rate(sys: SuspensionSystem, p0: SuspensionPoint,
                  n: int) -> list[tuple[int, float]]:
     """w_k/k along the orbit: an independent rotation-number estimate."""
-    return [(k, (w - p0.winding) / k)
-            for k, (_, _, w) in enumerate(orbit(sys, p0, n)[1:], start=1)]
+    return [(k, w / k) for k, (_, _, w) in enumerate(orbit(sys.H, p0.t, p0.r, n)[1:], start=1)]
 
 
 def splice_point(h: CantorSystem, base: CantorPoint, D: int, rng: random.Random,

@@ -40,7 +40,7 @@ def rot(beta: float) -> LiftedAnnulusMap:
 def test_criterion_1_entropy_bracket():
     t0 = time.time()
     sys_half = SuspensionSystem(rot(0.5), FullShift(2), 32)
-    lower = entropy_separated(sys_half, 1 / 16, 12, 42)
+    lower = entropy_separated(sys_half, 1 / 16, 12)
     upper = entropy_spanning(sys_half, 1 / 16, 12)
     t_half = time.time() - t0
     ok_half = lower >= 0.20 and upper <= 0.55 and lower <= upper and t_half <= 60
@@ -72,8 +72,8 @@ def test_criterion_1_entropy_bracket():
 def test_criterion_2_linearity_in_alpha():
     t0 = time.time()
     h = FullShift(2)
-    lo_half = entropy_separated(SuspensionSystem(rot(0.5), h, 32), 1 / 16, 12, 42)
-    lo_unit = entropy_separated(SuspensionSystem(rot(1.0), h, 32), 1 / 16, 12, 42)
+    lo_half = entropy_separated(SuspensionSystem(rot(0.5), h, 32), 1 / 16, 12)
+    lo_unit = entropy_separated(SuspensionSystem(rot(1.0), h, 32), 1 / 16, 12)
     up_half = entropy_spanning(SuspensionSystem(rot(0.5), h, 32), 1 / 16, 12)
     up_unit = entropy_spanning(SuspensionSystem(rot(1.0), h, 32), 1 / 16, 12)
     elapsed = time.time() - t0
@@ -103,7 +103,7 @@ def test_criterion_3_rotation_convergence():
                                   Twist(Profile(((0.0, 0.11), (1.0, 0.4))))))
     sys_ = SuspensionSystem(composite, FullShift(2), 32)
     c = sys_.h.random_point(7, 32)
-    rates = winding_rate(sys_, sys_.point(0.0, 0.0, c), 10_000)
+    rates = winding_rate(sys_, normalize(sys_, 0.0, 0.0, c), 10_000)
     ests = rotation_estimate(composite, 0.0, 0.0, 10_000)
     worst_gap = max(abs(rate - est) * k
                     for (k, rate), (_, est) in zip(rates, ests))
@@ -172,7 +172,7 @@ def test_criterion_5_quotient_algebra():
         ok &= cantor_metric(before.c, after.c, 8) == 0.0
     ok_algebra = ok
 
-    p = sys_.point(0.3, 0.2, seed_pts[0])
+    p = normalize(sys_, 0.3, 0.2, seed_pts[0])
     ok_fiber = True
     ok_component = True
     for _ in range(1000):

@@ -466,7 +466,6 @@ def test_full_shift_class_counts_are_k_to_the_free_positions(k, D, windings):
     seen = sorted({p for w in [0] + windings for p in range(w - D, w + D + 1)})
     counts = h.class_counts(D, seen)
     assert set(counts.values()) == {k ** sum(abs(p) > D for p in seen)}
-    assert all(h.core_key(h.random_point(seed, D), D) in counts for seed in range(8))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import re
 import subprocess
@@ -167,6 +168,24 @@ def test_suspend_entropy_schema_and_capacity(tmp_path):
     assert (tmp_path / "w8.csv").read_text() == (tmp_path / "w32.csv").read_text()
 
 
+def test_suspend_entropy_reads_no_seed_and_no_window(tmp_path):
+    """The golden mean at eps 1/8, n 12: one CSV for every experiment.seed
+    and every cantor.window that resolves the scale, its lower estimate the
+    least cylinder's 144 classes."""
+    golden = ["--override", "cantor.kind=sft", "--override", "cantor.adjacency=1,1;1,0",
+              "--override", "experiment.eps=0.125"]
+    texts = set()
+    for seed, window in ((0, 8), (7, 8), (42, 32), (13, 32), (999, 64)):
+        out = tmp_path / f"e{seed}_{window}.csv"
+        assert run(["suspend-entropy", "-c", fixture_path("entropy_unit.ini"), *golden,
+                    "--override", f"experiment.seed={seed}",
+                    "--override", f"cantor.window={window}", "--out", str(out)]) == 0
+        texts.add(out.read_text())
+    assert len(texts) == 1
+    row = dict(zip(*(line.split(",") for line in texts.pop().splitlines())))
+    assert float(row["lower"]) == pytest.approx(math.log(144) / 12, rel=1e-8)
+
+
 def test_suspend_entropy_rejects_unit_scale(tmp_path, capsys):
     assert run(["suspend-entropy", "-c", fixture_path("entropy_unit.ini"),
                 "--override", "experiment.eps=1",
@@ -179,8 +198,8 @@ def test_suspend_orbit_schema(tmp_path):
     assert run(["suspend-orbit", "-c", fixture_path("orbit_demo.ini"),
                 "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "k,t,r,w,component"
-    assert lines[1] == "0,0.2,0.9,0,0"
+    assert lines[0] == "k,t,r,w"
+    assert lines[1] == "0,0.2,0.9,0"
     assert len(lines) == 27  # header + points 0..25
 
 
@@ -513,7 +532,7 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
             ("suspend-entropy", "entropy_unit.ini", "experiment.sed=1", "experiment.sed"),
             ("horseshoe", "tent_horseshoe.ini", "horseshoe.dpth=1", "horseshoe.dpth"),
             ("render", "render_demo.ini", "render.level=3", "render.level"),
-            ("suspend-orbit", "orbit_demo.ini", "cantor.bases=2,2", "cantor.bases"),
+            ("suspend-entropy", "entropy_unit.ini", "cantor.bases=2,2", "cantor.bases"),
             ("mixing-witness", "thue_morse.ini", "cantor.k=2", "cantor.k"),
             ("mixing-witness", "golden_mean.ini", "cantor.rules=0:01;1:10", "cantor.rules"),
             ("dense-orbit", "dense_demo.ini", "cantor.adjacency=1,1;1,0", "cantor.adjacency"),
@@ -599,7 +618,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     """No command loads numpy: the entropy counts, the orbits, the rotation
     estimates and both witnesses run on floats, ints and lists.
     `hak-verify` and `rigidity` are exact and load only `cli`, `config` and
-    `tower`, whose records are named tuples: no `dataclasses` either."""
+    `tower`, whose records are named tuples: no `dataclasses` either.
+    `suspend-orbit` follows the annulus map alone and loads neither
+    `cantor` nor `suspension`."""
     run_main = "from pseudosusp.cli import fixture_path, main\nassert main({}) == 0"
     layers = {"pseudosusp.annulus", "pseudosusp.cantor", "pseudosusp.chains",
               "pseudosusp.suspension"}
@@ -612,8 +633,7 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
 
     golden = ("cantor.kind=sft", "cantor.adjacency=1,1;1,0")
     # a substitution takes no cantor.k, so its probe starts from its own [cantor]
-    entropy = ("map.map=rotation:1.0", "experiment.seed=42", "experiment.eps=0.0625",
-               "experiment.n=12")
+    entropy = ("map.map=rotation:1.0", "experiment.eps=0.0625", "experiment.n=12")
     no_numpy = [
         command("horseshoe", "three_branch_horseshoe.ini"),
         command("suspend-entropy", "entropy_unit.ini"),
@@ -633,6 +653,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     for code, absent in (
             (command("hak-verify", "hak_toy.ini"), {"numpy", "dataclasses", *layers}),
             (command("rigidity", "rigidity_golden.ini"), {"numpy", "dataclasses", *layers}),
+            (command("suspend-orbit", "orbit_demo.ini"),
+             {"numpy", "pseudosusp.cantor", "pseudosusp.suspension"}),
             ("import pseudosusp.chains", {"numpy", "pseudosusp.cantor"})):
         assert not absent & _modules_after(code, tmp_path), code
     # a suspension command builds its map without compiling or loading tower
