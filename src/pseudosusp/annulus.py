@@ -124,20 +124,48 @@ def rotation_estimate(m: LiftedAnnulusMap, t: float, r: float,
     return out
 
 
+def fixes_t(m: LiftedAnnulusMap) -> bool:
+    """Whether m is a pipeline of rotations and twists.  Such a map fixes t,
+    so every step adds the same increments to r: each rotation's beta and
+    each twist's profile at t, in pipeline order."""
+    return all(isinstance(prim, (RigidRotation, Twist)) for prim in m.pipeline)
+
+
 def orbit(m: LiftedAnnulusMap, t: float, r: float,
           n: int) -> list[tuple[float, float, int]]:
     """(t, r, w) of (t, r) and its first n iterates under m, each r reduced
-    to [0, 1) by its floor and w the sum of the floors taken so far."""
-    w = math.floor(r)
+    to [0, 1) by its floor and w the sum of the floors taken so far.  A map
+    that fixes t is stepped by adding its increments, with the float
+    additions `m.apply` makes; any other map by `m.apply`."""
+    floor = math.floor
+    w = floor(r)
     r -= w
+    if r == 1.0:  # r in [-2^-54, 0) rounds up to 1.0
+        r, w = 0.0, w + 1
     out = [(t, r, w)]
+    append = out.append
+    if fixes_t(m):
+        steps = [prim.beta if isinstance(prim, RigidRotation) else prim.profile(t)
+                 for prim in m.pipeline]
+        for _ in range(n):
+            for d in steps:
+                r += d
+            k = floor(r)
+            r -= k
+            if r == 1.0:
+                r, k = 0.0, k + 1
+            w += k
+            append((t, r, w))
+        return out
+    apply = m.apply
     for _ in range(n):
-        t, r = m.apply(t, r)
-        t, r = float(t), float(r)
-        k = math.floor(r)
+        t, r = apply(t, r)
+        k = floor(r)
         r -= k
+        if r == 1.0:
+            r, k = 0.0, k + 1
         w += k
-        out.append((t, r, w))
+        append((t, r, w))
     return out
 
 

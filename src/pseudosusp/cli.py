@@ -33,16 +33,17 @@ EXIT_CAPACITY = 4
 CONFIG_FORMAT = 1
 
 
-# column format specs: "" writes str(value), FLOAT a float to 9 significant
-# digits, BOOL a bool as 1 or 0
-FLOAT, BOOL = ".9g", "d"
+# column formats are printf fields: "%s" writes str(value), FLOAT a float to
+# 9 significant digits, BOOL a bool as 1 or 0
+FLOAT, BOOL = "%.9g", "%d"
 
 
 def _write_csv(path: str, columns: dict[str, str], rows) -> None:
-    """A header of the column names, then one line per row, each value in
-    its column's format spec."""
-    line = ",".join(f"{{:{spec}}}" for spec in columns.values()).format
-    text = "\n".join([",".join(columns), *(line(*row) for row in rows)])
+    """A header of the column names, then one line per row tuple, each value
+    in its column's printf field.  A column whose format has no field is
+    text that every line holds, and takes no value from the rows."""
+    line = ",".join(columns.values())
+    text = "\n".join([",".join(columns), *(line % row for row in rows)])
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -85,7 +86,7 @@ def cmd_rotation(args, cfg: RunConfig) -> int:
     n = cfg.get("experiment", "n")
     rows = rotation_estimate(m, cfg.get("orbit", "t"), cfg.get("orbit", "r"), n)
     out = _out_path(args, cfg)
-    _write_csv(out, {"n": "", "estimate": FLOAT}, rows)
+    _write_csv(out, {"n": "%s", "estimate": FLOAT}, rows)
     print(f"rotation: estimate {rows[-1][1]:.9g} at n={n} -> {out}")
     return EXIT_OK
 
@@ -100,7 +101,7 @@ def cmd_rigidity(args, cfg: RunConfig) -> int:
     rows = rigidity_times(speed, lo, hi, horizon, eps)
     out = _out_path(args, cfg)
     # the exact sups become floats for their FLOAT column
-    _write_csv(out, {"n": "", "sup_displacement": FLOAT}, [(n, float(d)) for n, d in rows])
+    _write_csv(out, {"n": "%s", "sup_displacement": FLOAT}, [(n, float(d)) for n, d in rows])
     print(f"rigidity: {len(rows)} qualifying times <= {horizon} at eps={float(eps):.9g} -> {out}")
     return EXIT_OK
 
@@ -111,7 +112,7 @@ def cmd_hak_verify(args, cfg: RunConfig) -> int:
     checks = hak_verify(build_stages(cfg), tail=cfg.get("hak", "tail"))
     out = _out_path(args, cfg)
     # the exact values become floats for their FLOAT columns
-    _write_csv(out, {"condition": "", "stage": "", "value": FLOAT, "bound": FLOAT,
+    _write_csv(out, {"condition": "%s", "stage": "%s", "value": FLOAT, "bound": FLOAT,
                      "margin": FLOAT, "passed": BOOL},
                [(c.condition, c.stage, float(c.value), float(c.bound), float(c.margin),
                  c.passed) for c in checks])
@@ -140,7 +141,7 @@ def cmd_suspend_entropy(args, cfg: RunConfig) -> int:
     alpha = rotation_number(sys_.H)
     rows = product_formula_report(sys_, alpha, eps_list, n_list)
     out = _out_path(args, cfg)
-    _write_csv(out, {"eps": FLOAT, "n": "", "budget": "", "lower": FLOAT, "upper": FLOAT,
+    _write_csv(out, {"eps": FLOAT, "n": "%s", "budget": "%s", "lower": FLOAT, "upper": FLOAT,
                      "target": FLOAT, "alpha": FLOAT, "h_entropy": FLOAT},
                [(r.eps, r.n, budget, r.lower, r.upper, r.target, r.alpha, r.h_entropy)
                 for r in rows])
@@ -151,7 +152,7 @@ def cmd_suspend_entropy(args, cfg: RunConfig) -> int:
 
 
 def cmd_suspend_orbit(args, cfg: RunConfig) -> int:
-    from .annulus import orbit
+    from .annulus import fixes_t, orbit
 
     m = build_map(cfg)
     t, r = cfg.get("orbit", "t"), cfg.get("orbit", "r")
@@ -159,8 +160,14 @@ def cmd_suspend_orbit(args, cfg: RunConfig) -> int:
     # the k-th point's Cantor coordinate is h^(w_k - w_0)(c), never built
     rows = orbit(m, t, r, n)
     out = _out_path(args, cfg)
-    _write_csv(out, {"k": "", "t": FLOAT, "r": FLOAT, "w": ""},
-               ((k, *row) for k, row in enumerate(rows)))
+    columns = {"k": "%s", "t": FLOAT, "r": FLOAT, "w": "%s"}
+    if fixes_t(m):
+        # every row holds the start's t, so its text is formatted once
+        columns["t"] = FLOAT % t
+        table = ((k, r, w) for k, (_, r, w) in enumerate(rows))
+    else:
+        table = ((k, *row) for k, row in enumerate(rows))
+    _write_csv(out, columns, table)
     print(f"suspend-orbit: {n} steps, final winding {rows[-1][2]} -> {out}")
     return EXIT_OK
 
@@ -197,7 +204,7 @@ def cmd_mixing_witness(args, cfg: RunConfig) -> int:
             return (normalize(sys_, t, r, c), cfg.get("witness", f"{key}_radius"))
 
         found = weak_mixing_witness(sys_, speed, ball("u"), ball("v"), horizon)
-    _write_csv(out, {"mode": "", "horizon": "", "found": BOOL, "l": ""},
+    _write_csv(out, {"mode": "%s", "horizon": "%s", "found": BOOL, "l": "%s"},
                [(mode, horizon, found is not None, "" if found is None else found)])
     verdict = f"l={found}" if found is not None else "none within horizon"
     print(f"mixing-witness[{mode}]: {verdict} -> {out}")
@@ -214,7 +221,7 @@ def cmd_dense_orbit(args, cfg: RunConfig) -> int:
     c = sys_.h.random_point(seed, sys_.window)
     hit = dense_orbit_check(sys_, c, (t, r), eps, k_max, s_max, p_max)
     out = _out_path(args, cfg)
-    columns = {"found": BOOL, "k": "", "s": "", "p": ""}
+    columns = {"found": BOOL, "k": "%s", "s": "%s", "p": "%s"}
     if hit is None:
         _write_csv(out, columns, [(False, "", "", "")])
         print(f"dense-orbit: no witness within bounds -> {out}")
@@ -230,7 +237,7 @@ def cmd_rotation_family(args, cfg: RunConfig) -> int:
     bits = cfg.get("family", "bits")
     alpha, schedule = rotation_family(bits, cfg.get("family", "eps"))
     out = _out_path(args, cfg)
-    _write_csv(out, {"n": "", "bit": "", "b_n": FLOAT, "term": FLOAT},
+    _write_csv(out, {"n": "%s", "bit": "%s", "b_n": FLOAT, "term": FLOAT},
                [(i + 1, b, s, s if b else s / 3.0)
                 for i, (b, s) in enumerate(zip(bits, schedule))])
     print(f"rotation-family: alpha = {alpha:.12g} for bits {''.join(map(str, bits))} -> {out}")
@@ -276,7 +283,7 @@ def cmd_horseshoe(args, cfg: RunConfig) -> int:
     # int true division rounds correctly, so each end is float(Fraction(end, scale))
     rows = [("-".join(map(str, word)), lo / cert.scale, hi / cert.scale)
             for word, (lo, hi) in sorted(cert.intervals.items())]
-    _write_csv(out, {"word": "", "lo": FLOAT, "hi": FLOAT}, rows)
+    _write_csv(out, {"word": "%s", "lo": FLOAT, "hi": FLOAT}, rows)
     print(cert.summary() + f" -> {out}")
     return EXIT_OK if cert.passed else EXIT_CHECK
 

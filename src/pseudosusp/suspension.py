@@ -44,10 +44,13 @@ class SuspensionSystem:
 def normalize(sys: SuspensionSystem, t: float, r: float, c: CantorPoint,
               seed: CantorPoint | None = None, winding: int = 0) -> SuspensionPoint:
     """Fundamental-domain representative: (t, r, c) -> (t, r - k, h^k(c)),
-    k = floor(r); ties at integers resolve downward."""
+    k = floor(r); ties at integers resolve downward.  An r in [-2^-54, 0),
+    whose r - k rounds to 1.0, takes r = 0 and k one more."""
     k = math.floor(r)
-    return SuspensionPoint(t, r - k, sys.h.power(c, k),
-                           c if seed is None else seed, winding + k)
+    r -= k
+    if r == 1.0:
+        r, k = 0.0, k + 1
+    return SuspensionPoint(t, r, sys.h.power(c, k), c if seed is None else seed, winding + k)
 
 
 # ---------------------------------------------------------------------------

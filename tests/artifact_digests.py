@@ -104,6 +104,20 @@ OVERRIDES = [
                                            "experiment.eps=0.125", "experiment.n=6"]),
     # a [cantor] key of another kind, in a command that declares [cantor]
     ("suspend-entropy", "entropy_unit.ini", ["cantor.bases=2,2"]),
+    # orbits long enough for float drift to show: the benchmark's shape,
+    # then a rotation/twist pipeline with a negative speed, a cover and a
+    # reparam, one for each way `orbit` steps
+    ("suspend-orbit", "orbit_demo.ini", ["orbit.n=50000", "orbit.t=0.4", "orbit.r=0.3"]),
+    ("suspend-orbit", "orbit_demo.ini", ["map.map=rotation:0.2|twist:0,0.1;0.5,-0.7;1,0.3|"
+                                         "rotation:-0.05", "orbit.t=0.35", "orbit.n=5000"]),
+    ("suspend-orbit", "orbit_demo.ini", ["map.map=rotation:0.2|twist:0,0;1,0.3|cover:2,1",
+                                         "orbit.n=5000"]),
+    ("suspend-orbit", "orbit_demo.ini", ["map.map=reparam:0,0;0.5,0.7;1,1|rotation:0.6",
+                                         "orbit.n=5000"]),
+    # a step and a start in [-2^-54, 0), whose r - floor(r) rounds to 1.0
+    ("suspend-orbit", "orbit_demo.ini", ["map.map=rotation:-0.30000000000000004",
+                                         "orbit.r=0.3", "orbit.n=3"]),
+    ("suspend-orbit", "orbit_demo.ini", ["orbit.r=-1e-300", "orbit.n=3"]),
 ]
 
 # horseshoe certificates at depth 0, at the benchmark's depths, mirrored by

@@ -1,14 +1,14 @@
 """Estimators that no subcommand runs, kept as test oracles: annulus maps
-applied to float arrays, the circle distance of float arrays, the deck
-equivariance defect and displacement bound of an annulus map, conjugacy
-invariance of rotation estimates, word recurrence gaps of a Cantor point,
-the key of a cylinder's Bowen class count, the quotient's step, distance
-and winding rate, the sampled and the brute-force weak-mixing witness,
-near-identity return times on the quotient, and the rigidity margins of a
-staged tower.  Also the canned systems, maps and chains that only tests
-build, and map inversion.  Shared by `test_acceptance.py`,
-`test_annulus.py`, `test_cantor.py`, `test_chains.py` and
-`test_suspension.py`."""
+applied to float arrays, the orbit stepped by `apply` alone, the circle
+distance of float arrays, the deck equivariance defect and displacement
+bound of an annulus map, conjugacy invariance of rotation estimates, word
+recurrence gaps of a Cantor point, the key of a cylinder's Bowen class
+count, the quotient's step, distance and winding rate, the sampled and the
+brute-force weak-mixing witness, near-identity return times on the
+quotient, and the rigidity margins of a staged tower.  Also the canned
+systems, maps and chains that only tests build, and map inversion.  Shared
+by `test_acceptance.py`, `test_annulus.py`, `test_cantor.py`,
+`test_chains.py` and `test_suspension.py`."""
 
 from __future__ import annotations
 
@@ -117,6 +117,25 @@ def displacement_bound(m: LiftedAnnulusMap, grid: int = 64) -> int:
     _, r1 = apply_arrays(m, tt, rr)
     sup = float(np.max(np.abs(r1 - rr)))
     return max(0, math.ceil(sup - 1e-9))
+
+
+def stepped_orbit(m: LiftedAnnulusMap, t: float, r: float,
+                  n: int) -> list[tuple[float, float, int]]:
+    """`annulus.orbit` by `m.apply` alone: (t, r, w) of (t, r) and its first
+    n iterates, each r reduced to [0, 1) by its floor (an r - floor(r) that
+    rounds to 1.0 reads 0 and one more winding) and w the floors so far."""
+    def reduce(r, w):
+        k = math.floor(r)
+        r -= k
+        return (0.0, w + k + 1) if r == 1.0 else (r, w + k)
+
+    r, w = reduce(r, 0)
+    out = [(t, r, w)]
+    for _ in range(n):
+        t, r = m.apply(t, r)
+        r, w = reduce(r, w)
+        out.append((t, r, w))
+    return out
 
 
 def conjugacy_invariance_check(F: LiftedAnnulusMap, g: LiftedAnnulusMap, n: int,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, Profile,
                                 RadialReparam, RigidRotation, Twist, cover_lift,
-                                rotation_estimate, rotation_family,
+                                fixes_t, orbit, rotation_estimate, rotation_family,
                                 rotation_number)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import ConfigError, build_stages, load_config
@@ -23,7 +23,8 @@ from pseudosusp.tower import (circle_sup, hak_verify, pl_sum,
 
 from oracles import (UnsupportedConjugacyError, apply_arrays, circle_distance,
                      conjugacy_invariance_check, displacement_bound, equivariance_defect,
-                     identity_map, invert_map, pl_eval_arrays, rigidity_margins)
+                     identity_map, invert_map, pl_eval_arrays, rigidity_margins,
+                     stepped_orbit)
 
 
 def rot(beta):
@@ -139,6 +140,56 @@ def test_twist_on_invariant_boundary_circle():
     ests = rotation_estimate(m, 0.0, 0.0, 500)
     for n, est in ests:
         assert abs(est - 0.25) <= 1.0 / n + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# orbits
+# ---------------------------------------------------------------------------
+
+def orbit_bits(rows):
+    # hex tells -0.0 from 0.0, which == does not
+    return [(float(t).hex(), float(r).hex(), w) for t, r, w in rows]
+
+
+rotations_and_twists = st.lists(st.one_of(st.builds(RigidRotation, st.floats(-2.0, 2.0)),
+                                          st.builds(Twist, pl_profiles)),
+                                min_size=1, max_size=3).map(
+    lambda p: LiftedAnnulusMap(tuple(p)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=rotations_and_twists, t=st.floats(0.0, 1.0), r=st.floats(-3.0, 3.0),
+       n=st.integers(0, 300))
+def test_increment_orbit_equals_stepped_orbit_bit_for_bit(m, t, r, n):
+    """A pipeline of rotations and twists, negative speeds included, takes
+    `orbit`'s increment path, and gives the rows of stepping by `apply`."""
+    assert fixes_t(m)
+    rows = orbit(m, t, r, n)
+    assert orbit_bits(rows) == orbit_bits(stepped_orbit(m, t, r, n))
+    assert all(0.0 <= r < 1.0 for _, r, _ in rows)
+
+
+def test_only_rotations_and_twists_fix_t():
+    reparam = RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0))))
+    twist_back = Twist(Profile(((0.0, 0.1), (1.0, -0.3))))
+    assert fixes_t(LiftedAnnulusMap(()))
+    assert fixes_t(LiftedAnnulusMap((RigidRotation(0.2), twist_back)))
+    assert not fixes_t(LiftedAnnulusMap((reparam, RigidRotation(0.6))))
+    assert not fixes_t(cover_lift(rot(0.2), 2, 1))
+
+
+def test_orbit_reduces_r_to_zero_where_its_floor_rounds_up_to_one():
+    """An r in [-2^-54, 0) has r - floor(r) = 1.0 in floats; it reads r = 0
+    and one more winding, on the increment path, on the `apply` path and
+    at the start."""
+    reparam = RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0))))
+    back = -0.30000000000000004
+    assert 0.3 + back < 0.0 and 0.3 + back - math.floor(0.3 + back) == 1.0
+    assert orbit(rot(back), 0.2, 0.3, 2) == [(0.2, 0.3, 0), (0.2, 0.0, 0), (0.2, 0.7, -1)]
+    rows = orbit(LiftedAnnulusMap((reparam, RigidRotation(back))), 0.2, 0.3, 1)
+    assert rows[1][1:] == (0.0, 0)
+    assert orbit(rot(0.6), 0.2, -1e-300, 1) == [(0.2, 0.0, 0), (0.2, 0.6, 0)]
+    assert orbit(rot(0.6), 0.2, -2.0 ** -54, 0) == [(0.2, 0.0, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 import pseudosusp
 import pseudosusp.config
 import pseudosusp.suspension
-from pseudosusp.cli import fixture_path, list_fixtures, main
+from pseudosusp.cli import BOOL, FLOAT, _write_csv, fixture_path, list_fixtures, main
 from pseudosusp.config import COMMANDS
 
 
@@ -201,6 +201,37 @@ def test_suspend_orbit_schema(tmp_path):
     assert lines[0] == "k,t,r,w"
     assert lines[1] == "0,0.2,0.9,0"
     assert len(lines) == 27  # header + points 0..25
+
+
+def test_suspend_orbit_reduces_a_rounded_up_r_to_zero(tmp_path):
+    # 0.3 - 0.30000000000000004 = -2^-54, whose r - floor(r) rounds to 1.0
+    out = tmp_path / "o.csv"
+    for overrides, second in ((["map.map=rotation:-0.30000000000000004", "orbit.r=0.3"],
+                               "1,0.2,0,0"),
+                              (["orbit.r=-1e-300"], "0,0.2,0,0")):
+        argv = ["suspend-orbit", "-c", fixture_path("orbit_demo.ini"), "--out", str(out),
+                "--override", "orbit.n=3"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert run(argv) == 0
+        assert second in out.read_text().splitlines()
+
+
+# each kind of value the commands write, in each kind of column, reads as
+# `format` writes it with the column's spec: "" for a plain column, ".9g"
+# for FLOAT and "d" for BOOL; the fixed column is text on every line
+@pytest.mark.parametrize("column, spec, value", [
+    (BOOL, "d", True), (BOOL, "d", False), ("%s", "", True),
+    ("%s", "", 0), ("%s", "", -7), ("%s", "", 10 ** 20), ("%s", "", ""),
+    ("%s", "", "a-b"), ("%s", "", 0.1),
+    (FLOAT, ".9g", -0.0), (FLOAT, ".9g", 1e-12), (FLOAT, ".9g", 123456789.5),
+    (FLOAT, ".9g", 1e22), (FLOAT, ".9g", math.inf), (FLOAT, ".9g", -math.inf),
+    (FLOAT, ".9g", math.nan), (FLOAT, ".9g", 1 / 3), (FLOAT, ".9g", 3),
+])
+def test_write_csv_writes_each_value_as_its_format_spec(tmp_path, column, spec, value):
+    out = tmp_path / "w.csv"
+    _write_csv(str(out), {"x": column, "fixed": "0.4"}, [(value,)])
+    assert out.read_text() == f"x,fixed\n{format(value, spec)},0.4\n"
 
 
 def test_missing_config_and_keys(tmp_path):

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RigidRotation, Twist, orbit,
-                                rotation_estimate)
+from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
+                                Twist, cover_lift, orbit, rotation_estimate)
 from pseudosusp.cantor import (FullShift, Odometer, OdometerPoint, SFT, Substitution,
                                cantor_metric, _language_words)
 from pseudosusp.suspension import (CapacityError, SuspensionPoint, SuspensionSystem,
@@ -26,7 +26,7 @@ from pseudosusp.suspension import (CapacityError, SuspensionPoint, SuspensionSys
 
 from oracles import (brute_force_witness, core_key, cylinders_meet, golden_mean_sft,
                      quotient_distance, rigidity_suspension, sampled_witness, splice_point,
-                     step, strip_meets, thue_morse, winding_rate)
+                     step, stepped_orbit, strip_meets, thue_morse, winding_rate)
 
 
 def rot(beta):
@@ -75,6 +75,17 @@ def test_normalize_examples():
     assert (p2.winding, p2.r) == (-1, pytest.approx(0.6))
     p3 = normalize(sys_, 0.5, 0.5, c)
     assert (p3.winding, p3.r) == (0, 0.5)
+
+
+def test_normalize_takes_zero_where_the_floor_rounds_up_to_one():
+    # -1e-300 - floor(-1e-300) rounds to 1.0: the point is (t, 0, c), as
+    # `annulus.orbit` reduces the same r
+    sys_ = make_sys()
+    c = sys_.h.random_point(4, 32)
+    for r in (-1e-300, -2.0 ** -54):
+        p = normalize(sys_, 0.3, r, c, winding=5)
+        assert (p.r, p.winding) == (0.0, 5)
+        assert symbols(p.c, 8) == symbols(c, 8)
 
 
 def test_step_example_and_identity():
@@ -195,16 +206,28 @@ def test_pseudo_component_conserved_and_fiber_preserved():
         cur = nxt
 
 
-@pytest.mark.parametrize("m", [m for m, _ in MAPS] + [rot(-0.37)],
-                         ids=["half", "golden", "twist", "back"])
+@pytest.mark.parametrize("m", [m for m, _ in MAPS] + [
+    rot(-0.37),
+    LiftedAnnulusMap((RigidRotation(0.2), Twist(Profile(((0.0, 0.1), (0.5, -0.7),
+                                                         (1.0, 0.3)))),
+                      RigidRotation(-0.05))),
+    cover_lift(MAPS[2][0], 2, 1),
+    LiftedAnnulusMap((RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0)))),
+                      RigidRotation(0.6))),
+], ids=["half", "golden", "twist", "back", "pipeline3", "cover", "reparam"])
 def test_orbit_equals_stepped_points(m):
+    """`orbit` on both of its paths: the quotient stepped point by point,
+    and, bit for bit, the orbit stepped by `apply`."""
     sys_ = SuspensionSystem(m, golden_mean_sft(), 32)
     p = normalize(sys_, 0.3, 0.8, sys_.h.random_point(5, 32))
     points = [p]
     for _ in range(60):
         points.append(step(sys_, points[-1]))
-    assert [(t, r, p.winding + w) for t, r, w in orbit(m, p.t, p.r, 60)] \
+    rows = orbit(m, p.t, p.r, 60)
+    assert [(t, r, p.winding + w) for t, r, w in rows] \
         == [(q.t, q.r, q.winding) for q in points]
+    assert [(t.hex(), r.hex(), w) for t, r, w in rows] \
+        == [(t.hex(), r.hex(), w) for t, r, w in stepped_orbit(m, p.t, p.r, 60)]
 
 
 def test_winding_rate_examples():
