@@ -139,7 +139,7 @@ def orbit(m: LiftedAnnulusMap, t: float, r: float,
     additions `m.apply` makes; any other map by `m.apply`."""
     floor = math.floor
     w = floor(r)
-    r -= w
+    r = r - w + 0.0  # + 0.0 reads a start r of -0.0 as 0.0
     if r == 1.0:  # r in [-2^-54, 0) rounds up to 1.0
         r, w = 0.0, w + 1
     out = [(t, r, w)]

@@ -1,7 +1,11 @@
 """Command-line entry point: every operation as a subcommand over an INI
 config, emitting CSV/SVG artifacts with fixed schemas.
 
-Exit codes: 0 success, 2 check/certificate failed, 3 config error,
+`SUBCOMMANDS` is the whole command line: each subcommand's handler, its
+one-line help and the flags it takes.  `parse_args` reads it (`--flag value`
+or `--flag=value`, no abbreviations) and `usage` prints it.
+
+Exit codes: 0 success, 2 check/certificate failed, 3 config or usage error,
 4 capacity error (an entropy scale below the resolution 2^-(W-2) of the
 symbol window W).
 
@@ -11,10 +15,7 @@ command loads no layer it does not use.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from importlib import resources
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -44,11 +45,16 @@ def _write_csv(path: str, columns: dict[str, str], rows) -> None:
     text that every line holds, and takes no value from the rows."""
     line = ",".join(columns.values())
     text = "\n".join([",".join(columns), *(line % row for row in rows)])
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    _write(path, text + "\n")
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _out_path(args, cfg: RunConfig) -> str:
-    return args.out or cfg.get("experiment", "out")
+    return args["out"] or cfg.get("experiment", "out")
 
 
 def _suspension(cfg: RunConfig) -> SuspensionSystem:
@@ -256,10 +262,10 @@ def _kfold(k, key: str):
 
 
 def cmd_pattern(args, cfg) -> int:
-    pat = _kfold(args.kfold, "--kfold")
+    pat = _kfold(args["kfold"], "--kfold")
     text = ",".join(str(v) for v in pat.values)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    if args["out"]:
+        _write(args["out"], text + "\n")
     print(text)
     return EXIT_OK
 
@@ -279,7 +285,7 @@ def cmd_horseshoe(args, cfg: RunConfig) -> int:
         return EXIT_CHECK
     except ChainError as exc:  # not 7 taut links, or link 4 too narrow for k slots
         raise ConfigError(f"chain.links: {exc}") from exc
-    out = args.out or cfg.get("horseshoe", "out")
+    out = args["out"] or cfg.get("horseshoe", "out")
     # int true division rounds correctly, so each end is float(Fraction(end, scale))
     rows = [("-".join(map(str, word)), lo / cert.scale, hi / cert.scale)
             for word, (lo, hi) in sorted(cert.intervals.items())]
@@ -320,9 +326,8 @@ def cmd_render(args, cfg: RunConfig) -> int:
                 raise ConfigError(f"render.pattern: {exc}") from exc
     else:
         raise ConfigError("levels file needs [level *] sections or a [render] block")
-    out = args.out or "chains.svg"
-    svg = render_chains(levels)
-    Path(out).write_text(svg, encoding="utf-8")
+    out = args["out"] or "chains.svg"
+    _write(out, render_chains(levels))
     counts = "/".join(str(len(lv.links)) for lv in levels)
     print(f"render: {len(levels)} level(s) with {counts or '0'} links -> {out}")
     return EXIT_OK
@@ -333,6 +338,8 @@ def cmd_render(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def list_fixtures() -> list[tuple[str, str]]:
+    from importlib import resources
+
     out = []
     for entry in sorted(resources.files("pseudosusp.fixtures").iterdir()):
         if entry.name.endswith(".ini"):
@@ -343,89 +350,125 @@ def list_fixtures() -> list[tuple[str, str]]:
 
 
 def fixture_path(name: str) -> str:
+    from importlib import resources
+
     return str(resources.files("pseudosusp.fixtures") / name)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="pseudosusp",
-        description="suspension-quotient dynamics laboratory")
-    ap.add_argument("--version", action="store_true", help="print version and exit")
-    ap.add_argument("--list-fixtures", action="store_true",
-                    help="enumerate shipped fixture configs and exit")
-    sub = ap.add_subparsers(dest="command")
-
-    def common(p, config_required=True):
-        p.add_argument("-c", "--config", required=config_required, help="INI config path")
-        p.add_argument("--out", help="output artifact path")
-        p.add_argument("--override", action="append", default=[],
-                       metavar="SEC.KEY=VAL", help="override a config value")
-
-    common(sub.add_parser("rotation", help="rotation-number estimate sequence"))
-    common(sub.add_parser("rigidity", help="near-identity return times of a map"))
-    common(sub.add_parser("hak-verify", help="verify the staged approximation conditions"))
-    common(sub.add_parser("suspend-entropy", help="entropy bracket on the suspension"))
-    common(sub.add_parser("suspend-orbit", help="suspension orbit with winding bookkeeping"))
-    common(sub.add_parser("mixing-witness", help="weak-mixing witness search"))
-    common(sub.add_parser("dense-orbit", help="dense-orbit condition search"))
-    common(sub.add_parser("rotation-family", help="injective rotation-number family"))
-
-    p_pat = sub.add_parser("pattern", help="print a k-fold pattern")
-    p_pat.add_argument("--kfold", type=int, required=True, metavar="K")
-    p_pat.add_argument("--out")
-
-    p_h = sub.add_parser("horseshoe", help="itinerary certificate for a PL map")
-    p_h.add_argument("--map", dest="config", required=True, help="INI with [plmap] and [chain]")
-    p_h.add_argument("--k", type=int)
-    p_h.add_argument("--depth", type=int)
-    p_h.add_argument("--out")
-    p_h.add_argument("--override", action="append", default=[])
-
-    p_r = sub.add_parser("render", help="render nested chains to SVG")
-    p_r.add_argument("--levels", dest="config", required=True,
-                     help="INI with [level *] or [render]")
-    p_r.add_argument("--out")
-    p_r.add_argument("--override", action="append", default=[])
-    return ap
+class UsageError(Exception):
+    """A command line that `SUBCOMMANDS` does not allow; exit 3."""
 
 
-HANDLERS = {
-    "rotation": cmd_rotation,
-    "rigidity": cmd_rigidity,
-    "hak-verify": cmd_hak_verify,
-    "suspend-entropy": cmd_suspend_entropy,
-    "suspend-orbit": cmd_suspend_orbit,
-    "mixing-witness": cmd_mixing_witness,
-    "dense-orbit": cmd_dense_orbit,
-    "rotation-family": cmd_rotation_family,
-    "pattern": cmd_pattern,
-    "horseshoe": cmd_horseshoe,
-    "render": cmd_render,
+# each flag of a subcommand -> the argument it sets
+COMMON = {"-c": "config", "--config": "config", "--out": "out", "--override": "override"}
+
+# name -> (handler, help, flags)
+SUBCOMMANDS = {
+    "rotation": (cmd_rotation, "rotation-number estimate sequence", COMMON),
+    "rigidity": (cmd_rigidity, "near-identity return times of a map", COMMON),
+    "hak-verify": (cmd_hak_verify, "verify the staged approximation conditions", COMMON),
+    "suspend-entropy": (cmd_suspend_entropy, "entropy bracket on the suspension", COMMON),
+    "suspend-orbit": (cmd_suspend_orbit, "suspension orbit with winding bookkeeping", COMMON),
+    "mixing-witness": (cmd_mixing_witness, "weak-mixing witness search", COMMON),
+    "dense-orbit": (cmd_dense_orbit, "dense-orbit condition search", COMMON),
+    "rotation-family": (cmd_rotation_family, "injective rotation-number family", COMMON),
+    "pattern": (cmd_pattern, "print a k-fold pattern", {"--kfold": "kfold", "--out": "out"}),
+    "horseshoe": (cmd_horseshoe, "itinerary certificate for a PL map",
+                  {"--map": "config", "--k": "k", "--depth": "depth", "--out": "out",
+                   "--override": "override"}),
+    "render": (cmd_render, "render nested chains to SVG",
+               {"--levels": "config", "--out": "out", "--override": "override"}),
 }
+INTEGERS = ("k", "depth", "kfold")
+METAVARS = {"config": "INI", "out": "PATH", "override": "SEC.KEY=VAL", "k": "K",
+            "depth": "N", "kfold": "K"}
+
+
+def _required(command: str) -> str:
+    return "kfold" if command == "pattern" else "config"
+
+
+def _spellings(flags: dict[str, str], arg: str) -> str:
+    return "/".join(flag for flag, name in flags.items() if name == arg)
+
+
+def parse_args(argv: list[str]) -> tuple[str, dict]:
+    """The subcommand and its arguments, each None where its flag is absent
+    and `override` the list of every --override value in order.  A flag
+    takes the next word or the text after its `=`; a later flag replaces an
+    earlier one.  Raises UsageError naming the word at fault."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        got = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand"
+        raise UsageError(f"{got}; pseudosusp -h lists the subcommands")
+    command, words = argv[0], iter(argv[1:])
+    flags = SUBCOMMANDS[command][2]
+    args = {arg: [] if arg == "override" else None for arg in flags.values()}
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag not in flags:
+            raise UsageError(f"{command} takes no {word!r}")
+        if not eq:
+            value = next(words, None)
+            if value is None or value.partition("=")[0] in flags:
+                raise UsageError(f"{flag} needs a value")
+        arg = flags[flag]
+        if arg in INTEGERS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{flag} needs an integer, got {value!r}") from None
+        if arg == "override":
+            args[arg].append(value)
+        else:
+            args[arg] = value
+    if args[_required(command)] is None:
+        raise UsageError(f"{command} needs {_spellings(flags, _required(command))}")
+    return command, args
+
+
+def usage(commands) -> str:
+    """The usage of the named subcommands, from their entries in SUBCOMMANDS."""
+    lines = ["usage: pseudosusp [-h | --version | --list-fixtures]",
+             "       pseudosusp SUBCOMMAND [-h] FLAGS", "",
+             "suspension-quotient dynamics laboratory", "", "subcommands:"]
+    for command in commands:
+        _, summary, flags = SUBCOMMANDS[command]
+        words = []
+        for arg in dict.fromkeys(flags.values()):
+            word = f"{_spellings(flags, arg)} {METAVARS[arg]}"
+            words.append(word if arg == _required(command) else f"[{word}]")
+        lines += [f"  {command:<16}{summary}", f"  {'':<16}{' '.join(words)}"]
+    lines += ["", "A flag takes its value as the next word or as --flag=VALUE.",
+              "--override may be given more than once; of any other flag the last counts."]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.version:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--version"]:
         print(f"pseudosusp {__version__} (config format {CONFIG_FORMAT})")
         return EXIT_OK
-    if args.list_fixtures:
+    if argv[:1] == ["--list-fixtures"]:
         for name, desc in list_fixtures():
             print(f"{name}: {desc}")
         return EXIT_OK
-    if not args.command:
-        ap.print_help()
-        return EXIT_CONFIG
+    if "-h" in argv or "--help" in argv:
+        print(usage(argv[:1] if argv[0] in SUBCOMMANDS else SUBCOMMANDS))
+        return EXIT_OK
     try:
+        command, args = parse_args(argv)
         cfg = None
-        if args.command != "pattern":
-            overrides = list(args.override)
-            if args.command == "horseshoe":
-                overrides += [f"horseshoe.{key}={value}" for key, value
-                              in (("k", args.k), ("depth", args.depth)) if value is not None]
-            cfg = load_config(args.config, overrides, args.command)
-        return HANDLERS[args.command](args, cfg)
+        if command != "pattern":
+            # only horseshoe takes --k and --depth
+            overrides = args["override"] + [f"horseshoe.{key}={args[key]}"
+                                            for key in ("k", "depth") if args.get(key) is not None]
+            cfg = load_config(args["config"], overrides, command)
+        # called through the module's name, so that a wrapper bound over the
+        # module attribute (a profiler's or a tracer's) sees the call
+        return globals()[SUBCOMMANDS[command][0].__name__](args, cfg)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

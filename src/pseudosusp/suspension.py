@@ -47,7 +47,7 @@ def normalize(sys: SuspensionSystem, t: float, r: float, c: CantorPoint,
     k = floor(r); ties at integers resolve downward.  An r in [-2^-54, 0),
     whose r - k rounds to 1.0, takes r = 0 and k one more."""
     k = math.floor(r)
-    r -= k
+    r = r - k + 0.0  # + 0.0 reads an r of -0.0 as 0.0
     if r == 1.0:
         r, k = 0.0, k + 1
     return SuspensionPoint(t, r, sys.h.power(c, k), c if seed is None else seed, winding + k)
@@ -123,12 +123,14 @@ def weak_mixing_witness(sys: SuspensionSystem, speed, U: tuple[SuspensionPoint, 
         raise ValueError("ball radii must be positive")
     h, W = sys.h, sys.window
     balls = [tuple(Fraction(x) for x in (c.t, c.r, rho)) for c, rho in (U, V)]
-    # P(t) = m*t + c on the piece [x0, x1], with P's least and largest value there
+    # P(t) = m*t + c on the piece [x0, x1], with P's least and largest value
+    # there as (numerator, denominator)
     pieces = []
     for (x0, y0), (x1, y1) in zip(speed, speed[1:]):
         x0, y0, x1, y1 = (Fraction(v) for v in (x0, y0, x1, y1))
         m = (y1 - y0) / (x1 - x0)
-        pieces.append(((x0, x1, m, y0 - m * x0), min(y0, y1), max(y0, y1)))
+        pieces.append(((x0, x1, m, y0 - m * x0), min(y0, y1).as_integer_ratio(),
+                       max(y0, y1).as_integer_ratio()))
     d = math.lcm(*(x.denominator for row in balls + [line for line, _, _ in pieces]
                    for x in row))
     balls = [tuple(int(x * d) for x in ball) for ball in balls]
@@ -145,10 +147,11 @@ def weak_mixing_witness(sys: SuspensionSystem, speed, U: tuple[SuspensionPoint, 
         return h.meets(shifted[0][su], ru, shifted[target][sq], (ru, rv)[target], k, W)
 
     def hit(target: int, l: int) -> bool:
+        # the windings k run from floor(l*lo) to ceil(l*hi)
         return any(cylinder(target, k, su, sq)
                    and _strip_meets(balls[0], balls[target], piece, l, k, su, sq, d)
-                   for piece, lo, hi in pieces
-                   for k in range(math.floor(l * lo), math.ceil(l * hi) + 1)
+                   for piece, (lo, lo_den), (hi, hi_den) in pieces
+                   for k in range(l * lo // lo_den, -(-l * hi // hi_den) + 1)
                    for su in shifts[0] for sq in shifts[target])
 
     for l in range(1, horizon + 1):

@@ -5,7 +5,8 @@ for comparing the artifacts of two source trees:
     diff parent.txt change.txt
 
 Every config subcommand runs on every fixture of the tree and on each EXTRA
-file, `pattern` on a few K, and then the override cases in `OVERRIDES`.
+file, `pattern` on a few K, then the override cases in `OVERRIDES` and
+the command lines in `USAGE`.
 Each case runs in-process through `pseudosusp.cli.main`, inside a temporary
 directory that holds copies of the configs and the artifact, so no printed
 path depends on where the tree lies; nothing is written elsewhere.  One line
@@ -166,6 +167,13 @@ OVERRIDES += [
      ["plmap.breakpoints=0,0; 1/4,1; 1/2,0; 3/4,1; 1,0"]),
 ]
 
+# (subcommand, fixture, words): command lines the parser refuses, a flag the
+# subcommand does not take and a non-integer integer flag
+USAGE = [
+    ("hak-verify", "hak_toy.ini", ["--outt", "x.csv"]),
+    ("horseshoe", "tent_horseshoe.ini", ["--depth", "x"]),
+]
+
 
 def run_case(cli, argv: list[str]) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of `cli.main(argv)` run in-process."""
@@ -198,6 +206,9 @@ def cases(configs: list[str]) -> list[tuple[str, list[str]]]:
         for item in overrides:
             argv += ["--override", item]
         out.append((" ".join([command, fixture] + overrides), argv))
+    for command, fixture, words in USAGE:
+        out.append((" ".join([command, fixture] + words),
+                    [command, FLAGS.get(command, "-c"), f"fixtures/{fixture}", *words]))
     return out
 
 

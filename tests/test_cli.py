@@ -15,7 +15,8 @@ import pytest
 import pseudosusp
 import pseudosusp.config
 import pseudosusp.suspension
-from pseudosusp.cli import BOOL, FLOAT, _write_csv, fixture_path, list_fixtures, main
+from pseudosusp.cli import (BOOL, FLOAT, SUBCOMMANDS, _write_csv, fixture_path, list_fixtures,
+                            main, parse_args)
 from pseudosusp.config import COMMANDS
 
 
@@ -33,6 +34,66 @@ def test_version_and_fixture_listing(capsys):
     for name in ("hak_toy.ini", "tent_horseshoe.ini", "three_branch_horseshoe.ini",
                  "golden_mean.ini", "thue_morse.ini", "odometer_222.ini"):
         assert name in out
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["hak-verify", "-c", "hak_toy.ini", "--outt", "x.csv"], "--outt"),
+    (["hak-verify", "-c", "hak_toy.ini", "--over", "hak.tail=0.1"], "--over"),
+    (["hak-verify", "-c", "hak_toy.ini", "x.csv"], "x.csv"),
+    (["hak-verify", "-c", "hak_toy.ini", "--out"], "--out"),
+    (["hak-verify", "-c", "--out", "x.csv"], "-c"),
+    (["horseshoe", "--map", "tent_horseshoe.ini", "--depth", "x"], "--depth"),
+    (["horseshoe", "--map", "tent_horseshoe.ini", "--k=3.0"], "--k"),
+    (["horseshoe", "-c", "tent_horseshoe.ini"], "-c"),
+    (["pattern", "--kfold", "5", "--override", "a.b=1"], "--override"),
+    (["hak-verfy", "-c", "hak_toy.ini"], "hak-verfy"),
+    (["hak-verify", "--out", "x.csv"], "-c/--config"),
+    (["horseshoe", "--depth", "3"], "--map"),
+    (["pattern"], "--kfold"),
+    ([], "no subcommand"),
+])
+def test_usage_errors_exit_3_naming_the_flag(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_lists_every_subcommand(capsys):
+    for argv in (["-h"], ["--help"]):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert len(SUBCOMMANDS) == 11
+        for name, (_, summary, flags) in SUBCOMMANDS.items():
+            assert f"  {name} " in out and summary in out
+    assert run(["horseshoe", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert "--map INI [--k K] [--depth N]" in out and "hak-verify" not in out
+
+
+def test_flags_take_their_value_after_an_equals_sign(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run(["hak-verify", f"--config={fixture_path('hak_toy.ini')}", f"--out={out}",
+                "--override=hak.tail=0.025"]) == 0
+    assert out.read_text().startswith("condition,stage,value,bound,margin,passed\n")
+    assert run(["pattern", "--kfold=3", f"--out={tmp_path / 'p.txt'}"]) == 0
+    assert (tmp_path / "p.txt").read_text() == "1,2,3,4,5,4,3,4,5,6,7\n"
+    # the last of a repeated flag counts; --k and --depth apply after every --override
+    capsys.readouterr()
+    assert run(["horseshoe", "--map", fixture_path("tent_horseshoe.ini"), "--depth", "9",
+                "--depth=0", "--override", "horseshoe.k=5", "--k", "3",
+                "--out", str(tmp_path / "h.csv")]) == 0
+    assert "k=3 depth=0 " in capsys.readouterr().out
+    # the text after the first "=" is the value, and is checked as the next word is
+    assert parse_args(["horseshoe", "--map=a=b.ini", "--k=3", "--override=chain.links=0,1",
+                       "--override", "horseshoe.depth=2"]) == (
+        "horseshoe", {"config": "a=b.ini", "k": 3, "depth": None, "out": None,
+                      "override": ["chain.links=0,1", "horseshoe.depth=2"]})
+    assert run(["horseshoe", "--map", fixture_path("tent_horseshoe.ini"), "--depth=x"]) == 3
+    assert capsys.readouterr().err == "usage error: --depth needs an integer, got 'x'\n"
 
 
 def test_pattern_prints_kfold(capsys):
@@ -204,11 +265,13 @@ def test_suspend_orbit_schema(tmp_path):
 
 
 def test_suspend_orbit_reduces_a_rounded_up_r_to_zero(tmp_path):
-    # 0.3 - 0.30000000000000004 = -2^-54, whose r - floor(r) rounds to 1.0
+    # 0.3 - 0.30000000000000004 = -2^-54, whose r - floor(r) rounds to 1.0;
+    # -0.0 - floor(-0.0) is -0.0, which the r column would write as -0
     out = tmp_path / "o.csv"
     for overrides, second in ((["map.map=rotation:-0.30000000000000004", "orbit.r=0.3"],
                                "1,0.2,0,0"),
-                              (["orbit.r=-1e-300"], "0,0.2,0,0")):
+                              (["orbit.r=-1e-300"], "0,0.2,0,0"),
+                              (["orbit.r=-0.0"], "0,0.2,0,0")):
         argv = ["suspend-orbit", "-c", fixture_path("orbit_demo.ini"), "--out", str(out),
                 "--override", "orbit.n=3"]
         for item in overrides:
@@ -698,8 +761,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
 def test_no_subcommand_loads_numpy(tmp_path):
     """Every subcommand on each of its shipped fixtures, one after another in
     one fresh interpreter; numpy must be absent after each, and so must
-    `dataclasses` and the `inspect` it imports: every record in `src/` is a
-    named tuple or a class with `__slots__`."""
+    `dataclasses` and the `inspect` it imports (every record in `src/` is a
+    named tuple or a class with `__slots__`) and `argparse` and the `gettext`
+    it imports (`cli.parse_args` reads the command line)."""
     runs = [[command, FLAG.get(command, "-c"), name]
             for command, names in OWN_FIXTURES.items() for name in names]
     runs += [["pattern", "--kfold", "5"],
@@ -709,7 +773,8 @@ def test_no_subcommand_loads_numpy(tmp_path):
              f"for argv in {runs!r}:\n"
              "    argv[2] = fixture_path(argv[2]) if argv[0] != 'pattern' else argv[2]\n"
              "    assert main(argv + ['--out', 'o.out']) in (0, 2), argv\n"
-             "    assert not {'numpy', 'dataclasses', 'inspect'} & sys.modules.keys(), argv\n")
+             "    assert not {'numpy', 'dataclasses', 'inspect', 'argparse', 'gettext'}"
+             " & sys.modules.keys(), argv\n")
     env = {**os.environ, "PYTHONPATH": str(Path(pseudosusp.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)

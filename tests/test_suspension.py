@@ -79,12 +79,12 @@ def test_normalize_examples():
 
 def test_normalize_takes_zero_where_the_floor_rounds_up_to_one():
     # -1e-300 - floor(-1e-300) rounds to 1.0: the point is (t, 0, c), as
-    # `annulus.orbit` reduces the same r
+    # `annulus.orbit` reduces the same r; -0.0 reads as 0.0, not -0.0
     sys_ = make_sys()
     c = sys_.h.random_point(4, 32)
-    for r in (-1e-300, -2.0 ** -54):
+    for r in (-1e-300, -2.0 ** -54, -0.0):
         p = normalize(sys_, 0.3, r, c, winding=5)
-        assert (p.r, p.winding) == (0.0, 5)
+        assert (p.r, p.winding) == (0.0, 5) and math.copysign(1.0, p.r) == 1.0
         assert symbols(p.c, 8) == symbols(c, 8)
 
 
