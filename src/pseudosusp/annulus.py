@@ -169,11 +169,6 @@ def orbit(m: LiftedAnnulusMap, t: float, r: float,
     return out
 
 
-def rotation_number(m: LiftedAnnulusMap, t: float = 0.5, r: float = 0.0,
-                    n_max: int = 1024) -> float:
-    return rotation_estimate(m, t, r, n_max)[-1][1]
-
-
 def rotation_family(bits: tuple[int, ...], eps: float) -> tuple[float, list[float]]:
     """Injective rotation-number family from a 0/1 word.
 

@@ -20,12 +20,6 @@ from typing import NamedTuple, Optional, Sequence
 FR = Fraction
 
 
-class PatternError(ValueError):
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
 class ChainError(ValueError):
     """Chain violates tautness/adjacency, or a refinement is infeasible."""
 
@@ -52,29 +46,12 @@ class Pattern(NamedTuple):
         return self.values[i - 1]
 
 
-def pattern_validate(values: Sequence[int], n: Optional[int] = None) -> Pattern:
-    values = tuple(int(v) for v in values)
-    if not values:
-        raise PatternError("pattern must be nonempty", 0)
-    if n is None:
-        n = max(values)
-    for i, v in enumerate(values, start=1):
-        if not 1 <= v <= n:
-            raise PatternError(f"value {v} at position {i} outside 1..{n}", i)
-    for i in range(1, len(values)):
-        # violations are reported at the left endpoint of the step (1-based)
-        if abs(values[i] - values[i - 1]) > 1:
-            raise PatternError(
-                f"step |{values[i]} - {values[i - 1]}| > 1 at position {i}", i)
-    return Pattern(values, n)
-
-
 def kfold(k: int) -> Pattern:
     """The 7-link folding pattern on 2k+5 indices; defined for odd k >= 3."""
     if k % 2 == 0 or k < 3:
         raise ValueError(f"k-fold requires an odd k >= 3, got {k}")
     # links 1-3, (k - 1)/2 swings 4,5,4,3 between links 5 and 3, then links 4-7
-    return pattern_validate((1, 2, 3) + (4, 5, 4, 3) * ((k - 1) // 2) + (4, 5, 6, 7), 7)
+    return Pattern((1, 2, 3) + (4, 5, 4, 3) * ((k - 1) // 2) + (4, 5, 6, 7), 7)
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,10 @@ def _out_path(args, cfg: RunConfig) -> str:
     return args["out"] or cfg.get("experiment", "out")
 
 
-def _suspension(cfg: RunConfig) -> SuspensionSystem:
+def _suspension(cfg: RunConfig, command: str) -> SuspensionSystem:
     from .suspension import SuspensionSystem
 
-    m = build_map(cfg)
-    h = build_cantor(cfg)
-    return SuspensionSystem(m, h, cfg.get("cantor", "window"))
+    return SuspensionSystem(_speed(cfg, command), build_cantor(cfg), cfg.get("cantor", "window"))
 
 
 def _speed(cfg: RunConfig, command: str):
@@ -136,15 +134,16 @@ def cmd_hak_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_suspend_entropy(args, cfg: RunConfig) -> int:
-    from .annulus import rotation_number
     from .suspension import product_formula_report
+    from .tower import HALF, pl_at
 
-    sys_ = _suspension(cfg)
+    sys_ = _suspension(cfg, "suspend-entropy")
     eps_list = cfg.get("experiment", "eps")
     n_list = cfg.get("experiment", "n")
     # the counts are exact; experiment.budget is only echoed in its column
     budget = cfg.get("experiment", "budget")
-    alpha = rotation_number(sys_.H)
+    # the rotation number of the orbit of t = 1/2, which the counts follow
+    alpha = float(pl_at(sys_.speed, HALF))
     rows = product_formula_report(sys_, alpha, eps_list, n_list)
     out = _out_path(args, cfg)
     _write_csv(out, {"eps": FLOAT, "n": "%s", "budget": "%s", "lower": FLOAT, "upper": FLOAT,
@@ -193,8 +192,7 @@ def cmd_mixing_witness(args, cfg: RunConfig) -> int:
         except ValueError as exc:  # the message starts with the argument, u or v
             raise ConfigError(f"witness.{exc}") from exc
     else:
-        speed = _speed(cfg, "mixing-witness")
-        sys_ = _suspension(cfg)
+        sys_ = _suspension(cfg, "mixing-witness")
 
         def ball(key):
             raw = cfg.get("witness", key)
@@ -209,7 +207,7 @@ def cmd_mixing_witness(args, cfg: RunConfig) -> int:
             c = sys_.h.random_point(seed, sys_.window)
             return (normalize(sys_, t, r, c), cfg.get("witness", f"{key}_radius"))
 
-        found = weak_mixing_witness(sys_, speed, ball("u"), ball("v"), horizon)
+        found = weak_mixing_witness(sys_, ball("u"), ball("v"), horizon)
     _write_csv(out, {"mode": "%s", "horizon": "%s", "found": BOOL, "l": "%s"},
                [(mode, horizon, found is not None, "" if found is None else found)])
     verdict = f"l={found}" if found is not None else "none within horizon"
@@ -220,7 +218,7 @@ def cmd_mixing_witness(args, cfg: RunConfig) -> int:
 def cmd_dense_orbit(args, cfg: RunConfig) -> int:
     from .suspension import dense_orbit_check
 
-    sys_ = _suspension(cfg)
+    sys_ = _suspension(cfg, "dense-orbit")
     seed, eps, k_max, s_max, p_max = (cfg.get("dense", key)
                                       for key in ("seed", "eps", "k_max", "s_max", "p_max"))
     t, r = cfg.get("orbit", "t"), cfg.get("orbit", "r")

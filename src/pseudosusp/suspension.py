@@ -2,11 +2,11 @@
 
 Points of the quotient are normalized representatives (t, r, c) with
 r in [0,1): shifting r by an integer n trades exactly against applying the
-n-th power of the Cantor homeomorphism to c.  The step map applies the lifted
-annulus map to (t, r) and renormalizes; the accumulated winding identifies
-which power of h acts on the point's seed, so pseudo-component bookkeeping
-is exact by construction.  Everything here runs on floats, ints and exact
-fractions.
+n-th power of the Cantor homeomorphism to c.  The map fixes t and moves r by
+its exact speed P(t) (a `tower.PL`), so n steps carry (t, r, c) to
+(t, r + n*P(t) - k, h^k(c)), k = floor(r + n*P(t)): every search and count
+here reads P, never a stepped orbit.  Everything here runs on floats, ints
+and exact fractions.
 """
 
 from __future__ import annotations
@@ -16,33 +16,28 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .annulus import LiftedAnnulusMap
 from .cantor import CantorPoint, CantorSystem, depth_for
 from .config import CapacityError
+from .tower import HALF, PL, pl_at
 
 
 class SuspensionPoint(NamedTuple):
     t: float
     r: float
     c: CantorPoint
-    seed: CantorPoint
-    winding: int = 0
 
 
-class SuspensionSystem:
-    """Lifted annulus map over a Cantor system.
+class SuspensionSystem(NamedTuple):
+    """The suspension of h under the map that fixes t and moves r by the
+    exact speed P, the continuous PL function whose (x, y) breakpoints from
+    0 to 1 are `speed`; `window` is the Cantor symbol window W."""
 
-    All dynamics here is pure: `dense_orbit_check` follows one point, and
-    `weak_mixing_witness` decides its question on whole balls."""
-
-    def __init__(self, H: LiftedAnnulusMap, h: CantorSystem, window: int = 32):
-        self.H = H
-        self.h = h
-        self.window = window
+    speed: PL
+    h: CantorSystem
+    window: int = 32
 
 
-def normalize(sys: SuspensionSystem, t: float, r: float, c: CantorPoint,
-              seed: CantorPoint | None = None, winding: int = 0) -> SuspensionPoint:
+def normalize(sys: SuspensionSystem, t: float, r: float, c: CantorPoint) -> SuspensionPoint:
     """Fundamental-domain representative: (t, r, c) -> (t, r - k, h^k(c)),
     k = floor(r); ties at integers resolve downward.  An r in [-2^-54, 0),
     whose r - k rounds to 1.0, takes r = 0 and k one more."""
@@ -50,7 +45,7 @@ def normalize(sys: SuspensionSystem, t: float, r: float, c: CantorPoint,
     r = r - k + 0.0  # + 0.0 reads an r of -0.0 as 0.0
     if r == 1.0:
         r, k = 0.0, k + 1
-    return SuspensionPoint(t, r, sys.h.power(c, k), c if seed is None else seed, winding + k)
+    return SuspensionPoint(t, r, sys.h.power(c, k))
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +58,15 @@ def dense_orbit_check(sys: SuspensionSystem, c: CantorPoint,
     """Search for (k, s, p) witnessing the two dense-orbit hypotheses:
     the backward k-orbit of c passes eps-close to every Cantor point within p
     steps, and the s-step annulus orbit advances by k per block within eps.
-    Returns the first witness triple or None."""
+    Returns the first witness triple or None.
+
+    The map fixes t0, so after j blocks of s steps r has moved by
+    j*s*P(t0), at distance j*|s*P(t0) - k| from r0 + k*j; the largest, at
+    j = p, is below eps exactly when p*|s*P(t0) - k| is."""
     positions = sys.h.positions(depth_for(eps))
     # every legal pattern at the positions read: an eps-net of the Cantor set
     net = set(sys.h.words(len(positions)))
-    t0, r0 = tr
+    speed = pl_at(sys.speed, Fraction(tr[0]))
     for k in range(1, k_max + 1):
         unseen = set(net)
         cur = c
@@ -81,15 +80,7 @@ def dense_orbit_check(sys: SuspensionSystem, c: CantorPoint,
         if p_cover is None:
             continue
         for s in range(1, s_max + 1):
-            ok = True
-            t_cur, r_cur = t0, r0
-            for j in range(1, p_cover + 1):
-                for _ in range(s):
-                    t_cur, r_cur = sys.H.apply(t_cur, r_cur)
-                if abs(t_cur - t0) + abs(r_cur - (r0 + k * j)) >= eps:
-                    ok = False
-                    break
-            if ok:
+            if p_cover * abs(s * speed - k) < eps:
                 return (k, s, p_cover)
     return None
 
@@ -98,7 +89,7 @@ def dense_orbit_check(sys: SuspensionSystem, c: CantorPoint,
 # weak-mixing witness search
 # ---------------------------------------------------------------------------
 
-def weak_mixing_witness(sys: SuspensionSystem, speed, U: tuple[SuspensionPoint, float],
+def weak_mixing_witness(sys: SuspensionSystem, U: tuple[SuspensionPoint, float],
                         V: tuple[SuspensionPoint, float], horizon: int):
     """The Banks criterion, decided exactly: the least l <= horizon at which
     H^l(U) meets U and H^l(U) meets V, or None.
@@ -106,9 +97,8 @@ def weak_mixing_witness(sys: SuspensionSystem, speed, U: tuple[SuspensionPoint, 
     U and V are (centre, radius) open balls of the quotient distance: the
     least, over deck shifts s in {-1, 0, 1}, of the larger of the strip
     distance |t - t'| + |r - (r' + s)| and the Cantor distance to h^-s of
-    the centre's Cantor coordinate.  H fixes t and moves r by P(t), the
-    continuous PL function whose exact (x, y) breakpoints from 0 to 1 are
-    `speed` (a `tower.PL`).
+    the centre's Cantor coordinate.  H fixes t and moves r by the speed
+    P(t) of `sys`.
 
     A point (t, r, c) of U, near the centre under shift s', goes to
     (t, r + l*P(t) - k, h^k(c)), k its winding.  For each k and shifts s'
@@ -126,7 +116,7 @@ def weak_mixing_witness(sys: SuspensionSystem, speed, U: tuple[SuspensionPoint, 
     # P(t) = m*t + c on the piece [x0, x1], with P's least and largest value
     # there as (numerator, denominator)
     pieces = []
-    for (x0, y0), (x1, y1) in zip(speed, speed[1:]):
+    for (x0, y0), (x1, y1) in zip(sys.speed, sys.speed[1:]):
         x0, y0, x1, y1 = (Fraction(v) for v in (x0, y0, x1, y1))
         m = (y1 - y0) / (x1 - x0)
         pieces.append(((x0, x1, m, y0 - m * x0), min(y0, y1).as_integer_ratio(),
@@ -222,20 +212,17 @@ def _feasible(rows) -> bool:
 
 def _seen_positions(sys: SuspensionSystem, scale: float, n: int) -> tuple[int, list[int]]:
     """D and the sorted symbol positions S = union of [w_i - D, w_i + D] that
-    the Bowen windows read, w_i the windings of the annulus orbit of
-    (0.5, 0.0) over n steps.  The window W caps D only: `class_counts` reads
-    any position, so a winding may exceed W."""
+    the Bowen windows read, w_i = floor(i*P(1/2)) the windings of the orbit
+    of (0.5, 0.0) over n steps, exact in integers.  The window W caps D
+    only: `class_counts` reads any position, so a winding may exceed W."""
     if not scale < 1.0:
         raise ValueError(f"entropy scale {scale!r} must be below 1: at scale 1 "
                          "the deck shifts +-1 come within reach")
     if scale < 2.0 ** (-(sys.window - 2)):
         raise CapacityError("scale below window resolution; increase W")
     D = min(depth_for(scale), sys.window)
-    windings = []
-    t, r = 0.5, 0.0
-    for _ in range(n):
-        windings.append(math.floor(r))
-        t, r = (float(x) for x in sys.H.apply(t, r))
+    num, den = pl_at(sys.speed, HALF).as_integer_ratio()
+    windings = {i * num // den for i in range(n)}
     return D, sorted({p for w in windings for p in range(w - D, w + D + 1)})
 
 
@@ -244,9 +231,8 @@ def _cylinder_counts(sys: SuspensionSystem, scale: float, n: int) -> dict:
     count depends on (see the system's `class_counts`).
 
     Every point of the Bowen sample shares the annulus orbit of (0.5, 0.0),
-    so the strip term of a pair under deck shift s is |s|, at least
-    1 - 2^-53 for s = +-1 in floating point.  At a scale below 1 only s = 0
-    counts, and two points of one cylinder are Bowen-close exactly when they
+    so the strip term of a pair under deck shift s is |s|.  At a scale
+    below 1 only s = 0 counts, and two points of one cylinder are Bowen-close exactly when they
     agree on the seen positions S: the count is the number of admissible
     fillings of the free positions, S minus the core [-D, D], which the
     system's `class_counts` gives exactly."""

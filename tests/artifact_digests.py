@@ -119,6 +119,13 @@ OVERRIDES = [
     ("suspend-orbit", "orbit_demo.ini", ["map.map=rotation:-0.30000000000000004",
                                          "orbit.r=0.3", "orbit.n=3"]),
     ("suspend-orbit", "orbit_demo.ini", ["orbit.r=-1e-300", "orbit.n=3"]),
+    # the bracket at speed 1/10, whose orbit of t = 1/2 winds at step 10
+    # where ten float additions of 0.1 stay below 1, and a reparam, which
+    # moves t, in each command that reads the exact speed
+    ("suspend-entropy", "entropy_unit.ini", ["map.map=rotation:0.1", "experiment.n=11",
+                                             "experiment.eps=0.25"]),
+    ("suspend-entropy", "entropy_unit.ini", ["map.map=reparam:0,0;0.5,0.7;1,1"]),
+    ("dense-orbit", "dense_demo.ini", ["map.map=rotation:0.5|reparam:0,0;0.5,0.7;1,1"]),
 ]
 
 # horseshoe certificates at depth 0, at the benchmark's depths, mirrored by

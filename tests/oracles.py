@@ -3,7 +3,8 @@ applied to float arrays, the orbit stepped by `apply` alone, the circle
 distance of float arrays, the deck equivariance defect and displacement
 bound of an annulus map, conjugacy invariance of rotation estimates, word
 recurrence gaps of a Cantor point, the key of a cylinder's Bowen class
-count, the quotient's step, distance and winding rate, the sampled and the
+count, the quotient's step, distance and winding rate under a float map,
+the dense-orbit search that steps that map, the sampled and the
 brute-force weak-mixing witness, near-identity return times on the
 quotient, and the rigidity margins of a staged tower.  Also the canned
 systems, maps and chains that only tests build, and map inversion.  Shared
@@ -200,10 +201,10 @@ def core_key(h: CantorSystem, core: tuple[int, ...]) -> tuple[int, ...]:
     return core
 
 
-def rigidity_suspension(sys: SuspensionSystem, grid: int, horizon: int,
+def rigidity_suspension(sys: SuspensionSystem, m: LiftedAnnulusMap, grid: int, horizon: int,
                         eps: float, seed: int = 0) -> list[tuple[int, float]]:
-    """All n <= horizon with sup quotient displacement < eps over a grid of
-    start points sharing one seeded Cantor coordinate."""
+    """All n <= horizon with sup quotient displacement < eps under the map m
+    over a grid of start points sharing one seeded Cantor coordinate."""
     c0 = sys.h.random_point(seed, sys.window)
     t0 = np.linspace(0.05, 0.95, grid)
     r0 = np.linspace(0.0, 1.0, grid, endpoint=False)
@@ -222,7 +223,7 @@ def rigidity_suspension(sys: SuspensionSystem, grid: int, horizon: int,
 
     qualifying = []
     for n in range(1, horizon + 1):
-        t, rlift = apply_arrays(sys.H, t, rlift)
+        t, rlift = apply_arrays(m, t, rlift)
         w = np.floor(rlift).astype(int)
         worst = 0.0
         for j in range(len(tt)):
@@ -255,9 +256,13 @@ def rigidity_margins(stages: list[HAKStage],
 # the quotient point by point, and the weak-mixing witness
 # ---------------------------------------------------------------------------
 
-def step(sys: SuspensionSystem, p: SuspensionPoint) -> SuspensionPoint:
-    t2, r2 = sys.H.apply(p.t, p.r)
-    return normalize(sys, float(t2), float(r2), p.c, p.seed, p.winding)
+def step(sys: SuspensionSystem, m: LiftedAnnulusMap,
+         p: SuspensionPoint) -> tuple[SuspensionPoint, int]:
+    """One step of the float map m on the quotient point p, and the winding
+    k it adds: the image is (t', r' - k, h^k(c)), (t', r') = m(t, r)."""
+    t2, r2 = m.apply(p.t, p.r)
+    q = normalize(sys, float(t2), float(r2), p.c)
+    return q, round(r2 - q.r)
 
 
 def quotient_distance(sys: SuspensionSystem, p: SuspensionPoint,
@@ -273,10 +278,46 @@ def quotient_distance(sys: SuspensionSystem, p: SuspensionPoint,
     return best
 
 
-def winding_rate(sys: SuspensionSystem, p0: SuspensionPoint,
+def winding_rate(m: LiftedAnnulusMap, p0: SuspensionPoint,
                  n: int) -> list[tuple[int, float]]:
-    """w_k/k along the orbit: an independent rotation-number estimate."""
-    return [(k, w / k) for k, (_, _, w) in enumerate(orbit(sys.H, p0.t, p0.r, n)[1:], start=1)]
+    """w_k/k along the orbit under m: an independent rotation-number
+    estimate."""
+    return [(k, w / k) for k, (_, _, w) in enumerate(orbit(m, p0.t, p0.r, n)[1:], start=1)]
+
+
+def stepped_dense_orbit(sys: SuspensionSystem, m: LiftedAnnulusMap, c: CantorPoint,
+                        tr: tuple[float, float], eps: float,
+                        k_max: int, s_max: int, p_max: int):
+    """`dense_orbit_check` with its annulus half stepped by the float map m:
+    for each j <= p, j blocks of s steps of m must carry (t0, r0) to within
+    eps of (t0, r0 + k*j)."""
+    positions = sys.h.positions(depth_for(eps))
+    net = set(sys.h.words(len(positions)))
+    t0, r0 = tr
+    for k in range(1, k_max + 1):
+        unseen = set(net)
+        cur = c
+        p_cover = None
+        for i in range(p_max + 1):
+            unseen.discard(tuple(cur.symbol_at(j) for j in positions))
+            if not unseen:
+                p_cover = i
+                break
+            cur = sys.h.power(cur, -k)
+        if p_cover is None:
+            continue
+        for s in range(1, s_max + 1):
+            ok = True
+            t_cur, r_cur = t0, r0
+            for j in range(1, p_cover + 1):
+                for _ in range(s):
+                    t_cur, r_cur = m.apply(t_cur, r_cur)
+                if abs(t_cur - t0) + abs(r_cur - (r0 + k * j)) >= eps:
+                    ok = False
+                    break
+            if ok:
+                return (k, s, p_cover)
+    return None
 
 
 def splice_point(h: CantorSystem, base: CantorPoint, D: int, rng: random.Random,
@@ -290,10 +331,10 @@ def splice_point(h: CantorSystem, base: CantorPoint, D: int, rng: random.Random,
     return h.splice(base, D, rng, W)
 
 
-def sampled_witness(sys: SuspensionSystem, U, V, horizon: int, cloud_size: int = 64,
-                    seed: int = 0):
+def sampled_witness(sys: SuspensionSystem, m: LiftedAnnulusMap, U, V, horizon: int,
+                    cloud_size: int = 64, seed: int = 0):
     """The sampled weak-mixing search: a seeded cloud of points of U near its
-    centre, stepped point by point; the least l at which some point is back
+    centre, stepped point by point by m; the least l at which some point is back
     in U and some point is in V, or None.  Every hit is a point of U whose
     l-th iterate lies in the ball, so the exact witness is at most this l
     (up to float rounding in the steps)."""
@@ -309,14 +350,14 @@ def sampled_witness(sys: SuspensionSystem, U, V, horizon: int, cloud_size: int =
         if quotient_distance(sys, p, cu) < ru:
             cloud.append(p)
     for l in range(1, horizon + 1):
-        cloud = [step(sys, p) for p in cloud]
+        cloud = [step(sys, m, p)[0] for p in cloud]
         if (any(quotient_distance(sys, p, cu) < ru for p in cloud)
                 and any(quotient_distance(sys, p, cv) < rv for p in cloud)):
             return l
     return None
 
 
-def brute_force_witness(sys: SuspensionSystem, speed, U, V, horizon: int):
+def brute_force_witness(sys: SuspensionSystem, U, V, horizon: int):
     """The weak-mixing witness from the definitions, by brute force: the
     least l <= horizon at which some point of U has its l-th iterate in U
     and some point of U has it in V.
@@ -327,16 +368,16 @@ def brute_force_witness(sys: SuspensionSystem, speed, U, V, horizon: int):
     of their line arrangement in Fractions (`strip_meets`), and the
     cylinder part by `cylinders_meet`."""
     for l in range(1, horizon + 1):
-        if _image_meets(sys, speed, U, U, l) and _image_meets(sys, speed, U, V, l):
+        if _image_meets(sys, U, U, l) and _image_meets(sys, U, V, l):
             return l
     return None
 
 
-def _image_meets(sys, speed, U, B, l: int) -> bool:
+def _image_meets(sys, U, B, l: int) -> bool:
     (cu, ru), (cq, rq) = U, B
     u = tuple(Fraction(x) for x in (cu.t, cu.r, ru))
     q = tuple(Fraction(x) for x in (cq.t, cq.r, rq))
-    for (x0, y0), (x1, y1) in zip(speed, speed[1:]):
+    for (x0, y0), (x1, y1) in zip(sys.speed, sys.speed[1:]):
         x0, y0, x1, y1 = (Fraction(v) for v in (x0, y0, x1, y1))
         m = (y1 - y0) / (x1 - x0)
         lo, hi = sorted((l * y0, l * y1))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam,
                                 RigidRotation, Twist, rotation_estimate, rotation_family)
 from pseudosusp.cantor import FullShift, Odometer
-from pseudosusp.chains import horseshoe_extract, kfold, pattern_validate
+from pseudosusp.chains import horseshoe_extract, kfold
 from pseudosusp.cli import fixture_path, main
 from pseudosusp.config import build_stages, load_config
 from pseudosusp.suspension import (SuspensionSystem, entropy_separated,
@@ -33,26 +33,31 @@ def rot(beta: float) -> LiftedAnnulusMap:
     return LiftedAnnulusMap((RigidRotation(beta),))
 
 
+def speed(beta: float):
+    """The exact speed of a rotation by beta."""
+    return ((Fraction(0), Fraction(beta)), (Fraction(1), Fraction(beta)))
+
+
 # ---------------------------------------------------------------------------
 # 1. entropy product-formula bracket
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_entropy_bracket():
     t0 = time.time()
-    sys_half = SuspensionSystem(rot(0.5), FullShift(2), 32)
+    sys_half = SuspensionSystem(speed(0.5), FullShift(2), 32)
     lower = entropy_separated(sys_half, 1 / 16, 12)
     upper = entropy_spanning(sys_half, 1 / 16, 12)
     t_half = time.time() - t0
     ok_half = lower >= 0.20 and upper <= 0.55 and lower <= upper and t_half <= 60
 
     t0 = time.time()
-    sys_zero = SuspensionSystem(rot(0.0), FullShift(2), 32)
+    sys_zero = SuspensionSystem(speed(0.0), FullShift(2), 32)
     upper_zero = entropy_spanning(sys_zero, 1 / 16, 12)
     t_zero = time.time() - t0
     ok_zero = upper_zero <= 0.05 and t_zero <= 60
 
     t0 = time.time()
-    sys_odo = SuspensionSystem(rot(0.5), Odometer((2,) * 8), 32)
+    sys_odo = SuspensionSystem(speed(0.5), Odometer((2,) * 8), 32)
     upper_odo = entropy_spanning(sys_odo, 1 / 16, 12)
     t_odo = time.time() - t0
     ok_odo = upper_odo <= 0.05 and t_odo <= 60
@@ -72,10 +77,10 @@ def test_criterion_1_entropy_bracket():
 def test_criterion_2_linearity_in_alpha():
     t0 = time.time()
     h = FullShift(2)
-    lo_half = entropy_separated(SuspensionSystem(rot(0.5), h, 32), 1 / 16, 12)
-    lo_unit = entropy_separated(SuspensionSystem(rot(1.0), h, 32), 1 / 16, 12)
-    up_half = entropy_spanning(SuspensionSystem(rot(0.5), h, 32), 1 / 16, 12)
-    up_unit = entropy_spanning(SuspensionSystem(rot(1.0), h, 32), 1 / 16, 12)
+    lo_half = entropy_separated(SuspensionSystem(speed(0.5), h, 32), 1 / 16, 12)
+    lo_unit = entropy_separated(SuspensionSystem(speed(1.0), h, 32), 1 / 16, 12)
+    up_half = entropy_spanning(SuspensionSystem(speed(0.5), h, 32), 1 / 16, 12)
+    up_unit = entropy_spanning(SuspensionSystem(speed(1.0), h, 32), 1 / 16, 12)
     elapsed = time.time() - t0
     r_lo = lo_unit / lo_half
     r_up = up_unit / up_half
@@ -101,9 +106,9 @@ def test_criterion_3_rotation_convergence():
 
     composite = LiftedAnnulusMap((RigidRotation(0.3),
                                   Twist(Profile(((0.0, 0.11), (1.0, 0.4))))))
-    sys_ = SuspensionSystem(composite, FullShift(2), 32)
+    sys_ = SuspensionSystem(None, FullShift(2), 32)  # `winding_rate` steps the map itself
     c = sys_.h.random_point(7, 32)
-    rates = winding_rate(sys_, normalize(sys_, 0.0, 0.0, c), 10_000)
+    rates = winding_rate(composite, normalize(sys_, 0.0, 0.0, c), 10_000)
     ests = rotation_estimate(composite, 0.0, 0.0, 10_000)
     worst_gap = max(abs(rate - est) * k
                     for (k, rate), (_, est) in zip(rates, ests))
@@ -152,7 +157,7 @@ def test_criterion_4_hak_toy_and_mutants(tmp_path):
 
 def test_criterion_5_quotient_algebra():
     t0 = time.time()
-    sys_ = SuspensionSystem(rot(0.6), FullShift(2), 32)
+    sys_ = SuspensionSystem(speed(0.6), FullShift(2), 32)
     rng = random.Random(77)
     ok = True
     seed_pts = [sys_.h.random_point(s, 32) for s in range(40)]
@@ -165,22 +170,27 @@ def test_criterion_5_quotient_algebra():
         ok &= other.t == ref.t and abs(other.r - ref.r) < 1e-9
         ok &= cantor_metric(other.c, ref.c, 8) == 0.0
 
-        before = step(sys_, ref)
-        t2, r2 = sys_.H.apply(t, r)
+        before, _ = step(sys_, rot(0.6), ref)
+        t2, r2 = rot(0.6).apply(t, r)
         after = normalize(sys_, float(t2), float(r2), c)
-        ok &= abs(before.r - after.r) < 1e-9 and before.winding == after.winding
+        ok &= abs(before.r - after.r) < 1e-9
         ok &= cantor_metric(before.c, after.c, 8) == 0.0
     ok_algebra = ok
 
+    # the windings that `step` adds keep each point on its pseudo-component:
+    # after windings w in all, the Cantor coordinate is h^w of the start's
     p = normalize(sys_, 0.3, 0.2, seed_pts[0])
+    w = 0
     ok_fiber = True
     ok_component = True
     for _ in range(1000):
-        q = step(sys_, p)
-        t2, r2 = sys_.H.apply(p.t, p.r)
+        q, k = step(sys_, rot(0.6), p)
+        w += k
+        t2, r2 = rot(0.6).apply(p.t, p.r)
         ok_fiber &= abs(q.t - t2) < 1e-9
-        ok_fiber &= abs((q.r + (q.winding - p.winding)) - r2) < 1e-9
-        ok_component &= q.seed is p.seed
+        ok_fiber &= abs((q.r + k) - r2) < 1e-9
+        ok_component &= cantor_metric(q.c, sys_.h.power(p.c, k), 8) == 0.0
+        ok_component &= cantor_metric(q.c, sys_.h.power(seed_pts[0], w), 8) == 0.0
         p = q
     elapsed = time.time() - t0
     report(5, ok_algebra and ok_fiber and ok_component and elapsed <= 5,
@@ -198,7 +208,8 @@ def test_criterion_6_kfold():
     ok_valid = True
     for k in range(3, 22, 2):
         pat = kfold(k)
-        pattern_validate(pat.values, 7)
+        ok_valid &= all(1 <= v <= 7 for v in pat.values) and pat.n == 7
+        ok_valid &= all(abs(b - a) == 1 for a, b in zip(pat.values, pat.values[1:]))
         ok_valid &= pat.m == 2 * k + 5 and pat.values[-1] == 7
     try:
         kfold(4)

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, Profile,
                                 RadialReparam, RigidRotation, Twist, cover_lift,
-                                fixes_t, orbit, rotation_estimate, rotation_family,
-                                rotation_number)
+                                fixes_t, orbit, rotation_estimate, rotation_family)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import ConfigError, build_stages, load_config
 from pseudosusp.tower import (circle_sup, hak_verify, pl_sum,
@@ -606,8 +605,8 @@ def test_family_validation():
 # ---------------------------------------------------------------------------
 
 def test_cover_lift_rotation_numbers():
-    assert rotation_number(cover_lift(rot(0.0), 3, 1)) == pytest.approx(1 / 3, abs=1e-12)
-    assert rotation_number(cover_lift(rot(0.5), 2, 0)) == pytest.approx(1 / 4, abs=1e-12)
+    for m, alpha in ((cover_lift(rot(0.0), 3, 1), 1 / 3), (cover_lift(rot(0.5), 2, 0), 1 / 4)):
+        assert rotation_estimate(m, 0.5, 0.0, 1024)[-1][1] == pytest.approx(alpha, abs=1e-12)
 
 
 def test_cover_lift_identity_case():

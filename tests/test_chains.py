@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudosusp import chains
-from pseudosusp.chains import (ChainCover, ChainError, IntervalChain,
-                               PatternError, PLMap, Rect,
+from pseudosusp.chains import (ChainCover, ChainError, IntervalChain, PLMap, Rect,
                                StretchPreconditionError, _merge_intervals,
                                _pullback, essential_seven_chain,
-                               horseshoe_extract, kfold, pattern_validate,
+                               horseshoe_extract, kfold,
                                refine_chain, render_chains, stretch_check)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import build_interval_chain, build_plmap, load_config
@@ -28,15 +27,6 @@ from oracles import full_branch_middle_map, tent_map, tent_seven_chain, uniform_
 # ---------------------------------------------------------------------------
 # patterns
 # ---------------------------------------------------------------------------
-
-def test_pattern_validate_examples():
-    assert pattern_validate((1, 2, 3, 2, 1)).values == (1, 2, 3, 2, 1)
-    assert pattern_validate((1, 1, 1)).values == (1, 1, 1)
-    # the offending step is reported at its left endpoint
-    with pytest.raises(PatternError) as err:
-        pattern_validate((1, 3))
-    assert err.value.index == 1
-
 
 def test_kfold_three_exact():
     assert kfold(3).values == (1, 2, 3, 4, 5, 4, 3, 4, 5, 6, 7)
@@ -65,7 +55,8 @@ def test_kfold_combinatorics(k):
     assert p.values[2 * k + 3] == 6
     assert sum(1 for v in p.values if v == 3) == (k + 1) // 2
     assert sum(1 for v in p.values if v == 5) == (k + 1) // 2
-    pattern_validate(p.values, 7)  # unit steps throughout
+    assert p.n == 7 and all(1 <= v <= 7 for v in p.values)
+    assert all(abs(b - a) == 1 for a, b in zip(p.values, p.values[1:]))  # unit steps
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,22 @@ def test_suspend_entropy_reads_no_seed_and_no_window(tmp_path):
     assert float(row["lower"]) == pytest.approx(math.log(144) / 12, rel=1e-8)
 
 
+def test_suspend_entropy_winds_on_the_exact_speed(tmp_path, capsys):
+    """At speed 1/10 the orbit of t = 1/2 winds once, at step 10: ten float
+    additions of 0.1 reach only 0.9999999999999999, but floor(10 * 1/10) is
+    1.  So n = 11 sees two windows, and the full 2-shift has log 2/11 at
+    eps 1/4 and eps/2 alike; alpha is 1/10 exactly."""
+    out = tmp_path / "e.csv"
+    assert run(["suspend-entropy", "-c", fixture_path("entropy_unit.ini"),
+                "--override", "map.map=rotation:0.1", "--override", "experiment.n=11",
+                "--override", "experiment.eps=0.25", "--out", str(out)]) == 0
+    assert "bracket [0.0630133801, 0.0630133801]" in capsys.readouterr().out
+    row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+    assert float(row["lower"]) == float(row["upper"]) == pytest.approx(math.log(2) / 11,
+                                                                       rel=1e-8)
+    assert row["alpha"] == "0.1"
+
+
 def test_suspend_entropy_rejects_unit_scale(tmp_path, capsys):
     assert run(["suspend-entropy", "-c", fixture_path("entropy_unit.ini"),
                 "--override", "experiment.eps=1",
@@ -573,6 +589,10 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
             ("rigidity", "rigidity_golden.ini", "experiment.grid=0", "experiment.grid"),
             ("rigidity", "rigidity_golden.ini", "experiment.grid=24", "experiment.grid"),
             ("rigidity", "rigidity_golden.ini", "map.map=reparam:0,0;0.5,0.7;1,1", "map.map"),
+            ("suspend-entropy", "entropy_unit.ini", "map.map=reparam:0,0;0.5,0.7;1,1",
+             "map.map"),
+            ("dense-orbit", "dense_demo.ini", "map.map=rotation:0.5|reparam:0,0;0.5,0.7;1,1",
+             "map.map"),
             ("suspend-orbit", "orbit_demo.ini", "map.map=rotation:0.1|cover:2,1|cover:3,0",
              "map.map"),
             ("mixing-witness", "golden_mean.ini", "cantor.adjacency=2,1;1,0",
@@ -714,7 +734,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     `hak-verify` and `rigidity` are exact and load only `cli`, `config` and
     `tower`, whose records are named tuples: no `dataclasses` either.
     `suspend-orbit` follows the annulus map alone and loads neither
-    `cantor` nor `suspension`."""
+    `cantor` nor `suspension`.  The suspension commands read the exact
+    speed from `tower` and load no `annulus`."""
     run_main = "from pseudosusp.cli import fixture_path, main\nassert main({}) == 0"
     layers = {"pseudosusp.annulus", "pseudosusp.cantor", "pseudosusp.chains",
               "pseudosusp.suspension"}
@@ -751,9 +772,10 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
              {"numpy", "pseudosusp.cantor", "pseudosusp.suspension"}),
             ("import pseudosusp.chains", {"numpy", "pseudosusp.cantor"})):
         assert not absent & _modules_after(code, tmp_path), code
-    # a suspension command builds its map without compiling or loading tower
-    assert "pseudosusp.tower" not in _modules_after(command("dense-orbit", "dense_demo.ini"),
-                                                    tmp_path)
+    for code in (command("suspend-entropy", "entropy_unit.ini"),
+                 command("dense-orbit", "dense_demo.ini"),
+                 command("mixing-witness", "witness_fullshift.ini")):
+        assert "pseudosusp.annulus" not in _modules_after(code, tmp_path), code
     # the probe sees numpy when something loads it
     assert "numpy" in _modules_after("import numpy", tmp_path)
 

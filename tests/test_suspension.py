@@ -18,27 +18,23 @@ from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidR
                                 Twist, cover_lift, orbit, rotation_estimate)
 from pseudosusp.cantor import (FullShift, Odometer, OdometerPoint, SFT, Substitution,
                                cantor_metric, _language_words)
+from pseudosusp.cli import _speed
+from pseudosusp.config import build_map, load_config
 from pseudosusp.suspension import (CapacityError, SuspensionPoint, SuspensionSystem,
-                                   _cylinder_counts, _strip_meets,
+                                   _cylinder_counts, _seen_positions, _strip_meets,
                                    dense_orbit_check, depth_for, entropy_separated,
                                    entropy_spanning, normalize, product_formula_report,
                                    weak_mixing_witness)
+from pseudosusp.tower import HALF, pl_at
 
 from oracles import (brute_force_witness, core_key, cylinders_meet, golden_mean_sft,
                      quotient_distance, rigidity_suspension, sampled_witness, splice_point,
-                     step, stepped_orbit, strip_meets, thue_morse, winding_rate)
+                     step, stepped_dense_orbit, stepped_orbit, strip_meets, thue_morse,
+                     winding_rate)
 
 
 def rot(beta):
     return LiftedAnnulusMap((RigidRotation(beta),))
-
-
-def make_sys(beta=0.5, h=None, window=32):
-    return SuspensionSystem(rot(beta), h or FullShift(2), window)
-
-
-def symbols(c, W):
-    return [c.symbol_at(i) for i in range(-W, W + 1)]
 
 
 def constant(beta):
@@ -46,15 +42,31 @@ def constant(beta):
     return ((Fraction(0), Fraction(beta)), (Fraction(1), Fraction(beta)))
 
 
+def make_sys(beta=0.5, h=None, window=32):
+    """The suspension of h under the rotation by beta, at its exact speed."""
+    return SuspensionSystem(constant(beta), h or FullShift(2), window)
+
+
+def symbols(c, W):
+    return [c.symbol_at(i) for i in range(-W, W + 1)]
+
+
 GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def twist_speed(beta, points):
+    """The exact speed of a twist through `points` followed by a rotation
+    by beta."""
+    return tuple((Fraction(x), Fraction(y) + Fraction(beta)) for x, y in points)
+
+
 # each map with its exact speed, the sum of its pieces
 MAPS = [
     (rot(0.5), constant(0.5)),
     (rot(GOLDEN), constant(GOLDEN)),
     (LiftedAnnulusMap((Twist(Profile(((0.0, 0.11), (0.5, 0.6), (1.0, 0.4)))),
                        RigidRotation(0.3))),
-     tuple((Fraction(x), Fraction(y) + Fraction(0.3))
-           for x, y in ((0.0, 0.11), (0.5, 0.6), (1.0, 0.4)))),
+     twist_speed(0.3, ((0.0, 0.11), (0.5, 0.6), (1.0, 0.4)))),
 ]
 
 
@@ -66,15 +78,15 @@ def test_normalize_examples():
     sys_ = make_sys()
     c = sys_.h.random_point(4, 32)
     p = normalize(sys_, 0.3, 2.7, c)
-    assert (p.t, p.winding) == (0.3, 2)
-    assert p.r == pytest.approx(0.7)
+    assert p.t == 0.3 and p.r == pytest.approx(0.7)
     for i in range(-8, 9):
         assert p.c.symbol_at(i) == c.symbol_at(i + 2)
 
     p2 = normalize(sys_, 0.3, -0.4, c)
-    assert (p2.winding, p2.r) == (-1, pytest.approx(0.6))
+    assert p2.r == pytest.approx(0.6)
+    assert symbols(p2.c, 8) == symbols(sys_.h.power(c, -1), 8)
     p3 = normalize(sys_, 0.5, 0.5, c)
-    assert (p3.winding, p3.r) == (0, 0.5)
+    assert p3 == (0.5, 0.5, c)
 
 
 def test_normalize_takes_zero_where_the_floor_rounds_up_to_one():
@@ -83,8 +95,8 @@ def test_normalize_takes_zero_where_the_floor_rounds_up_to_one():
     sys_ = make_sys()
     c = sys_.h.random_point(4, 32)
     for r in (-1e-300, -2.0 ** -54, -0.0):
-        p = normalize(sys_, 0.3, r, c, winding=5)
-        assert (p.r, p.winding) == (0.0, 5) and math.copysign(1.0, p.r) == 1.0
+        p = normalize(sys_, 0.3, r, c)
+        assert p.r == 0.0 and math.copysign(1.0, p.r) == 1.0
         assert symbols(p.c, 8) == symbols(c, 8)
 
 
@@ -92,15 +104,14 @@ def test_step_example_and_identity():
     sys6 = make_sys(0.6)
     c = sys6.h.random_point(4, 32)
     p = normalize(sys6, 0.2, 0.9, c)
-    q = step(sys6, p)
-    assert q.t == 0.2 and q.r == pytest.approx(0.5) and q.winding == 1
+    q, k = step(sys6, rot(0.6), p)
+    assert q.t == 0.2 and q.r == pytest.approx(0.5) and k == 1
     for i in range(-8, 9):
         assert q.c.symbol_at(i) == c.symbol_at(i + 1)
 
     sys0 = make_sys(0.0)
     p0 = normalize(sys0, 0.4, 0.3, c)
-    q0 = step(sys0, p0)
-    assert (q0.t, q0.r, q0.winding) == (p0.t, p0.r, 0)
+    assert step(sys0, rot(0.0), p0) == (p0, 0)
 
 
 def test_winding_closed_form():
@@ -109,9 +120,11 @@ def test_winding_closed_form():
     alpha, r0 = 0.37, 0.215
     sys_ = make_sys(alpha)
     p = normalize(sys_, 0.5, r0, sys_.h.random_point(9, 32))
+    w = 0
     for k in range(1, 200):
-        p = step(sys_, p)
-        assert p.winding == math.floor(k * alpha + r0)
+        p, dw = step(sys_, rot(alpha), p)
+        w += dw
+        assert w == math.floor(k * alpha + r0)
 
 
 def test_quotient_distance_examples():
@@ -148,12 +161,11 @@ def test_step_normalize_commutation():
     for seed in range(0, 200, 3):
         c = sys_.h.random_point(seed, 32)
         t, r = (seed % 11) / 11.0, (seed % 19) / 6.0 - 1.5
-        before = step(sys_, normalize(sys_, t, r, c))
-        t2, r2 = sys_.H.apply(t, r)
+        before, _ = step(sys_, rot(0.6), normalize(sys_, t, r, c))
+        t2, r2 = rot(0.6).apply(t, r)
         after = normalize(sys_, float(t2), float(r2), c)
         assert before.t == after.t
         assert before.r == pytest.approx(after.r, abs=1e-9)
-        assert before.winding == after.winding
         assert cantor_metric(before.c, after.c, 8) == 0.0
 
 
@@ -164,14 +176,13 @@ QUOTIENT_SYSTEMS = [FullShift(2), golden_mean_sft(), Odometer((2, 3, 2))]
 @given(h=st.sampled_from(QUOTIENT_SYSTEMS), seed=st.integers(0, 10 ** 6),
        t=st.floats(0.0, 1.0), r=st.floats(-3.0, 3.0), m=st.integers(-6, 6))
 def test_normalize_trades_deck_shift_for_power(h, seed, t, r, m):
-    # (t, r + m, h^-m c) is the same quotient point as (t, r, c); registered
-    # against c, its Cantor coordinate sits at winding -m
+    # (t, r + m, h^-m c) is the same quotient point as (t, r, c)
     assume(math.floor(r + m) == math.floor(r) + m)  # r + m may round onto an integer
-    sys_ = SuspensionSystem(rot(0.5), h, 16)
+    sys_ = make_sys(0.5, h, 16)
     c = h.random_point(seed, 16)
     ref = normalize(sys_, t, r, c)
-    other = normalize(sys_, t, r + m, h.power(c, -m), seed=c, winding=-m)
-    assert other.t == ref.t and other.winding == ref.winding
+    other = normalize(sys_, t, r + m, h.power(c, -m))
+    assert other.t == ref.t
     assert symbols(other.c, 16) == symbols(ref.c, 16)
     assert other.r == pytest.approx(ref.r, abs=1e-12)
 
@@ -180,29 +191,32 @@ def test_normalize_trades_deck_shift_for_power(h, seed, t, r, m):
 @given(h=st.sampled_from(QUOTIENT_SYSTEMS), m=st.integers(0, 2),
        seed=st.integers(0, 10 ** 6), t=st.floats(0.0, 1.0), r=st.floats(-3.0, 3.0))
 def test_step_commutes_with_normalize(h, m, seed, t, r):
-    sys_ = SuspensionSystem(MAPS[m][0], h, 16)
+    m, speed = MAPS[m]
+    sys_ = SuspensionSystem(speed, h, 16)
     c = h.random_point(seed, 16)
-    t2, r2 = (float(x) for x in sys_.H.apply(t, r))
+    t2, r2 = (float(x) for x in m.apply(t, r))
     assume(abs(r2 - round(r2)) > 1e-9)  # both orders round to the same floor
-    before = step(sys_, normalize(sys_, t, r, c))
+    before, _ = step(sys_, m, normalize(sys_, t, r, c))
     after = normalize(sys_, t2, r2, c)
-    assert before.t == after.t and before.winding == after.winding
+    assert before.t == after.t
     assert symbols(before.c, 16) == symbols(after.c, 16)
     assert before.r == pytest.approx(after.r, abs=1e-9)
 
 
 def test_pseudo_component_conserved_and_fiber_preserved():
+    """The windings that `step` adds track the pseudo-component: after
+    windings w in all, the Cantor coordinate is h^w of the start's."""
     sys_ = make_sys(0.53)
     c = sys_.h.random_point(5, 32)
-    p = normalize(sys_, 0.3, 0.8, c)
-    seed_obj = p.seed
-    cur = p
-    for k in range(1, 50):
-        nxt = step(sys_, cur)
-        assert nxt.seed is seed_obj
-        t2, r2 = sys_.H.apply(cur.t, cur.r)
+    cur = normalize(sys_, 0.3, 0.8, c)
+    w = 0
+    for _ in range(1, 50):
+        nxt, k = step(sys_, rot(0.53), cur)
+        w += k
+        assert symbols(nxt.c, 8) == symbols(sys_.h.power(c, w), 8)
+        t2, r2 = rot(0.53).apply(cur.t, cur.r)
         assert abs(nxt.t - t2) < 1e-9
-        assert abs((nxt.r + nxt.winding - cur.winding) - r2) < 1e-9
+        assert abs((nxt.r + k) - r2) < 1e-9
         cur = nxt
 
 
@@ -218,14 +232,14 @@ def test_pseudo_component_conserved_and_fiber_preserved():
 def test_orbit_equals_stepped_points(m):
     """`orbit` on both of its paths: the quotient stepped point by point,
     and, bit for bit, the orbit stepped by `apply`."""
-    sys_ = SuspensionSystem(m, golden_mean_sft(), 32)
+    sys_ = SuspensionSystem(None, golden_mean_sft(), 32)  # `step` reads no speed
     p = normalize(sys_, 0.3, 0.8, sys_.h.random_point(5, 32))
-    points = [p]
+    points = [(p, 0)]
     for _ in range(60):
-        points.append(step(sys_, points[-1]))
+        q, k = step(sys_, m, points[-1][0])
+        points.append((q, points[-1][1] + k))
     rows = orbit(m, p.t, p.r, 60)
-    assert [(t, r, p.winding + w) for t, r, w in rows] \
-        == [(q.t, q.r, q.winding) for q in points]
+    assert rows == [(q.t, q.r, w) for q, w in points]
     assert [(t.hex(), r.hex(), w) for t, r, w in rows] \
         == [(t.hex(), r.hex(), w) for t, r, w in stepped_orbit(m, p.t, p.r, 60)]
 
@@ -233,21 +247,20 @@ def test_orbit_equals_stepped_points(m):
 def test_winding_rate_examples():
     sys_ = make_sys(0.5)
     c = sys_.h.random_point(2, 32)
-    rates = winding_rate(sys_, normalize(sys_, 0.5, 0.0, c), 10)
+    rates = winding_rate(rot(0.5), normalize(sys_, 0.5, 0.0, c), 10)
     assert rates[-1] == (10, 0.5)
 
     beta = (math.sqrt(5) - 1) / 2
-    sysb = make_sys(beta)
-    for k, rate in winding_rate(sysb, normalize(sysb, 0.5, 0.0, c), 300):
+    for k, rate in winding_rate(rot(beta), normalize(sys_, 0.5, 0.0, c), 300):
         assert abs(rate - beta) <= 1.0 / k + 1e-12
 
 
 def test_winding_rate_agrees_with_rotation_estimate():
     m = LiftedAnnulusMap((RigidRotation(0.3),
                           Twist(Profile(((0.0, 0.11), (1.0, 0.4))))))
-    sys_ = SuspensionSystem(m, FullShift(2), 32)
+    sys_ = make_sys()
     c = sys_.h.random_point(3, 32)
-    rates = winding_rate(sys_, normalize(sys_, 0.0, 0.0, c), 500)
+    rates = winding_rate(m, normalize(sys_, 0.0, 0.0, c), 500)
     ests = rotation_estimate(m, 0.0, 0.0, 500)
     for (k, rate), (_, est) in zip(rates, ests):
         assert abs(rate - est) <= 2.0 / k + 1e-12
@@ -283,7 +296,7 @@ def test_dense_orbit_debruijn_fixture():
     windows = {doubled[i:i + 7] for i in range(128)}
     assert len(windows) == 128
 
-    sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
+    sys_ = make_sys(0.5)
     # the cycle repeated out to every position the backward walk reads
     c = FullShift(2).point([word[i % 128] for i in range(-200, 201)])
     hit = dense_orbit_check(sys_, c, (0.5, 0.0), 1 / 8, 2, 3, 200)
@@ -295,13 +308,14 @@ def test_dense_orbit_debruijn_fixture():
     t, r = 0.5, 0.0
     for j in range(1, p + 1):
         for _ in range(s):
-            t, r = sys_.H.apply(t, r)
+            t, r = rot(0.5).apply(t, r)
         assert abs(r - (0.0 + k * j)) < 1e-9
+    assert stepped_dense_orbit(sys_, rot(0.5), c, (0.5, 0.0), 1 / 8, 2, 3, 200) == hit
 
 
 def test_dense_orbit_odometer_coprime():
     bases = (2, 3)
-    sys_ = SuspensionSystem(rot(1.0), Odometer(bases), 32)
+    sys_ = make_sys(1.0, Odometer(bases))
     c = OdometerPoint(sys_.h, 0)
     hit = dense_orbit_check(sys_, c, (0.5, 0.0), 1 / 4, 1, 2, 50)
     assert hit is not None
@@ -310,9 +324,44 @@ def test_dense_orbit_odometer_coprime():
 
 
 def test_dense_orbit_negative_control():
-    sys_ = SuspensionSystem(rot(math.sqrt(2) / 2), FullShift(2), 32)
+    sys_ = make_sys(math.sqrt(2) / 2)
     c = sys_.h.random_point(8, 32)
     assert dense_orbit_check(sys_, c, (0.5, 0.0), 0.05, 2, 3, 60) is None
+
+
+# dyadic `map.map` values: a rotation by a multiple of 1/8, a twist in
+# eighths on the pieces [0, 1/4], [1/4, 1/2], [1/2, 1], and a cover 2,p or
+# 4,p around them.  At t and r in eighths every float step of such a map is
+# exact, so the float orbit is the exact one.
+eighths = st.integers(-16, 16).map(lambda n: f"{n}/8")
+dyadic_maps = st.tuples(
+    st.one_of(st.none(), eighths.map(lambda beta: f"rotation:{beta}")),
+    st.one_of(st.none(), st.tuples(eighths, eighths, eighths, eighths).map(
+        lambda ys: "twist:" + ";".join(f"{x},{y}" for x, y in zip(("0", "1/4", "1/2", "1"), ys)))),
+    st.one_of(st.none(), st.tuples(st.sampled_from([2, 4]), st.integers(-3, 3)).map(
+        lambda cover: f"cover:{cover[0]},{cover[1]}")),
+).map(lambda parts: "|".join(part for part in parts if part) or "rotation:0")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(spec=dyadic_maps, t0=st.integers(0, 8), r0=st.integers(-8, 8), seed=st.integers(0, 99),
+       eps=st.sampled_from([0.75, 1 / 2, 0.3]), n=st.integers(1, 40))
+def test_exact_speed_matches_the_float_map_on_dyadic_speeds(spec, t0, r0, seed, eps, n):
+    """On a dyadic map the closed forms read what stepping the float map
+    reads: the windings floor(i*P(1/2)) of the entropy counts are the w of
+    `annulus.orbit`, and the dense-orbit test p*|s*P(t0) - k| < eps finds
+    the witness of the stepped search."""
+    cfg = load_config(None, [f"map.map={spec}"], "rotation")
+    m, speed = build_map(cfg), _speed(cfg, "rotation")
+    sys_ = SuspensionSystem(speed, FullShift(2), 8)
+    windings = [w for _, _, w in orbit(m, 0.5, 0.0, n - 1)]
+    assert windings == [math.floor(i * pl_at(speed, HALF)) for i in range(n)]
+    D, seen = _seen_positions(sys_, 1 / 4, n)
+    assert seen == sorted({p for w in windings for p in range(w - D, w + D + 1)})
+    c = sys_.h.random_point(seed, 8)
+    tr = (t0 / 8, r0 / 8)
+    assert dense_orbit_check(sys_, c, tr, eps, 3, 4, 64) \
+        == stepped_dense_orbit(sys_, m, c, tr, eps, 3, 4, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -320,35 +369,35 @@ def test_dense_orbit_negative_control():
 # ---------------------------------------------------------------------------
 
 def test_weak_mixing_witness_found_for_mixing_shift():
-    sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
+    sys_ = make_sys(0.5)
     cu = sys_.h.random_point(3, 32)
     cv = sys_.h.random_point(9, 32)
     U = (normalize(sys_, 0.5, 0.10, cu), 0.3)
     V = (normalize(sys_, 0.5, 0.35, cv), 0.3)
     # the windows of U's and V's words at depth 1 must part: winding k >= 3
-    l = weak_mixing_witness(sys_, constant(0.5), U, V, 64)
-    assert l == brute_force_witness(sys_, constant(0.5), U, V, 12) == 5
+    l = weak_mixing_witness(sys_, U, V, 64)
+    assert l == brute_force_witness(sys_, U, V, 12) == 5
 
 
 def test_weak_mixing_witness_self_ball():
     """The half rotation carries (0.5, 0.85, h^-1 c_U), at 0.25 from U's
     centre under deck shift 1, to (0.5, 0.35, c_U), at 0.25 from it: U meets
     itself at l = 1."""
-    sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
+    sys_ = make_sys(0.5)
     cu = sys_.h.random_point(3, 32)
     U = (normalize(sys_, 0.5, 0.10, cu), 0.3)
-    assert weak_mixing_witness(sys_, constant(0.5), U, U, 16) == 1
+    assert weak_mixing_witness(sys_, U, U, 16) == 1
     p = normalize(sys_, 0.5, 0.85, sys_.h.power(cu, -1))
     assert quotient_distance(sys_, p, U[0]) < 0.3
-    assert quotient_distance(sys_, step(sys_, p), U[0]) < 0.3
+    assert quotient_distance(sys_, step(sys_, rot(0.5), p)[0], U[0]) < 0.3
 
 
 def test_weak_mixing_witness_odometer_negative():
-    sys_ = SuspensionSystem(rot(0.3819660112501051), Odometer((2, 2, 2)), 32)
+    sys_ = make_sys("0.3819660112501051", Odometer((2, 2, 2)))
     c = sys_.h.random_point(1, 32)
     U = (normalize(sys_, 0.5, 0.10, c), 0.05)
     V = (normalize(sys_, 0.5, 0.60, c), 0.05)
-    assert weak_mixing_witness(sys_, constant("0.3819660112501051"), U, V, 40) is None
+    assert weak_mixing_witness(sys_, U, V, 40) is None
 
 
 SAMPLED_SYSTEMS = [FullShift(2), FullShift(3), golden_mean_sft(), thue_morse(),
@@ -361,12 +410,12 @@ def test_exact_witness_is_at_most_the_sampled_one():
     pairs = []
     for h in SAMPLED_SYSTEMS:
         for m, speed in MAPS:
-            sys_ = SuspensionSystem(m, h, 32)
+            sys_ = SuspensionSystem(speed, h, 32)
             for seed, (ru, rv) in enumerate([(0.3, 0.3), (0.1, 0.2), (0.05, 0.05)]):
                 U = (normalize(sys_, 0.5, 0.1, h.random_point(seed + 3, 32)), ru)
                 V = (normalize(sys_, 0.5, 0.35 + 0.2 * seed, h.random_point(seed + 9, 32)), rv)
-                exact = weak_mixing_witness(sys_, speed, U, V, 24)
-                sampled = sampled_witness(sys_, U, V, 24, cloud_size=12, seed=seed)
+                exact = weak_mixing_witness(sys_, U, V, 24)
+                sampled = sampled_witness(sys_, m, U, V, 24, cloud_size=12, seed=seed)
                 assert sampled is None or exact is not None and exact <= sampled
                 pairs.append((exact, sampled))
     assert sum(s is not None for _, s in pairs) >= 10
@@ -405,24 +454,24 @@ def test_cloud_steps_and_distances_equal_scalar(h, m):
     the target meet under that winding."""
     m, speed = m
     for window in (32, 2):
-        sys_ = SuspensionSystem(m, h, window)
+        sys_ = SuspensionSystem(speed, h, window)
         base = normalize(sys_, 0.5, 0.1, h.random_point(4, window))
         other = normalize(sys_, 0.45, 0.7, h.random_point(5, window))
         for centre, points in ((base, spliced_points(sys_, base, 20, 7)),
                                (other, spliced_points(sys_, other, 4, 8))):
             for p in points:
                 rp = 2 * cantor_metric(p.c, centre.c, window) or 2.0 ** -(window + 1)
-                cur = p
+                cur, w = p, 0
                 for n, (t, r, k) in enumerate(orbit(m, p.t, p.r, 20)[1:], start=1):
-                    cur = step(sys_, cur)
-                    w = p.winding + k
-                    assert (t, r, w) == (cur.t, cur.r, cur.winding)
+                    cur, dw = step(sys_, m, cur)
+                    w += dw
+                    assert (t, r, k) == (cur.t, cur.r, w)
                     assert t == p.t
                     assert abs(r + k - (p.r + n * speed_at(speed, t))) < 1e-9
                     c = h.power(p.c, k)
                     assert symbols(c, window) == symbols(cur.c, window)
                     for q in (base, other):
-                        assert quotient_distance(sys_, SuspensionPoint(t, r, c, p.seed, w), q) \
+                        assert quotient_distance(sys_, SuspensionPoint(t, r, c), q) \
                             == quotient_distance(sys_, cur, q)
                         for s in (-1, 0, 1):
                             target = h.power(q.c, -s)
@@ -453,7 +502,7 @@ WITNESS_SYSTEMS = [FullShift(2), golden_mean_sft(), thue_morse(), Odometer((2, 2
 @given(h=st.sampled_from(WITNESS_SYSTEMS), speed=speeds, W=st.sampled_from([2, 32]),
        data=st.data())
 def test_exact_witness_matches_brute_force(h, speed, W, data):
-    sys_ = SuspensionSystem(None, h, W)
+    sys_ = SuspensionSystem(speed, h, W)
 
     def ball():
         t = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
@@ -462,7 +511,7 @@ def test_exact_witness_matches_brute_force(h, speed, W, data):
         return normalize(sys_, t, r, h.random_point(data.draw(st.integers(0, 99)), W)), radius
 
     U, V = ball(), ball()
-    assert weak_mixing_witness(sys_, speed, U, V, 6) == brute_force_witness(sys_, speed, U, V, 6)
+    assert weak_mixing_witness(sys_, U, V, 6) == brute_force_witness(sys_, U, V, 6)
 
 
 # numerators over 8: balls (t, r, radius), pieces (x0, x1, m, c) with
@@ -503,10 +552,10 @@ def test_meets_matches_the_metric(h, W, seeds, j, rp, rq, n):
 
 
 def test_weak_mixing_witness_rejects_degenerate_radius():
-    sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
+    sys_ = make_sys(0.5)
     c = sys_.h.random_point(3, 32)
     with pytest.raises(ValueError):
-        weak_mixing_witness(sys_, constant(0.5), (normalize(sys_, 0.5, 0.1, c), 0.0),
+        weak_mixing_witness(sys_, (normalize(sys_, 0.5, 0.1, c), 0.0),
                             (normalize(sys_, 0.5, 0.2, c), 0.1), 8)
 
 
@@ -515,20 +564,20 @@ def test_weak_mixing_witness_rejects_degenerate_radius():
 # ---------------------------------------------------------------------------
 
 def test_rigidity_odometer_quarter_rotation():
-    sys_ = SuspensionSystem(rot(0.25), Odometer((2, 2)), 32)
-    hits = rigidity_suspension(sys_, 5, 20, 0.1, seed=0)
+    sys_ = make_sys(0.25, Odometer((2, 2)))
+    hits = rigidity_suspension(sys_, rot(0.25), 5, 20, 0.1, seed=0)
     assert [n for n, _ in hits] == [16]
 
 
 def test_rigidity_identity_map():
-    sys_ = SuspensionSystem(rot(0.0), FullShift(2), 32)
-    hits = rigidity_suspension(sys_, 4, 6, 1e-6, seed=0)
+    sys_ = make_sys(0.0)
+    hits = rigidity_suspension(sys_, rot(0.0), 4, 6, 1e-6, seed=0)
     assert [n for n, _ in hits] == [1, 2, 3, 4, 5, 6]
 
 
 def test_rigidity_fullshift_negative():
-    sys_ = SuspensionSystem(rot(0.5), FullShift(2), 32)
-    assert rigidity_suspension(sys_, 4, 40, 0.05, seed=0) == []
+    sys_ = make_sys(0.5)
+    assert rigidity_suspension(sys_, rot(0.5), 4, 40, 0.05, seed=0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +594,7 @@ def test_entropy_bracket_halfspeed():
 def test_entropy_zero_cases():
     sys0 = make_sys(0.0)
     assert entropy_spanning(sys0, 1 / 16, 12) <= 0.05
-    syso = SuspensionSystem(rot(0.5), Odometer((2,) * 8), 32)
+    syso = make_sys(0.5, Odometer((2,) * 8))
     assert entropy_spanning(syso, 1 / 16, 12) <= 0.05
 
 
@@ -560,34 +609,34 @@ def test_entropy_monotone_in_eps_and_ordered():
 
 def test_entropy_capacity_error():
     # W = 8 resolves scales down to 2^-6: below that is a capacity error
-    sys_ = SuspensionSystem(rot(1.0), FullShift(2), window=8)
+    sys_ = make_sys(1.0, window=8)
     with pytest.raises(CapacityError, match="scale below window resolution"):
         entropy_separated(sys_, 1 / 128, 12)
     with pytest.raises(CapacityError, match="scale below window resolution"):
         entropy_spanning(sys_, 1 / 64, 12)
     # windings up to 11 outrun W = 8, but W caps only D: the counts read
     # every position, and agree with W = 32
-    wide = SuspensionSystem(rot(1.0), FullShift(2), window=32)
+    wide = make_sys(1.0, window=32)
     assert entropy_separated(sys_, 1 / 16, 12) == entropy_separated(wide, 1 / 16, 12)
     assert entropy_spanning(sys_, 1 / 16, 12) == entropy_spanning(wide, 1 / 16, 12)
 
 
 def test_product_report_targets():
-    sys4 = SuspensionSystem(rot(0.25), FullShift(4), 32)
+    sys4 = make_sys(0.25, FullShift(4))
     rows = product_formula_report(sys4, 0.25, [1 / 16], [12])
     assert rows[0].target == pytest.approx(0.25 * math.log(4))
     assert rows[0].target == pytest.approx(0.5 * math.log(2))
 
 
 def test_entropy_sft_and_substitution_paths():
-    sys_sft = SuspensionSystem(rot(0.5), golden_mean_sft(), 32)
+    sys_sft = make_sys(0.5, golden_mean_sft())
     lo = entropy_separated(sys_sft, 1 / 16, 12)
     up = entropy_spanning(sys_sft, 1 / 16, 12)
     assert 0.0 <= lo <= up
     # golden-mean factor: product target is 0.5 * log(phi) ~ 0.2406
     assert up <= 0.45
 
-    sys_sub = SuspensionSystem(rot(0.5), thue_morse(), 32)
+    sys_sub = make_sys(0.5, thue_morse())
     up_sub = entropy_spanning(sys_sub, 1 / 16, 12)
     assert up_sub <= 0.25  # zero-entropy factor: low complexity growth
 
@@ -640,16 +689,11 @@ def cylinder_fillings(h, core, D: int, lo: int, hi: int) -> np.ndarray:
 def greedy_bowen_oracle(sys_, scale, n, core) -> int:
     """The greedy Bowen scan over every point of the cylinder with this
     core: scan the fillings in order, keeping a point unless some kept point
-    is close to it at every time under some deck shift s in {-1, 0, 1}."""
+    is close to it at every time under some deck shift s in {-1, 0, 1}.  The
+    orbit of (0.5, 0.0) is (0.5, i*P(1/2)), exact in Fractions."""
     D = min(depth_for(scale), sys_.window)
-    t_orbit, r_orbit = [], []
-    t, r = 0.5, 0.0
-    for _ in range(n):
-        t_orbit.append(t)
-        r_orbit.append(r)
-        t, r = (float(x) for x in sys_.H.apply(t, r))
-    r_orbit = np.array(r_orbit)
-    w = np.floor(r_orbit).astype(np.int64)
+    r_exact = [i * pl_at(sys_.speed, HALF) for i in range(n)]
+    w = np.array([math.floor(r) for r in r_exact], dtype=np.int64)
     lo, hi = int(w.min()) - D, int(w.max()) + D
     win = cylinder_fillings(sys_.h, core, D, lo, hi)
     if not isinstance(sys_.h, Odometer):
@@ -657,8 +701,8 @@ def greedy_bowen_oracle(sys_, scale, n, core) -> int:
         # shifts +-1; fix them to 0
         win = np.pad(win, ((0, 0), (1, 1)))
     count = len(win)
-    tt = np.tile(t_orbit, (count, 1))
-    rn = np.tile(r_orbit - w, (count, 1))
+    tt = np.full((count, n), 0.5)
+    rn = np.tile([float(r - wi) for r, wi in zip(r_exact, w.tolist())], (count, 1))
     width = 2 * D + 1
     shifts = (-1, 0, 1)
     eff = np.zeros((count, n, 3, width), dtype=np.int64)
@@ -719,9 +763,7 @@ ENTROPY_SYSTEMS = [
     make_sys(0.0), make_sys(0.5), make_sys(1.0), make_sys(0.75, FullShift(3)),
     make_sys(0.5, golden_mean_sft()), make_sys(-0.5, THREE_SFT), make_sys(0.5, thue_morse()),
     make_sys(0.5, Odometer((2,) * 8)),
-    SuspensionSystem(LiftedAnnulusMap((RigidRotation(0.3),
-                                       Twist(Profile(((0.0, 0.11), (1.0, 0.4)))))),
-                     FullShift(2), 32),
+    SuspensionSystem(twist_speed(0.3, ((0.0, 0.11), (1.0, 0.4))), FullShift(2), 32),
 ]
 
 
