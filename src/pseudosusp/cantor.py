@@ -5,12 +5,12 @@ A point of a shift (an SFT or a substitution) is an explicit symbol word
 over [-R, R] plus an offset: h^w only moves the offset, and a read outside
 [-R, R] widens the word through the system's own `splice`.  An odometer
 point is its integer value.  Each system class knows all of its own
-behaviour (see "systems" below).
+behaviour (see "systems" below): every question about cylinders goes
+through its `joins` and its `cylinder`.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -44,10 +44,6 @@ class ShiftPoint(NamedTuple):
     word: list[int]
     offset: int = 0
 
-    @property
-    def alphabet_size(self) -> int:
-        return self.system.k
-
     def symbol_at(self, i: int) -> int:
         return self.symbols(i, i + 1)[0]
 
@@ -71,10 +67,6 @@ class OdometerPoint(NamedTuple):
     system: Odometer
     value: int
 
-    @property
-    def alphabet_size(self) -> int:
-        return max(self.system.bases)
-
     def symbol_at(self, i: int) -> int:
         bases = self.system.bases
         if not 0 <= i < len(bases):
@@ -83,17 +75,6 @@ class OdometerPoint(NamedTuple):
 
 
 CantorPoint = Union[ShiftPoint, OdometerPoint]
-
-
-def cantor_metric(c1: CantorPoint, c2: CantorPoint, W: int) -> float:
-    """Cylinder metric 2^(-|i|), i the mismatch nearest 0 among the
-    system's `positions(W)`; 0 if none."""
-    if c1.alphabet_size != c2.alphabet_size:
-        raise ValueError("points live over different alphabets")
-    for i in sorted(c1.system.positions(W), key=abs):
-        if c1.symbol_at(i) != c2.symbol_at(i):
-            return 2.0 ** -abs(i)
-    return 0.0
 
 
 def depth_for(eps: float) -> int:
@@ -108,10 +89,13 @@ def depth_for(eps: float) -> int:
 
 
 def _depth(rho: float, W: int) -> int:
-    """The largest D <= W with 2^-D >= rho, or -1 when rho > 1.  The metric
-    is an ultrametric, so the open ball of radius rho about c is a cylinder:
-    the points that agree with c at every position i, |i| <= D, that
-    `cantor_metric` at window W reads."""
+    """The largest D <= W with 2^-D >= rho, or -1 when rho > 1.
+
+    The cylinder metric at window W puts two points of a system at 2^-|i|,
+    i the position nearest 0 among its `positions(W)` where they differ,
+    and at 0 if there is none.  It is an ultrametric, so the open ball of
+    radius rho about c is a cylinder: the points that agree with c at
+    `positions(D)`."""
     return -1 if rho > 1 else min(depth_for(rho), W)
 
 
@@ -123,7 +107,32 @@ def _depth(rho: float, W: int) -> int:
 # "Cantor systems"); `config.build_cantor` maps a kind name to its class.
 
 
-class _Shift:
+class _System:
+    """What every system derives from two methods of its own, with words as
+    tuples of symbols.  `joins(u, i, v, j)` decides whether some point c has
+    h^i(c) in [u] and h^j(c) in [v], where [u] holds the points whose
+    symbols from position 0 on (a shift's 0, 1, ..., an odometer's leading
+    digits) are u.  `cylinder(c, D)` is c's word at `positions(D)` and the
+    position where that word starts."""
+
+    __slots__ = ()
+
+    def mixing_witness(self, u, v, horizon: int):
+        """The least n in 1..horizon with [u] meeting h^-n[v], or None.  u and
+        v must be nonempty words of the system, so that neither cylinder is
+        empty; ValueError naming the argument otherwise."""
+        u, v = _cylinder_words(self, u, v)
+        return next((n for n in range(1, horizon + 1) if self.joins(u, 0, v, n)), None)
+
+    def ball(self, c, rho: float, W: int):
+        """The open ball of radius rho about c in the cylinder metric at
+        window W, as the `cylinder` at `_depth(rho, W)`; None when rho > 1,
+        where the ball is the whole space."""
+        D = _depth(rho, W)
+        return None if D < 0 else self.cylinder(c, D)
+
+
+class _Shift(_System):
     """What an SFT and a substitution share: a point is a `ShiftPoint`
     that h^w re-anchors, and a word is a block of consecutive symbols."""
 
@@ -153,16 +162,8 @@ class _Shift:
     def positions(self, D: int) -> range:
         return range(-D, D + 1)
 
-    def meets(self, p: ShiftPoint, rp: float, q: ShiftPoint, rq: float, n: int,
-              W: int) -> bool:
-        """Whether the ball of radius rp about p meets h^-n of the ball of
-        radius rq about q, in `cantor_metric` at window W: whether a legal
-        sequence holds p's symbols at |i| <= Dp and q's at |i - n| <= Dq
-        (see `_depth`)."""
-        dp, dq = _depth(rp, W), _depth(rq, W)
-        if min(dp, dq) < 0:
-            return True  # a ball of radius above 1 is the whole space
-        return self._joins(p.symbols(-dp, dp + 1), -dp, q.symbols(-dq, dq + 1), n - dq)
+    def cylinder(self, c: ShiftPoint, D: int) -> tuple[tuple[int, ...], int]:
+        return tuple(c.symbols(-D, D + 1)), -D
 
 
 class SFT(_Shift):
@@ -232,22 +233,7 @@ class SFT(_Shift):
                           ReducibleSFTWarning, stacklevel=2)
         return math.log(spectral_radius(self.adjacency))
 
-    def mixing_witness(self, u, v, horizon: int):
-        u, v = _cylinder_words(self, u, v)
-        power = self.adjacency  # (A^(n - len(u) + 1) > 0) maintained incrementally
-        for n in range(1, horizon + 1):
-            if n < len(u):
-                # u and v overlap, so each neighbour pair lies in u or in v: both legal
-                if u[n:n + len(v)] == v[:len(u) - n]:
-                    return n
-            else:
-                if n > len(u):
-                    power = _bool_mul(power, self.adjacency)
-                if power[u[-1]][v[0]]:
-                    return n
-        return None
-
-    def _joins(self, u, i: int, v, j: int) -> bool:
+    def joins(self, u, i: int, v, j: int) -> bool:
         """Whether a point holds the legal word u from position i on and v
         from j on.  Overlapping words must agree where they overlap, and then
         every neighbour pair lies in one of them; apart, they join across a
@@ -332,30 +318,14 @@ class Substitution(_Shift):
     def entropy_exact(self) -> float:
         return 0.0
 
-    def mixing_witness(self, u, v, horizon: int):
-        """Exact, in time linear in the horizon: a legal word with u at 0 and
-        v at n <= horizon has length at most max(|u|, horizon + |v|), so it
-        is a factor of one of the `_blocks` for that length, and every factor
-        of a block is legal.  So n is the least gap from an occurrence of u
-        to a later occurrence of v inside one block."""
-        u, v = _cylinder_words(self, u, v)
-        gaps = []
-        for block in _blocks(self.rules, max(len(u), horizon + len(v))):
-            at_v = _occurrences(block, v)
-            for p in _occurrences(block, u):
-                i = bisect.bisect_right(at_v, p)
-                if i < len(at_v) and at_v[i] - p <= horizon:
-                    gaps.append(at_v[i] - p)
-        return min(gaps, default=None)
-
-    def _joins(self, u, i: int, v, j: int) -> bool:
+    def joins(self, u, i: int, v, j: int) -> bool:
         """Whether a point holds the legal word u from position i on and v
         from j on: whether some block of the `_blocks` for the span holds u
         at some p and v at p + (j - i), overlapping or not, since every legal
         word of that length is a factor of a block and every factor is legal."""
         if j < i:
             u, i, v, j = v, j, u, i
-        u, v, off = tuple(u), tuple(v), j - i
+        off = j - i
         for block in _blocks(self.rules, max(len(u), off + len(v))):
             at_v = set(_occurrences(block, v))
             if any(p + off in at_v for p in _occurrences(block, u)):
@@ -374,7 +344,7 @@ class Substitution(_Shift):
         return {core: len(r) for core, r in restrictions.items()}
 
 
-class Odometer:
+class Odometer(_System):
     """Adding one in mixed radix: digit i has base bases[i], and the carry
     past the last digit is dropped.  A word is a prefix of the digits."""
 
@@ -405,6 +375,9 @@ class Odometer:
     def positions(self, D: int) -> range:
         return range(min(D + 1, len(self.bases)))
 
+    def cylinder(self, c: OdometerPoint, D: int) -> tuple[tuple[int, ...], int]:
+        return tuple(c.symbol_at(i) for i in self.positions(D)), 0
+
     def random_point(self, seed: int, W: int) -> OdometerPoint:
         rng = random.Random(seed)
         digits = [rng.randrange(b) for b in self.bases]
@@ -413,14 +386,14 @@ class Odometer:
     def entropy_exact(self) -> float:
         return 0.0
 
-    def mixing_witness(self, u, v, horizon: int):
-        """The least n >= 1 with h^n[u] meeting [v]: adding n to a value in
-        [u] reaches [v] iff n = val(v) - val(u) modulo the product p of the
-        bases of the shorter word, so n is that residue in 1..p."""
-        u, v = _cylinder_words(self, u, v)
+    def joins(self, u, i: int, v, j: int) -> bool:
+        """Whether a value c has c + i in [u] and c + j in [v]: c + i must be
+        val(u) modulo the product of u's bases and c + j val(v) modulo that
+        of v's.  One product divides the other, so that is
+        val(u) + j - i = val(v) modulo the product of the shorter word's
+        bases."""
         p = math.prod(self.bases[:min(len(u), len(v))])
-        n = (_digit_value(v, self.bases) - _digit_value(u, self.bases) - 1) % p + 1
-        return n if n <= horizon else None
+        return (_digit_value(u, self.bases) + j - i - _digit_value(v, self.bases)) % p == 0
 
     def class_counts(self, D: int, seen: list[int]) -> dict:
         """1, an identity rather than a sample: the windows compare the first
@@ -428,17 +401,6 @@ class Odometer:
         the first D + 1 bases, and every point of the cylinder has the same
         value modulo that product."""
         return {(): 1}
-
-    def meets(self, p: OdometerPoint, rp: float, q: OdometerPoint, rq: float, n: int,
-              W: int) -> bool:
-        """Whether the ball of radius rp about p meets h^-n of the ball of
-        radius rq about q, in `cantor_metric` at window W.  The balls fix
-        leading digits (see `_depth`), so a value c must be p modulo the
-        product of p's fixed bases, and c + n must be q modulo that of q's:
-        one divides the other, so that is p + n = q modulo the product of
-        the shorter prefix of bases."""
-        digits = min(_depth(rp, W), _depth(rq, W)) + 1
-        return (p.value + n - q.value) % math.prod(self.bases[:digits]) == 0
 
 
 CantorSystem = Union[SFT, Substitution, Odometer]
@@ -519,12 +481,9 @@ def _perron_root(matrix, tol: float, max_iter: int) -> float:
 
 def _closure(adjacency) -> list[list[int]]:
     """0/1 matrix: whether state j can be reached from state i in zero or
-    more steps."""
+    more steps, that is in fewer than k: (I + A)^k > 0."""
     k = len(adjacency)
-    reach = [[1 if i == j or adjacency[i][j] else 0 for j in range(k)] for i in range(k)]
-    for _ in range(k):
-        reach = _bool_mul(reach, reach)
-    return reach
+    return _reach([[int(i == j or bool(adjacency[i][j])) for j in range(k)] for i in range(k)], k)
 
 
 def _irreducible(adjacency) -> bool:

@@ -221,9 +221,10 @@ def cmd_dense_orbit(args, cfg: RunConfig) -> int:
     sys_ = _suspension(cfg, "dense-orbit")
     seed, eps, k_max, s_max, p_max = (cfg.get("dense", key)
                                       for key in ("seed", "eps", "k_max", "s_max", "p_max"))
-    t, r = cfg.get("orbit", "t"), cfg.get("orbit", "r")
+    t = cfg.get("orbit", "t")
+    cfg.get("orbit", "r")  # read so that a malformed r exits 3; the search needs only t
     c = sys_.h.random_point(seed, sys_.window)
-    hit = dense_orbit_check(sys_, c, (t, r), eps, k_max, s_max, p_max)
+    hit = dense_orbit_check(sys_, c, t, eps, k_max, s_max, p_max)
     out = _out_path(args, cfg)
     columns = {"found": BOOL, "k": "%s", "s": "%s", "p": "%s"}
     if hit is None:

@@ -52,31 +52,30 @@ def normalize(sys: SuspensionSystem, t: float, r: float, c: CantorPoint) -> Susp
 # dense-orbit condition search
 # ---------------------------------------------------------------------------
 
-def dense_orbit_check(sys: SuspensionSystem, c: CantorPoint,
-                      tr: tuple[float, float], eps: float,
+def dense_orbit_check(sys: SuspensionSystem, c: CantorPoint, t0: float, eps: float,
                       k_max: int, s_max: int, p_max: int):
     """Search for (k, s, p) witnessing the two dense-orbit hypotheses:
     the backward k-orbit of c passes eps-close to every Cantor point within p
     steps, and the s-step annulus orbit advances by k per block within eps.
     Returns the first witness triple or None.
 
-    The map fixes t0, so after j blocks of s steps r has moved by
-    j*s*P(t0), at distance j*|s*P(t0) - k| from r0 + k*j; the largest, at
-    j = p, is below eps exactly when p*|s*P(t0) - k| is."""
-    positions = sys.h.positions(depth_for(eps))
+    The map fixes t0, so after j blocks of s steps any start r0 has moved
+    by j*s*P(t0), at distance j*|s*P(t0) - k| from r0 + k*j; the largest,
+    at j = p, is below eps exactly when p*|s*P(t0) - k| is."""
+    h, D = sys.h, depth_for(eps)
     # every legal pattern at the positions read: an eps-net of the Cantor set
-    net = set(sys.h.words(len(positions)))
-    speed = pl_at(sys.speed, Fraction(tr[0]))
+    net = set(h.words(len(h.positions(D))))
+    speed = pl_at(sys.speed, Fraction(t0))
     for k in range(1, k_max + 1):
         unseen = set(net)
         cur = c
         p_cover = None
         for i in range(p_max + 1):
-            unseen.discard(tuple(cur.symbol_at(j) for j in positions))
+            unseen.discard(h.cylinder(cur, D)[0])
             if not unseen:
                 p_cover = i
                 break
-            cur = sys.h.power(cur, -k)
+            cur = h.power(cur, -k)
         if p_cover is None:
             continue
         for s in range(1, s_max + 1):
@@ -104,10 +103,11 @@ def weak_mixing_witness(sys: SuspensionSystem, U: tuple[SuspensionPoint, float],
     (t, r + l*P(t) - k, h^k(c)), k its winding.  For each k and shifts s'
     and s (into the target) the question splits in two: a strip question on
     (t, r), which `_strip_meets` decides on each piece of the speed, and a
-    cylinder question on c, which is the system's `meets`.  The strip
-    question runs in integers: every float centre and radius is an exact
-    dyadic rational, and one common denominator d scales them and the
-    speed's pieces to ints."""
+    cylinder question on c: whether c holds the cylinder of U's ball under
+    s' and, k further on, that of the target's under s, which is the
+    system's `joins`.  The strip question runs in integers: every float
+    centre and radius is an exact dyadic rational, and one common
+    denominator d scales them and the speed's pieces to ints."""
     (cu, ru), (cv, rv) = U, V
     if ru <= 0 or rv <= 0:
         raise ValueError("ball radii must be positive")
@@ -129,16 +129,19 @@ def weak_mixing_witness(sys: SuspensionSystem, U: tuple[SuspensionPoint, float],
     # r of a point and of its image lie
     shifts = [[s for s in (-1, 0, 1) if -rho < r + s * d < d + rho] for _, r, rho in balls]
 
-    # h^-s of each centre's Cantor coordinate, s = -1, 0, 1
-    shifted = [{s: h.power(c.c, -s) for s in (-1, 0, 1)} for c in (cu, cv)]
+    # the ball about h^-s of each centre's Cantor coordinate, for each shift
+    # s of its ball: a cylinder (word, start), or None for the whole space
+    cylinders = [{s: h.ball(h.power(c.c, -s), rho, W) for s in ss}
+                 for (c, rho), ss in zip((U, V), shifts)]
 
     @functools.cache
-    def cylinder(target: int, k: int, su: int, sq: int) -> bool:
-        return h.meets(shifted[0][su], ru, shifted[target][sq], (ru, rv)[target], k, W)
+    def joined(target: int, k: int, su: int, sq: int) -> bool:
+        a, b = cylinders[0][su], cylinders[target][sq]
+        return a is None or b is None or h.joins(*a, b[0], b[1] + k)
 
     def hit(target: int, l: int) -> bool:
         # the windings k run from floor(l*lo) to ceil(l*hi)
-        return any(cylinder(target, k, su, sq)
+        return any(joined(target, k, su, sq)
                    and _strip_meets(balls[0], balls[target], piece, l, k, su, sq, d)
                    for piece, (lo, lo_den), (hi, hi_den) in pieces
                    for k in range(l * lo // lo_den, -(-l * hi // hi_den) + 1)

@@ -81,6 +81,12 @@ OVERRIDES = [
                                             "witness.v=1,1", "witness.horizon=8"]),
     ("mixing-witness", "odometer_222.ini", ["witness.mode=symbolic", "witness.u=0,0,1",
                                             "witness.v=1,1", "witness.horizon=2"]),
+    # symbolic misses on an SFT and on a substitution
+    ("mixing-witness", "golden_mean.ini", ["witness.horizon=1"]),
+    ("mixing-witness", "thue_morse.ini", ["witness.horizon=1"]),
+    # V's ball is the whole space, while "H^l(U) meets U" still reads U's
+    # cylinder
+    ("mixing-witness", "witness_odometer.ini", ["witness.v_radius=1.5"]),
     # the suspension witness on a twist, on a cover and on a reparam, which
     # moves t; the witness reads the cover's exact speed, and an orbit runs
     # it through `DeckCover.apply`

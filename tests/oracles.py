@@ -1,8 +1,9 @@
-"""Estimators that no subcommand runs, kept as test oracles: annulus maps
-applied to float arrays, the orbit stepped by `apply` alone, the circle
-distance of float arrays, the deck equivariance defect and displacement
-bound of an annulus map, conjugacy invariance of rotation estimates, word
-recurrence gaps of a Cantor point, the key of a cylinder's Bowen class
+"""Estimators that no subcommand runs, kept as test oracles: the cylinder
+metric of two Cantor points, annulus maps applied to float arrays, the
+orbit stepped by `apply` alone, the circle distance of float arrays, the
+deck equivariance defect and displacement bound of an annulus map,
+conjugacy invariance of rotation estimates, word recurrence gaps of a
+Cantor point, the key of a cylinder's Bowen class
 count, the quotient's step, distance and winding rate under a float map,
 the dense-orbit search that steps that map, the sampled and the
 brute-force weak-mixing witness, near-identity return times on the
@@ -23,7 +24,7 @@ import numpy as np
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
                                 Twist, orbit, rotation_estimate)
 from pseudosusp.cantor import (SFT, CantorPoint, CantorSystem, Odometer, OdometerPoint,
-                               Substitution, _language_words, cantor_metric)
+                               Substitution, _language_words)
 from pseudosusp.chains import IntervalChain, PLMap
 from pseudosusp.suspension import SuspensionPoint, SuspensionSystem, depth_for, normalize
 from pseudosusp.tower import HAKStage, _gamma, circle_sup, pl_sum, stage_profiles
@@ -35,6 +36,22 @@ def golden_mean_sft() -> SFT:
 
 def thue_morse() -> Substitution:
     return Substitution(((0, 1), (1, 0)), label="Thue-Morse substitution")
+
+
+def cantor_metric(c1: CantorPoint, c2: CantorPoint, W: int) -> float:
+    """The cylinder metric at window W (`cantor._depth`): 2^(-|i|), i the
+    mismatch nearest 0 among the system's `positions(W)`; 0 if none."""
+    if _alphabet_size(c1) != _alphabet_size(c2):
+        raise ValueError("points live over different alphabets")
+    for i in sorted(c1.system.positions(W), key=abs):
+        if c1.symbol_at(i) != c2.symbol_at(i):
+            return 2.0 ** -abs(i)
+    return 0.0
+
+
+def _alphabet_size(c: CantorPoint) -> int:
+    """A shift's letters; an odometer's largest base."""
+    return max(c.system.bases) if isinstance(c, OdometerPoint) else c.system.k
 
 
 def identity_map() -> LiftedAnnulusMap:

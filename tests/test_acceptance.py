@@ -17,11 +17,10 @@ from pseudosusp.config import build_stages, load_config
 from pseudosusp.suspension import (SuspensionSystem, entropy_separated,
                                    entropy_spanning, normalize)
 from pseudosusp.tower import hak_verify
-from pseudosusp.cantor import cantor_metric
 
 from markov_oracle import transition_entropy
-from oracles import (conjugacy_invariance_check, full_branch_middle_map, step, tent_map,
-                     tent_seven_chain, uniform_seven_chain, winding_rate)
+from oracles import (cantor_metric, conjugacy_invariance_check, full_branch_middle_map, step,
+                     tent_map, tent_seven_chain, uniform_seven_chain, winding_rate)
 
 
 def report(num: int, ok: bool, detail: str) -> None:

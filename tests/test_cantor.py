@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from pseudosusp import cantor
 from pseudosusp.cantor import (FullShift, InvalidPointError, Odometer, OdometerPoint,
-                               ReducibleSFTWarning, SFT, Substitution, cantor_metric,
-                               _language_words)
+                               ReducibleSFTWarning, SFT, Substitution, _language_words)
 
-from oracles import golden_mean_sft, recurrence_profile, thue_morse
+from oracles import cantor_metric, golden_mean_sft, recurrence_profile, thue_morse
 
 # `test_system_contract` runs over this list: a new system class is tested
 # by adding it here
@@ -439,6 +438,44 @@ def test_odometer_witness_matches_the_loop(bases, data, horizon):
             == _odometer_witness_loop(bases, u, v, horizon))
 
 
+JOIN_SYSTEMS = [FullShift(2), golden_mean_sft(), SFT(3, ((1, 1, 1), (1, 0, 0), (0, 1, 1))),
+                thue_morse(), Substitution(((0, 1), (0,))), Odometer((2, 3)),
+                Odometer((3, 2, 2))]
+
+
+def brute_joins(h, u, i, v, j):
+    """Whether some point holds u from position i on and v from j on, from
+    the definitions: over every value of an odometer, and over the legal
+    words of the span of a shift, grown symbol by symbol for an SFT."""
+    if isinstance(h, Odometer):
+        def holds(c, word, at):
+            return all(h.power(c, at).symbol_at(x) == s for x, s in enumerate(word))
+
+        return any(holds(c, u, i) and holds(c, v, j)
+                   for c in (OdometerPoint(h, value) for value in range(math.prod(h.bases))))
+    lo = min(i, j)
+    span = max(i + len(u), j + len(v)) - lo
+    if isinstance(h, Substitution):
+        legal = _language_words(h.rules, span)
+    else:
+        legal = [(a,) for a in range(h.k)]
+        for _ in range(span - 1):
+            legal = [w + (b,) for w in legal for b in range(h.k) if h.adjacency[w[-1]][b]]
+    return any(w[i - lo:i - lo + len(u)] == u and w[j - lo:j - lo + len(v)] == v
+               for w in legal)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(h=st.sampled_from(JOIN_SYSTEMS), data=st.data(), i=st.integers(-6, 6),
+       j=st.integers(-6, 6))
+def test_joins_matches_brute_force(h, data, i, j):
+    """`joins(u, i, v, j)` at any offsets, j < i, overlapping words and
+    words far apart included."""
+    words = [w for L in (1, 2, 3) for w in h.words(L)]
+    u, v = data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words))
+    assert h.joins(u, i, v, j) == brute_joins(h, u, i, v, j)
+
+
 def test_constructors_reject_bad_configs():
     with pytest.raises(ValueError):
         FullShift(1)
@@ -509,6 +546,7 @@ def test_system_contract(h, seed, a, b, W, D, L):
     # the pattern at the positions the metric reads to depth D is a word of
     # the system, for the seeded point moved anywhere within its window
     positions = h.positions(D)
+    assert h.cylinder(c, D) == (tuple(c.symbol_at(i) for i in positions), positions[0])
     words = set(h.words(len(positions)))
     for j in range(D - W, W - D + 1):
         assert tuple(h.power(c, j).symbol_at(i) for i in positions) in words

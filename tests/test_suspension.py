@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
                                 Twist, cover_lift, orbit, rotation_estimate)
 from pseudosusp.cantor import (FullShift, Odometer, OdometerPoint, SFT, Substitution,
-                               cantor_metric, _language_words)
+                               _language_words)
 from pseudosusp.cli import _speed
 from pseudosusp.config import build_map, load_config
 from pseudosusp.suspension import (CapacityError, SuspensionPoint, SuspensionSystem,
@@ -27,10 +27,10 @@ from pseudosusp.suspension import (CapacityError, SuspensionPoint, SuspensionSys
                                    weak_mixing_witness)
 from pseudosusp.tower import HALF, pl_at
 
-from oracles import (brute_force_witness, core_key, cylinders_meet, golden_mean_sft,
-                     quotient_distance, rigidity_suspension, sampled_witness, splice_point,
-                     step, stepped_dense_orbit, stepped_orbit, strip_meets, thue_morse,
-                     winding_rate)
+from oracles import (brute_force_witness, cantor_metric, core_key, cylinders_meet,
+                     golden_mean_sft, quotient_distance, rigidity_suspension, sampled_witness,
+                     splice_point, step, stepped_dense_orbit, stepped_orbit, strip_meets,
+                     thue_morse, winding_rate)
 
 
 def rot(beta):
@@ -299,7 +299,7 @@ def test_dense_orbit_debruijn_fixture():
     sys_ = make_sys(0.5)
     # the cycle repeated out to every position the backward walk reads
     c = FullShift(2).point([word[i % 128] for i in range(-200, 201)])
-    hit = dense_orbit_check(sys_, c, (0.5, 0.0), 1 / 8, 2, 3, 200)
+    hit = dense_orbit_check(sys_, c, 0.5, 1 / 8, 2, 3, 200)
     assert hit is not None
     k, s, p = hit
     assert (k, s) == (1, 2)
@@ -317,7 +317,7 @@ def test_dense_orbit_odometer_coprime():
     bases = (2, 3)
     sys_ = make_sys(1.0, Odometer(bases))
     c = OdometerPoint(sys_.h, 0)
-    hit = dense_orbit_check(sys_, c, (0.5, 0.0), 1 / 4, 1, 2, 50)
+    hit = dense_orbit_check(sys_, c, 0.5, 1 / 4, 1, 2, 50)
     assert hit is not None
     k, s, p = hit
     assert k == 1 and p <= math.prod(bases)
@@ -326,7 +326,7 @@ def test_dense_orbit_odometer_coprime():
 def test_dense_orbit_negative_control():
     sys_ = make_sys(math.sqrt(2) / 2)
     c = sys_.h.random_point(8, 32)
-    assert dense_orbit_check(sys_, c, (0.5, 0.0), 0.05, 2, 3, 60) is None
+    assert dense_orbit_check(sys_, c, 0.5, 0.05, 2, 3, 60) is None
 
 
 # dyadic `map.map` values: a rotation by a multiple of 1/8, a twist in
@@ -360,7 +360,7 @@ def test_exact_speed_matches_the_float_map_on_dyadic_speeds(spec, t0, r0, seed, 
     assert seen == sorted({p for w in windings for p in range(w - D, w + D + 1)})
     c = sys_.h.random_point(seed, 8)
     tr = (t0 / 8, r0 / 8)
-    assert dense_orbit_check(sys_, c, tr, eps, 3, 4, 64) \
+    assert dense_orbit_check(sys_, c, tr[0], eps, 3, 4, 64) \
         == stepped_dense_orbit(sys_, m, c, tr, eps, 3, 4, 64)
 
 
@@ -422,6 +422,14 @@ def test_exact_witness_is_at_most_the_sampled_one():
     assert (None, None) in pairs
 
 
+def balls_meet(h, p, rp, q, rq, n, W):
+    """The cylinder question of `weak_mixing_witness`: whether the ball of
+    radius rp about p meets h^-n of the ball of radius rq about q, from the
+    system's `ball` and `joins`."""
+    a, b = h.ball(p, rp, W), h.ball(q, rq, W)
+    return a is None or b is None or h.joins(*a, b[0], b[1] + n)
+
+
 def spliced_points(sys_, base, count, seed):
     """Points near `base` in the strip whose Cantor coordinates agree with
     base.c to various depths, so that every term of the metric is hit."""
@@ -450,8 +458,8 @@ def test_cloud_steps_and_distances_equal_scalar(h, m):
     against the scalar `step` and `quotient_distance` of the sampled
     reference: the iterates agree, the n-th one is (t, r + n*P(t) - k,
     h^k c) as the exact witness models it, and wherever an iterate lies
-    near a target, the system's `meets` says the balls about the centre and
-    the target meet under that winding."""
+    near a target, the system's `ball` and `joins` say the balls about the
+    centre and the target meet under that winding."""
     m, speed = m
     for window in (32, 2):
         sys_ = SuspensionSystem(speed, h, window)
@@ -476,7 +484,7 @@ def test_cloud_steps_and_distances_equal_scalar(h, m):
                         for s in (-1, 0, 1):
                             target = h.power(q.c, -s)
                             rq = 2 * cantor_metric(c, target, window) or 2.0 ** -(window + 1)
-                            assert h.meets(centre.c, rp, target, rq, k, window)
+                            assert balls_meet(h, centre.c, rp, target, rq, k, window)
 
 
 # a rotation by a multiple of 1/8, a twist with a sloped and a flat piece,
@@ -543,12 +551,13 @@ RADII = [0.05, 0.1, 0.125, 0.2, 0.25, 0.3, 0.5, 1.0, 1.5]
        seeds=st.tuples(st.integers(0, 3), st.integers(0, 3)), j=st.integers(-2, 2),
        rp=st.sampled_from(RADII), rq=st.sampled_from(RADII), n=st.integers(-8, 12))
 def test_meets_matches_the_metric(h, W, seeds, j, rp, rq, n):
-    """Each system's `meets` against the metric's definition: every value
-    of an odometer, and for a shift the positions the metric reads."""
+    """The balls' cylinders joined as `weak_mixing_witness` joins them,
+    against the metric's definition: every value of an odometer, and for a
+    shift the positions the metric reads."""
     p = h.random_point(seeds[0], W)
     q = h.power(h.random_point(seeds[1], W), j)
-    assert h.meets(p, rp, q, rq, n, W) == cylinders_meet(SuspensionSystem(None, h, W),
-                                                         p, rp, q, rq, n)
+    assert balls_meet(h, p, rp, q, rq, n, W) == cylinders_meet(SuspensionSystem(None, h, W),
+                                                               p, rp, q, rq, n)
 
 
 def test_weak_mixing_witness_rejects_degenerate_radius():
