@@ -68,7 +68,7 @@ def _speed(cfg: RunConfig, command: str):
     fixes t and moves r by P(t): rotations and twists sum into P, and a
     cover q,p around them moves r by (P + p)/q.  A reparam moves t, which
     is a config error naming map.map."""
-    from .tower import ONE, ZERO, pl_sum
+    from .pl import ONE, ZERO, pl_sum
 
     pieces, cover = parse_map(cfg)
     if any(name == "reparam" for name, _ in pieces):
@@ -135,7 +135,7 @@ def cmd_hak_verify(args, cfg: RunConfig) -> int:
 
 def cmd_suspend_entropy(args, cfg: RunConfig) -> int:
     from .suspension import product_formula_report
-    from .tower import HALF, pl_at
+    from .pl import HALF, pl_at
 
     sys_ = _suspension(cfg, "suspend-entropy")
     eps_list = cfg.get("experiment", "eps")
@@ -294,8 +294,8 @@ def cmd_horseshoe(args, cfg: RunConfig) -> int:
 
 
 def cmd_render(args, cfg: RunConfig) -> int:
-    from .chains import (ChainCover, ChainError, Rect, essential_seven_chain,
-                         refine_chain, render_chains)
+    from .chains import ChainError
+    from .covers import ChainCover, Rect, essential_seven_chain, refine_chain, render_chains
 
     levels = []
     level_sections = cfg.numbered("level")

@@ -330,7 +330,7 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
 
 
 def build_cantor(cfg: RunConfig) -> CantorSystem:
-    from .cantor import FullShift, Odometer, SFT, Substitution
+    from .cantor import FullShift, Odometer, SFT
 
     kind = cfg.get("cantor", "kind")
     if kind == "fullshift":
@@ -339,6 +339,8 @@ def build_cantor(cfg: RunConfig) -> CantorSystem:
         system, args = SFT, (cfg.get("cantor", "k"), cfg.get("cantor", "adjacency"))
         key = "adjacency"
     elif kind == "substitution":
+        from .substitution import Substitution
+
         raw = cfg.get("cantor", "rules")
         rules: dict[int, tuple[int, ...]] = {}
         for part in raw.split(";"):

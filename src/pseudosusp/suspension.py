@@ -3,7 +3,7 @@
 Points of the quotient are normalized representatives (t, r, c) with
 r in [0,1): shifting r by an integer n trades exactly against applying the
 n-th power of the Cantor homeomorphism to c.  The map fixes t and moves r by
-its exact speed P(t) (a `tower.PL`), so n steps carry (t, r, c) to
+its exact speed P(t) (a `pl.PL`), so n steps carry (t, r, c) to
 (t, r + n*P(t) - k, h^k(c)), k = floor(r + n*P(t)): every search and count
 here reads P, never a stepped orbit.  Everything here runs on floats, ints
 and exact fractions.
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .cantor import CantorPoint, CantorSystem, depth_for
 from .config import CapacityError
-from .tower import HALF, PL, pl_at
+from .pl import HALF, PL, pl_at
 
 
 class SuspensionPoint(NamedTuple):

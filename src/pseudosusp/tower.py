@@ -37,27 +37,22 @@ the report has no rows for it and never claims it.
 
 All stage data are exact fractions, so every value is an exact sup (for
 (8) past (1 - alpha_n)/2, the bound that `hak_verify` explains), and a
-check passes iff value <= bound.  This module imports only the standard
-library."""
+check passes iff value <= bound.  Besides the standard library this module
+imports only `config`, for its error, and `pl`, for the exact profiles."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional
 
 from .config import ConfigError
-
-ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+from .pl import HALF, ONE, PL, ZERO, pl_at, pl_sum
 
 # how each condition's rows are obtained (see the module docstring)
 MEASURED = ("3", "6", "8")
 CONFIG = ("1", "2", "7")
 STRUCTURAL = ("5",)
-
-# a continuous piecewise-linear function: its (x, y) breakpoints, x increasing
-PL = tuple[tuple[Fraction, Fraction], ...]
 
 
 class HAKStage(NamedTuple):
@@ -101,19 +96,6 @@ class CheckResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # exact piecewise-linear profiles
 # ---------------------------------------------------------------------------
-
-def pl_at(f: PL, x: Fraction) -> Fraction:
-    """f(x), for x between f's first and last breakpoints."""
-    k = min(max(bisect_right([bx for bx, _ in f], x), 1), len(f) - 1)
-    (x0, y0), (x1, y1) = f[k - 1], f[k]
-    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-
-
-def pl_sum(fs: list[PL]) -> PL:
-    """The sum of PL functions on [0, 1], on the union of their breakpoints."""
-    xs = sorted({x for f in fs for x, _ in f})
-    return tuple((x, sum(pl_at(f, x) for f in fs)) for x in xs)
-
 
 def stage_profiles(stages: list[HAKStage]) -> list[PL]:
     """The collar profiles g_n of a validated stage list."""

@@ -139,8 +139,10 @@ OVERRIDES = [
 # their own mirror images), on a 6-link chain, on a chain whose link 3 has a
 # core 10^-7 wide but holds no symbol slot, and on a chain whose end links
 # leave [0, 1]; then an asymmetric 3-lap map and its mirror, whose
-# certificates fail with different hulls, and the 4-lap map
-# 0,0; 1/4,1; 1/2,0; 3/4,1; 1,0, which stretches the chain for no m <= 8
+# certificates fail with different hulls, the asymmetric map at depth 0, the
+# 4-lap map 0,0; 1/4,1; 1/2,0; 3/4,1; 1,0, which stretches the chain for no
+# m <= 8, and the monotone map 0,0; 3/7,0; 4/7,1; 1,1 at depth 0, whose
+# entropy is 0 although every word of length 1 is realized
 _BRANCH_LINKS = ["0,37/252", "35/252,73/252", "71/252,109/252", "107/252,145/252",
                  "143/252,181/252", "179/252,217/252", "215/252,1"]
 _MIRRORED_BRANCH_LINKS = ("0,37/252; 5/36,73/252; 71/252,109/252; 107/252,145/252; "
@@ -177,7 +179,11 @@ OVERRIDES += [
      ["plmap.breakpoints=0,0; 3/7,0; 1/2,1; 11/20,0; 4/7,1; 1,1",
       f"chain.links={_MIRRORED_BRANCH_LINKS}"]),
     ("horseshoe", "three_branch_horseshoe.ini",
+     ["plmap.breakpoints=0,0; 3/7,0; 9/20,1; 1/2,0; 4/7,1; 1,1", "horseshoe.depth=0"]),
+    ("horseshoe", "three_branch_horseshoe.ini",
      ["plmap.breakpoints=0,0; 1/4,1; 1/2,0; 3/4,1; 1,0"]),
+    ("horseshoe", "three_branch_horseshoe.ini",
+     ["plmap.breakpoints=0,0; 3/7,0; 4/7,1; 1,1", "horseshoe.depth=0"]),
 ]
 
 # (subcommand, fixture, words): command lines the parser refuses, a flag the

@@ -23,11 +23,12 @@ import numpy as np
 
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
                                 Twist, orbit, rotation_estimate)
-from pseudosusp.cantor import (SFT, CantorPoint, CantorSystem, Odometer, OdometerPoint,
-                               Substitution, _language_words)
+from pseudosusp.cantor import SFT, CantorPoint, CantorSystem, Odometer, OdometerPoint
 from pseudosusp.chains import IntervalChain, PLMap
+from pseudosusp.pl import pl_sum
+from pseudosusp.substitution import Substitution, _language_words
 from pseudosusp.suspension import SuspensionPoint, SuspensionSystem, depth_for, normalize
-from pseudosusp.tower import HAKStage, _gamma, circle_sup, pl_sum, stage_profiles
+from pseudosusp.tower import HAKStage, _gamma, circle_sup, stage_profiles
 
 
 def golden_mean_sft() -> SFT:

@@ -17,8 +17,8 @@ from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, Profile,
                                 fixes_t, orbit, rotation_estimate, rotation_family)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import ConfigError, build_stages, load_config
-from pseudosusp.tower import (circle_sup, hak_verify, pl_sum,
-                              rigidity_times, stage_profiles)
+from pseudosusp.pl import pl_at, pl_sum
+from pseudosusp.tower import circle_sup, hak_verify, rigidity_times, stage_profiles
 
 from oracles import (UnsupportedConjugacyError, apply_arrays, circle_distance,
                      conjugacy_invariance_check, displacement_bound, equivariance_defect,
@@ -550,6 +550,31 @@ def test_circle_sup_bounds_and_meets_the_brute_force_max(case, q):
         lo, hi = min(value_at(f, t) for t in at), max(value_at(f, t) for t in at)
         assert any(math.floor(i * hi - Fraction(1, 2)) >= math.ceil(i * lo - Fraction(1, 2))
                    for i in range(1, q + 1))
+
+
+@st.composite
+def pl_functions(draw):
+    """A continuous PL function with Fraction breakpoints running from 0 to 1."""
+    inner = {Fraction(draw(st.integers(1, d - 1)), d)
+             for d in draw(st.lists(st.integers(2, 60), max_size=5))}
+    xs = [ZERO, *sorted(inner), ONE]
+    return tuple((x, Fraction(draw(st.integers(-120, 120)), draw(st.integers(1, 60))))
+                 for x in xs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fs=st.lists(pl_functions(), min_size=1, max_size=4), data=st.data())
+def test_pl_sum_is_the_pointwise_sum_and_pl_at_meets_each_breakpoint(fs, data):
+    """`pl_sum` agrees with the sum of the values at any Fraction in [0, 1],
+    on a breakpoint of any summand or between, and `pl_at` returns each
+    breakpoint's own y."""
+    total = pl_sum(fs)
+    knots = sorted({x for f in fs for x, _ in f})
+    den = data.draw(st.integers(1, 1000))
+    for x in [*knots, Fraction(data.draw(st.integers(0, den)), den)]:
+        assert pl_at(total, x) == sum(pl_at(f, x) for f in fs), x
+    for f in fs:
+        assert all(pl_at(f, bx) == by for bx, by in f)
 
 
 # ---------------------------------------------------------------------------

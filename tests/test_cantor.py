@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudosusp import cantor
+from pseudosusp import cantor, substitution
 from pseudosusp.cantor import (FullShift, InvalidPointError, Odometer, OdometerPoint,
-                               ReducibleSFTWarning, SFT, Substitution, _language_words)
+                               ReducibleSFTWarning, SFT)
+from pseudosusp.substitution import Substitution, _language_words
 
 from oracles import cantor_metric, golden_mean_sft, recurrence_profile, thue_morse
 
@@ -586,7 +587,7 @@ def test_thue_morse_splice_draws_every_legal_window():
 @given(block=st.lists(st.integers(0, 2), max_size=40).map(tuple),
        word=st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple))
 def test_occurrences_match_a_slice_scan(block, word):
-    assert cantor._occurrences(block, word) == [
+    assert substitution._occurrences(block, word) == [
         i for i in range(len(block) - len(word) + 1) if block[i:i + len(word)] == word]
 
 

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudosusp import chains
-from pseudosusp.chains import (ChainCover, ChainError, IntervalChain, PLMap, Rect,
-                               StretchPreconditionError, _merge_intervals,
-                               _pullback, essential_seven_chain,
-                               horseshoe_extract, kfold,
-                               refine_chain, render_chains, stretch_check)
-from pseudosusp.cli import fixture_path
+from pseudosusp.chains import (ChainError, IntervalChain, PLMap, StretchPreconditionError,
+                               _merge_intervals, _pullback, horseshoe_extract, kfold,
+                               stretch_check)
+from pseudosusp.cli import fixture_path, main
 from pseudosusp.config import build_interval_chain, build_plmap, load_config
+from pseudosusp.covers import ChainCover, Rect, essential_seven_chain, refine_chain, render_chains
 
 from markov_oracle import transition_entropy
 from oracles import full_branch_middle_map, tent_map, tent_seven_chain, uniform_seven_chain
@@ -244,6 +243,34 @@ def test_horseshoe_tent_negative_with_named_branch():
     assert "empty branch" in cert.summary()
 
 
+def test_horseshoe_monotone_map_fails_at_depth_0(tmp_path, capsys):
+    """A nondecreasing map has entropy 0.  At depth 0 its pullback realizes
+    every word, each a single slot, yet no slot's image covers the span of
+    the slots, so the certificate fails and names that slot."""
+    argv = ["horseshoe", "--map", fixture_path("three_branch_horseshoe.ini"),
+            "--override", "plmap.breakpoints=0,0; 3/7,0; 4/7,1; 1,1", "--depth", "0",
+            "--out", str(tmp_path / "h.csv")]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "entropy" not in out and "g^1(slot 1) misses the span of the slots; 3/3" in out
+    monotone = PLMap(((FR(0), FR(0)), (FR(3, 7), FR(0)), (FR(4, 7), FR(1)), (FR(1), FR(1))))
+    cert = horseshoe_extract(monotone, uniform_seven_chain(), 3, 0)
+    assert not cert.passed and cert.nonempty == cert.expected == 3
+    assert cert.failing_word is None and cert.short_slot == 1
+
+
+def test_horseshoe_slot_images_must_cover_the_span_of_the_slots():
+    """With its first peak at 13/25, g(slot 1) covers slot 1 but not slot 3:
+    slot 1 is the one named, not slot 2, whose image misses even slot 1."""
+    low_peak = PLMap(((FR(0), FR(0)), (FR(3, 7), FR(0)), (FR(10, 21), FR(13, 25)),
+                      (FR(11, 21), FR(0)), (FR(4, 7), FR(1)), (FR(1), FR(1))))
+    cert = horseshoe_extract(low_peak, uniform_seven_chain(), 3, 0)
+    (lo, _), _, (_, hi) = cert.slots
+    image = low_peak.image(cert.slots[0])
+    assert image[0] <= lo <= cert.slots[0][1] <= image[1] < hi
+    assert not cert.passed and cert.failing_word is None and cert.short_slot == 1
+
+
 def test_horseshoe_bound_never_exceeds_oracle():
     for k in (3, 5):
         g = full_branch_middle_map(k)
@@ -363,6 +390,15 @@ def _reference_frontier(g, m, slots, depth):
     return frontier, failing
 
 
+def _reference_short_slot(g, m, slots):
+    """The first slot whose image under the composed g^m misses the span of
+    the slots, or None when every image covers it."""
+    gm = _iterate(g, m)
+    images = [gm.image(slot) for slot in slots]
+    return next((s for s, (lo, hi) in enumerate(images, start=1)
+                 if lo > slots[0][0] or hi < slots[-1][1]), None)
+
+
 def _hulls(cert):
     """The certificate's hulls as Fractions: each numerator over its scale."""
     return {word: (FR(lo, cert.scale), FR(hi, cert.scale))
@@ -454,11 +490,14 @@ def test_pullback_verdict_matches_forward_frontier(case, depth, monkeypatch):
     cert = horseshoe_extract(g, chain, k, depth)
     monkeypatch.undo()
 
-    # the stretch test's two images per exponent tried are the only ones
-    assert len(images) == 2 * cert.exponent
+    # the stretch test's two images per exponent tried and the m chained
+    # images of each slot up to the first short one are the only ones
+    assert len(images) == (2 + (cert.short_slot or k)) * cert.exponent
     frontier, failing = _reference_frontier(g, cert.exponent, cert.slots, depth)
     assert cert.nonempty == len(frontier) == len(cert.intervals)
-    assert cert.passed == (len(frontier) == k ** (depth + 1))
+    assert cert.short_slot == _reference_short_slot(g, cert.exponent, cert.slots)
+    # the horseshoe lemma: when every image covers the span, every word survives
+    assert not cert.passed or len(frontier) == k ** (depth + 1)
     assert cert.failing_word == failing
 
 
@@ -538,7 +577,8 @@ def test_pullback_certificate_matches_forward_frontier(fold, k, depth, m_bound):
     m = cert.exponent
     frontier, failing = _reference_frontier(g, m, cert.slots, depth)
     assert cert.nonempty == len(frontier)
-    assert cert.passed == (len(frontier) == k ** (depth + 1))
+    assert cert.short_slot == _reference_short_slot(g, m, cert.slots)
+    assert not cert.passed or len(frontier) == k ** (depth + 1)
     assert cert.failing_word == failing
     assert _hulls(cert) == _reference_intervals(_iterate(g, m), cert.slots, depth)
 

@@ -81,11 +81,12 @@ def test_flags_take_their_value_after_an_equals_sign(tmp_path, capsys):
     assert out.read_text().startswith("condition,stage,value,bound,margin,passed\n")
     assert run(["pattern", "--kfold=3", f"--out={tmp_path / 'p.txt'}"]) == 0
     assert (tmp_path / "p.txt").read_text() == "1,2,3,4,5,4,3,4,5,6,7\n"
-    # the last of a repeated flag counts; --k and --depth apply after every --override
+    # the last of a repeated flag counts; --k and --depth apply after every --override;
+    # the tent's slot images do not cover the slots, so even depth 0 fails
     capsys.readouterr()
     assert run(["horseshoe", "--map", fixture_path("tent_horseshoe.ini"), "--depth", "9",
                 "--depth=0", "--override", "horseshoe.k=5", "--k", "3",
-                "--out", str(tmp_path / "h.csv")]) == 0
+                "--out", str(tmp_path / "h.csv")]) == 2
     assert "k=3 depth=0 " in capsys.readouterr().out
     # the text after the first "=" is the value, and is checked as the next word is
     assert parse_args(["horseshoe", "--map=a=b.ini", "--k=3", "--override=chain.links=0,1",
@@ -731,17 +732,18 @@ def _modules_after(code: str, cwd: Path) -> set[str]:
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     """No command loads numpy: the entropy counts, the orbits, the rotation
     estimates and both witnesses run on floats, ints and lists.
-    `hak-verify` and `rigidity` are exact and load only `cli`, `config` and
-    `tower`, whose records are named tuples: no `dataclasses` either.
+    `hak-verify` and `rigidity` are exact and load only `cli`, `config`,
+    `pl` and `tower`, whose records are named tuples: no `dataclasses` either.
     `suspend-orbit` follows the annulus map alone and loads neither
     `cantor` nor `suspension`.  The suspension commands read the exact
-    speed from `tower` and load no `annulus`."""
+    speed from `pl` and load no `annulus` and no `tower`; only a
+    substitution loads `substitution`, and only `render` loads `covers`."""
     run_main = "from pseudosusp.cli import fixture_path, main\nassert main({}) == 0"
     layers = {"pseudosusp.annulus", "pseudosusp.cantor", "pseudosusp.chains",
               "pseudosusp.suspension"}
 
     def command(name, fixture, *overrides):
-        flag = "--map" if name == "horseshoe" else "-c"
+        flag = FLAG.get(name, "-c")
         extra = "".join(f", '--override', {o!r}" for o in overrides)
         return run_main.format(f"[{name!r}, {flag!r}, fixture_path({fixture!r}), "
                                f"'--out', 'o.csv'{extra}]")
@@ -772,10 +774,25 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
              {"numpy", "pseudosusp.cantor", "pseudosusp.suspension"}),
             ("import pseudosusp.chains", {"numpy", "pseudosusp.cantor"})):
         assert not absent & _modules_after(code, tmp_path), code
-    for code in (command("suspend-entropy", "entropy_unit.ini"),
-                 command("dense-orbit", "dense_demo.ini"),
-                 command("mixing-witness", "witness_fullshift.ini")):
-        assert "pseudosusp.annulus" not in _modules_after(code, tmp_path), code
+    # every package module that each command loads; `fixture_path` loads
+    # `pseudosusp.fixtures`
+    base = {"pseudosusp", "pseudosusp.cli", "pseudosusp.config", "pseudosusp.fixtures"}
+    speed = base | {"pseudosusp.cantor", "pseudosusp.pl", "pseudosusp.suspension"}
+    for code, loaded in (
+            (command("hak-verify", "hak_toy.ini"), base | {"pseudosusp.pl", "pseudosusp.tower"}),
+            (command("rigidity", "rigidity_golden.ini"),
+             base | {"pseudosusp.pl", "pseudosusp.tower"}),
+            (command("horseshoe", "three_branch_horseshoe.ini"), base | {"pseudosusp.chains"}),
+            (command("render", "render_demo.ini"),
+             base | {"pseudosusp.chains", "pseudosusp.covers"}),
+            (command("suspend-entropy", "entropy_unit.ini"), speed),
+            (command("suspend-entropy", "thue_morse.ini", *entropy),
+             speed | {"pseudosusp.substitution"}),
+            (command("dense-orbit", "dense_demo.ini"), speed),
+            (command("mixing-witness", "witness_fullshift.ini"), speed),
+            ("import pseudosusp.pl", {"pseudosusp", "pseudosusp.pl"})):
+        modules = _modules_after(code, tmp_path)
+        assert {m for m in modules if m.split(".")[0] == "pseudosusp"} == loaded, code
     # the probe sees numpy when something loads it
     assert "numpy" in _modules_after("import numpy", tmp_path)
 

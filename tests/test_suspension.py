@@ -16,16 +16,16 @@ from hypothesis import strategies as st
 
 from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
                                 Twist, cover_lift, orbit, rotation_estimate)
-from pseudosusp.cantor import (FullShift, Odometer, OdometerPoint, SFT, Substitution,
-                               _language_words)
+from pseudosusp.cantor import FullShift, Odometer, OdometerPoint, SFT
 from pseudosusp.cli import _speed
 from pseudosusp.config import build_map, load_config
+from pseudosusp.pl import HALF, pl_at
+from pseudosusp.substitution import Substitution, _language_words
 from pseudosusp.suspension import (CapacityError, SuspensionPoint, SuspensionSystem,
                                    _cylinder_counts, _seen_positions, _strip_meets,
                                    dense_orbit_check, depth_for, entropy_separated,
                                    entropy_spanning, normalize, product_formula_report,
                                    weak_mixing_witness)
-from pseudosusp.tower import HALF, pl_at
 
 from oracles import (brute_force_witness, cantor_metric, core_key, cylinders_meet,
                      golden_mean_sft, quotient_distance, rigidity_suspension, sampled_witness,
