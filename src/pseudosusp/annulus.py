@@ -2,47 +2,17 @@
 
 The strip is [0,1] x R with the sum metric; the angular coordinate is the
 R/Z factor, and rotation numbers are measured on its lift.  Maps are pipelines
-of primitives acting on floats.
+of primitives acting on floats; a twist or a reparam holds a float `pl.PL`
+and reads it with `pl_at`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import NamedTuple, Union
 
 from .config import ConfigError
-
-
-# ---------------------------------------------------------------------------
-# piecewise-linear profiles
-# ---------------------------------------------------------------------------
-
-def pl_eval(xs, ys, x):
-    """The piecewise-linear function through (xs, ys) at x, extended past
-    the ends by its end pieces."""
-    idx = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
-    x0, x1 = xs[idx], xs[idx + 1]
-    y0, y1 = ys[idx], ys[idx + 1]
-    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-
-
-class Profile:
-    """Piecewise-linear function on [0,1] given by (x, y) breakpoints."""
-
-    __slots__ = ("breakpoints", "_xy")
-
-    def __init__(self, breakpoints: tuple[tuple[float, float], ...]):
-        xs = tuple(x for x, _ in breakpoints)
-        if len(xs) < 2 or xs[0] != 0.0 or xs[-1] != 1.0:
-            raise ValueError("profile must span [0,1]")
-        if any(b >= a for a, b in zip(xs[1:], xs)):
-            raise ValueError("profile breakpoints must be strictly increasing")
-        self.breakpoints = breakpoints
-        self._xy = xs, tuple(y for _, y in breakpoints)
-
-    def __call__(self, x):
-        return pl_eval(*self._xy, x)
+from .pl import PL, pl_at
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +27,13 @@ class RigidRotation(NamedTuple):
 
 
 class Twist(NamedTuple):
-    """Angular displacement depending on the radial coordinate."""
+    """Angular displacement depending on the radial coordinate: r moves by
+    the float PL profile at t."""
 
-    profile: Profile
+    profile: PL
 
     def apply(self, t, r):
-        return t, r + self.profile(t)
+        return t, r + pl_at(self.profile, t)
 
 
 class RadialReparam:
@@ -70,14 +41,14 @@ class RadialReparam:
 
     __slots__ = ("profile",)
 
-    def __init__(self, profile: Profile):
-        ys = [y for _, y in profile.breakpoints]
+    def __init__(self, profile: PL):
+        ys = [y for _, y in profile]
         if ys[0] != 0.0 or ys[-1] != 1.0 or any(b >= a for a, b in zip(ys[1:], ys)):
             raise ValueError("radial reparametrization must increase from 0 to 1")
         self.profile = profile
 
     def apply(self, t, r):
-        return self.profile(t), r
+        return pl_at(self.profile, t), r
 
 
 class DeckCover(NamedTuple):
@@ -145,7 +116,7 @@ def orbit(m: LiftedAnnulusMap, t: float, r: float,
     out = [(t, r, w)]
     append = out.append
     if fixes_t(m):
-        steps = [prim.beta if isinstance(prim, RigidRotation) else prim.profile(t)
+        steps = [prim.beta if isinstance(prim, RigidRotation) else pl_at(prim.profile, t)
                  for prim in m.pipeline]
         for _ in range(n):
             for d in steps:

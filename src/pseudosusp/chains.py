@@ -1,7 +1,7 @@
-"""Chain patterns, piecewise-linear interval maps, interval chains, the
-stretching test and horseshoe certificates on a desk model.  The
-two-dimensional chain covers that the patterns refine, and their SVG, are in
-`covers`.
+"""Chain patterns, interval chains, the stretching test and horseshoe
+certificates on a desk model.  The interval map g is an exact `pl.PL`
+whose y lie in [0, 1], evaluated and imaged by `pl`.  The two-dimensional
+chain covers that the patterns refine, and their SVG, are in `covers`.
 
 All geometry here is exact rational arithmetic: fractions.Fraction, except
 in the horseshoe pullback, which works on integer numerators over one common
@@ -18,6 +18,8 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
+
+from .pl import PL, pl_image
 
 FR = Fraction
 
@@ -54,42 +56,6 @@ def kfold(k: int) -> Pattern:
         raise ValueError(f"k-fold requires an odd k >= 3, got {k}")
     # links 1-3, (k - 1)/2 swings 4,5,4,3 between links 5 and 3, then links 4-7
     return Pattern((1, 2, 3) + (4, 5, 4, 3) * ((k - 1) // 2) + (4, 5, 6, 7), 7)
-
-
-# ---------------------------------------------------------------------------
-# piecewise-linear interval maps (exact)
-# ---------------------------------------------------------------------------
-
-class PLMap:
-    """Continuous piecewise-linear self-map of [0,1], exact breakpoints."""
-
-    __slots__ = ("breakpoints",)
-
-    def __init__(self, breakpoints: tuple[tuple[FR, FR], ...]):
-        xs = [x for x, _ in breakpoints]
-        ys = [y for _, y in breakpoints]
-        if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1:
-            raise ValueError("breakpoints must span [0,1]")
-        if any(b >= a for a, b in zip(xs[1:], xs)):
-            raise ValueError("breakpoint abscissae must strictly increase")
-        if any(y < 0 or y > 1 for y in ys):
-            raise ValueError("image must stay inside [0,1]")
-        self.breakpoints = breakpoints
-
-    def __call__(self, x: FR) -> FR:
-        bp = self.breakpoints
-        for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
-            if x0 <= x <= x1:
-                return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-        raise ValueError(f"{x} outside [0,1]")
-
-    def image(self, interval: tuple[FR, FR]) -> tuple[FR, FR]:
-        lo, hi = interval
-        if lo > hi:
-            raise ValueError("empty interval")
-        vals = [self(lo), self(hi)]
-        vals += [y for x, y in self.breakpoints if lo < x < hi]
-        return min(vals), max(vals)
 
 
 def _merge_intervals(pieces: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -140,7 +106,7 @@ def _contains(outer: tuple[FR, FR], inner: tuple[FR, FR]) -> bool:
     return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
-def stretch_check(g: PLMap, chain: IntervalChain,
+def stretch_check(g: PL, chain: IntervalChain,
                   m_bound: int = 8) -> Optional[tuple[int, str]]:
     """The least m <= m_bound for which g^m sends link 3 into an end link and
     link 5 into the opposite end link, with the orientation: "standard" if
@@ -152,7 +118,8 @@ def stretch_check(g: PLMap, chain: IntervalChain,
     u1, u3, u5, u7 = (chain.links[i] for i in (0, 2, 4, 6))
     i3, i5 = u3, u5
     for m in range(1, m_bound + 1):
-        i3, i5 = g.image(i3), g.image(i5)  # g^m(I) = g(g^(m-1)(I)), g continuous
+        # g^m(I) = g(g^(m-1)(I)), g continuous
+        i3, i5 = pl_image(g, *i3), pl_image(g, *i5)
         if _contains(u1, i3) and _contains(u7, i5):
             return m, "standard"
         if _contains(u7, i3) and _contains(u1, i5):
@@ -164,7 +131,6 @@ class HorseshoeCertificate(NamedTuple):
     k: int
     depth: int
     exponent: int
-    orientation: str
     nonempty: int
     expected: int
     failing_word: Optional[tuple[int, ...]]
@@ -220,7 +186,7 @@ def _lattice_preimages(laps, lo: int, hi: int) -> list[tuple[int, int]]:
     return _merge_intervals(pieces)
 
 
-def _pullback(g: PLMap, m: int, slots: Sequence[tuple[FR, FR]], depth: int
+def _pullback(g: PL, m: int, slots: Sequence[tuple[FR, FR]], depth: int
               ) -> list[tuple[int, dict[tuple[int, ...], list[tuple[int, int]]]]]:
     """The points of slot w[0] whose g^m-itinerary through the slots is w,
     as merged pieces, for every word w where they exist: level l holds the
@@ -239,16 +205,15 @@ def _pullback(g: PLMap, m: int, slots: Sequence[tuple[FR, FR]], depth: int
     denominators of the laps' inverse slopes: a preimage step takes a value
     over D to a value over D·S, so level l lives on scale D0·S^(l·m), and
     each preimage, clip and merge is a plain integer operation."""
-    bp = g.breakpoints
-    d0 = math.lcm(*(v.denominator for point in bp for v in point),
+    d0 = math.lcm(*(v.denominator for point in g for v in point),
                   *(v.denominator for slot in slots for v in slot))
-    inv = [(x1 - x0) / (y1 - y0) if y1 != y0 else 0 for (x0, y0), (x1, y1) in zip(bp, bp[1:])]
+    inv = [(x1 - x0) / (y1 - y0) if y1 != y0 else 0 for (x0, y0), (x1, y1) in zip(g, g[1:])]
     s = math.lcm(*(r.denominator for r in inv))
 
     def over_d0(v: FR) -> int:
         return v.numerator * (d0 // v.denominator)
 
-    pts = [(over_d0(x), over_d0(y)) for x, y in bp]
+    pts = [(over_d0(x), over_d0(y)) for x, y in g]
     laps = [(x0, x1, y0, min(y0, y1), max(y0, y1), int(r * s))
             for ((x0, y0), (x1, y1)), r in zip(zip(pts, pts[1:]), inv)]
     base = [(over_d0(lo), over_d0(hi)) for lo, hi in slots]
@@ -285,7 +250,7 @@ def _pullback(g: PLMap, m: int, slots: Sequence[tuple[FR, FR]], depth: int
     return levels
 
 
-def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
+def horseshoe_extract(g: PL, chain: IntervalChain, k: int, depth: int,
                       m_bound: int = 8) -> HorseshoeCertificate:
     """Itinerary certificate over the k symbol slots of the k-fold refinement.
 
@@ -321,12 +286,12 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
     if w <= FR(1, 10 ** 6):
         raise ChainError("refinement margins collapse inside parent 4")
     slots = tuple((lo + s * w + w / 10, lo + (s + 1) * w - w / 10) for s in range(k))
-    m, orientation = stretch
+    m, _ = stretch
     span = (slots[0][0], slots[-1][1])
     short = None
     for s, image in enumerate(slots, start=1):
         for _ in range(m):
-            image = g.image(image)
+            image = pl_image(g, *image)
         if not _contains(image, span):
             short = s
             break
@@ -346,7 +311,6 @@ def horseshoe_extract(g: PLMap, chain: IntervalChain, k: int, depth: int,
     intervals = {word: (pieces[0][0], pieces[-1][1]) for word, pieces in sorted(pulled.items())}
 
     return HorseshoeCertificate(
-        k=k, depth=depth, exponent=m, orientation=orientation,
-        nonempty=nonempty, expected=expected, failing_word=failing, short_slot=short,
-        entropy_bound=math.log(k) / m,
+        k=k, depth=depth, exponent=m, nonempty=nonempty, expected=expected,
+        failing_word=failing, short_slot=short, entropy_bound=math.log(k) / m,
         slots=slots, scale=scale, intervals=intervals)

@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:
     from .annulus import LiftedAnnulusMap
     from .cantor import CantorSystem
-    from .chains import IntervalChain, PLMap
+    from .chains import IntervalChain
+    from .pl import PL
     from .tower import HAKStage
 
 
@@ -150,6 +151,15 @@ def _in(value, interval: str) -> bool:
             and (value < hi if interval[-1] == ")" else value <= hi))
 
 
+def _declaring(declaration: dict, section: str) -> Optional[str]:
+    """The name in `declaration` that declares [section]: the section's own,
+    or 'prefix N' for a [prefix N]; None if there is neither."""
+    if section in declaration:
+        return section
+    numbered = section.rstrip("0123456789").rstrip() + " N"
+    return numbered if numbered in declaration else None
+
+
 class RunConfig:
     """A config with its overrides applied, read through one subcommand's
     declaration in COMMANDS."""
@@ -176,9 +186,7 @@ class RunConfig:
 
     def declared(self, section: str) -> dict:
         """The keys [section] takes, with those its keys' values bring."""
-        name = section if section in self.declaration else (
-            section.rstrip("0123456789").rstrip() + " N")
-        keys = dict(self.declaration[name])
+        keys = dict(self.declaration[_declaring(self.declaration, section)])
         for key, spec in list(keys.items()):
             if isinstance(spec[0], dict):
                 keys.update(spec[0][self._read(section, key, spec)])
@@ -224,8 +232,9 @@ class RunConfig:
 
 def load_config(path: Optional[str], overrides: Optional[list[str]], command: str) -> RunConfig:
     """The config at `path` with `overrides` applied, as `command` reads it,
-    its declared sections checked for unknown keys.  Values are literal: no
-    key interpolates `%`."""
+    its declared sections checked for unknown keys.  An override of a
+    section that `command` does not declare is refused; such a section of
+    the file is ignored.  Values are literal: no key interpolates `%`."""
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
@@ -238,9 +247,12 @@ def load_config(path: Optional[str], overrides: Optional[list[str]], command: st
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
+        section, key = (part.strip() for part in target.split(".", 1))
+        if _declaring(COMMANDS[command], section) is None:
+            raise ConfigError(f"{section}.{key}: unknown section; {command} reads "
+                              f"{', '.join(f'[{name}]' for name in COMMANDS[command])}")
         # the parser folds an override's key as it folds the file's keys
-        parser.read_dict({section.strip(): {key.strip(): value.strip()}})
+        parser.read_dict({section: {key: value.strip()}})
     cfg = RunConfig(parser, command)
     cfg.check()
     return cfg
@@ -271,8 +283,10 @@ def parse_fractions(raw: str, key: str, fields: str) -> list[tuple[Fraction, ...
 
 def parse_map(cfg: RunConfig) -> tuple[list[tuple[str, object]], Optional[tuple[int, int]]]:
     """`map.map` checked and parsed once: the exact pieces ("rotation", beta)
-    and ("twist" or "reparam", (x, y) breakpoints) in pipeline order, and
-    the cover (q, p) around them all, or None."""
+    and ("twist" or "reparam", an exact PL) in pipeline order, and the cover
+    (q, p) around them all, or None."""
+    from .pl import pl_check
+
     pieces: list[tuple[str, object]] = []
     cover = None
     for stage in cfg.get("map", "map").split("|"):
@@ -289,12 +303,11 @@ def parse_map(cfg: RunConfig) -> tuple[list[tuple[str, object]], Optional[tuple[
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"map.map: bad rotation {args!r}") from exc
         elif name in ("twist", "reparam"):
-            points = tuple(parse_fractions(args, f"map.map {name}", "x,y"))
-            xs = [x for x, _ in points]
-            if (len(xs) < 2 or xs[0] != 0 or xs[-1] != 1
-                    or any(b <= a for a, b in zip(xs, xs[1:]))):
-                raise ConfigError(f"map.map: {name} breakpoints must increase from 0 to 1")
-            pieces.append((name, points))
+            points = parse_fractions(args, f"map.map {name}", "x,y")
+            try:
+                pieces.append((name, pl_check(points)))
+            except ValueError as exc:
+                raise ConfigError(f"map.map: {name} {exc}") from exc
         elif name == "cover":
             if cover is not None:
                 raise ConfigError(f"map.map: a second cover {args!r}; one wraps the pipeline")
@@ -311,8 +324,8 @@ def parse_map(cfg: RunConfig) -> tuple[list[tuple[str, object]], Optional[tuple[
 
 
 def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
-    from .annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation, Twist,
-                          cover_lift)
+    from .annulus import LiftedAnnulusMap, RadialReparam, RigidRotation, Twist, cover_lift
+    from .pl import pl_check
 
     pieces, cover = parse_map(cfg)
     pipeline = []
@@ -321,7 +334,8 @@ def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
             pipeline.append(RigidRotation(float(value)))
             continue
         try:
-            profile = Profile(tuple((float(x), float(y)) for x, y in value))
+            # checked again: float() can merge two distinct breakpoints
+            profile = pl_check((float(x), float(y)) for x, y in value)
             pipeline.append(Twist(profile) if name == "twist" else RadialReparam(profile))
         except ValueError as exc:
             raise ConfigError(f"map.map: {name} {exc}") from exc
@@ -373,14 +387,18 @@ def build_stages(cfg: RunConfig) -> list[HAKStage]:
             for n, name in sections]
 
 
-def build_plmap(cfg: RunConfig) -> PLMap:
-    from .chains import PLMap
+def build_plmap(cfg: RunConfig) -> PL:
+    """The exact interval map of [plmap]: a PL whose y lie in [0, 1]."""
+    from .pl import pl_check
 
     pts = parse_fractions(cfg.get("plmap", "breakpoints"), "plmap.breakpoints", "x,y")
     try:
-        return PLMap(tuple(pts))
+        g = pl_check(pts)
     except ValueError as exc:
         raise ConfigError(f"plmap.breakpoints: {exc}") from exc
+    if any(not 0 <= y <= 1 for _, y in g):
+        raise ConfigError("plmap.breakpoints: image must stay inside [0,1]")
+    return g
 
 
 def build_interval_chain(cfg: RunConfig) -> IntervalChain:

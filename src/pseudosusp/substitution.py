@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 
-from .cantor import ShiftPoint, _bool_mul, _Shift
+from .cantor import ShiftPoint, _reach, _Shift
 
 
 class Substitution(_Shift):
@@ -19,8 +19,8 @@ class Substitution(_Shift):
             raise ValueError("substitution needs >= 2 letters and nonempty rules")
         if any(s >= k or s < 0 for r in rules for s in r):
             raise ValueError("substitution rule symbol outside alphabet")
-        if not _primitive(rules, 2 * k):
-            raise ValueError("substitution is not primitive at desk scale")
+        if not _primitive(rules):
+            raise ValueError("substitution is not primitive")
         self.rules, self.label = rules, label
 
     def __repr__(self) -> str:
@@ -89,18 +89,15 @@ class Substitution(_Shift):
 # helpers
 # ---------------------------------------------------------------------------
 
-def _primitive(rules, max_power: int) -> bool:
+def _primitive(rules) -> bool:
+    """Whether some power of the k x k substitution matrix M is positive.
+    Wielandt's bound: a primitive M has M^((k-1)^2 + 1) > 0.  And no
+    earlier power can be positive without that one: every rule is
+    nonempty, so every row of M holds a 1, and M times a positive matrix
+    is positive."""
     k = len(rules)
-    m = [[0] * k for _ in range(k)]
-    for a, word in enumerate(rules):
-        for b in word:
-            m[a][b] = 1
-    p = m
-    for _ in range(max_power):
-        if all(all(row) for row in p):
-            return True
-        p = _bool_mul(p, m)
-    return False
+    m = [[int(b in word) for b in range(k)] for word in rules]
+    return all(all(row) for row in _reach(m, (k - 1) ** 2 + 1))
 
 
 def _legal_pairs(rules) -> set[tuple[int, int]]:

@@ -47,7 +47,7 @@ from math import lcm
 from typing import NamedTuple, Optional
 
 from .config import ConfigError
-from .pl import HALF, ONE, PL, ZERO, pl_at, pl_sum
+from .pl import HALF, ONE, PL, ZERO, pl_image, pl_sum
 
 # how each condition's rows are obtained (see the module docstring)
 MEASURED = ("3", "6", "8")
@@ -117,14 +117,13 @@ def stage_profiles(stages: list[HAKStage]) -> list[PL]:
 def circle_sup(f: PL, a: Fraction, b: Fraction, steps: range) -> Fraction:
     """sup of ||i*f(t)|| over i in `steps` (positive) and t in [a, b].
 
-    f is continuous, so f([a, b]) is [lo, hi], whose ends are values at a, b
-    or a breakpoint between.  If lo <= 0 <= hi, i*[lo, hi] runs from 0 out to
-    i*max(-lo, hi), and ||.|| takes every value up to that or 1/2.
-    Otherwise ||.|| on i*[lo, hi] peaks at 1/2 if the interval meets
-    Z + 1/2, and at an end if not; the loop over i runs in integers over
-    the common denominator d of lo and hi."""
-    ys = [pl_at(f, a), pl_at(f, b)] + [y for x, y in f if a < x < b]
-    lo, hi = min(ys), max(ys)
+    f is continuous, so f([a, b]) is [lo, hi] = `pl_image(f, a, b)`.  If
+    lo <= 0 <= hi, i*[lo, hi] runs from 0 out to i*max(-lo, hi), and ||.||
+    takes every value up to that or 1/2.  Otherwise ||.|| on i*[lo, hi]
+    peaks at 1/2 if the interval meets Z + 1/2, and at an end if not; the
+    loop over i runs in integers over the common denominator d of lo and
+    hi."""
+    lo, hi = pl_image(f, a, b)
     if lo <= 0 <= hi:
         return min(HALF, steps[-1] * max(-lo, hi))
     d = lcm(lo.denominator, hi.denominator)

@@ -132,6 +132,15 @@ OVERRIDES = [
                                              "experiment.eps=0.25"]),
     ("suspend-entropy", "entropy_unit.ini", ["map.map=reparam:0,0;0.5,0.7;1,1"]),
     ("dense-orbit", "dense_demo.ini", ["map.map=rotation:0.5|reparam:0,0;0.5,0.7;1,1"]),
+    # a primitive substitution whose first positive matrix power is
+    # Wielandt's bound (k - 1)^2 + 1 = 10, past 2k
+    ("mixing-witness", "thue_morse.ini", ["cantor.rules=0:1;1:2;2:3;3:01", "witness.u=0,1",
+                                          "witness.v=3"]),
+    # an override of a section that the command does not declare
+    ("suspend-orbit", "orbit_demo.ini", ["orbt.n=5"]),
+    # breakpoints distinct as fractions that float() merges
+    ("suspend-orbit", "orbit_demo.ini", ["map.map=twist:0,0;0.3333333333333333,0.1;1/3,0.2;1,0"]),
+    ("rotation", "rotation_demo.ini", ["map.map=reparam:0,0;0.3333333333333333,0.1;1/3,0.2;1,1"]),
 ]
 
 # horseshoe certificates at depth 0, at the benchmark's depths, mirrored by
@@ -184,6 +193,9 @@ OVERRIDES += [
      ["plmap.breakpoints=0,0; 1/4,1; 1/2,0; 3/4,1; 1,0"]),
     ("horseshoe", "three_branch_horseshoe.ini",
      ["plmap.breakpoints=0,0; 3/7,0; 4/7,1; 1,1", "horseshoe.depth=0"]),
+    # an interval map whose x repeat, and one whose y leave [0, 1]
+    ("horseshoe", "three_branch_horseshoe.ini", ["plmap.breakpoints=0,0; 1/2,1; 1/2,0; 1,1"]),
+    ("horseshoe", "three_branch_horseshoe.ini", ["plmap.breakpoints=0,0; 1/2,2; 1,0"]),
 ]
 
 # (subcommand, fixture, words): command lines the parser refuses, a flag the

@@ -11,9 +11,8 @@ from pseudosusp.cantor import spectral_radius
 
 def lap_pieces(g):
     """(domain, image) per linear piece between consecutive breakpoints."""
-    bp = g.breakpoints
     return [((x0, x1), (min(y0, y1), max(y0, y1)))
-            for (x0, y0), (x1, y1) in zip(bp, bp[1:])]
+            for (x0, y0), (x1, y1) in zip(g, g[1:])]
 
 
 def transition_matrix(g) -> list[list[int]]:

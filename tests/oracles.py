@@ -21,11 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
-                                Twist, orbit, rotation_estimate)
+from pseudosusp.annulus import (LiftedAnnulusMap, RadialReparam, RigidRotation, Twist, orbit,
+                                rotation_estimate)
 from pseudosusp.cantor import SFT, CantorPoint, CantorSystem, Odometer, OdometerPoint
-from pseudosusp.chains import IntervalChain, PLMap
-from pseudosusp.pl import pl_sum
+from pseudosusp.chains import IntervalChain
+from pseudosusp.pl import PL, pl_sum
 from pseudosusp.substitution import Substitution, _language_words
 from pseudosusp.suspension import SuspensionPoint, SuspensionSystem, depth_for, normalize
 from pseudosusp.tower import HAKStage, _gamma, circle_sup, stage_profiles
@@ -72,14 +72,13 @@ def invert_map(g: LiftedAnnulusMap) -> LiftedAnnulusMap:
         if isinstance(prim, RigidRotation):
             inverted.append(RigidRotation(-prim.beta))
         elif isinstance(prim, Twist):
-            inverted.append(Twist(Profile(tuple((x, -y) for x, y in prim.profile.breakpoints))))
+            inverted.append(Twist(tuple((x, -y) for x, y in prim.profile)))
         elif isinstance(prim, RadialReparam):
-            ys = [y for _, y in prim.profile.breakpoints]
+            ys = [y for _, y in prim.profile]
             if any(b >= a for a, b in zip(ys[1:], ys)) or ys[0] != 0.0 or ys[-1] != 1.0:
                 raise UnsupportedConjugacyError(
                     "profile is not an increasing self-map of [0,1]")
-            inverted.append(RadialReparam(
-                Profile(tuple((y, x) for x, y in prim.profile.breakpoints))))
+            inverted.append(RadialReparam(tuple((y, x) for x, y in prim.profile)))
         else:
             raise UnsupportedConjugacyError(
                 f"{type(prim).__name__} is not invertible in the pipeline algebra")
@@ -87,11 +86,11 @@ def invert_map(g: LiftedAnnulusMap) -> LiftedAnnulusMap:
 
 
 def pl_eval_arrays(profile, x):
-    """A float `Profile` at every point of the array x: the breakpoint at or
-    left of x, clamped to the end pieces, then the interpolation
-    `annulus.pl_eval` uses."""
-    xs = np.array([bx for bx, _ in profile.breakpoints])
-    ys = np.array([by for _, by in profile.breakpoints])
+    """A float `PL` at every point of the array x: the breakpoint at or left
+    of x, clamped to the end pieces, then the interpolation `pl.pl_at`
+    uses."""
+    xs = np.array([bx for bx, _ in profile])
+    ys = np.array([by for _, by in profile])
     i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     return ys[i] + (x - xs[i]) * (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
 
@@ -493,12 +492,11 @@ def cylinders_meet(sys, p, rp, q, rq, n: int) -> bool:
 # canned interval maps and chains
 # ---------------------------------------------------------------------------
 
-def tent_map() -> PLMap:
-    return PLMap(((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)),
-                  (Fraction(1), Fraction(0))))
+def tent_map() -> PL:
+    return ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(0)))
 
 
-def full_branch_middle_map(k: int) -> PLMap:
+def full_branch_middle_map(k: int) -> PL:
     """PL map with k full branches folded over the middle seventh of [0,1],
     constant outside; Markov entropy exactly log k."""
     if k % 2 == 0 or k < 3:
@@ -508,7 +506,7 @@ def full_branch_middle_map(k: int) -> PLMap:
     for j in range(1, k + 1):
         pts.append((left + Fraction(j, 7 * k), Fraction(j % 2)))
     pts.append((Fraction(1), Fraction(1)))
-    return PLMap(tuple(pts))
+    return tuple(pts)
 
 
 def uniform_seven_chain(overlap: Fraction = Fraction(1, 252)) -> IntervalChain:

@@ -8,8 +8,8 @@ import random
 import time
 from fractions import Fraction
 
-from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam,
-                                RigidRotation, Twist, rotation_estimate, rotation_family)
+from pseudosusp.annulus import (LiftedAnnulusMap, RadialReparam, RigidRotation, Twist,
+                                rotation_estimate, rotation_family)
 from pseudosusp.cantor import FullShift, Odometer
 from pseudosusp.chains import horseshoe_extract, kfold
 from pseudosusp.cli import fixture_path, main
@@ -104,7 +104,7 @@ def test_criterion_3_rotation_convergence():
     ok_exact = worst <= 1e-12
 
     composite = LiftedAnnulusMap((RigidRotation(0.3),
-                                  Twist(Profile(((0.0, 0.11), (1.0, 0.4))))))
+                                  Twist(((0.0, 0.11), (1.0, 0.4)))))
     sys_ = SuspensionSystem(None, FullShift(2), 32)  # `winding_rate` steps the map itself
     c = sys_.h.random_point(7, 32)
     rates = winding_rate(composite, normalize(sys_, 0.0, 0.0, c), 10_000)
@@ -278,10 +278,9 @@ def test_criterion_9_conjugacy():
     worst_ratio = 0.0
     for _ in range(20):
         F = LiftedAnnulusMap((RigidRotation(rng.uniform(0, 1)),
-                              Twist(Profile(((0.0, 0.0),
-                                             (1.0, rng.uniform(0, 0.3)))))))
+                              Twist(((0.0, 0.0), (1.0, rng.uniform(0, 0.3))))))
         mid = rng.uniform(0.3, 0.7)
-        g = LiftedAnnulusMap((RadialReparam(Profile(((0.0, 0.0), (0.5, mid), (1.0, 1.0)))),
+        g = LiftedAnnulusMap((RadialReparam(((0.0, 0.0), (0.5, mid), (1.0, 1.0))),
                               RigidRotation(rng.uniform(0, 2))))
         est_f, est_c, bound = conjugacy_invariance_check(F, g, 1000)
         worst_ratio = max(worst_ratio, abs(est_f - est_c) / bound)

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, Profile,
-                                RadialReparam, RigidRotation, Twist, cover_lift,
-                                fixes_t, orbit, rotation_estimate, rotation_family)
+from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, RadialReparam, RigidRotation,
+                                Twist, cover_lift, fixes_t, orbit, rotation_estimate,
+                                rotation_family)
 from pseudosusp.cli import fixture_path
 from pseudosusp.config import ConfigError, build_stages, load_config
-from pseudosusp.pl import pl_at, pl_sum
+from pseudosusp.pl import pl_at, pl_check, pl_image, pl_sum
 from pseudosusp.tower import circle_sup, hak_verify, rigidity_times, stage_profiles
 
 from oracles import (UnsupportedConjugacyError, apply_arrays, circle_distance,
@@ -31,7 +31,7 @@ def rot(beta):
 
 
 def twist(*pts):
-    return LiftedAnnulusMap((Twist(Profile(tuple(pts))),))
+    return LiftedAnnulusMap((Twist(tuple(pts)),))
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,9 @@ def test_equivariance_all_primitives():
     maps = [
         rot(0.37),
         twist((0.0, 0.0), (0.4, 0.2), (1.0, 0.0)),
-        LiftedAnnulusMap((RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0)))),)),
+        LiftedAnnulusMap((RadialReparam(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0))),)),
         cover_lift(rot(0.5), 3, 2),
-        LiftedAnnulusMap((RigidRotation(0.3), Twist(Profile(((0.0, 0.1), (1.0, 0.3)))))),
+        LiftedAnnulusMap((RigidRotation(0.3), Twist(((0.0, 0.1), (1.0, 0.3))))),
     ]
     for m in maps:
         assert equivariance_defect(m, samples=1000) < 1e-9
@@ -69,10 +69,10 @@ def ticks(n: int):
 
 
 pl_profiles = st.integers(0, 4).flatmap(lambda n: st.builds(
-    lambda xs, ys: Profile(tuple(zip([0.0] + xs + [1.0], ys))),
+    lambda xs, ys: tuple(zip([0.0] + xs + [1.0], ys)),
     ticks(n), st.lists(st.floats(-2.0, 2.0), min_size=n + 2, max_size=n + 2)))
 reparams = st.integers(0, 3).flatmap(lambda n: st.builds(
-    lambda xs, ys: RadialReparam(Profile(tuple(zip([0.0] + xs + [1.0], [0.0] + ys + [1.0])))),
+    lambda xs, ys: RadialReparam(tuple(zip([0.0] + xs + [1.0], [0.0] + ys + [1.0]))),
     ticks(n), ticks(n)))
 primitive_lists = st.lists(st.one_of(st.builds(RigidRotation, st.floats(-2.0, 2.0)),
                                      st.builds(Twist, pl_profiles), reparams), max_size=4)
@@ -95,8 +95,8 @@ def probes(xs):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(profile=pl_profiles, data=st.data())
 def test_profile_float_and_array_paths_agree_bit_for_bit(profile, data):
-    x = data.draw(probes([x for x, _ in profile.breakpoints]))
-    assert same_bits(profile(x), pl_eval_arrays(profile, np.array([x]))[0])
+    x = data.draw(probes([x for x, _ in profile]))
+    assert same_bits(pl_at(profile, x), pl_eval_arrays(profile, np.array([x]))[0])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -107,7 +107,7 @@ def test_map_float_and_array_paths_agree_bit_for_bit(m, data):
     for bit."""
     inner = m.pipeline[0].inner.pipeline if m.pipeline and isinstance(
         m.pipeline[0], DeckCover) else m.pipeline
-    xs = [x for prim in inner if hasattr(prim, "profile") for x, _ in prim.profile.breakpoints]
+    xs = [x for prim in inner if hasattr(prim, "profile") for x, _ in prim.profile]
     t = data.draw(probes(xs))
     r = data.draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
                             st.floats(-5.0, 5.0)))
@@ -135,7 +135,7 @@ def test_rational_rotation_periodicity():
 
 
 def test_twist_on_invariant_boundary_circle():
-    m = LiftedAnnulusMap((Twist(Profile(((0.0, 0.25), (1.0, 0.5)))),))
+    m = LiftedAnnulusMap((Twist(((0.0, 0.25), (1.0, 0.5))),))
     ests = rotation_estimate(m, 0.0, 0.0, 500)
     for n, est in ests:
         assert abs(est - 0.25) <= 1.0 / n + 1e-12
@@ -169,8 +169,8 @@ def test_increment_orbit_equals_stepped_orbit_bit_for_bit(m, t, r, n):
 
 
 def test_only_rotations_and_twists_fix_t():
-    reparam = RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0))))
-    twist_back = Twist(Profile(((0.0, 0.1), (1.0, -0.3))))
+    reparam = RadialReparam(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0)))
+    twist_back = Twist(((0.0, 0.1), (1.0, -0.3)))
     assert fixes_t(LiftedAnnulusMap(()))
     assert fixes_t(LiftedAnnulusMap((RigidRotation(0.2), twist_back)))
     assert not fixes_t(LiftedAnnulusMap((reparam, RigidRotation(0.6))))
@@ -181,7 +181,7 @@ def test_orbit_reduces_r_to_zero_where_its_floor_rounds_up_to_one():
     """An r in [-2^-54, 0) has r - floor(r) = 1.0 in floats; it reads r = 0
     and one more winding, on the increment path, on the `apply` path and
     at the start."""
-    reparam = RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0))))
+    reparam = RadialReparam(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0)))
     back = -0.30000000000000004
     assert 0.3 + back < 0.0 and 0.3 + back - math.floor(0.3 + back) == 1.0
     assert orbit(rot(back), 0.2, 0.3, 2) == [(0.2, 0.3, 0), (0.2, 0.0, 0), (0.2, 0.7, -1)]
@@ -348,7 +348,7 @@ def test_truncation_rigidity_within_gamma():
 
 def float_truncations(stages):
     """H_1, ..., H_N as float Twist pipelines built from the exact profiles."""
-    twists = [Twist(Profile(tuple((float(x), float(y)) for x, y in g)))
+    twists = [Twist(tuple((float(x), float(y)) for x, y in g))
               for g in stage_profiles(stages)]
     return [LiftedAnnulusMap(tuple(twists[:n])) for n in range(1, len(twists) + 1)]
 
@@ -470,7 +470,7 @@ def test_closed_form_iterates_match_iterated_reference(tower, horizon):
 
 
 profiles = st.builds(
-    lambda xs, ys: Profile(tuple(zip([0.0] + xs + [1.0], ys))),
+    lambda xs, ys: tuple(zip([0.0] + xs + [1.0], ys)),
     st.lists(st.integers(1, 9999), max_size=4, unique=True).map(
         lambda ks: [k / 10000 for k in sorted(ks)]),
     st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
@@ -487,7 +487,7 @@ def test_twist_speed_is_the_closed_form_iterate(pipeline, t, r, i):
     sum of their parts, so i steps move r by i*P(t): the identity behind
     `tower`'s closed forms."""
     m = LiftedAnnulusMap(tuple(pipeline))
-    speed = sum(p.beta if isinstance(p, RigidRotation) else p.profile(t) for p in pipeline)
+    speed = sum(p.beta if isinstance(p, RigidRotation) else pl_at(p.profile, t) for p in pipeline)
     assert speed == pytest.approx(m.apply(t, 0.0)[1], abs=1e-12)
     tc, rc = t, r
     for _ in range(i):
@@ -577,6 +577,37 @@ def test_pl_sum_is_the_pointwise_sum_and_pl_at_meets_each_breakpoint(fs, data):
         assert all(pl_at(f, bx) == by for bx, by in f)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(f=pl_functions(), data=st.data())
+def test_pl_image_is_attained_and_bounds_f(f, data):
+    """Each end of `pl_image(f, lo, hi)` is f at lo, at hi or at a
+    breakpoint between, and every sampled f(x) with x in [lo, hi] lies
+    inside."""
+    den = data.draw(st.integers(1, 1000))
+    unit = st.integers(0, den).map(lambda n: Fraction(n, den))
+    lo, hi = sorted([data.draw(unit), data.draw(unit)])
+    low, high = pl_image(f, lo, hi)
+    attained = {pl_at(f, x) for x in [lo, hi] + [x for x, _ in f if lo <= x <= hi]}
+    assert low in attained and high in attained
+    samples = data.draw(st.lists(unit, max_size=8))
+    for x in [lo, hi] + [x for x, _ in f] + samples:
+        if lo <= x <= hi:
+            assert low <= pl_at(f, x) <= high, x
+
+
+def test_pl_check_refuses_breakpoints_that_do_not_increase_from_0_to_1():
+    good = ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0))
+    assert pl_check(iter(good)) == good
+    for bad in [(), ((0.0, 0.0),), ((0.1, 0.0), (1.0, 0.0)), ((0.0, 0.0), (0.9, 0.0)),
+                ((0.0, 0.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0)),
+                ((0.0, 0.0), (0.6, 0.0), (0.4, 1.0), (1.0, 0.0)),
+                # distinct as fractions, one float
+                tuple((float(x), 0.0) for x in (0, Fraction("0.3333333333333333"),
+                                                Fraction(1, 3), 1))]:
+        with pytest.raises(ValueError, match="breakpoints must increase from 0 to 1"):
+            pl_check(bad)
+
+
 # ---------------------------------------------------------------------------
 # rotation family
 # ---------------------------------------------------------------------------
@@ -661,10 +692,10 @@ def test_conjugacy_identity():
 
 
 def test_conjugacy_twist_bound():
-    g = LiftedAnnulusMap((RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0)))),
+    g = LiftedAnnulusMap((RadialReparam(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0))),
                           RigidRotation(0.4)))
     F = LiftedAnnulusMap((RigidRotation(0.31),
-                          Twist(Profile(((0.0, 0.0), (1.0, 0.2))))))
+                          Twist(((0.0, 0.0), (1.0, 0.2)))))
     f, c, bound = conjugacy_invariance_check(F, g, 1000)
     assert abs(f - c) <= bound
 
@@ -677,8 +708,8 @@ def test_conjugacy_rejects_noninvertible():
 
 def test_invert_map_roundtrip():
     g = LiftedAnnulusMap((RigidRotation(0.4),
-                          Twist(Profile(((0.0, 0.1), (1.0, 0.3)))),
-                          RadialReparam(Profile(((0.0, 0.0), (0.3, 0.6), (1.0, 1.0))))))
+                          Twist(((0.0, 0.1), (1.0, 0.3))),
+                          RadialReparam(((0.0, 0.0), (0.3, 0.6), (1.0, 1.0)))))
     gi = invert_map(g)
     rng = np.random.default_rng(11)
     for _ in range(50):

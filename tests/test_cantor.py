@@ -484,8 +484,42 @@ def test_constructors_reject_bad_configs():
         SFT(2, ((0, 0), (1, 1)))
     with pytest.raises(ValueError):
         Odometer((1, 2))
+    with pytest.raises(ValueError, match="substitution is not primitive"):
+        Substitution(((0,), (1,)))
+
+
+def test_primitive_substitution_whose_first_positive_power_is_wielandts_bound():
+    """0 -> 1 -> 2 -> 3 -> 01 has its first positive matrix power at
+    (4 - 1)^2 + 1 = 10, past the 2k = 8 powers that were once tried."""
+    assert Substitution(((1,), (2,), (3,), (0, 1))).k == 4
     with pytest.raises(ValueError):
-        Substitution(((0,), (1,)))  # not primitive
+        Substitution(((1,), (2,), (3,), (0,)))  # a cycle: no power is positive
+
+
+def _some_power_positive(rules, powers: int) -> bool:
+    k = len(rules)
+    m = [[sum(1 for s in word if s == b) for b in range(k)] for word in rules]
+    p = m
+    for _ in range(powers):
+        if all(all(row) for row in p):
+            return True
+        p = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in p]
+    return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rules=st.integers(2, 5).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, k - 1), min_size=1, max_size=3).map(tuple), min_size=k, max_size=k)))
+def test_substitution_is_built_iff_some_power_of_its_matrix_is_positive(rules):
+    """Against the integer powers of the substitution matrix, up to 4k^2 of
+    them: far past any primitive matrix's first positive power."""
+    primitive = _some_power_positive(rules, 4 * len(rules) ** 2)
+    try:
+        Substitution(tuple(rules))
+    except ValueError:
+        assert not primitive
+    else:
+        assert primitive
 
 
 # ---------------------------------------------------------------------------

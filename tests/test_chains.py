@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudosusp import chains
-from pseudosusp.chains import (ChainError, IntervalChain, PLMap, StretchPreconditionError,
+from pseudosusp.chains import (ChainError, IntervalChain, StretchPreconditionError,
                                _merge_intervals, _pullback, horseshoe_extract, kfold,
                                stretch_check)
 from pseudosusp.cli import fixture_path, main
 from pseudosusp.config import build_interval_chain, build_plmap, load_config
 from pseudosusp.covers import ChainCover, Rect, essential_seven_chain, refine_chain, render_chains
+from pseudosusp.pl import pl_at, pl_image
 
 from markov_oracle import transition_entropy
 from oracles import full_branch_middle_map, tent_map, tent_seven_chain, uniform_seven_chain
@@ -64,8 +65,8 @@ def test_kfold_combinatorics(k):
 
 def test_plmap_eval_image_preimage():
     t = tent_map()
-    assert t(FR(1, 4)) == FR(1, 2)
-    assert t.image((FR(1, 4), FR(3, 4))) == (FR(1, 2), FR(1))
+    assert pl_at(t, FR(1, 4)) == FR(1, 2)
+    assert pl_image(t, FR(1, 4), FR(3, 4)) == (FR(1, 2), FR(1))
     pre = _preimages(t, (FR(1, 2), FR(1)))
     assert pre == [(FR(1, 4), FR(3, 4))]
 
@@ -74,15 +75,14 @@ def _compose(outer, inner):
     """The map outer ∘ inner, with exact breakpoint refinement: the oracle
     for the chained exact images and preimage steps the program takes of g^m.
     Each piece of inner gains a knot where it crosses a knot of outer."""
-    outer_knots = [x for x, _ in outer.breakpoints]
-    bp = inner.breakpoints
-    points = [bp[0]]
-    for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
+    outer_knots = [x for x, _ in outer]
+    points = [inner[0]]
+    for (x0, y0), (x1, y1) in zip(inner, inner[1:]):
         crossings = sorted(x0 + (knot - y0) * (x1 - x0) / (y1 - y0)
                            for knot in outer_knots if min(y0, y1) < knot < max(y0, y1))
         points += [(x, y0 + (x - x0) * (y1 - y0) / (x1 - x0)) for x in crossings]
         points.append((x1, y1))
-    return PLMap(tuple((x, outer(y)) for x, y in points))
+    return tuple((x, pl_at(outer, y)) for x, y in points)
 
 
 def _iterate(g, m):
@@ -95,11 +95,11 @@ def _iterate(g, m):
 def test_plmap_compose_exact():
     t = tent_map()
     t2 = _iterate(t, 2)
-    assert t2(FR(1, 8)) == FR(1, 2)
-    assert t2(FR(3, 8)) == FR(1, 2)
-    assert t2(FR(1, 4)) == FR(1)
-    assert t2(FR(1, 2)) == FR(0)
-    assert len(t2.breakpoints) == 5
+    assert pl_at(t2, FR(1, 8)) == FR(1, 2)
+    assert pl_at(t2, FR(3, 8)) == FR(1, 2)
+    assert pl_at(t2, FR(1, 4)) == FR(1)
+    assert pl_at(t2, FR(1, 2)) == FR(0)
+    assert len(t2) == 5
 
 
 # Small rationals in [0,1]; maps have up to five pieces.
@@ -113,7 +113,7 @@ def plmaps(draw):
                           max_size=4, unique=True))
     xs = [FR(0)] + sorted(inner) + [FR(1)]
     ys = draw(st.lists(unit_fractions, min_size=len(xs), max_size=len(xs)))
-    return PLMap(tuple(zip(xs, ys)))
+    return tuple(zip(xs, ys))
 
 
 @st.composite
@@ -132,11 +132,11 @@ def test_plmap_preimages_exact(g, interval, samples):
     assert all(a <= b for a, b in pieces)
     assert all(b < c for (_, b), (c, _) in zip(pieces, pieces[1:]))
     tiny = FR(1, 10 ** 12)
-    points = set(samples) | {x for x, _ in g.breakpoints}
+    points = set(samples) | {x for x, _ in g}
     for a, b in pieces:
         points |= {a, b, (a + b) / 2, max(a - tiny, FR(0)), min(b + tiny, FR(1))}
     for x in points:
-        assert any(a <= x <= b for a, b in pieces) == (lo <= g(x) <= hi), x
+        assert any(a <= x <= b for a, b in pieces) == (lo <= pl_at(g, x) <= hi), x
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -144,24 +144,24 @@ def test_plmap_preimages_exact(g, interval, samples):
        samples=st.lists(unit_fractions, max_size=8))
 def test_plmap_image_exact(g, interval, samples):
     lo, hi = interval
-    low, high = g.image(interval)
-    corners = [lo, hi] + [x for x, _ in g.breakpoints if lo <= x <= hi]
+    low, high = pl_image(g, lo, hi)
+    corners = [lo, hi] + [x for x, _ in g if lo <= x <= hi]
     # attained at an endpoint or a breakpoint inside the interval ...
-    assert low in {g(x) for x in corners} and high in {g(x) for x in corners}
+    assert {low, high} <= {pl_at(g, x) for x in corners}
     # ... and bounding g everywhere on it
     for x in corners + [x for x in samples if lo <= x <= hi]:
-        assert low <= g(x) <= high
+        assert low <= pl_at(g, x) <= high
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(g=plmaps(), h=plmaps(), samples=st.lists(unit_fractions, max_size=8))
 def test_plmap_compose_after_exact(g, h, samples):
     gh = _compose(g, h)
-    knots = [x for x, _ in gh.breakpoints]
-    points = (set(samples) | set(knots) | {x for x, _ in h.breakpoints}
+    knots = [x for x, _ in gh]
+    points = (set(samples) | set(knots) | {x for x, _ in h}
               | {(a + b) / 2 for a, b in zip(knots, knots[1:])})
     for x in points:
-        assert gh(x) == g(h(x)), x
+        assert pl_at(gh, x) == pl_at(g, pl_at(h, x)), x
 
 
 def test_transition_entropy_oracles():
@@ -170,7 +170,7 @@ def test_transition_entropy_oracles():
         math.log(3), abs=1e-9)
     assert transition_entropy(full_branch_middle_map(5)) == pytest.approx(
         math.log(5), abs=1e-9)
-    identity = PLMap(((FR(0), FR(0)), (FR(1), FR(1))))
+    identity = ((FR(0), FR(0)), (FR(1), FR(1)))
     assert transition_entropy(identity) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -199,14 +199,14 @@ def test_stretch_tent_tailored_chain_m2():
 
 
 def test_stretch_identity_false():
-    identity = PLMap(((FR(0), FR(0)), (FR(1), FR(1))))
+    identity = ((FR(0), FR(0)), (FR(1), FR(1)))
     assert stretch_check(identity, uniform_seven_chain(), 6) is None
 
 
 def test_stretch_rotation_like_false():
     # continuous PL surrogate of x + 1/3: images of middle links never land
     # inside an end link
-    surrogate = PLMap(((FR(0), FR(1, 3)), (FR(2, 3), FR(1)), (FR(1), FR(0))))
+    surrogate = ((FR(0), FR(1, 3)), (FR(2, 3), FR(1)), (FR(1), FR(0)))
     assert stretch_check(surrogate, uniform_seven_chain(), 8) is None
 
 
@@ -253,7 +253,7 @@ def test_horseshoe_monotone_map_fails_at_depth_0(tmp_path, capsys):
     assert main(argv) == 2
     out = capsys.readouterr().out
     assert "entropy" not in out and "g^1(slot 1) misses the span of the slots; 3/3" in out
-    monotone = PLMap(((FR(0), FR(0)), (FR(3, 7), FR(0)), (FR(4, 7), FR(1)), (FR(1), FR(1))))
+    monotone = ((FR(0), FR(0)), (FR(3, 7), FR(0)), (FR(4, 7), FR(1)), (FR(1), FR(1)))
     cert = horseshoe_extract(monotone, uniform_seven_chain(), 3, 0)
     assert not cert.passed and cert.nonempty == cert.expected == 3
     assert cert.failing_word is None and cert.short_slot == 1
@@ -262,11 +262,11 @@ def test_horseshoe_monotone_map_fails_at_depth_0(tmp_path, capsys):
 def test_horseshoe_slot_images_must_cover_the_span_of_the_slots():
     """With its first peak at 13/25, g(slot 1) covers slot 1 but not slot 3:
     slot 1 is the one named, not slot 2, whose image misses even slot 1."""
-    low_peak = PLMap(((FR(0), FR(0)), (FR(3, 7), FR(0)), (FR(10, 21), FR(13, 25)),
-                      (FR(11, 21), FR(0)), (FR(4, 7), FR(1)), (FR(1), FR(1))))
+    low_peak = ((FR(0), FR(0)), (FR(3, 7), FR(0)), (FR(10, 21), FR(13, 25)),
+                (FR(11, 21), FR(0)), (FR(4, 7), FR(1)), (FR(1), FR(1)))
     cert = horseshoe_extract(low_peak, uniform_seven_chain(), 3, 0)
     (lo, _), _, (_, hi) = cert.slots
-    image = low_peak.image(cert.slots[0])
+    image = pl_image(low_peak, *cert.slots[0])
     assert image[0] <= lo <= cert.slots[0][1] <= image[1] < hi
     assert not cert.passed and cert.failing_word is None and cert.short_slot == 1
 
@@ -280,7 +280,7 @@ def test_horseshoe_bound_never_exceeds_oracle():
 
 
 def test_horseshoe_requires_stretch():
-    identity = PLMap(((FR(0), FR(0)), (FR(1), FR(1))))
+    identity = ((FR(0), FR(0)), (FR(1), FR(1)))
     with pytest.raises(StretchPreconditionError):
         horseshoe_extract(identity, uniform_seven_chain(), 3, 2)
 
@@ -299,7 +299,7 @@ def test_horseshoe_counts_are_full_powers():
 
 def _mirror(g, chain):
     """The conjugate of g and chain by x -> 1 - x."""
-    return (PLMap(tuple((1 - x, 1 - y) for x, y in reversed(g.breakpoints))),
+    return (tuple((1 - x, 1 - y) for x, y in reversed(g)),
             IntervalChain(tuple((1 - hi, 1 - lo) for lo, hi in reversed(chain.links))))
 
 
@@ -308,8 +308,7 @@ def _preimages(g, interval):
     the oracle for each preimage step of the lattice pullback."""
     lo, hi = interval
     pieces = []
-    bp = g.breakpoints
-    for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
+    for (x0, y0), (x1, y1) in zip(g, g[1:]):
         if max(y0, y1) < lo or min(y0, y1) > hi:
             continue
         if y0 == y1:
@@ -379,7 +378,7 @@ def _reference_frontier(g, m, slots, depth):
         for word in sorted(frontier):
             img = frontier[word]
             for _ in range(m):
-                img = g.image(img)
+                img = pl_image(g, *img)
             for sym, (slo, shi) in enumerate(slots, start=1):
                 lo, hi = max(img[0], slo), min(img[1], shi)
                 if lo <= hi:
@@ -394,7 +393,7 @@ def _reference_short_slot(g, m, slots):
     """The first slot whose image under the composed g^m misses the span of
     the slots, or None when every image covers it."""
     gm = _iterate(g, m)
-    images = [gm.image(slot) for slot in slots]
+    images = [pl_image(gm, *slot) for slot in slots]
     return next((s for s, (lo, hi) in enumerate(images, start=1)
                  if lo > slots[0][0] or hi < slots[-1][1]), None)
 
@@ -419,8 +418,8 @@ def _reference_intervals(gm, slots, depth):
 # 0,0; 3/7,0; 9/20,1; 1/2,0; 4/7,1; 1,1: three laps over the middle seventh,
 # not symmetric under x -> 1 - x; it stretches the uniform chain at m = 2 and
 # its certificate fails
-_ASYMMETRIC = PLMap(((FR(0), FR(0)), (FR(3, 7), FR(0)), (FR(9, 20), FR(1)),
-                     (FR(1, 2), FR(0)), (FR(4, 7), FR(1)), (FR(1), FR(1))))
+_ASYMMETRIC = ((FR(0), FR(0)), (FR(3, 7), FR(0)), (FR(9, 20), FR(1)),
+               (FR(1, 2), FR(0)), (FR(4, 7), FR(1)), (FR(1), FR(1)))
 
 # (map, chain, k, every pullback piece stays whole, deepest depth tested).
 # Five laps under three slots split the pullbacks into several pieces per
@@ -479,20 +478,22 @@ def test_shared_pullback_matches_per_word_reference(case, depth, monkeypatch):
 @pytest.mark.parametrize("case, depth", _pullback_params(range(6)))
 def test_pullback_verdict_matches_forward_frontier(case, depth, monkeypatch):
     g, chain, k, _, _ = _PULLBACK_CASES[case]
-    images = []
-    image = PLMap.image
+    imaged = []
+    image = chains.pl_image
 
-    def counted(self, interval):
-        images.append(interval)
-        return image(self, interval)
+    def counted(f, lo, hi):
+        imaged.append(f)
+        return image(f, lo, hi)
 
-    monkeypatch.setattr(PLMap, "image", counted)
+    monkeypatch.setattr(chains, "pl_image", counted)
     cert = horseshoe_extract(g, chain, k, depth)
     monkeypatch.undo()
 
     # the stretch test's two images per exponent tried and the m chained
-    # images of each slot up to the first short one are the only ones
-    assert len(images) == (2 + (cert.short_slot or k)) * cert.exponent
+    # images of each slot up to the first short one are the only ones, each
+    # an image of g itself
+    assert len(imaged) == (2 + (cert.short_slot or k)) * cert.exponent
+    assert all(f is g for f in imaged)
     frontier, failing = _reference_frontier(g, cert.exponent, cert.slots, depth)
     assert cert.nonempty == len(frontier) == len(cert.intervals)
     assert cert.short_slot == _reference_short_slot(g, cert.exponent, cert.slots)
@@ -525,7 +526,7 @@ def folds(draw, stretching=False):
     ys = draw(st.lists(st.sampled_from([FR(0), FR(1)]), min_size=8, max_size=8))
     if stretching:
         ys[2:6] = map(FR, draw(st.sampled_from([(0, 0, 1, 1), (1, 1, 0, 0)])))
-    return PLMap(tuple(zip(xs, ys))), chain
+    return tuple(zip(xs, ys)), chain
 
 
 def _reference_stretch(g, chain, m_bound):
@@ -538,7 +539,7 @@ def _reference_stretch(g, chain, m_bound):
     for m in range(1, m_bound + 1):
         if m > 1:
             gm = _compose(g, gm)
-        i3, i5 = gm.image(u3), gm.image(u5)
+        i3, i5 = pl_image(gm, *u3), pl_image(gm, *u5)
         if inside(u1, i3) and inside(u7, i5):
             return m, "standard"
         if inside(u7, i3) and inside(u1, i5):
@@ -554,9 +555,9 @@ def test_chained_exact_calls_match_composed_iterate(g, interval, m, chain, fold,
     gm = _iterate(g, m)
     image, pieces = interval, [interval]
     for _ in range(m):
-        image = g.image(image)
+        image = pl_image(g, *image)
         pieces = _merge_intervals([p for piece in pieces for p in _preimages(g, piece)])
-    assert image == gm.image(interval)
+    assert image == pl_image(gm, *interval)
     assert pieces == _preimages(gm, interval)
     pulled = _fractions(_pullback(g, m, (interval,), 1))[-1]
     assert pulled.get((1, 1), []) == _reference_pullback(gm, (interval,), (1, 1))
@@ -601,8 +602,8 @@ def test_lattice_levels_equal_the_fraction_pullback(fold, k, m_depth):
 
 # 0,0; 1/4,1; 1/2,0; 3/4,1; 1,0: the tent map's second iterate, whose
 # iterates double their laps
-_FOUR_LAPS = PLMap(((FR(0), FR(0)), (FR(1, 4), FR(1)), (FR(1, 2), FR(0)),
-                    (FR(3, 4), FR(1)), (FR(1), FR(0))))
+_FOUR_LAPS = ((FR(0), FR(0)), (FR(1, 4), FR(1)), (FR(1, 2), FR(0)),
+              (FR(3, 4), FR(1)), (FR(1), FR(0)))
 
 
 def _shipped(name):
@@ -617,23 +618,28 @@ def test_certificates_build_no_composed_map(case, monkeypatch):
         g, chain, k, m_bound = _FOUR_LAPS, uniform_seven_chain(), 3, 4
     else:
         (g, chain, k), m_bound = _shipped(case), 8
-    built = []
-    init = PLMap.__init__
-
-    def recorded(self, breakpoints):
-        built.append(len(breakpoints))
-        init(self, breakpoints)
-
-    monkeypatch.setattr(PLMap, "__init__", recorded)
     stretch = stretch_check(g, chain, m_bound)
+    imaged = []
+    image = chains.pl_image
+
+    def recorded(f, lo, hi):
+        imaged.append(f)
+        return image(f, lo, hi)
+
+    monkeypatch.setattr(chains, "pl_image", recorded)
     if stretch is not None:
-        horseshoe_extract(g, chain, k, 3, m_bound)
+        cert = horseshoe_extract(g, chain, k, 3, m_bound)
     else:
         with pytest.raises(StretchPreconditionError):
             horseshoe_extract(g, chain, k, 3, m_bound)
     monkeypatch.undo()
     assert (stretch is not None) == (case != "four laps")
-    assert max(built, default=0) <= len(g.breakpoints)
+    # every image is one of g itself: no composed map is built
+    if stretch is None:
+        assert len(imaged) == 2 * m_bound
+    else:
+        assert len(imaged) == (2 + (cert.short_slot or k)) * cert.exponent
+    assert all(f is g for f in imaged)
 
 
 def _refined_link_4(chain, f):

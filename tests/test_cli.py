@@ -533,6 +533,31 @@ def test_misspelt_key_exits_3_naming_it(command, section, tmp_path, monkeypatch,
         assert f"config error: {name}.{key}: unknown key" in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_override_of_an_undeclared_section_exits_3(command, tmp_path, monkeypatch, capsys):
+    """An override that names a section the subcommand does not declare,
+    another subcommand's or none's, exits 3 naming section.key; the same
+    section in the file is ignored."""
+    monkeypatch.chdir(tmp_path)
+    fixture = fixture_path(OWN_FIXTURES[command][0])
+    flag = FLAG.get(command, "-c")
+    expected = run([command, flag, fixture, "--out", "o.out"])
+    others = sorted({s for sections in COMMANDS.values() for s in sections}
+                    - set(COMMANDS[command]))
+    reads = ", ".join(f"[{name}]" for name in COMMANDS[command])
+    for name in (others[0].replace(" N", " 1"), "unread"):
+        parser = configparser.ConfigParser()
+        parser.read(fixture)
+        parser[name] = {"key": "1"}
+        with open("extra.ini", "w") as fh:
+            parser.write(fh)
+        assert run([command, flag, "extra.ini", "--out", "o.out"]) == expected, name
+        capsys.readouterr()
+        assert run([command, flag, fixture, "--override", f"{name}.key=1", "--out", "o.out"]) == 3
+        assert capsys.readouterr().err == (
+            f"config error: {name}.key: unknown section; {command} reads {reads}\n")
+
+
 def _declared_keys() -> set[tuple[str, str]]:
     keys = set()
 
@@ -657,6 +682,14 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
             ("suspend-orbit", "orbit_demo.ini", "experiment.oot=1", "experiment.oot"),
             ("mixing-witness", "witness_fullshift.ini", "experiment.sede=1",
              "experiment.sede"),
+            # an override of a section that the command does not declare
+            ("suspend-orbit", "orbit_demo.ini", "orbt.n=5", "orbt.n"),
+            ("hak-verify", "hak_toy.ini", "stages 2.eps=1", "stages 2.eps"),
+            # an interval map whose x repeat, or whose y leave [0, 1]
+            ("horseshoe", "three_branch_horseshoe.ini", "plmap.breakpoints=0,0; 1/2,1; 1/2,0; 1,1",
+             "plmap.breakpoints"),
+            ("horseshoe", "three_branch_horseshoe.ini", "plmap.breakpoints=0,0; 1/2,2; 1,0",
+             "plmap.breakpoints"),
             ("pattern", None, None, "--kfold")):
         if command == "pattern":
             argv = ["pattern", "--kfold", "4"]
@@ -666,6 +699,20 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
         capsys.readouterr()
         assert run(argv + ["--out", str(tmp_path / "bad.out")]) == 3, argv
         assert key in capsys.readouterr().err, argv
+    # 0.3333333333333333 and 1/3 are distinct fractions but one float, so the
+    # float profile is checked again
+    for command, fixture, override in (
+            ("suspend-orbit", "orbit_demo.ini",
+             "map.map=twist:0,0;0.3333333333333333,0.1;1/3,0.2;1,0"),
+            ("rotation", "rotation_demo.ini",
+             "map.map=reparam:0,0;0.3333333333333333,0.1;1/3,0.2;1,1")):
+        name = override.split("=")[1].split(":")[0]
+        argv = [command, "-c", fixture_path(fixture), "--override", override,
+                "--out", str(tmp_path / "bad.out")]
+        capsys.readouterr()
+        assert run(argv) == 3, argv
+        assert capsys.readouterr().err == (
+            f"config error: map.map: {name} breakpoints must increase from 0 to 1\n"), argv
 
 
 def test_rigidity_is_exact(tmp_path, capsys):
@@ -737,7 +784,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     `suspend-orbit` follows the annulus map alone and loads neither
     `cantor` nor `suspension`.  The suspension commands read the exact
     speed from `pl` and load no `annulus` and no `tower`; only a
-    substitution loads `substitution`, and only `render` loads `covers`."""
+    substitution loads `substitution`, and only `render` loads `covers`.
+    Every command that reads a PL function (a speed, a profile or an
+    interval map) loads `pl`, its one definition."""
     run_main = "from pseudosusp.cli import fixture_path, main\nassert main({}) == 0"
     layers = {"pseudosusp.annulus", "pseudosusp.cantor", "pseudosusp.chains",
               "pseudosusp.suspension"}
@@ -782,9 +831,14 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
             (command("hak-verify", "hak_toy.ini"), base | {"pseudosusp.pl", "pseudosusp.tower"}),
             (command("rigidity", "rigidity_golden.ini"),
              base | {"pseudosusp.pl", "pseudosusp.tower"}),
-            (command("horseshoe", "three_branch_horseshoe.ini"), base | {"pseudosusp.chains"}),
+            (command("horseshoe", "three_branch_horseshoe.ini"),
+             base | {"pseudosusp.chains", "pseudosusp.pl"}),
             (command("render", "render_demo.ini"),
-             base | {"pseudosusp.chains", "pseudosusp.covers"}),
+             base | {"pseudosusp.chains", "pseudosusp.covers", "pseudosusp.pl"}),
+            (command("rotation", "rotation_demo.ini"),
+             base | {"pseudosusp.annulus", "pseudosusp.pl"}),
+            (command("suspend-orbit", "orbit_demo.ini"),
+             base | {"pseudosusp.annulus", "pseudosusp.pl"}),
             (command("suspend-entropy", "entropy_unit.ini"), speed),
             (command("suspend-entropy", "thue_morse.ini", *entropy),
              speed | {"pseudosusp.substitution"}),

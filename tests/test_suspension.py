@@ -14,8 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pseudosusp.annulus import (LiftedAnnulusMap, Profile, RadialReparam, RigidRotation,
-                                Twist, cover_lift, orbit, rotation_estimate)
+from pseudosusp.annulus import (LiftedAnnulusMap, RadialReparam, RigidRotation, Twist,
+                                cover_lift, orbit, rotation_estimate)
 from pseudosusp.cantor import FullShift, Odometer, OdometerPoint, SFT
 from pseudosusp.cli import _speed
 from pseudosusp.config import build_map, load_config
@@ -64,7 +64,7 @@ def twist_speed(beta, points):
 MAPS = [
     (rot(0.5), constant(0.5)),
     (rot(GOLDEN), constant(GOLDEN)),
-    (LiftedAnnulusMap((Twist(Profile(((0.0, 0.11), (0.5, 0.6), (1.0, 0.4)))),
+    (LiftedAnnulusMap((Twist(((0.0, 0.11), (0.5, 0.6), (1.0, 0.4))),
                        RigidRotation(0.3))),
      twist_speed(0.3, ((0.0, 0.11), (0.5, 0.6), (1.0, 0.4)))),
 ]
@@ -222,11 +222,10 @@ def test_pseudo_component_conserved_and_fiber_preserved():
 
 @pytest.mark.parametrize("m", [m for m, _ in MAPS] + [
     rot(-0.37),
-    LiftedAnnulusMap((RigidRotation(0.2), Twist(Profile(((0.0, 0.1), (0.5, -0.7),
-                                                         (1.0, 0.3)))),
+    LiftedAnnulusMap((RigidRotation(0.2), Twist(((0.0, 0.1), (0.5, -0.7), (1.0, 0.3))),
                       RigidRotation(-0.05))),
     cover_lift(MAPS[2][0], 2, 1),
-    LiftedAnnulusMap((RadialReparam(Profile(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0)))),
+    LiftedAnnulusMap((RadialReparam(((0.0, 0.0), (0.5, 0.7), (1.0, 1.0))),
                       RigidRotation(0.6))),
 ], ids=["half", "golden", "twist", "back", "pipeline3", "cover", "reparam"])
 def test_orbit_equals_stepped_points(m):
@@ -257,7 +256,7 @@ def test_winding_rate_examples():
 
 def test_winding_rate_agrees_with_rotation_estimate():
     m = LiftedAnnulusMap((RigidRotation(0.3),
-                          Twist(Profile(((0.0, 0.11), (1.0, 0.4))))))
+                          Twist(((0.0, 0.11), (1.0, 0.4)))))
     sys_ = make_sys()
     c = sys_.h.random_point(3, 32)
     rates = winding_rate(m, normalize(sys_, 0.0, 0.0, c), 500)
