@@ -3,16 +3,21 @@
 The strip is [0,1] x R with the sum metric; the angular coordinate is the
 R/Z factor, and rotation numbers are measured on its lift.  Maps are pipelines
 of primitives acting on floats; a twist or a reparam holds a float `pl.PL`
-and reads it with `pl_at`.
+and reads it with `pl_at`.  `build_map` builds the float map of a config's
+`map.map`, and the `rotation`, `suspend-orbit` and `rotation-family`
+subcommands live here; they import `cli` when run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
-from .config import ConfigError
-from .pl import PL, pl_at
+from .config import ConfigError, parse_map
+from .pl import PL, pl_at, pl_check
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 # ---------------------------------------------------------------------------
@@ -161,3 +166,82 @@ def cover_lift(m: LiftedAnnulusMap, q: int, p: int) -> LiftedAnnulusMap:
     if q == 1 and p == 0:
         return m
     return LiftedAnnulusMap((DeckCover(m, q, p),))
+
+
+# ---------------------------------------------------------------------------
+# the float map of map.map, and the subcommands that step it
+# ---------------------------------------------------------------------------
+
+def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
+    """The float map of `map.map`.  A value too large for a float is a
+    config error naming map.map."""
+    pieces, cover = parse_map(cfg)
+    pipeline = []
+    for name, value in pieces:
+        try:
+            if name == "rotation":
+                prim = RigidRotation(float(value))
+            else:
+                # checked again: float() can merge two distinct breakpoints
+                profile = pl_check((float(x), float(y)) for x, y in value)
+                prim = Twist(profile) if name == "twist" else RadialReparam(profile)
+        except OverflowError as exc:
+            raise ConfigError(f"map.map: {name} value too large for a float") from exc
+        except ValueError as exc:
+            raise ConfigError(f"map.map: {name} {exc}") from exc
+        pipeline.append(prim)
+    m = LiftedAnnulusMap(tuple(pipeline))
+    if cover is None:
+        return m
+    q, p = cover
+    try:
+        p / q  # the float shift that `DeckCover.apply` adds
+    except OverflowError as exc:
+        raise ConfigError("map.map: cover value too large for a float") from exc
+    return cover_lift(m, q, p)
+
+
+def cmd_rotation(args, cfg: RunConfig) -> int:
+    from .cli import EXIT_OK, FLOAT, _out_path, _write_csv
+
+    m = build_map(cfg)
+    n = cfg.get("experiment", "n")
+    rows = rotation_estimate(m, cfg.get("orbit", "t"), cfg.get("orbit", "r"), n)
+    out = _out_path(args, cfg)
+    _write_csv(out, {"n": "%s", "estimate": FLOAT}, rows)
+    print(f"rotation: estimate {rows[-1][1]:.9g} at n={n} -> {out}")
+    return EXIT_OK
+
+
+def cmd_suspend_orbit(args, cfg: RunConfig) -> int:
+    from .cli import EXIT_OK, FLOAT, _out_path, _write_csv
+
+    m = build_map(cfg)
+    t, r = cfg.get("orbit", "t"), cfg.get("orbit", "r")
+    n = cfg.get("orbit", "n")
+    # the k-th point's Cantor coordinate is h^(w_k - w_0)(c), never built
+    rows = orbit(m, t, r, n)
+    out = _out_path(args, cfg)
+    columns = {"k": "%s", "t": FLOAT, "r": FLOAT, "w": "%s"}
+    if fixes_t(m):
+        # every row holds the start's t, so its text is formatted once
+        columns["t"] = FLOAT % t
+        table = ((k, r, w) for k, (_, r, w) in enumerate(rows))
+    else:
+        table = ((k, *row) for k, row in enumerate(rows))
+    _write_csv(out, columns, table)
+    print(f"suspend-orbit: {n} steps, final winding {rows[-1][2]} -> {out}")
+    return EXIT_OK
+
+
+def cmd_rotation_family(args, cfg: RunConfig) -> int:
+    from .cli import EXIT_OK, FLOAT, _out_path, _write_csv
+
+    bits = cfg.get("family", "bits")
+    alpha, schedule = rotation_family(bits, cfg.get("family", "eps"))
+    out = _out_path(args, cfg)
+    _write_csv(out, {"n": "%s", "bit": "%s", "b_n": FLOAT, "term": FLOAT},
+               [(i + 1, b, s, s if b else s / 3.0)
+                for i, (b, s) in enumerate(zip(bits, schedule))])
+    print(f"rotation-family: alpha = {alpha:.12g} for bits {''.join(map(str, bits))} -> {out}")
+    return EXIT_OK

@@ -8,7 +8,8 @@ over [-R, R] plus an offset: h^w only moves the offset, and a read outside
 [-R, R] widens the word through the system's own `splice`.  An odometer
 point is its integer value.  Each system class knows all of its own
 behaviour (see "systems" below): every question about cylinders goes
-through its `joins` and its `cylinder`.
+through its `joins` and its `cylinder`.  `build_cantor` builds the system
+of a config's [cantor], and imports `config` only when called.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
+    from .config import RunConfig
     from .substitution import Substitution
 
 
@@ -109,7 +111,7 @@ def _depth(rho: float, W: int) -> int:
 # ---------------------------------------------------------------------------
 #
 # Each class below is the one place that knows how its system behaves (README
-# "Cantor systems"); `config.build_cantor` maps a kind name to its class.
+# "Cantor systems"); `build_cantor` maps a kind name to its class.
 
 
 class _System:
@@ -333,6 +335,41 @@ class Odometer(_System):
 
 
 CantorSystem = Union[SFT, "Substitution", Odometer]
+
+
+def build_cantor(cfg: RunConfig) -> CantorSystem:
+    """The system of a config's [cantor]; a bad value is a config error
+    naming its key.  Only a substitution loads `substitution`."""
+    from .config import ConfigError
+
+    kind = cfg.get("cantor", "kind")
+    if kind == "fullshift":
+        system, args, key = FullShift, (cfg.get("cantor", "k"),), "k"
+    elif kind == "sft":
+        system, args = SFT, (cfg.get("cantor", "k"), cfg.get("cantor", "adjacency"))
+        key = "adjacency"
+    elif kind == "substitution":
+        from .substitution import Substitution
+
+        raw = cfg.get("cantor", "rules")
+        rules: dict[int, tuple[int, ...]] = {}
+        for part in raw.split(";"):
+            part = part.strip()
+            if not part:
+                continue
+            try:
+                sym, word = part.split(":")
+                rules[int(sym)] = tuple(int(ch) for ch in word.strip())
+            except ValueError as exc:
+                raise ConfigError(f"cantor.rules: entry {part!r} is not "
+                                  f"'symbol:digits'") from exc
+        system, args, key = Substitution, (tuple(rules[i] for i in sorted(rules)),), "rules"
+    else:
+        system, args, key = Odometer, (tuple(cfg.get("cantor", "bases")),), "bases"
+    try:
+        return system(*args)
+    except ValueError as exc:
+        raise ConfigError(f"cantor.{key}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,25 @@ denominator per level and reports its hulls as numerators over the last
 level's denominator.  The only floats are reported entropies.  Closed
 intervals stand in for the subcontinua of the folding construction: the
 itinerary structure is identical, only the ambient space is simplified.
+
+The builders of [plmap] and [chain] and the `horseshoe` and `pattern`
+subcommands live here too; they import `config` and `cli` only when
+called, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_right
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .pl import PL, pl_image
+from .pl import PL, pl_check, pl_image
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 FR = Fraction
 
@@ -314,3 +322,78 @@ def horseshoe_extract(g: PL, chain: IntervalChain, k: int, depth: int,
         k=k, depth=depth, exponent=m, nonempty=nonempty, expected=expected,
         failing_word=failing, short_slot=short, entropy_bound=math.log(k) / m,
         slots=slots, scale=scale, intervals=intervals)
+
+
+# ---------------------------------------------------------------------------
+# the map and chain of a config, and the subcommands that read them
+# ---------------------------------------------------------------------------
+
+def build_plmap(cfg: RunConfig) -> PL:
+    """The exact interval map of [plmap]: a PL whose y lie in [0, 1]."""
+    from .config import ConfigError, parse_fractions
+
+    pts = parse_fractions(cfg.get("plmap", "breakpoints"), "plmap.breakpoints", "x,y")
+    try:
+        g = pl_check(pts)
+    except ValueError as exc:
+        raise ConfigError(f"plmap.breakpoints: {exc}") from exc
+    if any(not 0 <= y <= 1 for _, y in g):
+        raise ConfigError("plmap.breakpoints: image must stay inside [0,1]")
+    return g
+
+
+def build_interval_chain(cfg: RunConfig) -> IntervalChain:
+    from .config import ConfigError, parse_fractions
+
+    links = parse_fractions(cfg.get("chain", "links"), "chain.links", "lo,hi")
+    try:
+        return IntervalChain(tuple(links))
+    except ValueError as exc:
+        raise ConfigError(f"chain.links: {exc}") from exc
+
+
+def _kfold(k, key: str) -> Pattern:
+    """The k-fold pattern for K = k; a K that is not an odd integer >= 3 is
+    a config error naming `key`."""
+    from .config import ConfigError
+
+    try:
+        return kfold(int(k))
+    except ValueError as exc:
+        raise ConfigError(f"{key} must give an odd integer K >= 3, got {k!r}") from exc
+
+
+def cmd_pattern(args, cfg) -> int:
+    from .cli import EXIT_OK, _write
+
+    pat = _kfold(args["kfold"], "--kfold")
+    text = ",".join(str(v) for v in pat.values)
+    if args["out"]:
+        _write(args["out"], text + "\n")
+    print(text)
+    return EXIT_OK
+
+
+def cmd_horseshoe(args, cfg: RunConfig) -> int:
+    from .cli import EXIT_CHECK, EXIT_OK, FLOAT, _write_csv
+    from .config import ConfigError
+
+    g = build_plmap(cfg)
+    chain = build_interval_chain(cfg)
+    k, depth, m_bound = (cfg.get("horseshoe", key) for key in ("k", "depth", "mbound"))
+    if k % 2 == 0 or k < 3:
+        raise ConfigError(f"horseshoe.k must be an odd integer >= 3, got {k}")
+    try:
+        cert = horseshoe_extract(g, chain, k, depth, m_bound)
+    except StretchPreconditionError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK
+    except ChainError as exc:  # not 7 taut links, or link 4 too narrow for k slots
+        raise ConfigError(f"chain.links: {exc}") from exc
+    out = args["out"] or cfg.get("horseshoe", "out")
+    # int true division rounds correctly, so each end is float(Fraction(end, scale))
+    rows = [("-".join(map(str, word)), lo / cert.scale, hi / cert.scale)
+            for word, (lo, hi) in sorted(cert.intervals.items())]
+    _write_csv(out, {"word": "%s", "lo": FLOAT, "hi": FLOAT}, rows)
+    print(cert.summary() + f" -> {out}")
+    return EXIT_OK if cert.passed else EXIT_CHECK

@@ -1,10 +1,14 @@
 """INI-style run configuration.  `COMMANDS` declares, for each subcommand,
 the sections it reads and each key's type, default and range; every parse
-error names the failing section.key.
+error names the failing section.key.  A file is read as UTF-8.
 
-This module imports only the standard library: each builder imports the
-layer it builds from when it is called, so a command loads only the layers
-it runs."""
+Besides the reader, this module holds only what several layers read:
+`parse_fractions`, `parse_map` and the exact speed `_speed` of `map.map`.
+Each section builder lives in the layer whose objects it builds
+(`annulus.build_map`, `cantor.build_cantor`, `tower.build_stages`,
+`chains.build_plmap` and `chains.build_interval_chain`), so every launch
+compiles only the builders it calls.  This module imports only the
+standard library, and `pl` when a map is parsed."""
 
 from __future__ import annotations
 
@@ -14,11 +18,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
-    from .annulus import LiftedAnnulusMap
-    from .cantor import CantorSystem
-    from .chains import IntervalChain
     from .pl import PL
-    from .tower import HAKStage
 
 
 class ConfigError(ValueError):
@@ -238,9 +238,12 @@ def load_config(path: Optional[str], overrides: Optional[list[str]], command: st
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
-            read = parser.read(path)
+            read = parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                              f"{exc.start})") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
     for item in overrides or []:
@@ -259,7 +262,7 @@ def load_config(path: Optional[str], overrides: Optional[list[str]], command: st
 
 
 # ---------------------------------------------------------------------------
-# section builders
+# readers shared by several layers' builders
 # ---------------------------------------------------------------------------
 
 def parse_fractions(raw: str, key: str, fields: str) -> list[tuple[Fraction, ...]]:
@@ -323,89 +326,18 @@ def parse_map(cfg: RunConfig) -> tuple[list[tuple[str, object]], Optional[tuple[
     return pieces, cover
 
 
-def build_map(cfg: RunConfig) -> LiftedAnnulusMap:
-    from .annulus import LiftedAnnulusMap, RadialReparam, RigidRotation, Twist, cover_lift
-    from .pl import pl_check
+
+def _speed(cfg: RunConfig, command: str) -> PL:
+    """The exact speed P of `map.map`, for a command that needs a map that
+    fixes t and moves r by P(t): rotations and twists sum into P, and a
+    cover q,p around them moves r by (P + p)/q.  A reparam moves t, which
+    is a config error naming map.map."""
+    from .pl import ONE, ZERO, pl_sum
 
     pieces, cover = parse_map(cfg)
-    pipeline = []
-    for name, value in pieces:
-        if name == "rotation":
-            pipeline.append(RigidRotation(float(value)))
-            continue
-        try:
-            # checked again: float() can merge two distinct breakpoints
-            profile = pl_check((float(x), float(y)) for x, y in value)
-            pipeline.append(Twist(profile) if name == "twist" else RadialReparam(profile))
-        except ValueError as exc:
-            raise ConfigError(f"map.map: {name} {exc}") from exc
-    m = LiftedAnnulusMap(tuple(pipeline))
-    return m if cover is None else cover_lift(m, *cover)
-
-
-def build_cantor(cfg: RunConfig) -> CantorSystem:
-    from .cantor import FullShift, Odometer, SFT
-
-    kind = cfg.get("cantor", "kind")
-    if kind == "fullshift":
-        system, args, key = FullShift, (cfg.get("cantor", "k"),), "k"
-    elif kind == "sft":
-        system, args = SFT, (cfg.get("cantor", "k"), cfg.get("cantor", "adjacency"))
-        key = "adjacency"
-    elif kind == "substitution":
-        from .substitution import Substitution
-
-        raw = cfg.get("cantor", "rules")
-        rules: dict[int, tuple[int, ...]] = {}
-        for part in raw.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                sym, word = part.split(":")
-                rules[int(sym)] = tuple(int(ch) for ch in word.strip())
-            except ValueError as exc:
-                raise ConfigError(f"cantor.rules: entry {part!r} is not "
-                                  f"'symbol:digits'") from exc
-        system, args, key = Substitution, (tuple(rules[i] for i in sorted(rules)),), "rules"
-    else:
-        system, args, key = Odometer, (tuple(cfg.get("cantor", "bases")),), "bases"
-    try:
-        return system(*args)
-    except ValueError as exc:
-        raise ConfigError(f"cantor.{key}: {exc}") from exc
-
-
-def build_stages(cfg: RunConfig) -> list[HAKStage]:
-    """The [stage N] sections in the order of N, every value exact."""
-    from .tower import HAKStage
-
-    sections = cfg.numbered("stage")
-    if not sections:
-        raise ConfigError("no [stage *] sections found")
-    return [HAKStage(n=n, **{key: cfg.get(name, key) for key in cfg.declared(name)})
-            for n, name in sections]
-
-
-def build_plmap(cfg: RunConfig) -> PL:
-    """The exact interval map of [plmap]: a PL whose y lie in [0, 1]."""
-    from .pl import pl_check
-
-    pts = parse_fractions(cfg.get("plmap", "breakpoints"), "plmap.breakpoints", "x,y")
-    try:
-        g = pl_check(pts)
-    except ValueError as exc:
-        raise ConfigError(f"plmap.breakpoints: {exc}") from exc
-    if any(not 0 <= y <= 1 for _, y in g):
-        raise ConfigError("plmap.breakpoints: image must stay inside [0,1]")
-    return g
-
-
-def build_interval_chain(cfg: RunConfig) -> IntervalChain:
-    from .chains import IntervalChain
-
-    links = parse_fractions(cfg.get("chain", "links"), "chain.links", "lo,hi")
-    try:
-        return IntervalChain(tuple(links))
-    except ValueError as exc:
-        raise ConfigError(f"chain.links: {exc}") from exc
+    if any(name == "reparam" for name, _ in pieces):
+        raise ConfigError(f"map.map: {command} needs a map that fixes t, and a reparam moves t")
+    q, p = cover or (1, 0)
+    parts = [value if name == "twist" else ((ZERO, value), (ONE, value))
+             for name, value in pieces + [("rotation", p)]]
+    return tuple((x, y / q) for x, y in pl_sum(parts))

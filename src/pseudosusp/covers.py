@@ -1,13 +1,16 @@
 """Two-dimensional chain covers of the annulus, exact in (radial, angular)
-coordinates, their refinement along a chain pattern and their SVG.  Only
-`cmd_render` imports this module."""
+coordinates, their refinement along a chain pattern and their SVG, and the
+`render` subcommand that draws them.  Only `render` loads this module."""
 
 from __future__ import annotations
 
 from fractions import Fraction as FR
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .chains import ChainError, Pattern
+from .chains import ChainError, Pattern, _kfold
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 class Rect(NamedTuple):
@@ -173,3 +176,46 @@ def render_chains(levels: Sequence[ChainCover]) -> str:
         out.append('  </g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# subcommand
+# ---------------------------------------------------------------------------
+
+def cmd_render(args, cfg: RunConfig) -> int:
+    from .cli import EXIT_OK, _write
+    from .config import ConfigError, parse_fractions
+
+    levels = []
+    level_sections = cfg.numbered("level")
+    if level_sections:
+        for _, name in level_sections:
+            rects = [Rect((tlo, thi), (alo, ahi)) for tlo, thi, alo, ahi
+                     in parse_fractions(cfg.get(name, "links"), f"{name}.links",
+                                        "tlo,thi,alo,ahi")]
+            try:
+                levels.append(ChainCover.build(rects, cfg.get(name, "essential") == "true"))
+            except ChainError as exc:
+                raise ConfigError(f"{name}.links: {exc}") from exc
+    elif cfg.parser.has_section("render"):
+        # render.base takes only essential7, which its declaration checks
+        n_levels = cfg.get("render", "levels")
+        pattern_spec = cfg.get("render", "pattern").strip()
+        name, _, arg = pattern_spec.partition(":")
+        if name != "kfold":
+            raise ConfigError(f"render.pattern: only kfold:K supported, got {pattern_spec!r}")
+        pat = _kfold(arg, "render.pattern")
+        chain = essential_seven_chain()
+        levels = [chain]
+        for _ in range(n_levels - 1):
+            try:
+                levels.append(refine_chain(levels[-1], pat))
+            except ChainError as exc:
+                raise ConfigError(f"render.pattern: {exc}") from exc
+    else:
+        raise ConfigError("levels file needs [level *] sections or a [render] block")
+    out = args["out"] or "chains.svg"
+    _write(out, render_chains(levels))
+    counts = "/".join(str(len(lv.links)) for lv in levels)
+    print(f"render: {len(levels)} level(s) with {counts or '0'} links -> {out}")
+    return EXIT_OK

@@ -1,6 +1,6 @@
 """Substitution subshifts: the shift whose language is the set of factors
 of a primitive substitution's iterates, on the points of `cantor._Shift`.
-`config.build_cantor` imports this module only for a substitution."""
+`cantor.build_cantor` imports this module only for a substitution."""
 
 from __future__ import annotations
 

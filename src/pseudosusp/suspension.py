@@ -6,7 +6,8 @@ n-th power of the Cantor homeomorphism to c.  The map fixes t and moves r by
 its exact speed P(t) (a `pl.PL`), so n steps carry (t, r, c) to
 (t, r + n*P(t) - k, h^k(c)), k = floor(r + n*P(t)): every search and count
 here reads P, never a stepped orbit.  Everything here runs on floats, ints
-and exact fractions.
+and exact fractions.  The `suspend-entropy`, `mixing-witness` and
+`dense-orbit` subcommands live here; they import `cli` when run.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cantor import CantorPoint, CantorSystem, depth_for
-from .config import CapacityError
+from .cantor import CantorPoint, CantorSystem, build_cantor, depth_for
+from .config import CapacityError, ConfigError, _finite, _speed, parse
 from .pl import HALF, PL, pl_at
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 class SuspensionPoint(NamedTuple):
@@ -293,3 +297,95 @@ def product_formula_report(sys: SuspensionSystem, alpha: float, eps_list: list[f
                 upper=entropy_spanning(sys, eps, n),
                 target=target, alpha=alpha, h_entropy=h_ent))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def _suspension(cfg: RunConfig, command: str) -> SuspensionSystem:
+    return SuspensionSystem(_speed(cfg, command), build_cantor(cfg), cfg.get("cantor", "window"))
+
+
+def cmd_suspend_entropy(args, cfg: RunConfig) -> int:
+    from .cli import EXIT_OK, FLOAT, _out_path, _write_csv
+
+    sys_ = _suspension(cfg, "suspend-entropy")
+    eps_list = cfg.get("experiment", "eps")
+    n_list = cfg.get("experiment", "n")
+    # the counts are exact; experiment.budget is only echoed in its column
+    budget = cfg.get("experiment", "budget")
+    # the rotation number of the orbit of t = 1/2, which the counts follow
+    try:
+        alpha = float(pl_at(sys_.speed, HALF))
+    except OverflowError as exc:
+        raise ConfigError("map.map: the speed at t = 1/2 is too large for a float") from exc
+    rows = product_formula_report(sys_, alpha, eps_list, n_list)
+    out = _out_path(args, cfg)
+    _write_csv(out, {"eps": FLOAT, "n": "%s", "budget": "%s", "lower": FLOAT, "upper": FLOAT,
+                     "target": FLOAT, "alpha": FLOAT, "h_entropy": FLOAT},
+               [(r.eps, r.n, budget, r.lower, r.upper, r.target, r.alpha, r.h_entropy)
+                for r in rows])
+    last = rows[-1]
+    print(f"suspend-entropy: bracket [{last.lower:.9g}, {last.upper:.9g}] "
+          f"target {last.target:.9g} -> {out}")
+    return EXIT_OK
+
+
+def cmd_mixing_witness(args, cfg: RunConfig) -> int:
+    from .cli import BOOL, EXIT_OK, _out_path, _write_csv
+
+    mode = cfg.get("witness", "mode")
+    horizon = cfg.get("witness", "horizon")
+    out = _out_path(args, cfg)
+    if mode == "symbolic":
+        h = build_cantor(cfg)
+        u, v = (tuple(parse(f"witness.{key}", cfg.get("witness", key), "integer list"))
+                for key in ("u", "v"))
+        try:
+            found = h.mixing_witness(u, v, horizon)
+        except ValueError as exc:  # the message starts with the argument, u or v
+            raise ConfigError(f"witness.{exc}") from exc
+    else:
+        sys_ = _suspension(cfg, "mixing-witness")
+
+        def ball(key):
+            raw = cfg.get("witness", key)
+            try:
+                t, r, seed = raw.split(",")
+                t, r, seed = _finite(t), _finite(r), int(seed)
+            except ValueError:
+                t = None
+            if t is None or not 0.0 <= t <= 1.0:
+                raise ConfigError(f"witness.{key} must be 't,r,seed' with t in [0, 1] and "
+                                  f"an integer seed, got {raw!r}")
+            c = sys_.h.random_point(seed, sys_.window)
+            return (normalize(sys_, t, r, c), cfg.get("witness", f"{key}_radius"))
+
+        found = weak_mixing_witness(sys_, ball("u"), ball("v"), horizon)
+    _write_csv(out, {"mode": "%s", "horizon": "%s", "found": BOOL, "l": "%s"},
+               [(mode, horizon, found is not None, "" if found is None else found)])
+    verdict = f"l={found}" if found is not None else "none within horizon"
+    print(f"mixing-witness[{mode}]: {verdict} -> {out}")
+    return EXIT_OK
+
+
+def cmd_dense_orbit(args, cfg: RunConfig) -> int:
+    from .cli import BOOL, EXIT_OK, _out_path, _write_csv
+
+    sys_ = _suspension(cfg, "dense-orbit")
+    seed, eps, k_max, s_max, p_max = (cfg.get("dense", key)
+                                      for key in ("seed", "eps", "k_max", "s_max", "p_max"))
+    t = cfg.get("orbit", "t")
+    cfg.get("orbit", "r")  # read so that a malformed r exits 3; the search needs only t
+    c = sys_.h.random_point(seed, sys_.window)
+    hit = dense_orbit_check(sys_, c, t, eps, k_max, s_max, p_max)
+    out = _out_path(args, cfg)
+    columns = {"found": BOOL, "k": "%s", "s": "%s", "p": "%s"}
+    if hit is None:
+        _write_csv(out, columns, [(False, "", "", "")])
+        print(f"dense-orbit: no witness within bounds -> {out}")
+    else:
+        _write_csv(out, columns, [(True, *hit)])
+        print(f"dense-orbit: witness k={hit[0]} s={hit[1]} p={hit[2]} -> {out}")
+    return EXIT_OK

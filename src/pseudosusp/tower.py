@@ -38,15 +38,20 @@ the report has no rows for it and never claims it.
 All stage data are exact fractions, so every value is an exact sup (for
 (8) past (1 - alpha_n)/2, the bound that `hak_verify` explains), and a
 check passes iff value <= bound.  Besides the standard library this module
-imports only `config`, for its error, and `pl`, for the exact profiles."""
+imports only `config`, for its error and the speed of `map.map`, and `pl`,
+for the exact profiles.  It also builds the stages of a config and holds
+the `rigidity` and `hak-verify` subcommands, which import `cli` when run."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .config import ConfigError
+from .config import ConfigError, _speed
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 from .pl import HALF, ONE, PL, ZERO, pl_image, pl_sum
 
 # how each condition's rows are obtained (see the module docstring)
@@ -223,3 +228,54 @@ def hak_verify(stages: list[HAKStage], tail: Fraction = ZERO) -> list[CheckResul
 
 def _gamma(stages: list[HAKStage], i: int, tail: Fraction) -> Fraction:
     return sum(st.eps for st in stages[i:]) + tail
+
+
+# ---------------------------------------------------------------------------
+# the stages of a config, and the subcommands that verify them
+# ---------------------------------------------------------------------------
+
+def build_stages(cfg: RunConfig) -> list[HAKStage]:
+    """The [stage N] sections in the order of N, every value exact."""
+    sections = cfg.numbered("stage")
+    if not sections:
+        raise ConfigError("no [stage *] sections found")
+    return [HAKStage(n=n, **{key: cfg.get(name, key) for key in cfg.declared(name)})
+            for n, name in sections]
+
+
+def cmd_rigidity(args, cfg: RunConfig) -> int:
+    from .cli import EXIT_OK, FLOAT, _out_path, _write_csv
+
+    speed = _speed(cfg, "rigidity")
+    horizon = cfg.get("experiment", "horizon")
+    eps = cfg.get("experiment", "eps")
+    lo, hi = cfg.get("experiment", "band")
+    rows = rigidity_times(speed, lo, hi, horizon, eps)
+    out = _out_path(args, cfg)
+    # the exact sups become floats for their FLOAT column
+    _write_csv(out, {"n": "%s", "sup_displacement": FLOAT}, [(n, float(d)) for n, d in rows])
+    print(f"rigidity: {len(rows)} qualifying times <= {horizon} at eps={float(eps):.9g} -> {out}")
+    return EXIT_OK
+
+
+def cmd_hak_verify(args, cfg: RunConfig) -> int:
+    from .cli import BOOL, EXIT_CHECK, EXIT_OK, FLOAT, _out_path, _write_csv
+
+    checks = hak_verify(build_stages(cfg), tail=cfg.get("hak", "tail"))
+    out = _out_path(args, cfg)
+    # the exact values become floats for their FLOAT columns
+    _write_csv(out, {"condition": "%s", "stage": "%s", "value": FLOAT, "bound": FLOAT,
+                     "margin": FLOAT, "passed": BOOL},
+               [(c.condition, c.stage, float(c.value), float(c.bound), float(c.margin),
+                 c.passed) for c in checks])
+    failing = sorted({c.condition for c in checks if not c.passed})
+    if failing:
+        print(f"hak-verify: FAILED condition(s) ({','.join(failing)}) -> {out}")
+        return EXIT_CHECK
+    # the bound-0 rows hold identities, whose margin 0 says nothing
+    binding = min((c for c in checks if c.condition in MEASURED and c.bound),
+                  key=lambda c: c.margin)
+    print(f"hak-verify: measured ({','.join(MEASURED)}) pass, smallest margin "
+          f"{float(binding.margin):.9g} at ({binding.condition}) stage {binding.stage}; "
+          f"config ({','.join(CONFIG)}) hold; ({','.join(STRUCTURAL)}) structural -> {out}")
+    return EXIT_OK

@@ -141,6 +141,18 @@ OVERRIDES = [
     # breakpoints distinct as fractions that float() merges
     ("suspend-orbit", "orbit_demo.ini", ["map.map=twist:0,0;0.3333333333333333,0.1;1/3,0.2;1,0"]),
     ("rotation", "rotation_demo.ini", ["map.map=reparam:0,0;0.3333333333333333,0.1;1/3,0.2;1,1"]),
+    # a value too large for a float: refused where a command floats the map
+    # or the speed at t = 1/2, read exactly by the rest
+    *((command, fixture, [f"map.map={spec}"])
+      for spec in ("rotation:1e400", "twist:0,0;1/2,1e400;1,0")
+      for command, fixture in (("rotation", "rotation_demo.ini"),
+                               ("suspend-orbit", "orbit_demo.ini"),
+                               ("suspend-entropy", "entropy_unit.ini"),
+                               ("rigidity", "rigidity_golden.ini"),
+                               ("dense-orbit", "dense_demo.ini"))),
+    ("mixing-witness", "witness_fullshift.ini", ["map.map=rotation:1e400"]),
+    ("suspend-orbit", "orbit_demo.ini", [f"map.map=rotation:0.1|cover:2,{10 ** 400}"]),
+    ("rigidity", "rigidity_golden.ini", [f"map.map=rotation:0.1|cover:2,{10 ** 400}"]),
 ]
 
 # horseshoe certificates at depth 0, at the benchmark's depths, mirrored by

@@ -13,10 +13,10 @@ from pseudosusp.annulus import (LiftedAnnulusMap, RadialReparam, RigidRotation, 
 from pseudosusp.cantor import FullShift, Odometer
 from pseudosusp.chains import horseshoe_extract, kfold
 from pseudosusp.cli import fixture_path, main
-from pseudosusp.config import build_stages, load_config
+from pseudosusp.config import load_config
 from pseudosusp.suspension import (SuspensionSystem, entropy_separated,
                                    entropy_spanning, normalize)
-from pseudosusp.tower import hak_verify
+from pseudosusp.tower import build_stages, hak_verify
 
 from markov_oracle import transition_entropy
 from oracles import (cantor_metric, conjugacy_invariance_check, full_branch_middle_map, step,

@@ -16,9 +16,10 @@ from pseudosusp.annulus import (DeckCover, LiftedAnnulusMap, RadialReparam, Rigi
                                 Twist, cover_lift, fixes_t, orbit, rotation_estimate,
                                 rotation_family)
 from pseudosusp.cli import fixture_path
-from pseudosusp.config import ConfigError, build_stages, load_config
+from pseudosusp.config import ConfigError, load_config
 from pseudosusp.pl import pl_at, pl_check, pl_image, pl_sum
-from pseudosusp.tower import circle_sup, hak_verify, rigidity_times, stage_profiles
+from pseudosusp.tower import (build_stages, circle_sup, hak_verify, rigidity_times,
+                              stage_profiles)
 
 from oracles import (UnsupportedConjugacyError, apply_arrays, circle_distance,
                      conjugacy_invariance_check, displacement_bound, equivariance_defect,

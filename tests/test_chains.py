@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from pseudosusp import chains
 from pseudosusp.chains import (ChainError, IntervalChain, StretchPreconditionError,
-                               _merge_intervals, _pullback, horseshoe_extract, kfold,
-                               stretch_check)
+                               _merge_intervals, _pullback, build_interval_chain, build_plmap,
+                               horseshoe_extract, kfold, stretch_check)
 from pseudosusp.cli import fixture_path, main
-from pseudosusp.config import build_interval_chain, build_plmap, load_config
+from pseudosusp.config import load_config
 from pseudosusp.covers import ChainCover, Rect, essential_seven_chain, refine_chain, render_chains
 from pseudosusp.pl import pl_at, pl_image
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import importlib
 import math
 import os
 import re
@@ -72,6 +73,11 @@ def test_help_lists_every_subcommand(capsys):
     assert run(["horseshoe", "-h"]) == 0
     out = capsys.readouterr().out
     assert "--map INI [--k K] [--depth N]" in out and "hak-verify" not in out
+    # each entry names a module that holds its handler cmd_<name>, '-' as '_'
+    for name, (module, _, _) in SUBCOMMANDS.items():
+        handler = getattr(importlib.import_module(f"pseudosusp.{module}"),
+                          "cmd_" + name.replace("-", "_"), None)
+        assert callable(handler), name
 
 
 def test_flags_take_their_value_after_an_equals_sign(tmp_path, capsys):
@@ -314,7 +320,7 @@ def test_write_csv_writes_each_value_as_its_format_spec(tmp_path, column, spec, 
     assert out.read_text() == f"x,fixed\n{format(value, spec)},0.4\n"
 
 
-def test_missing_config_and_keys(tmp_path):
+def test_missing_config_and_keys(tmp_path, capsys):
     assert run(["rotation", "-c", str(tmp_path / "nope.ini")]) == 3
     bad = tmp_path / "bad.ini"
     bad.write_text("[map]\nmap = rotation:abc\n")
@@ -322,6 +328,29 @@ def test_missing_config_and_keys(tmp_path):
     nomap = tmp_path / "nomap.ini"
     nomap.write_text("[experiment]\nn = 4\n")
     assert run(["rotation", "-c", str(nomap)]) == 3
+    # a file is read as UTF-8, whatever the locale's encoding
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(b"[map]\nmap = rotation:0.\xff\n")
+    capsys.readouterr()
+    assert run(["rotation", "-c", str(latin1), "--out", str(tmp_path / "r.csv")]) == 3
+    assert capsys.readouterr().err == (f"config error: {latin1}: not UTF-8 text "
+                                       f"(invalid start byte at byte 23)\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_an_output_path_that_cannot_be_written_exits_3_naming_it(tmp_path, capsys):
+    """`_write` writes every artifact, the CSVs, the SVG and the pattern."""
+    missing = tmp_path / "no_such_dir" / "x.out"
+    for argv in (["hak-verify", "-c", fixture_path("hak_toy.ini")],
+                 ["render", "--levels", fixture_path("render_demo.ini")],
+                 ["pattern", "--kfold", "3"]):
+        for out, reason in ((tmp_path, "Is a directory"),
+                            (missing, "No such file or directory")):
+            capsys.readouterr()
+            assert run(argv + ["--out", str(out)]) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: cannot write {out}: {reason}\n", argv
 
 
 def test_mixing_witness_modes(tmp_path, capsys):
@@ -621,6 +650,15 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
              "map.map"),
             ("suspend-orbit", "orbit_demo.ini", "map.map=rotation:0.1|cover:2,1|cover:3,0",
              "map.map"),
+            # a value too large for a float, where a command floats the map
+            # or the speed at t = 1/2
+            ("rotation", "rotation_demo.ini", "map.map=rotation:1e400", "map.map"),
+            ("suspend-orbit", "orbit_demo.ini", "map.map=rotation:1e400", "map.map"),
+            ("rotation", "rotation_demo.ini", "map.map=twist:0,0;1/2,1e400;1,0", "map.map"),
+            ("suspend-orbit", "orbit_demo.ini", f"map.map=rotation:0.1|cover:2,{10 ** 400}",
+             "map.map"),
+            ("suspend-entropy", "entropy_unit.ini", "map.map=twist:0,0;1/2,1e400;1,0",
+             "map.map"),
             ("mixing-witness", "golden_mean.ini", "cantor.adjacency=2,1;1,0",
              "cantor.adjacency"),
             ("mixing-witness", "golden_mean.ini", "cantor.adjacency=1,-1;1,0",
@@ -713,6 +751,22 @@ def test_bad_input_exits_3_naming_its_key(tmp_path, capsys):
         assert run(argv) == 3, argv
         assert capsys.readouterr().err == (
             f"config error: map.map: {name} breakpoints must increase from 0 to 1\n"), argv
+
+
+def test_the_exact_commands_take_a_map_too_large_for_a_float(tmp_path):
+    """`rigidity`, `dense-orbit` and the suspension witness read the exact
+    speed and never float it, so a value past the float range, which
+    `rotation` refuses, is no error there."""
+    twist, rotation = "map.map=twist:0,0;1/2,1e400;1,0", "map.map=rotation:1e400"
+    for command, fixture, override in (
+            ("rigidity", "rigidity_golden.ini", twist),
+            ("rigidity", "rigidity_golden.ini", rotation),
+            ("dense-orbit", "dense_demo.ini", twist),
+            ("dense-orbit", "dense_demo.ini", rotation),
+            ("mixing-witness", "witness_fullshift.ini", rotation),
+            ("rigidity", "rigidity_golden.ini", f"map.map=rotation:0.1|cover:2,{10 ** 400}")):
+        assert run([command, "-c", fixture_path(fixture), "--override", override,
+                    "--out", str(tmp_path / "x.csv")]) == 0, (command, override)
 
 
 def test_rigidity_is_exact(tmp_path, capsys):

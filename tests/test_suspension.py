@@ -15,10 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudosusp.annulus import (LiftedAnnulusMap, RadialReparam, RigidRotation, Twist,
-                                cover_lift, orbit, rotation_estimate)
+                                build_map, cover_lift, orbit, rotation_estimate)
 from pseudosusp.cantor import FullShift, Odometer, OdometerPoint, SFT
-from pseudosusp.cli import _speed
-from pseudosusp.config import build_map, load_config
+from pseudosusp.config import _speed, load_config
 from pseudosusp.pl import HALF, pl_at
 from pseudosusp.substitution import Substitution, _language_words
 from pseudosusp.suspension import (CapacityError, SuspensionPoint, SuspensionSystem,
